@@ -17,24 +17,14 @@ let default_config variant =
 
 type extra = { select_stats : Pdgc_select.stats; cpg_edges : int }
 
-let name = function
-  | Coalescing_only -> "pdgc (only coalescing)"
-  | Full_preferences -> "pdgc (full preferences)"
-
-let allocate_config_verbose config (m : Machine.t) (f0 : Cfg.func) =
+let allocate_config_verbose config (m : Machine.t) f0 =
   let kinds =
     match config.variant with
     | Coalescing_only -> `Coalesce_only
     | Full_preferences -> `All
   in
-  let f0 = Cfg.clone f0 in
-  let rec round fn ~temps ~n ~spill_instrs ~spill_slots =
-    if n > 64 then raise (Alloc_common.Failed "pdgc: too many rounds");
-    let webs = Webs.run fn in
-    let fn = webs.Webs.func in
-    let temps = Alloc_common.remap_temps webs temps in
-    let a = Alloc_common.analyze fn in
-    let g = a.Alloc_common.graph in
+  let color (a : Alloc_common.analysis) ~temps =
+    let fn = a.Alloc_common.fn and g = a.Alloc_common.graph in
     let str = Strength.of_analysis a in
     let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
     let costs = a.Alloc_common.costs in
@@ -45,6 +35,7 @@ let allocate_config_verbose config (m : Machine.t) (f0 : Cfg.func) =
       Simplify.run Simplify.Optimistic ~k:m.Machine.k g
         ~never_spill:no_spill ()
         ~spill_choice:(fun blocked ->
+          (* Nothing merged: [spill_cost] = [choose_victim]'s merged cost. *)
           let metric r =
             if no_spill r then infinity
             else
@@ -69,30 +60,14 @@ let allocate_config_verbose config (m : Machine.t) (f0 : Cfg.func) =
            ~fallback_nonvolatile_first:(config.variant = Coalescing_only)
            ())
     in
-    if Reg.Set.is_empty sel.Pdgc_select.spilled then begin
-      let alloc = Reg.Tbl.create 64 in
-      Reg.Set.iter
-        (fun r ->
-          match Reg.Tbl.find_opt sel.Pdgc_select.colors r with
-          | Some c -> Reg.Tbl.replace alloc r c
-          | None ->
-              raise (Alloc_common.Failed ("pdgc: uncolored " ^ Reg.to_string r)))
-        (Cfg.all_vregs fn);
-      ( { Alloc_common.func = fn; alloc; rounds = n; spill_instrs; spill_slots },
-        { select_stats = sel.Pdgc_select.stats; cpg_edges = Cpg.n_edges cpg } )
-    end
-    else begin
-      let ins =
-        Spill_insert.insert ~rematerialize:config.rematerialize fn
-          sel.Pdgc_select.spilled
-      in
-      let temps = Alloc_common.add_spill_temps temps ins in
-      round ins.Spill_insert.func ~temps ~n:(n + 1)
-        ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
-        ~spill_slots:(spill_slots @ ins.Spill_insert.slots)
-    end
+    if Reg.Set.is_empty sel.Pdgc_select.spilled then
+      Alloc_common.Colored
+        ( Reg.Tbl.find_opt sel.Pdgc_select.colors,
+          { select_stats = sel.Pdgc_select.stats; cpg_edges = Cpg.n_edges cpg }
+        )
+    else Alloc_common.Spill sel.Pdgc_select.spilled
   in
-  round f0 ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0 ~spill_slots:[]
+  Alloc_common.drive ~name:"pdgc" ~rematerialize:config.rematerialize f0 color
 
 let allocate_verbose variant m f =
   allocate_config_verbose (default_config variant) m f

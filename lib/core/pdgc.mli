@@ -36,7 +36,6 @@ type extra = {
   cpg_edges : int;  (** precedence edges in the last round's CPG *)
 }
 
-val name : variant -> string
 val allocate : variant -> Machine.t -> Cfg.func -> Alloc_common.result
 
 val allocate_verbose :

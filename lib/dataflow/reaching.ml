@@ -5,17 +5,12 @@
    numbering, and the dataflow facts are int-array bitsets over those
    site indices — the transfer across a defining instruction clears the
    register's other sites (a tiny per-register list) and sets its own
-   bit.  The legacy [Int_set]-of-instruction-ids API is kept as a thin
-   boundary for callers that want functional sets; the hot consumer
-   (web construction) walks the bitsets directly. *)
-
-module Int_set = Set.Make (Int)
+   bit.  The consumer (web construction) walks the bitsets directly. *)
 
 type t = {
   fn : Cfg.func;
   n_sites : int;
   site_of_index : int array; (* dense instr index -> site, or -1 *)
-  site_instr_id : int array; (* site -> defining instruction id *)
   site_reg : Reg.t array; (* site -> defined register *)
   reg_sites : int list Reg.Tbl.t; (* reg -> sites, program order *)
   bits_in : (Instr.label, Regbits.Set.t) Hashtbl.t;
@@ -48,7 +43,7 @@ let compute (f : Cfg.func) =
               let s = !n_sites in
               incr n_sites;
               site_of_index.(!idx) <- s;
-              sites := (i.Instr.id, r) :: !sites;
+              sites := r :: !sites;
               let cur = try Reg.Tbl.find reg_sites r with Not_found -> [] in
               Reg.Tbl.replace reg_sites r (s :: cur)
           | None -> ());
@@ -56,21 +51,13 @@ let compute (f : Cfg.func) =
         b.Cfg.instrs)
     f.Cfg.blocks;
   let n_sites = !n_sites in
-  let site_instr_id = Array.make n_sites (-1) in
-  let site_reg = Array.make n_sites Reg.first_virtual in
-  List.iteri
-    (fun k (id, r) ->
-      let s = n_sites - 1 - k in
-      site_instr_id.(s) <- id;
-      site_reg.(s) <- r)
-    !sites;
+  let site_reg = Array.of_list (List.rev !sites) in
   Reg.Tbl.filter_map_inplace (fun _ sites -> Some (List.rev sites)) reg_sites;
   let t =
     {
       fn = f;
       n_sites;
       site_of_index;
-      site_instr_id;
       site_reg;
       reg_sites;
       bits_in = Hashtbl.create 16;
@@ -102,14 +89,9 @@ let compute (f : Cfg.func) =
 
 let n_sites t = t.n_sites
 let site_reg t s = t.site_reg.(s)
-let site_instr_id t s = t.site_instr_id.(s)
 
 let sites_of_reg t r =
   try Reg.Tbl.find t.reg_sites r with Not_found -> []
-
-let site_of_instr t (i : Instr.t) =
-  let idx = Cfg.instr_index_of_id t.fn i.Instr.id in
-  if idx < 0 then -1 else t.site_of_index.(idx)
 
 let reaching_in_bits t l =
   match Hashtbl.find_opt t.bits_in l with
@@ -125,25 +107,3 @@ let iter_block_forward_bits t (b : Cfg.block) ~f =
       f ~reaching:live ~site:s i;
       if s >= 0 then transfer_site t live s)
     b.Cfg.instrs
-
-(* {1 Legacy Int_set boundary} *)
-
-let ids_of_bits t bits =
-  Regbits.Set.fold bits ~init:Int_set.empty ~f:(fun acc s ->
-      Int_set.add t.site_instr_id.(s) acc)
-
-let reg_of_def t id =
-  let idx = Cfg.instr_index_of_id t.fn id in
-  if idx < 0 then raise Not_found;
-  let s = t.site_of_index.(idx) in
-  if s < 0 then raise Not_found;
-  t.site_reg.(s)
-
-let defs_of_reg t r = List.map (fun s -> t.site_instr_id.(s)) (sites_of_reg t r)
-let reaching_in t l = ids_of_bits t (reaching_in_bits t l)
-
-let fold_block_forward t (b : Cfg.block) ~init ~f =
-  let acc = ref init in
-  iter_block_forward_bits t b ~f:(fun ~reaching ~site:_ i ->
-      acc := f !acc ~reaching:(ids_of_bits t reaching) i);
-  !acc

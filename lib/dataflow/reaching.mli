@@ -3,17 +3,12 @@
     A definition site is an instruction that defines exactly one
     virtual register (every IR instruction defines at most one).
     Sites are numbered densely in block order and the dataflow facts
-    are bitsets over those indices; the classic [Int_set]-of-ids view
-    is kept as a boundary API.  Used by web construction (Chaitin's
-    "renumber" phase). *)
-
-module Int_set : Set.S with type elt = int
+    are bitsets over those indices.  Used by web construction
+    (Chaitin's "renumber" phase). *)
 
 type t
 
 val compute : Cfg.func -> t
-
-(** {1 Dense site API} *)
 
 val n_sites : t -> int
 (** Number of definition sites; sites are [0 .. n_sites - 1] in block
@@ -22,14 +17,8 @@ val n_sites : t -> int
 val site_reg : t -> int -> Reg.t
 (** Register defined at a site. *)
 
-val site_instr_id : t -> int -> int
-(** Id of the defining instruction of a site. *)
-
 val sites_of_reg : t -> Reg.t -> int list
 (** All sites defining a register, in program order. *)
-
-val site_of_instr : t -> Instr.t -> int
-(** Site of an instruction, or [-1] if it is not a definition site. *)
 
 val reaching_in_bits : t -> Instr.label -> Regbits.Set.t
 (** Sites reaching the entry of a block, as a bitset over site
@@ -44,26 +33,3 @@ val iter_block_forward_bits :
     sites reaching it (before its own effects, in a scratch bitset
     valid only during the call) and the instruction's own site ([-1]
     for non-definitions). *)
-
-(** {1 Legacy boundary} *)
-
-val reg_of_def : t -> int -> Reg.t
-(** Register defined by a definition site, keyed by instruction id.
-    @raise Not_found if the id is not a definition site. *)
-
-val defs_of_reg : t -> Reg.t -> int list
-(** All definition sites of a register, as instruction ids. *)
-
-val reaching_in : t -> Instr.label -> Int_set.t
-(** Definition sites (instruction ids) reaching the entry of a block. *)
-
-val fold_block_forward :
-  t ->
-  Cfg.block ->
-  init:'a ->
-  f:('a -> reaching:Int_set.t -> Instr.t -> 'a) ->
-  'a
-(** Walk a block's instructions first to last; [f] receives each
-    instruction with the definitions reaching it (before its own
-    effects).  Materializes an [Int_set] per instruction — test/debug
-    boundary, not a hot path. *)

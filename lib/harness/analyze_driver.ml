@@ -46,7 +46,7 @@ let run ?jobs ?(passes = Passes.all) ?algos m (p : Cfg.program) =
   (* Mirror [Pipeline.prepare], pausing at the SSA snapshot. *)
   let ssa_rows =
     Engine.map ~jobs
-      (fun ~worker:_ f ->
+      (fun f ->
         let ssa = Ssa_construct.run f in
         (run_phase Pass.Ssa ssa, Ssa_destruct.run ssa))
       p.Cfg.funcs
@@ -55,7 +55,7 @@ let run ?jobs ?(passes = Passes.all) ?algos m (p : Cfg.program) =
   let prepared = Pair_schedule.program (Lower.program m { p with Cfg.funcs }) in
   let prep_rows =
     Engine.map ~jobs
-      (fun ~worker:_ f -> run_phase Pass.Prepared f)
+      (fun f -> run_phase Pass.Prepared f)
       prepared.Cfg.funcs
   in
   let base =
@@ -68,9 +68,8 @@ let run ?jobs ?(passes = Passes.all) ?algos m (p : Cfg.program) =
       (fun (algo : Allocator.t) ->
         match
           Engine.map ~jobs
-            (fun ~worker f ->
-              let ctx = { Allocator.worker; jobs } in
-              let res = algo.Allocator.run ctx m f in
+            (fun f ->
+              let res = Allocator.exec algo m f in
               let allocated =
                 run_phase ~result:res Pass.Allocated res.Alloc_common.func
               in

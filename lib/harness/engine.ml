@@ -13,7 +13,7 @@ type 'b slot = Empty | Done of 'b | Raised of exn * Printexc.raw_backtrace
 
 (* A claimed slice of the current batch, read under the pool lock so
    every worker sees the batch the claim belongs to. *)
-type slice = { lo : int; hi : int; run_item : int -> int -> unit }
+type slice = { lo : int; hi : int; run_item : int -> unit }
 
 module Pool = struct
   (* A persistent domain pool: the daemon use case submits thousands of
@@ -29,7 +29,7 @@ module Pool = struct
     lock : Mutex.t;
     work : Condition.t;  (* a new batch arrived, or stop *)
     finished : Condition.t;  (* completed reached size *)
-    mutable run_item : int -> int -> unit;  (* worker -> index -> unit *)
+    mutable run_item : int -> unit;  (* index -> unit *)
     mutable size : int;
     mutable next : int;
     mutable chunk : int;
@@ -40,7 +40,7 @@ module Pool = struct
 
   type t = { st : state; domains : unit Domain.t array; n_workers : int }
 
-  let no_work _ _ = ()
+  let no_work _ = ()
 
   (* Claim one slice under the lock.  The run-item closure is read in
      the same critical section as the cursor, so a claim that lands in a
@@ -56,20 +56,20 @@ module Pool = struct
     Mutex.unlock st.lock;
     slice
 
-  let rec drain st ~worker =
+  let rec drain st =
     match claim st with
     | None -> ()
     | Some { lo; hi; run_item } ->
         for i = lo to hi - 1 do
-          run_item worker i
+          run_item i
         done;
         Mutex.lock st.lock;
         st.completed <- st.completed + (hi - lo);
         if st.completed >= st.size then Condition.broadcast st.finished;
         Mutex.unlock st.lock;
-        drain st ~worker
+        drain st
 
-  let rec worker_loop st ~worker ~seen =
+  let rec worker_loop st ~seen =
     Mutex.lock st.lock;
     while (not st.stop) && st.seq = seen do
       Condition.wait st.work st.lock
@@ -78,8 +78,8 @@ module Pool = struct
     else begin
       let seq = st.seq in
       Mutex.unlock st.lock;
-      drain st ~worker;
-      worker_loop st ~worker ~seen:seq
+      drain st;
+      worker_loop st ~seen:seq
     end
 
   let create ~jobs =
@@ -103,8 +103,8 @@ module Pool = struct
       }
     in
     let domains =
-      Array.init (n_workers - 1) (fun i ->
-          Domain.spawn (fun () -> worker_loop st ~worker:(i + 1) ~seen:0))
+      Array.init (n_workers - 1) (fun _ ->
+          Domain.spawn (fun () -> worker_loop st ~seen:0))
     in
     { st; domains; n_workers }
 
@@ -112,13 +112,13 @@ module Pool = struct
 
   let map t f xs =
     let n = List.length xs in
-    if t.n_workers <= 1 || n <= 1 then List.map (fun x -> f ~worker:0 x) xs
+    if t.n_workers <= 1 || n <= 1 then List.map f xs
     else begin
       let items = Array.of_list xs in
       let out = Array.make n Empty in
-      let run_item worker i =
+      let run_item i =
         out.(i) <-
-          (match f ~worker items.(i) with
+          (match f items.(i) with
           | v -> Done v
           | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
       in
@@ -132,8 +132,8 @@ module Pool = struct
       st.seq <- st.seq + 1;
       Condition.broadcast st.work;
       Mutex.unlock st.lock;
-      (* The caller is worker 0; parked domains race it for slices. *)
-      drain st ~worker:0;
+      (* The caller works too; parked domains race it for slices. *)
+      drain st;
       Mutex.lock st.lock;
       while st.completed < st.size do
         Condition.wait st.finished st.lock
@@ -172,7 +172,7 @@ let map ?(chunk = 1) ~jobs f xs =
      on an oversubscribed machine costs spawn/join overhead and GC
      coordination without adding throughput. *)
   let jobs = min jobs (max 1 (Domain.recommended_domain_count ())) in
-  if jobs <= 1 || n <= 1 then List.map (fun x -> f ~worker:0 x) xs
+  if jobs <= 1 || n <= 1 then List.map f xs
   else begin
     let items = Array.of_list xs in
     let jobs = min jobs n in
@@ -189,22 +189,20 @@ let map ?(chunk = 1) ~jobs f xs =
       Mutex.unlock lock;
       if lo >= n then None else Some (lo, min n (lo + chunk))
     in
-    let rec drain worker =
+    let rec drain () =
       match claim () with
       | None -> ()
       | Some (lo, hi) ->
           for i = lo to hi - 1 do
             out.(i) <-
-              (match f ~worker items.(i) with
+              (match f items.(i) with
               | v -> Done v
               | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
           done;
-          drain worker
+          drain ()
     in
-    let pool =
-      Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> drain (i + 1)))
-    in
-    drain 0;
+    let pool = Array.init (jobs - 1) (fun _ -> Domain.spawn drain) in
+    drain ();
     Array.iter Domain.join pool;
     (* Re-raise the first failure in input order — what the sequential
        path would have raised. *)

@@ -39,14 +39,14 @@ module Pool : sig
 
   val create : jobs:int -> t
   (** Spawn a pool of [min jobs (Domain.recommended_domain_count ())]
-      workers (the caller of {!map} counts as worker 0, so [jobs - 1]
+      workers (the caller of {!map} counts as one, so [jobs - 1]
       domains are spawned).  [jobs <= 1] spawns nothing and {!map}
       degenerates to [List.map]. *)
 
   val jobs : t -> int
   (** The effective worker count (after the host cap). *)
 
-  val map : t -> (worker:int -> 'a -> 'b) -> 'a list -> 'b list
+  val map : t -> ('a -> 'b) -> 'a list -> 'b list
   (** Like {!Engine.map} but on the persistent workers: no domain is
       spawned or joined.  Must not be called concurrently from two
       threads, and not after {!shutdown}. *)
@@ -56,10 +56,10 @@ module Pool : sig
       Idempotent. *)
 end
 
-val map : ?chunk:int -> jobs:int -> (worker:int -> 'a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] runs [f ~worker x] for every [x], spreading items
-    over [min jobs (length xs)] workers ([worker] ranges over
-    [0 .. jobs-1]; worker 0 is the calling domain).  The effective
+val map : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] runs [f x] for every [x], spreading items over
+    [min jobs (length xs)] workers (one of them the calling domain).
+    The effective
     worker count is additionally capped at
     [Domain.recommended_domain_count ()]: asking for more domains than
     the host can run only adds spawn and GC-coordination overhead.

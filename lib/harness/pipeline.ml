@@ -92,12 +92,11 @@ let allocate_program ?(verify = false) ?(check_phases = false) ?jobs
      code) is checked where the data already is. *)
   let pairs =
     Engine.map ~jobs
-      (fun ~worker f ->
+      (fun f ->
         let what = algo.Allocator.name in
         if check_phases then
           check_phase ~machine:m ~what Pass.Prepared f;
-        let ctx = { Allocator.worker; jobs } in
-        let res = algo.Allocator.run ctx m f in
+        let res = Allocator.exec algo m f in
         if check_phases then
           check_phase ~machine:m ~result:res ~what Pass.Allocated
             res.Alloc_common.func;

@@ -87,67 +87,75 @@ let choose_victim costs g ~no_spill blocked =
           best blocked
       else best
 
-let allocate config (m : Machine.t) (f0 : Cfg.func) =
-  let f0 = Cfg.clone f0 in
-  let rec round fn ~temps ~n ~spill_instrs ~spill_slots =
-    if n > max_rounds then
-      raise (Failed (Printf.sprintf "%s: too many rounds" config.name));
+(* Spilling a coalesced node means spilling every member of the merged
+   cluster, not just the representative's register. *)
+let spill_clusters g fn spilled =
+  Reg.Set.filter
+    (fun r -> Reg.Set.mem (Igraph.alias g r) spilled)
+    (Cfg.all_vregs fn)
+  |> Reg.Set.union spilled
+
+type 'x step = Colored of (Reg.t -> Reg.t option) * 'x | Spill of Reg.Set.t
+
+(* The one round loop every allocator shares: renumber, analyze, let the
+   allocator color; on [Spill] insert spill code and go again.  Slots
+   are kept per round (newest first) and flattened once at the end. *)
+let drive ~name ?(rematerialize = false) f0 color =
+  let rec round fn ~temps ~n ~spill_instrs ~slots =
+    if n > max_rounds then raise (Failed (name ^ ": too many rounds"));
     let webs = Webs.run fn in
     let fn = webs.Webs.func in
     let temps = remap_temps webs temps in
-    let a = analyze fn in
+    match color (analyze fn) ~temps with
+    | Colored (color_of, x) ->
+        let alloc = Reg.Tbl.create 64 in
+        Reg.Set.iter
+          (fun r ->
+            match color_of r with
+            | Some c -> Reg.Tbl.replace alloc r c
+            | None ->
+                raise
+                  (Failed
+                     (Printf.sprintf "%s: %s left uncolored" name
+                        (Reg.to_string r))))
+          (Cfg.all_vregs fn);
+        let spill_slots = List.concat (List.rev slots) in
+        ({ func = fn; alloc; rounds = n; spill_instrs; spill_slots }, x)
+    | Spill spilled ->
+        let ins = Spill_insert.insert ~rematerialize fn spilled in
+        round ins.Spill_insert.func ~temps:(add_spill_temps temps ins)
+          ~n:(n + 1)
+          ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
+          ~slots:(ins.Spill_insert.slots :: slots)
+  in
+  round (Cfg.clone f0) ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0
+    ~slots:[]
+
+let allocate config (m : Machine.t) f0 =
+  let color a ~temps =
     let g = a.graph in
     (match config.coalesce with
     | No_coalesce -> ()
     | Aggressive -> ignore (Coalesce.aggressive g)
     | Conservative -> ignore (Coalesce.conservative ~k:m.Machine.k g));
-    let costs = a.costs in
     let no_spill r = Reg.Tbl.mem temps r in
     let simp =
       Simplify.run config.mode ~k:m.Machine.k g
-        ~spill_choice:(choose_victim costs g ~no_spill)
+        ~spill_choice:(choose_victim a.costs g ~no_spill)
         ~never_spill:no_spill ()
     in
-    let respill spilled =
-      (* Spilling a coalesced node means spilling every member of the
-         merged cluster, not just the representative's register. *)
-      let spilled =
-        Reg.Set.filter
-          (fun r -> Reg.Set.mem (Igraph.alias g r) spilled)
-          (Cfg.all_vregs fn)
-        |> Reg.Set.union spilled
-      in
-      let ins = Spill_insert.insert fn spilled in
-      let temps = add_spill_temps temps ins in
-      round ins.Spill_insert.func ~temps ~n:(n + 1)
-        ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
-        ~spill_slots:(spill_slots @ ins.Spill_insert.slots)
-    in
     if not (Reg.Set.is_empty simp.Simplify.forced_spills) then
-      respill simp.Simplify.forced_spills
+      Spill (spill_clusters g a.fn simp.Simplify.forced_spills)
     else
       let sel =
         Color_select.run m g ~stack:simp.Simplify.stack ~order:config.order
           ~biased:config.biased
       in
       if not (Reg.Set.is_empty sel.Color_select.failed) then
-        respill sel.Color_select.failed
-      else begin
-        let alloc = Reg.Tbl.create 64 in
-        Reg.Set.iter
-          (fun r ->
-            match Color_select.color_of sel g r with
-            | Some c -> Reg.Tbl.replace alloc r c
-            | None ->
-                raise
-                  (Failed
-                     (Printf.sprintf "%s: %s left uncolored" config.name
-                        (Reg.to_string r))))
-          (Cfg.all_vregs fn);
-        { func = fn; alloc; rounds = n; spill_instrs; spill_slots }
-      end
+        Spill (spill_clusters g a.fn sel.Color_select.failed)
+      else Colored (Color_select.color_of sel g, ())
   in
-  round f0 ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0 ~spill_slots:[]
+  fst (drive ~name:config.name f0 color)
 
 let check_complete (m : Machine.t) (res : result) =
   let fn = res.func in

@@ -1,8 +1,11 @@
 (** The shared Chaitin-style allocation driver.
 
     Rounds of: renumber (webs) -> liveness -> interference graph ->
-    coalesce -> simplify -> select; registers that fail get spill code
-    and the round restarts, until every node receives a register.
+    color; registers that fail get spill code and the round restarts,
+    until every node receives a register.  {!drive} owns that loop for
+    every allocator, which supplies only its coloring step; {!allocate}
+    is the step of the Chaitin/Briggs family (coalesce -> simplify ->
+    select).
 
     Spill-code temporaries are tracked across rounds and protected from
     being spilled again. *)
@@ -72,6 +75,36 @@ val remap_temps : Webs.t -> unit Reg.Tbl.t -> unit Reg.Tbl.t
 val add_spill_temps : unit Reg.Tbl.t -> Spill_insert.result -> unit Reg.Tbl.t
 (** Mark the temporaries the given spill insertion introduced (registers
     at or above its watermark) and return the same table. *)
+
+(** {2 The round driver} *)
+
+type 'x step =
+  | Colored of (Reg.t -> Reg.t option) * 'x
+      (** every virtual register of the round's body has the given
+          color; ['x] is whatever else the allocator reports *)
+  | Spill of Reg.Set.t  (** spill these registers and run another round *)
+
+val drive :
+  name:string ->
+  ?rematerialize:bool ->
+  Cfg.func ->
+  (analysis -> temps:unit Reg.Tbl.t -> 'x step) ->
+  result * 'x
+(** [drive ~name f color] allocates a clone of [f] (the input is never
+    mutated).  Each round renumbers the body into webs, carries the
+    spill temporaries over ([temps], which [color] must not spill
+    again), runs {!analyze} and hands the result to [color].  [Spill]
+    inserts spill code ([rematerialize] as in {!Spill_insert.insert},
+    default [false]) and starts the next round; [Colored] ends the
+    allocation.
+    @raise Failed ["<name>: too many rounds"] after 64 rounds, or
+    ["<name>: <reg> left uncolored"] when [Colored]'s function misses a
+    register. *)
+
+val spill_clusters : Igraph.t -> Cfg.func -> Reg.Set.t -> Reg.Set.t
+(** [spill_clusters g fn spilled] widens a set of spilled coalesce
+    representatives to every register of [fn] merged into one of them
+    in [g]: spilling a coalesced node spills its whole cluster. *)
 
 val allocate : config -> Machine.t -> Cfg.func -> result
 

@@ -1,15 +1,11 @@
-type ctx = { worker : int; jobs : int }
-
-let sequential_ctx = { worker = 0; jobs = 1 }
-
 type t = {
   name : string;
   label : string;
-  run : ctx -> Machine.t -> Cfg.func -> Alloc_common.result;
+  run : Machine.t -> Cfg.func -> Alloc_common.result;
 }
 
-let v ~name ~label allocate = { name; label; run = (fun _ctx m f -> allocate m f) }
-let exec ?(ctx = sequential_ctx) a m f = a.run ctx m f
+let v ~name ~label run = { name; label; run }
+let exec a m f = a.run m f
 
 (* Registration normally happens at module-initialization time (the
    pipeline registers the built-in eight), but the registry is guarded

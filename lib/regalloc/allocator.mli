@@ -14,26 +14,17 @@
     implementation must therefore confine every piece of mutable state
     — interference-graph scratch, dense-bitset numberings, cached
     instruction numberings, any [Hashtbl]/[ref] memo — to the dynamic
-    extent of a single [run] call (or key it off [ctx.worker] if it
-    wants to reuse buffers across the jobs of one worker).  No mutable
-    state may be shared across jobs, and [run] must not mutate the
-    input function (clone it first, as every in-tree allocator does).
-    Allocators that follow this rule are deterministic under any job
-    schedule: the engine asserts parallel ≡ sequential bit-for-bit. *)
-
-type ctx = {
-  worker : int;  (** worker index running this job; 0 on the sequential path *)
-  jobs : int;  (** size of the worker pool the job belongs to (>= 1) *)
-}
-
-val sequential_ctx : ctx
-(** The context used outside the parallel engine: worker 0 of a
-    one-worker pool. *)
+    extent of a single [run] call.  No mutable state may be shared
+    across jobs, and [run] must not mutate the input function
+    ({!Alloc_common.drive}, which every in-tree allocator runs on,
+    clones it first).  Allocators that follow this rule are
+    deterministic under any job schedule: the engine asserts
+    parallel ≡ sequential bit-for-bit. *)
 
 type t = {
   name : string;  (** registry key, used on the command line *)
   label : string;  (** series name used in the paper's figures *)
-  run : ctx -> Machine.t -> Cfg.func -> Alloc_common.result;
+  run : Machine.t -> Cfg.func -> Alloc_common.result;
 }
 
 val v :
@@ -41,12 +32,10 @@ val v :
   label:string ->
   (Machine.t -> Cfg.func -> Alloc_common.result) ->
   t
-(** [v ~name ~label allocate] wraps a context-oblivious allocation
-    function (the common case: all state created inside the call). *)
+(** [v ~name ~label run] is the allocator value [{ name; label; run }]. *)
 
-val exec : ?ctx:ctx -> t -> Machine.t -> Cfg.func -> Alloc_common.result
-(** [exec a m f] runs [a] on one function, defaulting to
-    {!sequential_ctx}. *)
+val exec : t -> Machine.t -> Cfg.func -> Alloc_common.result
+(** [exec a m f] runs [a] on one function. *)
 
 val register : t -> unit
 (** Add an allocator to the registry.

@@ -425,35 +425,13 @@ let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
   assign_colors st;
   st
 
-let allocate (m : Machine.t) (f0 : Cfg.func) =
-  let f0 = Cfg.clone f0 in
-  let rec round fn ~temps ~n ~spill_instrs ~spill_slots =
-    if n > 64 then raise (Alloc_common.Failed "iterated: too many rounds");
-    let webs = Webs.run fn in
-    let fn = webs.Webs.func in
-    let temps = Alloc_common.remap_temps webs temps in
-    let st = run_once m (Alloc_common.analyze fn) ~temps in
-    if Reg.Set.is_empty st.spilled then begin
-      let alloc = Reg.Tbl.create 64 in
-      Reg.Set.iter
-        (fun r ->
-          match Reg.Tbl.find_opt st.color r with
-          | Some c -> Reg.Tbl.replace alloc r c
-          | None ->
-              raise
-                (Alloc_common.Failed
-                   ("iterated: uncolored " ^ Reg.to_string r)))
-        (Cfg.all_vregs fn);
-      { Alloc_common.func = fn; alloc; rounds = n; spill_instrs; spill_slots }
-    end
-    else begin
-      let ins = Spill_insert.insert fn st.spilled in
-      let temps = Alloc_common.add_spill_temps temps ins in
-      round ins.Spill_insert.func ~temps ~n:(n + 1)
-        ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
-        ~spill_slots:(spill_slots @ ins.Spill_insert.slots)
-    end
+let allocate (m : Machine.t) f0 =
+  let color a ~temps =
+    let st = run_once m a ~temps in
+    if Reg.Set.is_empty st.spilled then
+      Alloc_common.Colored (Reg.Tbl.find_opt st.color, ())
+    else Alloc_common.Spill st.spilled
   in
-  round f0 ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0 ~spill_slots:[]
+  fst (Alloc_common.drive ~name f0 color)
 
 let allocator = Allocator.v ~name:"iterated" ~label:"iterated" allocate

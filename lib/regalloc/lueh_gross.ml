@@ -52,16 +52,9 @@ let compute_benefits (_m : Machine.t) (fn : Cfg.func) =
     ~costs:(Spill_cost.compute ~loops fn)
     ~loops
 
-let allocate (m : Machine.t) (f0 : Cfg.func) =
-  let f0 = Cfg.clone f0 in
-  let rec round fn ~temps ~n ~spill_instrs ~spill_slots =
-    if n > 64 then
-      raise (Alloc_common.Failed "aggressive+volatility: too many rounds");
-    let webs = Webs.run fn in
-    let fn = webs.Webs.func in
-    let temps = Alloc_common.remap_temps webs temps in
-    let a = Alloc_common.analyze fn in
-    let live = a.Alloc_common.live in
+let allocate (m : Machine.t) f0 =
+  let color (a : Alloc_common.analysis) ~temps =
+    let fn = a.Alloc_common.fn and live = a.Alloc_common.live in
     let g = a.Alloc_common.graph in
     ignore (Coalesce.aggressive g);
     let costs = a.Alloc_common.costs in
@@ -190,25 +183,15 @@ let allocate (m : Machine.t) (f0 : Cfg.func) =
           remove victim
     done;
     let respill spilled =
-      let spilled =
-        Reg.Set.filter
-          (fun r -> Reg.Set.mem (Igraph.alias g r) spilled)
-          (Cfg.all_vregs fn)
-        |> Reg.Set.union spilled
-      in
-      let ins = Spill_insert.insert fn spilled in
-      let temps = Alloc_common.add_spill_temps temps ins in
-      round ins.Spill_insert.func ~temps ~n:(n + 1)
-        ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
-        ~spill_slots:(spill_slots @ ins.Spill_insert.slots)
+      Alloc_common.Spill (Alloc_common.spill_clusters g fn spilled)
     in
     if not (Reg.Set.is_empty !forced_spills) then respill !forced_spills
     else begin
       (* Select: choose volatile / non-volatile / memory by benefit. *)
-      let color = Reg.Tbl.create 64 in
+      let colors = Reg.Tbl.create 64 in
       let color_of r =
         let rep = Igraph.alias g r in
-        if Reg.is_phys rep then Some rep else Reg.Tbl.find_opt color rep
+        if Reg.is_phys rep then Some rep else Reg.Tbl.find_opt colors rep
       in
       let active_spills = ref Reg.Set.empty in
       List.iter
@@ -249,31 +232,18 @@ let allocate (m : Machine.t) (f0 : Cfg.func) =
               (Cfg.all_vregs fn)
           else
             match ordered with
-            | c :: _ -> Reg.Tbl.replace color rep c
+            | c :: _ -> Reg.Tbl.replace colors rep c
             | [] ->
                 (* Chaitin simplification guarantees a free register. *)
                 raise
                   (Alloc_common.Failed
-                     ("aggressive+volatility: no color for "
-                    ^ Reg.to_string rep)))
+                     (name ^ ": no color for " ^ Reg.to_string rep)))
         !stack;
       if not (Reg.Set.is_empty !active_spills) then respill !active_spills
-      else begin
-        let alloc = Reg.Tbl.create 64 in
-        Reg.Set.iter
-          (fun r ->
-            match color_of r with
-            | Some c -> Reg.Tbl.replace alloc r c
-            | None ->
-                raise
-                  (Alloc_common.Failed
-                     ("aggressive+volatility: uncolored " ^ Reg.to_string r)))
-          (Cfg.all_vregs fn);
-        { Alloc_common.func = fn; alloc; rounds = n; spill_instrs; spill_slots }
-      end
+      else Alloc_common.Colored (color_of, ())
     end
   in
-  round f0 ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0 ~spill_slots:[]
+  fst (Alloc_common.drive ~name f0 color)
 
 let allocator =
   Allocator.v ~name:"lueh-gross" ~label:"aggressive+volatility" allocate

@@ -5,16 +5,10 @@ let name = "optimistic"
    coalesced into a precolored node. *)
 type group = { members : Reg.t list; forced : Reg.t option }
 
-let allocate (m : Machine.t) (f0 : Cfg.func) =
-  let f0 = Cfg.clone f0 in
+let allocate (m : Machine.t) f0 =
   let k_regs cls = Machine.all m cls in
-  let rec round fn ~temps ~n ~spill_instrs ~spill_slots =
-    if n > 64 then raise (Alloc_common.Failed "optimistic: too many rounds");
-    let webs = Webs.run fn in
-    let fn = webs.Webs.func in
-    let temps = Alloc_common.remap_temps webs temps in
-    let a = Alloc_common.analyze fn in
-    let g0 = a.Alloc_common.graph in
+  let color (a : Alloc_common.analysis) ~temps =
+    let fn = a.Alloc_common.fn and g0 = a.Alloc_common.graph in
     let g = Igraph.copy g0 in
     ignore (Coalesce.aggressive g);
     let costs = a.Alloc_common.costs in
@@ -33,24 +27,12 @@ let allocate (m : Machine.t) (f0 : Cfg.func) =
     let simp =
       Simplify.run Simplify.Optimistic ~k:m.Machine.k g
         ~never_spill:no_spill ()
-        ~spill_choice:(fun blocked ->
-          let metric r =
-            if no_spill r then infinity
-            else
-              float_of_int (Spill_cost.merged_spill_cost costs g r)
-              /. float_of_int (max 1 (Igraph.degree g r))
-          in
-          match blocked with
-          | [] -> invalid_arg "spill_choice"
-          | first :: rest ->
-              List.fold_left
-                (fun acc r -> if metric r < metric acc then r else acc)
-                first rest)
+        ~spill_choice:(Alloc_common.choose_victim costs g ~no_spill)
     in
     (* Web-level coloring against the uncoalesced graph. *)
-    let color : Reg.t Reg.Tbl.t = Reg.Tbl.create 64 in
+    let colors : Reg.t Reg.Tbl.t = Reg.Tbl.create 64 in
     let color_of r =
-      if Reg.is_phys r then Some r else Reg.Tbl.find_opt color r
+      if Reg.is_phys r then Some r else Reg.Tbl.find_opt colors r
     in
     let forbidden_of r =
       Igraph.fold_adj g0 r ~init:Reg.Set.empty ~f:(fun acc nb ->
@@ -64,7 +46,7 @@ let allocate (m : Machine.t) (f0 : Cfg.func) =
     Reg.Tbl.iter
       (fun rep members ->
         if Reg.is_phys rep then
-          List.iter (fun w -> Reg.Tbl.replace color w rep) members)
+          List.iter (fun w -> Reg.Tbl.replace colors w rep) members)
       groups;
     let work = Queue.create () in
     List.iter
@@ -100,7 +82,7 @@ let allocate (m : Machine.t) (f0 : Cfg.func) =
       in
       let vols, nonvols = List.partition (Machine.is_volatile m) free in
       match nonvols @ vols with
-      | c :: _ -> List.iter (fun w -> Reg.Tbl.replace color w c) members
+      | c :: _ -> List.iter (fun w -> Reg.Tbl.replace colors w c) members
       | [] -> (
           match members with
           | [ w ] -> spilled := Reg.Set.add w !spilled
@@ -129,33 +111,17 @@ let allocate (m : Machine.t) (f0 : Cfg.func) =
                   (k_regs cls)
               in
               let c, ws = primary in
-              List.iter (fun w -> Reg.Tbl.replace color w c) ws;
+              List.iter (fun w -> Reg.Tbl.replace colors w c) ws;
               List.iter
                 (fun w ->
                   if not (List.exists (Reg.equal w) ws) then
                     Queue.add { members = [ w ]; forced = None } work)
                 members)
     done;
-    if Reg.Set.is_empty !spilled then begin
-      let alloc = Reg.Tbl.create 64 in
-      Reg.Set.iter
-        (fun r ->
-          match Reg.Tbl.find_opt color r with
-          | Some c -> Reg.Tbl.replace alloc r c
-          | None ->
-              raise
-                (Alloc_common.Failed ("optimistic: uncolored " ^ Reg.to_string r)))
-        (Cfg.all_vregs fn);
-      { Alloc_common.func = fn; alloc; rounds = n; spill_instrs; spill_slots }
-    end
-    else begin
-      let ins = Spill_insert.insert fn !spilled in
-      let temps = Alloc_common.add_spill_temps temps ins in
-      round ins.Spill_insert.func ~temps ~n:(n + 1)
-        ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
-        ~spill_slots:(spill_slots @ ins.Spill_insert.slots)
-    end
+    if Reg.Set.is_empty !spilled then
+      Alloc_common.Colored (Reg.Tbl.find_opt colors, ())
+    else Alloc_common.Spill !spilled
   in
-  round f0 ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0 ~spill_slots:[]
+  fst (Alloc_common.drive ~name f0 color)
 
 let allocator = Allocator.v ~name:"optimistic" ~label:"optimistic" allocate

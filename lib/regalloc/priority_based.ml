@@ -1,14 +1,7 @@
 let name = "priority-based"
 
-let allocate (m : Machine.t) (f0 : Cfg.func) =
-  let f0 = Cfg.clone f0 in
-  let rec round fn ~temps ~n ~spill_instrs ~spill_slots =
-    if n > 64 then
-      raise (Alloc_common.Failed "priority-based: too many rounds");
-    let webs = Webs.run fn in
-    let fn = webs.Webs.func in
-    let temps = Alloc_common.remap_temps webs temps in
-    let a = Alloc_common.analyze fn in
+let allocate (m : Machine.t) f0 =
+  let color (a : Alloc_common.analysis) ~temps =
     let g = a.Alloc_common.graph in
     let costs = a.Alloc_common.costs in
     (* Chow-Hennessy priority: savings per unit of range size.  Spill
@@ -58,31 +51,13 @@ let allocate (m : Machine.t) (f0 : Cfg.func) =
         | c :: _ -> Reg.Tbl.replace colors r c
         | [] ->
             if Reg.Tbl.mem temps r then
-              raise
-                (Alloc_common.Failed "priority-based: spill temporary blocked")
+              raise (Alloc_common.Failed (name ^ ": spill temporary blocked"))
             else spilled := Reg.Set.add r !spilled)
       order;
-    if Reg.Set.is_empty !spilled then begin
-      let alloc = Reg.Tbl.create 64 in
-      Reg.Set.iter
-        (fun r ->
-          match Reg.Tbl.find_opt colors r with
-          | Some c -> Reg.Tbl.replace alloc r c
-          | None ->
-              raise
-                (Alloc_common.Failed
-                   ("priority-based: uncolored " ^ Reg.to_string r)))
-        (Cfg.all_vregs fn);
-      { Alloc_common.func = fn; alloc; rounds = n; spill_instrs; spill_slots }
-    end
-    else begin
-      let ins = Spill_insert.insert fn !spilled in
-      let temps = Alloc_common.add_spill_temps temps ins in
-      round ins.Spill_insert.func ~temps ~n:(n + 1)
-        ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
-        ~spill_slots:(spill_slots @ ins.Spill_insert.slots)
-    end
+    if Reg.Set.is_empty !spilled then
+      Alloc_common.Colored (Reg.Tbl.find_opt colors, ())
+    else Alloc_common.Spill !spilled
   in
-  round f0 ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0 ~spill_slots:[]
+  fst (Alloc_common.drive ~name f0 color)
 
 let allocator = Allocator.v ~name:"priority" ~label:"priority-based" allocate

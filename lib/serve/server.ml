@@ -58,12 +58,10 @@ let cache_key (m : Machine.t) algo_name (f : Cfg.func) =
 (* The whole per-function pipeline, run on a pool worker.  Errors are
    values: one failing function must not take down the batch (other
    requests ride in it). *)
-let run_job ~worker ~jobs job =
+let run_job job =
   try
     let prepared = Pipeline.prepare_func job.machine job.func in
-    let res =
-      job.algo.Allocator.run { Allocator.worker; jobs } job.machine prepared
-    in
+    let res = Allocator.exec job.algo job.machine prepared in
     let fin = Finalize.apply job.machine res in
     Ok (Protocol.encode_func_reply res fin)
   with exn -> Error (Printexc.to_string exn)
@@ -148,11 +146,7 @@ let process_batch t reqs =
   | batch ->
       t.batches <- t.batches + 1;
       t.funcs_allocated <- t.funcs_allocated + List.length batch;
-      let outs =
-        Engine.Pool.map t.pool
-          (fun ~worker job -> run_job ~worker ~jobs:(Engine.Pool.jobs t.pool) job)
-          batch
-      in
+      let outs = Engine.Pool.map t.pool run_job batch in
       List.iter2
         (fun job out ->
           (match out with Ok blob -> Cache.add t.cache job.key blob | Error _ -> ());

@@ -110,6 +110,20 @@ let test_find_algo () =
   check Alcotest.bool "unknown key is a clean None" true
     (Allocator.find "nope" = None)
 
+let test_round_budget () =
+  (* A step that asks for another round without spilling anything never
+     converges; the driver must give up after its 64-round budget. *)
+  let fn, _ = Fig7.build () in
+  let rounds = ref 0 in
+  let stuck _ ~temps:_ =
+    incr rounds;
+    Alloc_common.Spill Reg.Set.empty
+  in
+  Alcotest.check_raises "budget exhausted"
+    (Alloc_common.Failed "stuck: too many rounds") (fun () ->
+      ignore (Alloc_common.drive ~name:"stuck" fn stuck));
+  check Alcotest.int "every budgeted round ran" 64 !rounds
+
 let () =
   Alcotest.run "allocators"
     [
@@ -120,6 +134,7 @@ let () =
           tc "move elimination" test_coalescers_eliminate_most_moves;
           tc "low-k stress" test_low_k_stress;
           tc "find_algo" test_find_algo;
+          tc "round budget" test_round_budget;
         ] );
       ("semantics", List.map per_algo_semantic_prop all_algos);
       ("validity", List.map per_algo_validity_prop all_algos);

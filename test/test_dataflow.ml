@@ -141,41 +141,35 @@ let prop_dense_liveness_random =
 
 (* Reaching definitions ------------------------------------------------- *)
 
+(* Definitions of [r] among the sites reaching the entry of block [l]. *)
+let n_reaching reaching l r =
+  Regbits.Set.fold (Reaching.reaching_in_bits reaching l) ~init:0
+    ~f:(fun n s ->
+      if Reg.equal (Reaching.site_reg reaching s) r then n + 1 else n)
+
 let test_reaching_straightline () =
   let fn, a, _, _, _ = straightline () in
   let reaching = Reaching.compute fn in
-  let defs_a = Reaching.defs_of_reg reaching a in
-  check Alcotest.int "a has one def" 1 (List.length defs_a);
+  let sites_a = Reaching.sites_of_reg reaching a in
+  check Alcotest.int "a has one def" 1 (List.length sites_a);
   check reg_testable "def register" a
-    (Reaching.reg_of_def reaching (List.hd defs_a))
+    (Reaching.site_reg reaching (List.hd sites_a))
 
 let test_reaching_diamond () =
   let fn, _, _, x = diamond () in
   let reaching = Reaching.compute fn in
   check Alcotest.int "x has three defs" 3
-    (List.length (Reaching.defs_of_reg reaching x));
+    (List.length (Reaching.sites_of_reg reaching x));
   let join = find_ret_block fn in
-  let at_join = Reaching.reaching_in reaching join.Cfg.label in
-  let x_defs_reaching =
-    Reaching.Int_set.filter
-      (fun d -> Reg.equal (Reaching.reg_of_def reaching d) x)
-      at_join
-  in
   (* The arm definitions kill the initial move on both paths. *)
   check Alcotest.int "two defs reach the join" 2
-    (Reaching.Int_set.cardinal x_defs_reaching)
+    (n_reaching reaching join.Cfg.label x)
 
 let test_reaching_loop () =
   let fn, acc, _, header, _, _ = counted_loop () in
   let reaching = Reaching.compute fn in
-  let at_header = Reaching.reaching_in reaching header in
-  let acc_defs =
-    Reaching.Int_set.filter
-      (fun d -> Reg.equal (Reaching.reg_of_def reaching d) acc)
-      at_header
-  in
   check Alcotest.int "both defs reach header" 2
-    (Reaching.Int_set.cardinal acc_defs)
+    (n_reaching reaching header acc)
 
 (* Dominance ------------------------------------------------------------ *)
 
@@ -351,7 +345,7 @@ let test_solver_unreachable_pred () =
   (* Forward analysis over the same shape. *)
   let reaching = Reaching.compute fn in
   check Alcotest.bool "x def recorded" true
-    (Reaching.defs_of_reg reaching x <> [])
+    (Reaching.sites_of_reg reaching x <> [])
 
 let () =
   Alcotest.run "dataflow"

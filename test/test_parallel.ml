@@ -15,7 +15,7 @@ let fingerprint (a : Pipeline.allocated) =
 
 let test_engine_map_order () =
   let xs = List.init 37 (fun i -> i) in
-  let f ~worker:_ x = (x * x) + 1 in
+  let f x = (x * x) + 1 in
   check
     Alcotest.(list int)
     "Engine.map preserves input order at any jobs"
@@ -23,7 +23,7 @@ let test_engine_map_order () =
     (Engine.map ~jobs:4 ~chunk:3 f xs)
 
 let test_engine_map_empty () =
-  check Alcotest.(list int) "empty input" [] (Engine.map ~jobs:4 (fun ~worker:_ x -> x) [])
+  check Alcotest.(list int) "empty input" [] (Engine.map ~jobs:4 Fun.id [])
 
 (* An allocator that gives up must give up identically in parallel, so
    the comparison is over outcomes, not just successful allocations. *)
