@@ -55,10 +55,14 @@ let test_exec () =
   assert_valid_allocation m res
 
 (* Golden outputs: per allocator, the MD5 of the concatenated
-   [Protocol.encode_func_reply] blobs over 12 random programs (seeds
-   1000..1011) at k = 8 and 16.  A failed allocation contributes its
-   message instead, so the digest pins failures too.  Any change to an
-   allocator's output, however small, changes its digest. *)
+   [Protocol.encode_func_reply] blobs over an input set.  A failed
+   allocation contributes its message instead, so the digest pins
+   failures too.  Any change to an allocator's output, however small,
+   changes its digest.
+
+   Two input sets: 12 random programs (seeds 1000..1011) at k = 8 and
+   16, and the seven suite programs at k = 8, whose large functions
+   keep the spill heuristics busy for many blocked steps per round. *)
 let golden_inputs =
   lazy
     (List.concat_map
@@ -70,7 +74,12 @@ let golden_inputs =
              (m, Pipeline.prepare m p)))
        [ 8; 16 ])
 
-let golden_digest (a : Allocator.t) =
+let suite_golden_inputs =
+  lazy
+    (let m = Machine.make ~k:8 () in
+     List.map (fun (_, p) -> (m, Pipeline.prepare m p)) (Suite.all ()))
+
+let golden_digest inputs (a : Allocator.t) =
   let buf = Buffer.create 65536 in
   List.iter
     (fun (m, (p : Cfg.program)) ->
@@ -83,7 +92,7 @@ let golden_digest (a : Allocator.t) =
           | exception Alloc_common.Failed msg ->
               Buffer.add_string buf ("failed: " ^ msg ^ "\n"))
         p.Cfg.funcs)
-    (Lazy.force golden_inputs);
+    (Lazy.force inputs);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let golden =
@@ -98,9 +107,22 @@ let golden =
     ("priority", "35999e7a531fb0044ae206374dc32640");
   ]
 
-let test_golden name digest () =
+let suite_golden =
+  [
+    ("chaitin", "e5c98f41697245800ab524a74c247b02");
+    ("briggs", "7cd366774eff5885f4311443c616a9ce");
+    ("optimistic", "c0b8bb65ba8caa8c9f3edb58a6f9808b");
+    ("iterated", "609498276615e6b352c1ecf6cbc64a67");
+    ("pdgc-co", "4a65c78b25ebc923a9bedc0b30be9f9f");
+    ("pdgc", "1081b78492607e6b3edfb8529c072e92");
+    ("lueh-gross", "6e009d2354b79cddc4a07b6526fd91a0");
+    ("priority", "29d5de450771fad117824240367dd798");
+  ]
+
+let test_golden inputs name digest () =
   let a = Option.get (Allocator.find name) in
-  check Alcotest.string (name ^ " output digest") digest (golden_digest a)
+  check Alcotest.string (name ^ " output digest") digest
+    (golden_digest inputs a)
 
 let () =
   Alcotest.run "registry"
@@ -116,6 +138,12 @@ let () =
       ( "golden",
         List.map
           (fun (name, digest) ->
-            tc ("output of " ^ name) (test_golden name digest))
-          golden );
+            tc ("output of " ^ name) (test_golden golden_inputs name digest))
+          golden
+        @ List.map
+            (fun (name, digest) ->
+              tc
+                ("suite output of " ^ name ^ " at k=8")
+                (test_golden suite_golden_inputs name digest))
+            suite_golden );
     ]
