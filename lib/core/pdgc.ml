@@ -29,25 +29,20 @@ let allocate_config_verbose config (m : Machine.t) f0 =
     let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
     let costs = a.Alloc_common.costs in
     let no_spill r = Reg.Tbl.mem temps r in
+    (* Nothing merged: [spill_cost] = [choose_victim]'s merged cost. *)
+    let metric r =
+      if no_spill r then infinity
+      else
+        float_of_int (Spill_cost.spill_cost costs r)
+        /. float_of_int (max 1 (Igraph.degree g r))
+    in
     (* Optimistic simplification; no merging — coalescing is deferred
        to selection. *)
     let simp =
       Simplify.run Simplify.Optimistic ~k:m.Machine.k g
         ~never_spill:no_spill ()
         ~spill_choice:(fun blocked ->
-          (* Nothing merged: [spill_cost] = [choose_victim]'s merged cost. *)
-          let metric r =
-            if no_spill r then infinity
-            else
-              float_of_int (Spill_cost.spill_cost costs r)
-              /. float_of_int (max 1 (Igraph.degree g r))
-          in
-          match blocked with
-          | [] -> invalid_arg "spill_choice"
-          | first :: rest ->
-              List.fold_left
-                (fun acc r -> if metric r < metric acc then r else acc)
-                first rest)
+          fst (Alloc_common.first_min metric blocked))
     in
     let cpg =
       if config.relax_order then Cpg.build ~k:m.Machine.k g simp

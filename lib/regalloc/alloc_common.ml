@@ -65,27 +65,30 @@ let add_spill_temps temps (ins : Spill_insert.result) =
     (Cfg.all_vregs ins.Spill_insert.func);
   temps
 
-(* Pick the blocked node minimizing Chaitin's cost/degree metric. *)
-let choose_victim costs g ~no_spill blocked =
-  let metric = Spill_cost.chaitin_metric costs g ~no_spill in
-  match blocked with
-  | [] -> invalid_arg "choose_victim: no candidates"
+let first_min metric = function
+  | [] -> invalid_arg "first_min: empty list"
   | first :: rest ->
-      let best, best_m =
-        List.fold_left
-          (fun (b, bm) r ->
-            let m = metric r in
-            if m < bm then (r, m) else (b, bm))
-          (first, metric first) rest
-      in
-      if best_m = infinity then
-        (* Only spill temporaries are blocked; take the max-degree one
-           as a last resort. *)
-        List.fold_left
-          (fun acc r ->
-            if Igraph.degree g r > Igraph.degree g acc then r else acc)
-          best blocked
-      else best
+      List.fold_left
+        (fun ((_, best_m) as best) r ->
+          let m = metric r in
+          if m < best_m then (r, m) else best)
+        (first, metric first) rest
+
+(* Pick the blocked node minimizing Chaitin's cost/degree metric.  The
+   metric is applied once per round, so its merged-cost table is built
+   on the round's first blocked step and shared by the later ones. *)
+let choose_victim costs g ~no_spill =
+  let metric = Spill_cost.chaitin_metric costs g ~no_spill in
+  fun blocked ->
+    let best, best_m = first_min metric blocked in
+    if best_m = infinity then
+      (* Only spill temporaries are blocked; take the max-degree one
+         as a last resort. *)
+      List.fold_left
+        (fun acc r ->
+          if Igraph.degree g r > Igraph.degree g acc then r else acc)
+        best blocked
+    else best
 
 (* Spilling a coalesced node means spilling every member of the merged
    cluster, not just the representative's register. *)

@@ -116,5 +116,16 @@ val check_complete : Machine.t -> result -> unit
 val choose_victim :
   Spill_cost.t -> Igraph.t -> no_spill:(Reg.t -> bool) -> Reg.t list -> Reg.t
 (** The shared spill-victim heuristic: minimize Chaitin's cost/degree
-    metric, never choosing a spill temporary while a real candidate
-    remains. *)
+    metric ({!Spill_cost.chaitin_metric}), the first candidate winning
+    ties, and never choose a spill temporary while a real candidate
+    remains; when only temporaries are blocked, take the one of highest
+    degree.  Partially apply it once per round and pass the closure as
+    the round's [spill_choice]: the closure builds the one-pass
+    merged-cost table on its first call, so a round that never blocks
+    pays nothing and each blocked step costs O(candidates).  The graph
+    must not be merged after the first call. *)
+
+val first_min : (Reg.t -> float) -> Reg.t list -> Reg.t * float
+(** [first_min metric l] is the first element of [l] with the lowest
+    [metric], with that metric; [metric] runs once per element.
+    @raise Invalid_argument on an empty list. *)

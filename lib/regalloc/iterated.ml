@@ -239,12 +239,8 @@ let select_spill st =
   in
   match Reg.Set.elements st.spill_wl with
   | [] -> ()
-  | first :: rest ->
-      let victim =
-        List.fold_left
-          (fun acc r -> if metric r < metric acc then r else acc)
-          first rest
-      in
+  | blocked ->
+      let victim, _ = Alloc_common.first_min metric blocked in
       st.spill_wl <- Reg.Set.remove victim st.spill_wl;
       st.simplify_wl <- Reg.Set.add victim st.simplify_wl;
       set_stage st victim Simplify_wl;

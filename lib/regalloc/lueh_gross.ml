@@ -2,6 +2,17 @@ let name = "aggressive+volatility"
 
 type benefits = { volatile_benefit : int; nonvolatile_benefit : int }
 
+let no_benefit = { volatile_benefit = 0; nonvolatile_benefit = 0 }
+
+(* Removable nodes, ordered by (priority, rank). *)
+module Ready = Set.Make (struct
+  type t = int * int
+
+  let compare (p1, r1) (p2, r2) =
+    let c = Int.compare p1 p2 in
+    if c <> 0 then c else Int.compare r1 r2
+end)
+
 (* Frequency-weighted number of calls each register is live across. *)
 let weighted_crossings (fn : Cfg.func) live ~loops =
   let crossings = Reg.Tbl.create 64 in
@@ -59,28 +70,24 @@ let allocate (m : Machine.t) f0 =
     ignore (Coalesce.aggressive g);
     let costs = a.Alloc_common.costs in
     let benefits = benefits_of fn live ~costs ~loops:a.Alloc_common.loops in
-    (* Benefits of a merge representative: sum over its members. *)
+    (* Benefits of a merge representative: sum over its members, in one
+       pass over the table. *)
     let group_benefit =
-      let cache = Reg.Tbl.create 64 in
-      fun rep ->
-        match Reg.Tbl.find_opt cache rep with
-        | Some b -> b
-        | None ->
-            let b =
-              Reg.Tbl.fold
-                (fun r br acc ->
-                  if Reg.equal (Igraph.alias g r) rep then
-                    {
-                      volatile_benefit = acc.volatile_benefit + br.volatile_benefit;
-                      nonvolatile_benefit =
-                        acc.nonvolatile_benefit + br.nonvolatile_benefit;
-                    }
-                  else acc)
-                benefits
-                { volatile_benefit = 0; nonvolatile_benefit = 0 }
-            in
-            Reg.Tbl.replace cache rep b;
-            b
+      let sums = Reg.Tbl.create 64 in
+      Reg.Tbl.iter
+        (fun r br ->
+          let rep = Igraph.alias g r in
+          let acc =
+            Option.value (Reg.Tbl.find_opt sums rep) ~default:no_benefit
+          in
+          Reg.Tbl.replace sums rep
+            {
+              volatile_benefit = acc.volatile_benefit + br.volatile_benefit;
+              nonvolatile_benefit =
+                acc.nonvolatile_benefit + br.nonvolatile_benefit;
+            })
+        benefits;
+      fun rep -> Option.value (Reg.Tbl.find_opt sums rep) ~default:no_benefit
     in
     let priority rep =
       let b = group_benefit rep in
@@ -123,64 +130,82 @@ let allocate (m : Machine.t) f0 =
                      [ Reg.Int_class; Reg.Float_class ]
                | _ -> ())))
       fn.Cfg.blocks;
+    (* Merge representatives holding a spill temporary. *)
+    let temp_reps = Reg.Tbl.create 16 in
+    Reg.Tbl.iter
+      (fun w () -> Reg.Tbl.replace temp_reps (Igraph.alias g w) ())
+      temps;
+    let no_spill rep = Reg.Tbl.mem temp_reps rep in
     (* Benefit-driven Chaitin simplification: among removable nodes,
-       push the lowest-priority one first. *)
-    let no_spill rep =
-      Reg.Tbl.fold
-        (fun w () acc -> acc || Reg.equal (Igraph.alias g w) rep)
-        temps false
+       push the lowest-priority one first, ties going to the earliest
+       in [order], the fold order of a register table filled with the
+       nodes.  That order decides ties, so the output depends on it.
+       Removing a key never reorders a hash table's other keys, so
+       ranking the nodes once is enough, and the removable nodes wait
+       in a set keyed by (priority, rank).  A node joins it once, when
+       its degree drops below k; degrees only fall. *)
+    let k = m.Machine.k in
+    let order =
+      let present = Reg.Tbl.create 64 in
+      List.iter (fun r -> Reg.Tbl.replace present r ()) (Igraph.vnodes g);
+      Array.of_list (Reg.Tbl.fold (fun r () acc -> r :: acc) present [])
     in
-    let nodes = Igraph.vnodes g in
-    let degree = Reg.Tbl.create 64 in
-    let present = Reg.Tbl.create 64 in
-    List.iter
-      (fun r ->
-        Reg.Tbl.replace degree r (Igraph.degree g r);
-        Reg.Tbl.replace present r ())
-      nodes;
-    let deg r = try Reg.Tbl.find degree r with Not_found -> 0 in
-    let remaining = ref (List.length nodes) in
+    let rank = Array.make (Regbits.size (Igraph.compact g)) (-1) in
+    Array.iteri (fun i r -> rank.(Igraph.index_of g r) <- i) order;
+    let degree = Array.map (Igraph.degree g) order in
+    let present = Array.make (Array.length order) true in
+    let prio = Array.map priority order in
+    let ready = ref Ready.empty in
+    let make_ready i = ready := Ready.add (prio.(i), i) !ready in
+    Array.iteri (fun i d -> if d < k then make_ready i) degree;
     let stack = ref [] in
     let forced_spills = ref Reg.Set.empty in
-    let remove r =
-      Reg.Tbl.remove present r;
-      decr remaining;
-      Igraph.iter_adj g r (fun nb ->
-          if Reg.Tbl.mem present nb then
-            Reg.Tbl.replace degree nb (deg nb - 1))
+    let remove i =
+      present.(i) <- false;
+      Igraph.iter_adj_idx g (Igraph.index_of g order.(i)) (fun nb ->
+          let j = rank.(nb) in
+          if j >= 0 && present.(j) then begin
+            let d = degree.(j) in
+            degree.(j) <- d - 1;
+            if d = k then make_ready j
+          end)
     in
-    while !remaining > 0 do
-      let removable, blocked =
-        Reg.Tbl.fold (fun r () acc -> r :: acc) present []
-        |> List.partition (fun r -> deg r < m.Machine.k)
-      in
-      match removable with
-      | _ :: _ ->
-          let victim =
-            List.fold_left
-              (fun acc r -> if priority r < priority acc then r else acc)
-              (List.hd removable) (List.tl removable)
-          in
-          stack := victim :: !stack;
-          remove victim
-      | [] ->
-          let metric r =
-            if no_spill r then infinity
-            else
-              float_of_int (Spill_cost.merged_spill_cost costs g r)
-              /. float_of_int (max 1 (deg r))
-          in
-          let victim =
-            List.fold_left
-              (fun acc r -> if metric r < metric acc then r else acc)
-              (List.hd blocked) (List.tl blocked)
-          in
+    (* Only blocked nodes remain: the first one in [order] with the
+       lowest merged cost / degree. *)
+    let spill_metric =
+      let merged = lazy (Spill_cost.merged_spill_costs costs g) in
+      fun i ->
+        let r = order.(i) in
+        if no_spill r then infinity
+        else
+          float_of_int (Lazy.force merged r)
+          /. float_of_int (max 1 degree.(i))
+    in
+    for _ = 1 to Array.length order do
+      match Ready.min_elt_opt !ready with
+      | Some ((_, i) as e) ->
+          ready := Ready.remove e !ready;
+          stack := order.(i) :: !stack;
+          remove i
+      | None ->
+          let victim = ref (-1) and victim_m = ref infinity in
+          Array.iteri
+            (fun i p ->
+              if p then begin
+                let m = spill_metric i in
+                if !victim < 0 || m < !victim_m then begin
+                  victim := i;
+                  victim_m := m
+                end
+              end)
+            present;
+          let r = order.(!victim) in
           (* A spill temporary's range is already minimal; spilling it
              would reproduce the same code forever.  Remove it
              optimistically instead — select will find it a register. *)
-          if no_spill victim then stack := victim :: !stack
-          else forced_spills := Reg.Set.add victim !forced_spills;
-          remove victim
+          if no_spill r then stack := r :: !stack
+          else forced_spills := Reg.Set.add r !forced_spills;
+          remove !victim
     done;
     let respill spilled =
       Alloc_common.Spill (Alloc_common.spill_clusters g fn spilled)
@@ -225,11 +250,7 @@ let allocate (m : Machine.t) f0 =
             && not (no_spill rep)
           in
           if prefers_memory then
-            Reg.Set.iter
-              (fun w ->
-                if Reg.equal (Igraph.alias g w) rep then
-                  active_spills := Reg.Set.add w !active_spills)
-              (Cfg.all_vregs fn)
+            active_spills := Reg.Set.add rep !active_spills
           else
             match ordered with
             | c :: _ -> Reg.Tbl.replace colors rep c

@@ -9,7 +9,7 @@ type info = {
 (* Costs live in flat int arrays over the per-function compact register
    numbering (shared with liveness and the interference graph when the
    caller passes [cpt]), not a hashtable: the accumulation sweep and the
-   merged-cost scans are array walks. *)
+   merged-cost pass are array walks. *)
 type t = {
   cpt : Regbits.compact;
   mutable spill : int array;
@@ -107,19 +107,31 @@ let spill_cost t r =
 
 let mem_cost t r = (info t r).mem_cost
 
-let merged_spill_cost t g rep =
-  let rep = Igraph.alias g rep in
-  let acc = ref 0 in
-  for idx = 0 to Array.length t.spill - 1 do
-    let c = t.spill.(idx) in
-    if c <> 0 && Reg.equal (Igraph.alias g (Regbits.reg_at t.cpt idx)) rep then
-      acc := !acc + c
-  done;
-  !acc
+(* One pass over the cost table sums every register into its merge
+   representative's slot (indexed by the graph's root index); each
+   query is then an array read.  The roots are resolved before [sums]
+   is sized because resolving interns registers the graph has not seen. *)
+let merged_spill_costs t g =
+  let roots =
+    Array.mapi
+      (fun idx c ->
+        if c = 0 then -1 else Igraph.index_of g (Regbits.reg_at t.cpt idx))
+      t.spill
+  in
+  let sums = Array.make (Regbits.size (Igraph.compact g)) 0 in
+  Array.iteri
+    (fun idx root ->
+      if root >= 0 then sums.(root) <- sums.(root) + t.spill.(idx))
+    roots;
+  fun rep ->
+    let i = Igraph.index_of g rep in
+    if i < Array.length sums then sums.(i) else 0
 
-let chaitin_metric t g ~no_spill rep =
-  if no_spill rep then infinity
-  else
-    let cost = float_of_int (merged_spill_cost t g rep) in
-    let deg = float_of_int (max 1 (Igraph.degree g rep)) in
-    cost /. deg
+let chaitin_metric t g ~no_spill =
+  let merged = lazy (merged_spill_costs t g) in
+  fun rep ->
+    if no_spill rep then infinity
+    else
+      let cost = float_of_int (Lazy.force merged rep) in
+      let deg = float_of_int (max 1 (Igraph.degree g rep)) in
+      cost /. deg

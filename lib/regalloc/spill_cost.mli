@@ -33,12 +33,19 @@ val info : t -> Reg.t -> info
 val spill_cost : t -> Reg.t -> int
 val mem_cost : t -> Reg.t -> int
 
-val merged_spill_cost : t -> Igraph.t -> Reg.t -> int
-(** Sum of [spill_cost] over every register whose merge representative
-    is this node. *)
+val merged_spill_costs : t -> Igraph.t -> Reg.t -> int
+(** [merged_spill_costs t g r] is the sum of [spill_cost] over every
+    register with the same merge representative in [g] as [r].
+    Applying it to [t] and [g] makes one O(n) pass that sums the whole
+    cost table per representative; every query on the resulting
+    function is then O(1).  Apply it once per round, after coalescing:
+    [g] must not be merged after this call, or the answers go stale. *)
 
 val chaitin_metric :
   t -> Igraph.t -> no_spill:(Reg.t -> bool) -> Reg.t -> float
-(** The classic spill-candidate metric [cost / degree]; lower is a
-    better victim.  Registers satisfying [no_spill] (eg. spill-code
-    temporaries) get an effectively infinite metric. *)
+(** The classic spill-candidate metric [merged cost / degree]; lower is
+    a better victim.  Registers satisfying [no_spill] (eg. spill-code
+    temporaries) get an effectively infinite metric.  Partially apply
+    it once per round: the application to [t], [g] and [no_spill]
+    builds the {!merged_spill_costs} table lazily, on the first finite
+    query, so [g] must not be merged after that query. *)

@@ -208,6 +208,23 @@ module Ref_igraph = struct
     t
 end
 
+(* Reference merged spill cost: the per-representative scan that
+   [Spill_cost.merged_spill_costs]' one-pass table replaced.  Every
+   query walks all registers of the function and sums those whose merge
+   representative is the queried register's (test_spill). *)
+module Ref_merged_cost = struct
+  let cost costs g (fn : Cfg.func) =
+    let vregs = Cfg.all_vregs fn in
+    fun r ->
+      let rep = Igraph.alias g r in
+      Reg.Set.fold
+        (fun w acc ->
+          if Reg.equal (Igraph.alias g w) rep then
+            acc + Spill_cost.spill_cost costs w
+          else acc)
+        vregs 0
+end
+
 let prepared_random_program ?(m = Machine.middle_pressure) seed =
   Pipeline.prepare m (random_program seed)
 

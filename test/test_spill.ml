@@ -69,6 +69,93 @@ let test_chaitin_metric_protects_temps () =
   check Alcotest.bool "others finite" true
     (metric (a + 1) < infinity)
 
+(* Merged spill costs: the one-pass table against the per-representative
+   scan, on every register of every function, after aggressive and after
+   conservative coalescing. *)
+let merged_costs_agree ~k (f : Cfg.func) =
+  let a = Alloc_common.analyze (Webs.run (Cfg.clone f)).Webs.func in
+  List.for_all
+    (fun coalesce ->
+      let g = Igraph.copy a.Alloc_common.graph in
+      coalesce g;
+      let costs = a.Alloc_common.costs in
+      let merged = Spill_cost.merged_spill_costs costs g in
+      let oracle = Ref_merged_cost.cost costs g a.Alloc_common.fn in
+      Reg.Set.for_all
+        (fun r -> merged r = oracle r)
+        (Cfg.all_vregs a.Alloc_common.fn))
+    [
+      (fun g -> ignore (Coalesce.aggressive g));
+      (fun g -> ignore (Coalesce.conservative ~k g));
+    ]
+
+let test_merged_costs_suite () =
+  let m = Machine.make ~k:8 () in
+  List.iter
+    (fun (name, p) ->
+      let p = Pipeline.prepare m p in
+      List.iter
+        (fun (f : Cfg.func) ->
+          if not (merged_costs_agree ~k:8 f) then
+            Alcotest.failf "%s/%s: merged costs differ from the scan" name
+              f.Cfg.name)
+        p.Cfg.funcs)
+    (Suite.all ())
+
+let prop_merged_costs_random =
+  qcheck ~count:25 "merged costs = per-representative scan" seed_gen
+    (fun seed ->
+      let m = Machine.middle_pressure in
+      List.for_all
+        (merged_costs_agree ~k:m.Machine.k)
+        (prepared_random_program ~m seed).Cfg.funcs)
+
+(* Spill-victim choice ---------------------------------------------------- *)
+
+(* a = p0; c = p1; s = a + c; t = s; r = t * a; ret r.  Aggressive
+   coalescing merges [t] into [s]'s node.  Spill costs (store 1 per
+   def, load 2 per use): a 5, c 3, s 3, t 3, r 3; degrees: a 2 (c and
+   the s/t node), c 1, s/t 1, r 0 (counted as 1).  Metrics: a 2.5,
+   c 3, r 3, and 6 for the merged s/t node — 3 if only [s] counted. *)
+let victim_fixture () =
+  let b = Builder.create ~name:"victims" ~n_params:2 in
+  let a = Builder.reg b Reg.Int_class in
+  let c = Builder.reg b Reg.Int_class in
+  Builder.param b a 0;
+  Builder.param b c 1;
+  let s = Builder.binop b Instr.Add a c in
+  let t = Builder.reg b Reg.Int_class in
+  Builder.move b ~dst:t ~src:s;
+  let r = Builder.binop b Instr.Mul t a in
+  Builder.ret b (Some r);
+  let an = Alloc_common.analyze (Builder.finish b) in
+  let g = an.Alloc_common.graph in
+  ignore (Coalesce.aggressive g);
+  check reg_testable "t merged into s's node" (Igraph.alias g s)
+    (Igraph.alias g t);
+  (an.Alloc_common.costs, g, a, c, Igraph.alias g s, r)
+
+let test_victim_lowest_metric () =
+  let costs, g, a, c, st, _ = victim_fixture () in
+  let choose = Alloc_common.choose_victim costs g ~no_spill:(fun _ -> false) in
+  check reg_testable "lowest cost/degree" a (choose [ c; st; a ]);
+  (* Unmerged, [st] would tie [c] and win as the first candidate. *)
+  check reg_testable "merged cost counts every member" c (choose [ st; c ])
+
+let test_victim_tie_first () =
+  let costs, g, _, c, _, r = victim_fixture () in
+  let choose = Alloc_common.choose_victim costs g ~no_spill:(fun _ -> false) in
+  check reg_testable "first of c, r" c (choose [ c; r ]);
+  check reg_testable "first of r, c" r (choose [ r; c ])
+
+let test_victim_temps () =
+  let costs, g, a, c, _, r = victim_fixture () in
+  let choose no_spill = Alloc_common.choose_victim costs g ~no_spill in
+  check reg_testable "a real candidate beats a temporary" c
+    (choose (Reg.equal a) [ a; c ]);
+  check reg_testable "only temporaries: highest degree" a
+    (choose (fun _ -> true) [ c; a; r ])
+
 (* Spill insertion -------------------------------------------------------- *)
 
 let test_insert_rewrites_def_and_use () =
@@ -232,6 +319,17 @@ let () =
           tc "memory ops weigh 2" test_memory_op_cost_weighting;
           tc "unknown registers cost zero" test_zero_for_unknown;
           tc "metric protects temporaries" test_chaitin_metric_protects_temps;
+        ] );
+      ( "merged",
+        [
+          tc "suite programs at k=8" test_merged_costs_suite;
+          prop_merged_costs_random;
+        ] );
+      ( "victim",
+        [
+          tc "lowest merged cost/degree wins" test_victim_lowest_metric;
+          tc "ties go to the first candidate" test_victim_tie_first;
+          tc "temporaries last, then highest degree" test_victim_temps;
         ] );
       ( "insertion",
         [
