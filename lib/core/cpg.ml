@@ -1,20 +1,20 @@
 (* Dense CPG.
 
    Nodes are indices of the interference graph's compact numbering
-   (or a private numbering for [of_total_order]).  Per node, the edge
-   relation is growable int vectors ([succ] / [pred]) for
-   O(out-degree) iteration, plus a cached in-degree counter ([indeg])
-   and a global [edges] counter, so [n_edges] and the initial-node
-   scan never recount.  No duplicate-detection bitsets: every
-   insertion site adds an edge at most once — [build] visits each
-   (neighbor, popped-node) pair exactly once per pop (the
-   interference graph's adjacency vectors are duplicate-free), and
-   [of_total_order] chains a duplicate-free order — so insertion is
-   unchecked.  The [pred] vectors are not maintained during
-   construction at all: edge retirement would pay an O(in-degree)
-   scan of a long-popped node's row for each removal, yet nothing
-   reads predecessors mid-build, so [finish_build] materializes every
-   [pred] row from the final [succ] rows in one pass.
+   (or a private numbering for [of_total_order]).  Per node, the
+   direct successors are a bitset row ([succ]), so the
+   transitive-pruning step retires [succ(u) ∩ reach(n)] in one
+   word-wise pass ({!Regbits.Set.remove_inter}); predecessors are a
+   growable int vector ([pred]).  A cached in-degree counter
+   ([indeg]) and a global [edges] counter mean [n_edges] and the
+   initial-node scan never recount.  Every insertion site adds an
+   edge at most once — [build] visits each (neighbor, popped-node)
+   pair exactly once per pop (the interference graph's adjacency
+   vectors are duplicate-free), and [of_total_order] chains a
+   duplicate-free order — so [indeg] and [edges] count distinct
+   edges.  Nothing reads predecessors mid-build, so [finish_build]
+   materializes every [pred] row from the final [succ] rows in one
+   pass.
 
    The tree-based predecessor of this module iterated [Reg.Set]s,
    whose order (ascending register id) leaks into observable behavior:
@@ -41,15 +41,16 @@
    [build] therefore maintains one bitset per node — the popped nodes
    reachable from it — and answers both reachability questions of the
    paper's step 7 ("is an edge [u -> n] already implied?", "which
-   direct edges does it make transitive?") with O(1) membership tests
+   direct edges does it make transitive?") with bitset operations
    instead of the per-step depth-first re-traversal the previous
-   version ran.  Inserting an edge costs the O(1) push plus one bitset
-   union; retiring one costs the O(1) vector/bitset removal. *)
+   version ran.  Inserting an edge costs one intersection pass over
+   the tail's successor row (retiring the edges it makes transitive)
+   plus one bitset union. *)
 
 type t = {
   cpt : Regbits.compact;
   mutable cap : int;
-  mutable succ : Regbits.Vec.t array;
+  mutable succ : Regbits.Set.t array;
   mutable pred : Regbits.Vec.t array;
   mutable indeg : int array;
   mutable pending : int array; (* unresolved predecessor count *)
@@ -61,13 +62,14 @@ type t = {
 (* Shared empty-slot sentinels.  A relaxed CPG has far fewer edges than
    nodes, so most rows stay empty forever: slots start out aliased to
    these (never-mutated) empties and a private vector/bitset is
-   materialized on first mutation. *)
+   materialized on first mutation.  [Set.mem] and [Set.iter] are
+   bounds-safe and read-only, so reads through [empty_set] are fine. *)
 let empty_vec = Regbits.Vec.create ()
 let empty_set = Regbits.Set.create 0
 
 let grow t needed =
   let cap = max needed (max 16 (2 * t.cap)) in
-  let succ = Array.make cap empty_vec in
+  let succ = Array.make cap empty_set in
   let pred = Array.make cap empty_vec in
   let indeg = Array.make cap 0 in
   let pending = Array.make cap 0 in
@@ -112,15 +114,18 @@ let find_idx t r =
 let reg_at t i = Regbits.reg_at t.cpt i
 
 (* Registers in ascending id order, as [Reg.Set.elements] returned. *)
-let sorted_regs_of_vec t v =
-  Regbits.Vec.fold v ~init:[] ~f:(fun acc i -> reg_at t i :: acc)
-  |> List.sort Reg.compare
+let sorted_regs t fold =
+  fold ~init:[] ~f:(fun acc i -> reg_at t i :: acc) |> List.sort Reg.compare
 
 let succs t r =
-  match find_idx t r with Some i -> sorted_regs_of_vec t t.succ.(i) | None -> []
+  match find_idx t r with
+  | Some i -> sorted_regs t (Regbits.Set.fold t.succ.(i))
+  | None -> []
 
 let preds t r =
-  match find_idx t r with Some i -> sorted_regs_of_vec t t.pred.(i) | None -> []
+  match find_idx t r with
+  | Some i -> sorted_regs t (Regbits.Vec.fold t.pred.(i))
+  | None -> []
 
 let nodes t = t.all
 let initial t = t.initial_nodes
@@ -130,14 +135,12 @@ let n_edges t = t.edges
 let compact t = t.cpt
 let index_of t r = idx t r
 let reg_of = reg_at
-let iter_succs_idx t i f = Regbits.Vec.iter t.succ.(i) f
-let iter_preds_idx t i f = Regbits.Vec.iter t.pred.(i) f
 
 (* Precondition: the edge is absent (see the header).  The [pred] row
    is left untouched; [finish_build] fills it. *)
 let add_edge_idx t u v =
-  if t.succ.(u) == empty_vec then t.succ.(u) <- Regbits.Vec.create ();
-  Regbits.Vec.push t.succ.(u) v;
+  if t.succ.(u) == empty_set then t.succ.(u) <- Regbits.Set.create 0;
+  Regbits.Set.add t.succ.(u) v;
   t.indeg.(v) <- t.indeg.(v) + 1;
   t.edges <- t.edges + 1
 
@@ -150,7 +153,7 @@ let add_edge_idx t u v =
 let finish_build t order_idx =
   List.iter
     (fun u ->
-      Regbits.Vec.iter t.succ.(u) (fun v ->
+      Regbits.Set.iter t.succ.(u) (fun v ->
           if t.pred.(v) == empty_vec then t.pred.(v) <- Regbits.Vec.create ();
           Regbits.Vec.push t.pred.(v) u))
     order_idx;
@@ -184,8 +187,7 @@ let build ~k g (simp : Simplify.result) =
      succ edges (frozen once [i] pops; [i] joins its own set then).
      Monotone — see the header invariant — so edge retirement never
      touches it.  Slots alias the shared empty sentinel until first
-     mutated ([Set.mem] is bounds-safe and read-only, so reads through
-     the sentinel are fine; [add]/[union_into] grow their target): most
+     mutated ([add]/[union_into] grow their target): most
      nodes never become an edge tail or target, so even allocating one
      empty set per node — let alone pre-sizing to the node count,
      O(n^2) words per build — is wasted work on the common path. *)
@@ -241,17 +243,15 @@ let build ~k g (simp : Simplify.result) =
           if u < t.cap && virt.(u) && present.(u) then begin
             if (not ready.(u)) && not (Regbits.Set.mem reach.(u) n) then begin
               let rn = freeze_rn () in
+              (* One word-wise pass retires the stale edges
+                 [u -> m], m in [rn], before [u -> n] is added: [n]
+                 is in [rn] but not yet in [u]'s row ([n] is not
+                 reachable from [u]), so the new edge is never its own
+                 victim. *)
+              Regbits.Set.remove_inter ~src:rn ~dst:t.succ.(u) (fun m ->
+                  t.indeg.(m) <- t.indeg.(m) - 1;
+                  t.edges <- t.edges - 1);
               add_edge_idx t u n;
-              (* One in-place pass retires the stale edges.  [m = n]
-                 is kept explicitly — the edge inserted this step is
-                 never its own victim, yet [n] is in [rn]. *)
-              Regbits.Vec.filter_in_place t.succ.(u) ~f:(fun m ->
-                  m = n
-                  || (not (Regbits.Set.mem rn m))
-                  ||
-                  (t.indeg.(m) <- t.indeg.(m) - 1;
-                   t.edges <- t.edges - 1;
-                   false));
               if reach.(u) == empty_set then reach.(u) <- Regbits.Set.create 0;
               ignore (Regbits.Set.union_into ~src:rn ~dst:reach.(u))
             end;
@@ -284,7 +284,7 @@ let of_total_order order =
    is decremented exactly once). *)
 let resolve_idx t i =
   let ready = ref [] in
-  Regbits.Vec.iter t.succ.(i) (fun s ->
+  Regbits.Set.iter t.succ.(i) (fun s ->
       let p = t.pending.(s) - 1 in
       t.pending.(s) <- p;
       if p = 0 then ready := s :: !ready);
@@ -308,7 +308,7 @@ let topological_orders_ok t =
   while not (Queue.is_empty q) do
     let i = Queue.pop q in
     incr visited;
-    Regbits.Vec.iter t.succ.(i) (fun s ->
+    Regbits.Set.iter t.succ.(i) (fun s ->
         let p = pending.(s) - 1 in
         pending.(s) <- p;
         if p = 0 then Queue.add s q)

@@ -13,9 +13,11 @@
     degree drops below [k] — from then on its own coloring is safe no
     matter when it happens, so no constraint is recorded against it.
     Relaxation is incremental: reachability is maintained as monotone
-    per-node bitsets over the popped prefix, so each precedence edge is
-    inserted or retired in O(1) amortized instead of the graph being
-    re-traversed per transitive-pruning step (DESIGN §3e).
+    per-node bitsets over the popped prefix, and each node's direct
+    successors as a bitset row, so inserting
+    an edge and retiring the edges it makes transitive is a few
+    word-parallel passes instead of a re-traversal of the graph per
+    transitive-pruning step (DESIGN §3e).
 
     The paper's key claim, tested in [test_cpg.ml]: for a graph
     simplified without optimistic spills, {e any} topological order of
@@ -77,12 +79,6 @@ val index_of : t -> Reg.t -> int
 
 val reg_of : t -> int -> Reg.t
 (** Inverse of the numbering; [i] must be a valid index. *)
-
-val iter_succs_idx : t -> int -> (int -> unit) -> unit
-(** Iterate a node's successors as indices, unordered ([succs] sorts;
-    this does not).  The graph must not be resolved mid-iteration. *)
-
-val iter_preds_idx : t -> int -> (int -> unit) -> unit
 
 val resolve_idx : t -> int -> int list
 (** {!resolve} over indices: same pending-counter updates, same

@@ -52,18 +52,23 @@ let params ?(no_spill = fun _ -> false) ?(spill_risk = Reg.Set.empty)
      arrays and feed an indexed binary max-heap.  The summary
      invalidation contract: a summary can only change when (a) a graph
      neighbor takes a color (availability shrinks), (b) a preference
-     target gets colored (Defer resolves) or spilled (Defer dies), or
+     target gets colored ([defer] resolves) or spilled ([defer] dies), or
      (c) a node holding a preference for this node resolves.  Exactly
      those events mark the summary dirty; in particular a *spilled*
      node no longer invalidates its graph neighbors — spilling takes no
      color, so their availability and summaries are untouched (the
      events (b)/(c) still fire through the preference edges).  Dirty
      heap members are re-keyed before any pick reads the root.
-     Preference edges are pre-interned (dense endpoint indices cached
-     per node), nodes without preferences are never dirtied (their
-     summary is constant), and a re-key that leaves the stored keys
-     unchanged skips the sifts — none of which is observable through
-     the strict total order below.
+     Preference edges are pre-interned (dense endpoint indices, handed
+     out by an RPG that shares the graph's numbering, cached per node
+     with their allocation-independent strengths), nodes without
+     preferences are never dirtied (their summary is constant), and a
+     re-key that leaves the stored keys unchanged skips the sifts —
+     none of which is observable through the strict total order below.
+     Per-node facts the loop reads repeatedly (class code, spill-cost
+     tiebreak) are cached in arrays on first use, and [colors] is
+     filled once at the end, in coloring order, so the loop does no
+     [Reg.t] hashing.
 
    The ready set is split by the pick rule it feeds:
    - spill-risk nodes keep their CPG-queue order in a list (the pick
@@ -80,12 +85,13 @@ let params ?(no_spill = fun _ -> false) ?(spill_risk = Reg.Set.empty)
    [Cpg.of_total_order] carries a private numbering and falls back to
    the [Reg.t] layer). *)
 
-(* Resolution of one preference against the current allocation state. *)
-type resolved =
-  | Screen of int (* honorable via any register in this nonempty mask *)
-  | Defer (* target live range not allocated yet *)
-  | Want_memory
-  | Dead (* cannot be honored anymore *)
+(* Resolution of one preference against the current allocation state,
+   int-coded so the summary recomputes allocate nothing: a positive
+   value is a screen — honorable via any register in this nonempty
+   mask — and the rest are: *)
+let dead = 0 (* cannot be honored anymore *)
+let defer = -1 (* target live range not allocated yet *)
+let want_memory = -2
 
 let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     (ps : params) =
@@ -95,6 +101,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     invalid_arg "Pdgc_select.run: machine k exceeds the bitmask width";
   let all_mask = (1 lsl k) - 1 in
   let cpt = Igraph.compact g in
+  if Rpg.compact rpg != cpt then
+    invalid_arg "Pdgc_select.run: the RPG must be built over the graph's numbering";
   let n_cap = max 16 (Regbits.size cpt) in
   (* The CPG built by [Cpg.build] indexes nodes by this same numbering;
      the ablation chain from [Cpg.of_total_order] does not. *)
@@ -113,7 +121,9 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
           lim_mask.(c) <- lim_mask.(c) lor (1 lsl j)
       done)
     [ Reg.Int_class; Reg.Float_class ];
-  let colors : Reg.t Reg.Tbl.t = Reg.Tbl.create 64 in
+  (* Virtual nodes in the order they took their colors; [colors] is
+     filled from it once at the end, in that order. *)
+  let colored = ref [] in
   (* color_idx.(i): machine-register index of node i's color; -1 if
      uncolored.  Physical nodes are their own color. *)
   let color_idx = Array.make n_cap (-1) in
@@ -134,33 +144,61 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   in
   let nidx r = Igraph.index_of g r in
   let reg_of_idx i = Regbits.reg_at cpt i in
+  let ncls_arr = Array.make n_cap (-1) in
+  let ncls_of i =
+    let c = ncls_arr.(i) in
+    if c >= 0 then c
+    else begin
+      let c = cls_code (Igraph.cls g (reg_of_idx i)) in
+      ncls_arr.(i) <- c;
+      c
+    end
+  in
   (* Preference edges with pre-interned endpoints, built once per node
      on first touch: each out-edge carries the dense index of its
      virtual Coalesce/Seq target (-1 for physical targets and the
-     self-shaped preferences), each in-edge its source's index.  Every
+     self-shaped preferences) and its [fixed] strength, each in-edge its
+     source's index.  [fixed] is whatever part of the preference's
+     resolution does not depend on the allocation state: the effective
+     strength of a honorable Kind or In_limited preference, and for
+     Memory its strength, or -1 when [no_spill] rules it out.  Every
      later summary recompute and invalidation walk is then hash-free. *)
-  let no_out : (Rpg.pref * int) array = [||] in
+  let no_out : (Rpg.pref * int * int) array = [||] in
   let out_arr = Array.make n_cap no_out in
   let out_ok = Array.make n_cap false in
+  (* The RPG shares the graph's numbering (checked on entry), so its
+     edges come with their endpoints already interned; only merged
+     nodes need mapping to their representative. *)
+  let root i = if i < 0 then i else Igraph.root_idx g i in
   let prefs_of i =
     if not out_ok.(i) then begin
+      let n = reg_of_idx i in
       out_arr.(i) <-
         Array.of_list
           (List.map
-             (fun (p : Rpg.pref) ->
-               let tgt =
-                 match p.Rpg.target with
-                 | Rpg.Coalesce t | Rpg.Seq_plus t | Rpg.Seq_minus t ->
-                     if Reg.is_virtual t then nidx t else -1
-                 | Rpg.Kind | Rpg.In_limited | Rpg.Memory -> -1
-               in
-               (p, tgt))
-             (Rpg.prefs rpg (reg_of_idx i)));
+             (fun ((p : Rpg.pref), tgt) ->
+               match p.Rpg.target with
+               | Rpg.Coalesce _ | Rpg.Seq_plus _ | Rpg.Seq_minus _ ->
+                   (p, root tgt, 0)
+               | Rpg.Kind ->
+                   let w = p.Rpg.weight in
+                   (p, -1, abs (w.Strength.vol - w.Strength.nonvol))
+               | Rpg.In_limited ->
+                   let f =
+                     match p.Rpg.instr_id with
+                     | Some id -> Strength.freq_of_instr str id
+                     | None -> 1
+                   in
+                   (p, -1, Costs.limited_fixup * f)
+               | Rpg.Memory ->
+                   (p, -1, if no_spill n then -1 else Rpg.strength str p))
+             (Rpg.prefs_idx rpg i));
       out_ok.(i) <- true
     end;
     out_arr.(i)
   in
-  let no_inc : (Reg.t * int * Rpg.pref) array = [||] in
+  (* In-edges as (source is virtual, source's representative, pref). *)
+  let no_inc : (bool * int * Rpg.pref) array = [||] in
   let inc_arr = Array.make n_cap no_inc in
   let inc_ok = Array.make n_cap false in
   let incoming_of i =
@@ -168,8 +206,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
       inc_arr.(i) <-
         Array.of_list
           (List.map
-             (fun (u, p) -> (u, nidx u, p))
-             (Rpg.incoming rpg (reg_of_idx i)));
+             (fun (ui, p) -> (Reg.is_virtual (reg_of_idx ui), root ui, p))
+             (Rpg.incoming_idx rpg i));
       inc_ok.(i) <- true
     end;
     inc_arr.(i)
@@ -192,22 +230,17 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      mask.  [tgt] is the pre-interned index of the virtual target, -1
      when the target is a physical register (or the preference has
      none). *)
-  let resolve ncls avail (p : Rpg.pref) n tgt =
+  let resolve ncls avail ((p : Rpg.pref), tgt, fixed) =
     let target_reg t delta =
-      (* Color of the target as a machine-register index, if any. *)
-      let cj =
-        if tgt < 0 then Some (Reg.phys_index t)
-        else
-          let tj = color_idx.(tgt) in
-          if tj >= 0 then Some tj else None
-      in
-      match cj with
-      | Some c ->
-          let want = c + delta in
-          if shift_ok want && avail land (1 lsl want) <> 0 then
-            Screen (1 lsl want)
-          else Dead
-      | None -> if Regbits.Set.mem spilled_bits tgt then Dead else Defer
+      (* Color of the target as a machine-register index; -1 if none. *)
+      let c = if tgt < 0 then Reg.phys_index t else color_idx.(tgt) in
+      if c >= 0 then begin
+        let want = c + delta in
+        if shift_ok want && avail land (1 lsl want) <> 0 then 1 lsl want
+        else dead
+      end
+      else if Regbits.Set.mem spilled_bits tgt then dead
+      else defer
     in
     match p.Rpg.target with
     | Rpg.Coalesce t -> target_reg t 0
@@ -216,12 +249,9 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     | Rpg.Kind ->
         let volatile = p.Rpg.weight.Strength.vol >= p.Rpg.weight.Strength.nonvol in
         let km = if volatile then vol_mask.(ncls) else all_mask land lnot vol_mask.(ncls) in
-        let s = avail land km in
-        if s = 0 then Dead else Screen s
-    | Rpg.In_limited ->
-        let s = avail land lim_mask.(ncls) in
-        if s = 0 then Dead else Screen s
-    | Rpg.Memory -> if no_spill n then Dead else Want_memory
+        avail land km
+    | Rpg.In_limited -> avail land lim_mask.(ncls)
+    | Rpg.Memory -> if fixed < 0 then dead else want_memory
   in
   (* Effective strength of a resolved preference.  Coalesce and
      sequential preferences use the paper's memory-anchored Str with the
@@ -231,23 +261,17 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      preferences rank by the benefit of the right kind over the wrong
      one (for the paper's v4 the two formulations coincide at 28), and
      limited-set preferences by the fixup saving. *)
-  let eff_strength ncls (p : Rpg.pref) resolved =
-    match (resolved, p.Rpg.target) with
-    | Want_memory, _ -> Rpg.strength str p
-    | Screen s, (Rpg.Coalesce _ | Rpg.Seq_plus _ | Rpg.Seq_minus _) ->
-        (* The screen is a singleton here; test its volatility. *)
-        let volatile = s land (-s) land vol_mask.(ncls) <> 0 in
-        Strength.weight_for ~volatile p.Rpg.weight
-    | Screen _, Rpg.Kind ->
-        abs (p.Rpg.weight.Strength.vol - p.Rpg.weight.Strength.nonvol)
-    | Screen _, Rpg.In_limited ->
-        let f =
-          match p.Rpg.instr_id with
-          | Some id -> Strength.freq_of_instr str id
-          | None -> 1
-        in
-        Costs.limited_fixup * f
-    | Screen _, Rpg.Memory | (Defer | Dead), _ -> 0
+  let eff_strength ncls ((p : Rpg.pref), _, fixed) r =
+    if r = want_memory then fixed
+    else if r <= 0 then 0
+    else
+      match p.Rpg.target with
+      | Rpg.Coalesce _ | Rpg.Seq_plus _ | Rpg.Seq_minus _ ->
+          (* The screen is a singleton here; test its volatility. *)
+          let volatile = r land vol_mask.(ncls) <> 0 in
+          Strength.weight_for ~volatile p.Rpg.weight
+      | Rpg.Kind | Rpg.In_limited -> fixed
+      | Rpg.Memory -> 0
   in
   (* Step 3 summaries: per node, the number of honorable preferences
      and their strongest / weakest effective strengths; the policy
@@ -264,34 +288,32 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
       let pr = prefs_of i in
       let mx = ref 0 and mn = ref max_int and cnt = ref 0 in
       if Array.length pr > 0 then begin
-        let n = reg_of_idx i in
-        let ncls = cls_code (Igraph.cls g n) in
+        let ncls = ncls_of i in
         let avail = available_idx i in
-        Array.iter
-          (fun (p, tgt) ->
-            match resolve ncls avail p n tgt with
-            | (Screen _ | Want_memory) as r ->
-                let e = eff_strength ncls p r in
-                if e > 0 then begin
-                  incr cnt;
-                  if e > !mx then mx := e;
-                  if e < !mn then mn := e
-                end
-            | Defer | Dead -> ())
-          pr
+        for j = 0 to Array.length pr - 1 do
+          let pe = pr.(j) in
+          let e = eff_strength ncls pe (resolve ncls avail pe) in
+          if e > 0 then begin
+            incr cnt;
+            if e > !mx then mx := e;
+            if e < !mn then mn := e
+          end
+        done
       end;
       sm_cnt.(i) <- !cnt;
       sm_max.(i) <- !mx;
       sm_min.(i) <- !mn;
       sm_ok.(i) <- true
-    end;
-    (sm_cnt.(i), sm_max.(i), sm_min.(i))
+    end
   in
-  let node_metric i =
-    match summary_of i with
-    | 0, _, _ -> (-1, 0)
-    | 1, mx, _ -> (mx, mx)
-    | _, mx, mn -> (mx - mn, mx)
+  (* The policy metric: the differential between the strongest and
+     weakest honorable preference, a single one counting its full
+     strength, -1 with none.  The strongest is [sm_max] (0 with none). *)
+  let differential i =
+    match sm_cnt.(i) with
+    | 0 -> -1
+    | 1 -> sm_max.(i)
+    | _ -> sm_max.(i) - sm_min.(i)
   in
   let costs_tiebreak n = Strength.spill_cost str n in
   let cost_arr = Array.make n_cap 0 in
@@ -350,10 +372,15 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     end
   in
   let set_keys i =
-    let d, s = node_metric i in
-    let p1, p2 = match policy with Differential -> (d, s) | Strongest | Fifo -> (s, d) in
-    hk1.(i) <- p1;
-    hk2.(i) <- p2
+    summary_of i;
+    let d = differential i and s = sm_max.(i) in
+    match policy with
+    | Differential ->
+        hk1.(i) <- d;
+        hk2.(i) <- s
+    | Strongest | Fifo ->
+        hk1.(i) <- s;
+        hk2.(i) <- d
   in
   let heap_push i =
     set_keys i;
@@ -390,27 +417,29 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
       end
     end
   in
+  (* Dirty nodes, each once, on a stack flushed most recent first. *)
   let dirty = Array.make n_cap false in
-  let dirty_list = ref [] in
+  let dirty_stack = Array.make n_cap 0 in
+  let n_dirty = ref 0 in
   let mark_dirty i =
     (* A node without preferences has the constant summary (0, 0, _) —
        no invalidation event can change its key, so never dirty it. *)
-    if Array.length (prefs_of i) > 0 then begin
+    if Rpg.prefs_idx rpg i <> [] then begin
       sm_ok.(i) <- false;
       if not dirty.(i) then begin
         dirty.(i) <- true;
-        dirty_list := i :: !dirty_list
+        dirty_stack.(!n_dirty) <- i;
+        incr n_dirty
       end
     end
   in
   let flush_dirty () =
-    let ds = !dirty_list in
-    dirty_list := [];
-    List.iter
-      (fun i ->
-        dirty.(i) <- false;
-        if hpos.(i) >= 0 then heap_refresh i)
-      ds
+    while !n_dirty > 0 do
+      decr n_dirty;
+      let i = dirty_stack.(!n_dirty) in
+      dirty.(i) <- false;
+      if hpos.(i) >= 0 then heap_refresh i
+    done
   in
   (* The summary-invalidation contract (module header).  [colored]
      carries the machine-register index the node just took, if any:
@@ -428,7 +457,7 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
             mark_dirty nb)
     | None -> ());
     Array.iter (fun (_, ui, _) -> mark_dirty ui) (incoming_of i);
-    Array.iter (fun (_, tgt) -> if tgt >= 0 then mark_dirty tgt) (prefs_of i)
+    Array.iter (fun (_, tgt, _) -> if tgt >= 0 then mark_dirty tgt) (prefs_of i)
   in
   let risk_bits = Regbits.Set.create n_cap in
   Reg.Set.iter (fun r -> Regbits.Set.add risk_bits (nidx r)) spill_risk;
@@ -448,8 +477,10 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     match policy with
     | Fifo -> fifo_q := List.filter (fun x -> x <> i) !fifo_q
     | Differential | Strongest ->
-        if is_risk i then risk_list := List.filter (fun x -> x <> i) !risk_list
-        else heap_remove i
+        (* An at-risk node is removed only once picked, and
+           [pick_node] picks the list's head whenever it is nonempty;
+           nothing touches the list in between. *)
+        if is_risk i then risk_list := List.tl !risk_list else heap_remove i
   in
   (* Newly-ready successors, already as indices on the shared-numbering
      fast path; [Cpg.resolve_idx] hands them back in the same
@@ -504,30 +535,25 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   in
   let assign i =
     let n = reg_of_idx i in
-    let cls = Igraph.cls g n in
-    let ncls = cls_code cls in
+    let ncls = ncls_of i in
     let avail = available_idx i in
     if avail = 0 then spill i n
     else begin
       let resolved =
-        Array.map (fun (p, tgt) -> (p, tgt, resolve ncls avail p n tgt))
-          (prefs_of i)
+        Array.map (fun pe -> (pe, resolve ncls avail pe)) (prefs_of i)
       in
       (* Honorable preferences with positive effective strength,
          strongest first (stable sort over the prefs order, as
          before). *)
       let honorable =
         Array.to_list resolved
-        |> List.filter_map (fun (p, _, r) ->
-               match r with
-               | Screen _ | Want_memory ->
-                   let e = eff_strength ncls p r in
-                   if e > 0 then Some (p, r, e) else None
-               | Defer | Dead -> None)
+        |> List.filter_map (fun (((p, _, _) as pe), r) ->
+               let e = eff_strength ncls pe r in
+               if e > 0 then Some (p, r, e) else None)
         |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
       in
       let strongest_is_memory =
-        match honorable with (_, Want_memory, _) :: _ -> true | _ -> false
+        match honorable with (_, r, _) :: _ -> r = want_memory | [] -> false
       in
       if strongest_is_memory then begin
         bump `Active;
@@ -538,19 +564,18 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
         let current = ref avail in
         List.iter
           (fun (p, r, _) ->
-            match r with
-            | Screen s ->
-                let s = s land !current in
-                if s <> 0 then begin
-                  current := s;
-                  match p.Rpg.target with
-                  | Rpg.Coalesce _ -> bump `Coalesce
-                  | Rpg.Seq_plus _ | Rpg.Seq_minus _ -> bump `Seq
-                  | Rpg.Kind -> bump `Kind
-                  | Rpg.In_limited -> bump `Limited
-                  | Rpg.Memory -> ()
-                end
-            | Want_memory | Defer | Dead -> ())
+            if r > 0 then begin
+              let s = r land !current in
+              if s <> 0 then begin
+                current := s;
+                match p.Rpg.target with
+                | Rpg.Coalesce _ -> bump `Coalesce
+                | Rpg.Seq_plus _ | Rpg.Seq_minus _ -> bump `Seq
+                | Rpg.Kind -> bump `Kind
+                | Rpg.In_limited -> bump `Limited
+                | Rpg.Memory -> ()
+              end
+            end)
           honorable;
         (* Step 4.3: keep future preferences honorable — both this
            node's deferred preferences and unallocated nodes' preferences
@@ -559,11 +584,11 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
         let keep_if_nonempty s =
           if s land !current <> 0 then current := s land !current
         in
-        (* A [Defer] resolution implies a virtual, pre-interned target:
-           physical targets always resolve to [Screen] or [Dead]. *)
+        (* A [defer] resolution implies a virtual, pre-interned target:
+           physical targets always resolve to a screen or [dead]. *)
         Array.iter
-          (fun ((p : Rpg.pref), tgt, r) ->
-            if r = Defer then
+          (fun (((p : Rpg.pref), tgt, _), r) ->
+            if r = defer then
               match p.Rpg.target with
               | Rpg.Coalesce _ -> keep_if_nonempty (available_idx tgt)
               | Rpg.Seq_plus _ ->
@@ -573,9 +598,9 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
               | Rpg.Kind | Rpg.In_limited | Rpg.Memory -> ())
           resolved;
         Array.iter
-          (fun (u, ui, (p : Rpg.pref)) ->
+          (fun (virt, ui, (p : Rpg.pref)) ->
             if
-              Reg.is_virtual u
+              virt
               && color_idx.(ui) < 0
               && not (Regbits.Set.mem spilled_bits ui)
             then
@@ -588,27 +613,30 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
                   keep_if_nonempty (available_idx ui lsl 1 land all_mask)
               | Rpg.Kind | Rpg.In_limited | Rpg.Memory -> ())
           (incoming_of i);
-        (* Step 4.4: deterministic final pick — ascending scan keeps the
-           lowest register among score ties. *)
-        let volw = Strength.volatility str n in
-        let score j =
-          let volatile = vol_mask.(ncls) land (1 lsl j) <> 0 in
-          if fallback_nonvolatile_first then if volatile then 0 else 1
-          else Strength.weight_for ~volatile volw
+        (* Step 4.4: deterministic final pick — the lowest register of
+           the better-scoring kind that [current] still offers (of all
+           of [current] on a tie).  [current] is never empty: it starts
+           as [avail] and every screen above keeps it nonempty. *)
+        let sv, sn =
+          if fallback_nonvolatile_first then (0, 1)
+          else
+            let w = Strength.volatility str n in
+            (w.Strength.vol, w.Strength.nonvol)
         in
-        let choice = ref (-1) and best_score = ref min_int in
-        for j = 0 to k - 1 do
-          if !current land (1 lsl j) <> 0 && score j > !best_score then begin
-            choice := j;
-            best_score := score j
-          end
+        let cv = !current land vol_mask.(ncls) in
+        let cn = !current land lnot vol_mask.(ncls) in
+        let best =
+          if sv > sn && cv <> 0 then cv
+          else if sn > sv && cn <> 0 then cn
+          else !current
+        in
+        let choice = ref 0 in
+        while best land (1 lsl !choice) = 0 do
+          incr choice
         done;
-        if !choice >= 0 then begin
-          color_idx.(i) <- !choice;
-          Reg.Tbl.replace colors n (Reg.phys cls !choice);
-          finish i n ~colored:(Some !choice)
-        end
-        else spill i n
+        color_idx.(i) <- !choice;
+        colored := i :: !colored;
+        finish i n ~colored:(Some !choice)
       end
     end
   in
@@ -623,6 +651,12 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
         loop ()
   in
   loop ();
+  let colors : Reg.t Reg.Tbl.t = Reg.Tbl.create 64 in
+  List.iter
+    (fun i ->
+      let cls = if ncls_of i = 0 then Reg.Int_class else Reg.Float_class in
+      Reg.Tbl.replace colors (reg_of_idx i) (Reg.phys cls color_idx.(i)))
+    (List.rev !colored);
   {
     colors;
     spilled = Regbits.Set.to_reg_set cpt spilled_bits;

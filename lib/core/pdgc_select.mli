@@ -76,3 +76,6 @@ val params :
     [fallback_nonvolatile_first = false]. *)
 
 val run : Machine.t -> Igraph.t -> Rpg.t -> Cpg.t -> Strength.t -> params -> outcome
+(** The RPG must share the graph's numbering
+    ([Rpg.build ~cpt:(Igraph.compact g)]).
+    @raise Invalid_argument otherwise. *)

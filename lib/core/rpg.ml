@@ -3,7 +3,9 @@
    Nodes are indices of a compact numbering — the interference graph's
    numbering when the caller passes [?cpt] (the PDGC pipeline does), a
    private one otherwise.  Out- and in-edges live in plain arrays
-   indexed by node; [prefs] used to re-sort the stored list on every
+   indexed by node, each edge stored with the index of its other
+   endpoint (interned once here, so the dense select never hashes a
+   [Reg.t] to find it); [prefs] used to re-sort the stored list on every
    call, so the build now sorts each out-edge list once at the end
    (stable sort over the same construction order — identical result,
    amortized to build time). *)
@@ -21,8 +23,10 @@ type pref = { target : ptype; weight : Strength.weight; instr_id : int option }
 type t = {
   cpt : Regbits.compact;
   mutable cap : int;
-  mutable out_edges : pref list array; (* strongest first after build *)
-  mutable in_edges : (Reg.t * pref) list array; (* construction order *)
+  mutable out_edges : (pref * int) list array;
+      (* strongest first after build; each with its target's index *)
+  mutable in_edges : (int * pref) list array;
+      (* construction order; each with its source's index *)
   mutable out_nodes : int list; (* indices with out-edges, for pp *)
   pair_list : (int * Reg.t * Reg.t) list;
   str : Strength.t;
@@ -40,10 +44,19 @@ let find_idx t r =
   | Some _ | None -> None
 
 let prefs t r =
-  match find_idx t r with Some i -> t.out_edges.(i) | None -> []
+  match find_idx t r with
+  | Some i -> List.map fst t.out_edges.(i)
+  | None -> []
 
 let incoming t r =
-  match find_idx t r with Some i -> t.in_edges.(i) | None -> []
+  match find_idx t r with
+  | Some i ->
+      List.map (fun (ui, p) -> (Regbits.reg_at t.cpt ui, p)) t.in_edges.(i)
+  | None -> []
+
+let compact t = t.cpt
+let prefs_idx t i = if i < t.cap then t.out_edges.(i) else []
+let incoming_idx t i = if i < t.cap then t.in_edges.(i) else []
 
 let pairs t = t.pair_list
 
@@ -104,19 +117,22 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
     if i >= t.cap then grow (i + 1);
     i
   in
-  let add_out r p =
+  (* [tgt] is the index of a virtual Coalesce/Seq target, -1 for a
+     physical target and the self-shaped preferences. *)
+  let add_out r p ~tgt =
     if Reg.is_virtual r then begin
       let i = idx r in
       if t.out_edges.(i) = [] then t.out_nodes <- i :: t.out_nodes;
-      t.out_edges.(i) <- p :: t.out_edges.(i)
+      t.out_edges.(i) <- (p, tgt) :: t.out_edges.(i)
     end
   in
   let add_in target src p =
     if Reg.is_virtual target then begin
       let i = idx target in
-      t.in_edges.(i) <- (src, p) :: t.in_edges.(i)
+      t.in_edges.(i) <- (idx src, p) :: t.in_edges.(i)
     end
   in
+  let virt_idx r = if Reg.is_virtual r then idx r else -1 in
   (* Coalesce edges from every copy, in both directions. *)
   Cfg.iter_instrs fn (fun _ i ->
       match i.Instr.kind with
@@ -131,7 +147,7 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
                 instr_id = Some i.Instr.id;
               }
             in
-            add_out v p;
+            add_out v p ~tgt:(virt_idx target);
             add_in target v p
           in
           edge dst src;
@@ -159,7 +175,7 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
             instr_id = Some hi.Instr.id;
           }
         in
-        add_out hi_dst p_hi;
+        add_out hi_dst p_hi ~tgt:(virt_idx lo_dst);
         add_in lo_dst hi_dst p_hi;
         let p_lo =
           {
@@ -168,14 +184,14 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
             instr_id = Some hi.Instr.id;
           }
         in
-        add_out lo_dst p_lo;
+        add_out lo_dst p_lo ~tgt:(virt_idx hi_dst);
         add_in hi_dst lo_dst p_lo)
       (paired_candidates fn);
     (* Limited-set preferences. *)
     Cfg.iter_instrs fn (fun _ i ->
         match i.Instr.kind with
         | Instr.Limited { dst; _ } ->
-            add_out dst
+            add_out dst ~tgt:(-1)
               {
                 target = In_limited;
                 weight = Strength.limited str dst ~instr_id:i.Instr.id;
@@ -200,10 +216,11 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
       | None -> Reg.Set.iter f (Cfg.all_vregs fn)
     in
     each_vreg (fun r ->
-        add_out r { target = Kind; weight = Strength.volatility str r; instr_id = None };
+        add_out r ~tgt:(-1)
+          { target = Kind; weight = Strength.volatility str r; instr_id = None };
         let mem = Strength.memory str r in
         if mem > 0 then
-          add_out r
+          add_out r ~tgt:(-1)
             {
               target = Memory;
               weight = { Strength.vol = mem; nonvol = mem };
@@ -218,7 +235,7 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
     (fun i ->
       t.out_edges.(i) <-
         List.sort
-          (fun a b -> compare (strength str b) (strength str a))
+          (fun (a, _) (b, _) -> compare (strength str b) (strength str a))
           t.out_edges.(i))
     t.out_nodes;
   { t with pair_list = !pair_list }
@@ -233,7 +250,7 @@ let pp_ptype ppf = function
 
 let iter_out t f =
   List.iter
-    (fun i -> f (Regbits.reg_at t.cpt i) t.out_edges.(i))
+    (fun i -> f (Regbits.reg_at t.cpt i) (List.map fst t.out_edges.(i)))
     (List.rev t.out_nodes)
 
 let pp ppf t =

@@ -57,6 +57,24 @@ val incoming : t -> Reg.t -> (Reg.t * pref) list
 val pairs : t -> (int * Reg.t * Reg.t) list
 (** Paired-load candidates as [(hi_load_instr_id, lo_dst, hi_dst)]. *)
 
+(** {2 Dense index sub-API}
+
+    Indices are those of {!compact}: the interference graph's numbering
+    when [build] was given [~cpt], a private one otherwise.  A caller
+    must check (physical equality is enough) that it holds the same
+    numbering before mixing these indices with another phase's. *)
+
+val compact : t -> Regbits.compact
+
+val prefs_idx : t -> int -> (pref * int) list
+(** {!prefs} of the node at an index, each preference paired with the
+    index of its target when that is a virtual register (Coalesce and
+    Seq), [-1] otherwise. *)
+
+val incoming_idx : t -> int -> (int * pref) list
+(** {!incoming} of the node at an index, each source given by its
+    index. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_dot : ?name:(Reg.t -> string) -> Format.formatter -> t -> unit

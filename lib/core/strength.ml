@@ -6,7 +6,8 @@ let pp_weight ppf w = Format.fprintf ppf "vol:%d, n-vol:%d" w.vol w.nonvol
 
 type t = {
   costs : Spill_cost.t;
-  crossings : int Reg.Tbl.t; (* freq-weighted calls crossed *)
+  cpt : Regbits.compact; (* the liveness numbering [crossings] is over *)
+  crossings : int array; (* by index: freq-weighted calls crossed *)
   freq : (int, int) Hashtbl.t; (* instr id -> frequency *)
   last_use : (int, Reg.Set.t) Hashtbl.t;
       (* copy id -> registers it uses that die there *)
@@ -14,53 +15,51 @@ type t = {
 }
 
 let build (fn : Cfg.func) ~costs ~live ~loops =
-  let crossings = Reg.Tbl.create 64 in
+  let cpt = Liveness.compact live in
+  (* Counted for every index, physical ones included: {!crossings}
+     answers 0 for a physical register. *)
+  let crossings = Array.make (Regbits.size cpt) 0 in
   let freq = Hashtbl.create 256 in
   let last_use = Hashtbl.create 64 in
   let defs_at = Hashtbl.create 256 in
+  let is_live live_out r =
+    match Regbits.find cpt r with
+    | Some i -> Regbits.Set.mem live_out i
+    | None -> false
+  in
   List.iter
     (fun (b : Cfg.block) ->
       let f = Loops.frequency loops b.Cfg.label in
-      ignore
-        (Liveness.fold_block_backward live b ~init:()
-           ~f:(fun () ~live_out i ->
-             Hashtbl.replace freq i.Instr.id f;
-             (* [defs_at] / [last_use] back the Ideal_Inst_Cost test of
-                {!coalesce}, which is only ever asked about copies:
-                building the per-instruction sets for every instruction
-                would dominate this pass for nothing. *)
-             (match i.Instr.kind with
-             | Instr.Move _ ->
-                 Hashtbl.replace defs_at i.Instr.id
-                   (Reg.Set.of_list (Instr.defs i.Instr.kind));
-                 let dying =
-                   List.filter
-                     (fun r -> not (Reg.Set.mem r live_out))
-                     (Instr.uses i.Instr.kind)
-                   |> Reg.Set.of_list
-                 in
-                 if not (Reg.Set.is_empty dying) then
-                   Hashtbl.replace last_use i.Instr.id dying
-             | _ -> ());
-             match i.Instr.kind with
-             | Instr.Call { dst; _ } ->
-                 let across =
-                   match dst with
-                   | Some d -> Reg.Set.remove d live_out
-                   | None -> live_out
-                 in
-                 Reg.Set.iter
-                   (fun r ->
-                     if Reg.is_virtual r then begin
-                       let cur =
-                         try Reg.Tbl.find crossings r with Not_found -> 0
-                       in
-                       Reg.Tbl.replace crossings r (cur + f)
-                     end)
-                   across
-             | _ -> ())))
+      Liveness.iter_block_backward_bits live b ~f:(fun ~live_out i ->
+          Hashtbl.replace freq i.Instr.id f;
+          (* [defs_at] / [last_use] back the Ideal_Inst_Cost test of
+             {!coalesce}, which is only ever asked about copies:
+             building the per-instruction sets for every instruction
+             would dominate this pass for nothing. *)
+          match i.Instr.kind with
+          | Instr.Move _ ->
+              Hashtbl.replace defs_at i.Instr.id
+                (Reg.Set.of_list (Instr.defs i.Instr.kind));
+              let dying =
+                List.filter
+                  (fun r -> not (is_live live_out r))
+                  (Instr.uses i.Instr.kind)
+                |> Reg.Set.of_list
+              in
+              if not (Reg.Set.is_empty dying) then
+                Hashtbl.replace last_use i.Instr.id dying
+          | Instr.Call { dst; _ } ->
+              let skip =
+                match Option.bind dst (Regbits.find cpt) with
+                | Some d -> d
+                | None -> -1
+              in
+              Regbits.Set.iter live_out (fun idx ->
+                  if idx <> skip then
+                    crossings.(idx) <- crossings.(idx) + f)
+          | _ -> ()))
     fn.Cfg.blocks;
-  { costs; crossings; freq; last_use; defs_at }
+  { costs; cpt; crossings; freq; last_use; defs_at }
 
 let create (fn : Cfg.func) =
   let loops = Loops.compute fn in
@@ -73,7 +72,12 @@ let of_analysis (a : Alloc_common.analysis) =
     ~loops:a.Alloc_common.loops
 
 let spill_cost t r = Spill_cost.spill_cost t.costs r
-let crossings t r = try Reg.Tbl.find t.crossings r with Not_found -> 0
+let crossings t r =
+  if not (Reg.is_virtual r) then 0
+  else
+    match Regbits.find t.cpt r with
+    | Some i when i < Array.length t.crossings -> t.crossings.(i)
+    | Some _ | None -> 0
 let freq_of_instr t id = try Hashtbl.find t.freq id with Not_found -> 1
 
 (* Call_Cost(V) per register kind. *)

@@ -66,17 +66,6 @@ module Vec = struct
       true
     end
 
-  let filter_in_place v ~f =
-    let j = ref 0 in
-    for i = 0 to v.len - 1 do
-      let x = v.data.(i) in
-      if f x then begin
-        v.data.(!j) <- x;
-        incr j
-      end
-    done;
-    v.len <- !j
-
   let iter v f =
     for i = 0 to v.len - 1 do
       f v.data.(i)
@@ -167,16 +156,43 @@ module Set = struct
     ignore (union_into ~src:b ~dst:c);
     c
 
+  (* Bit position of a single-bit word.  2 is a primitive root modulo
+     67, so [2^i mod 67] is distinct for i in 0 .. 61 and one table
+     load replaces a shift loop; bit 62 is OCaml's sign bit, where
+     [w land (-w)] is [min_int], so it is the one negative case. *)
+  let bit_of_residue =
+    let tbl = Array.make 67 0 in
+    for i = 0 to bits_per_word - 2 do
+      tbl.((1 lsl i) mod 67) <- i
+    done;
+    tbl
+
+  let bit_index lsb =
+    if lsb < 0 then bits_per_word - 1
+    else Array.unsafe_get bit_of_residue (lsb mod 67)
+
+  (* Members of word [w] whose bits are [bits], ascending. *)
+  let iter_word w bits f =
+    let bits = ref bits in
+    while !bits <> 0 do
+      let lsb = !bits land - !bits in
+      f ((w * bits_per_word) + bit_index lsb);
+      bits := !bits lxor lsb
+    done
+
   let iter s f =
     for w = 0 to Array.length s.words - 1 do
-      let bits = ref s.words.(w) in
-      while !bits <> 0 do
-        let lsb = !bits land - !bits in
-        (* log2 of a single set bit *)
-        let rec log2 acc b = if b = 1 then acc else log2 (acc + 1) (b lsr 1) in
-        f ((w * bits_per_word) + log2 0 lsb);
-        bits := !bits land lnot lsb
-      done
+      let bits = s.words.(w) in
+      if bits <> 0 then iter_word w bits f
+    done
+
+  let remove_inter ~src ~dst f =
+    for w = 0 to min (Array.length src.words) (Array.length dst.words) - 1 do
+      let common = dst.words.(w) land src.words.(w) in
+      if common <> 0 then begin
+        dst.words.(w) <- dst.words.(w) lxor common;
+        iter_word w common f
+      end
     done
 
   let fold s ~init ~f =

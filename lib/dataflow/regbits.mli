@@ -53,10 +53,6 @@ module Vec : sig
   (** Remove the first occurrence of a value (order not preserved);
       [true] if found. *)
 
-  val filter_in_place : t -> f:(int -> bool) -> unit
-  (** Keep only the values satisfying [f], preserving their relative
-      order; [f] runs once per element, left to right. *)
-
   val iter : t -> (int -> unit) -> unit
   val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
   val copy : t -> t
@@ -93,6 +89,11 @@ module Set : sig
   (** Ascending index order. *)
 
   val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
+
+  val remove_inter : src:t -> dst:t -> (int -> unit) -> unit
+  (** [dst <- dst \ src], calling the function on each removed index
+      ([dst ∩ src]) in ascending order; [src] is untouched.  One
+      word-wise pass over the shorter of the two rows. *)
 
   val to_reg_set : compact -> t -> Reg.Set.t
   val of_reg_set : compact -> Reg.Set.t -> t

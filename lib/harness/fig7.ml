@@ -98,7 +98,7 @@ let run () =
   let live = Liveness.compute fn in
   let g = Igraph.build fn live in
   let strength = Strength.create fn in
-  let rpg = Rpg.build machine fn strength in
+  let rpg = Rpg.build ~cpt:(Igraph.compact g) machine fn strength in
   let costs = Spill_cost.compute fn in
   let simp3 = simplify_for machine.Machine.k g costs in
   let cpg3 = Cpg.build ~k:machine.Machine.k g simp3 in

@@ -115,6 +115,10 @@ let compact t = t.cpt
 let index_of t r = root t (idx t r)
 let reg_of t i = Regbits.reg_at t.cpt i
 
+let root_idx t i =
+  if i >= t.cap then grow t (i + 1);
+  root t i
+
 (* Indices must be roots. *)
 let add_edge_idx t a b =
   if

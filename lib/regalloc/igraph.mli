@@ -70,6 +70,10 @@ val index_of : t -> Reg.t -> int
 val reg_of : t -> int -> Reg.t
 (** Inverse of the numbering; [i] must be a valid index. *)
 
+val root_idx : t -> int -> int
+(** Root (merge-representative) index of any index of the numbering:
+    [index_of g r = root_idx g i] where [i] is [r]'s index. *)
+
 val iter_adj_idx : t -> int -> (int -> unit) -> unit
 (** [iter_adj] over indices; [i] must be a root index. *)
 

@@ -347,6 +347,82 @@ let test_solver_unreachable_pred () =
   check Alcotest.bool "x def recorded" true
     (Reaching.sites_of_reg reaching x <> [])
 
+(* Regbits ------------------------------------------------------------- *)
+
+(* Word boundaries on a 63-bit OCaml int: 62 is the sign bit, 63 and
+   126 open the second and third words. *)
+let boundary_bits = [ 0; 62; 63; 125; 126 ]
+
+let set_of ?(cap = 0) l =
+  let s = Regbits.Set.create cap in
+  List.iter (Regbits.Set.add s) l;
+  s
+
+let members s =
+  List.rev (Regbits.Set.fold s ~init:[] ~f:(fun acc i -> i :: acc))
+
+let iter_members s =
+  let acc = ref [] in
+  Regbits.Set.iter s (fun i -> acc := i :: !acc);
+  List.rev !acc
+
+let model l = List.sort_uniq compare l
+let int_list = Alcotest.(list int)
+
+let test_regbits_boundaries () =
+  let s = set_of boundary_bits in
+  check int_list "iter ascending" boundary_bits (iter_members s);
+  check int_list "fold ascending" boundary_bits (members s);
+  check Alcotest.int "cardinal" 5 (Regbits.Set.cardinal s);
+  List.iter
+    (fun i ->
+      let one = set_of [ i ] in
+      check int_list (Printf.sprintf "singleton %d" i) [ i ] (iter_members one))
+    boundary_bits
+
+(* Indices drawn mostly from the word boundaries, sets created with a
+   random capacity hint so their word arrays differ in length. *)
+let index_list_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 30)
+      (oneof [ oneofl boundary_bits; int_range 0 190 ]))
+
+let sized_set_gen = QCheck2.Gen.(pair (int_range 0 200) index_list_gen)
+
+let prop_regbits_iter_model =
+  qcheck ~count:200 "iter/fold = sorted-list model" sized_set_gen
+    (fun (cap, l) ->
+      let s = set_of ~cap l in
+      iter_members s = model l
+      && members s = model l
+      && Regbits.Set.cardinal s = List.length (model l))
+
+let prop_regbits_remove_inter =
+  qcheck ~count:200 "remove_inter reports and removes dst ∩ src"
+    QCheck2.Gen.(pair sized_set_gen sized_set_gen)
+    (fun ((dcap, dl), (scap, sl)) ->
+      let dst = set_of ~cap:dcap dl and src = set_of ~cap:scap sl in
+      let reported = ref [] in
+      Regbits.Set.remove_inter ~src ~dst (fun i -> reported := i :: !reported);
+      let d = model dl and s = model sl in
+      List.rev !reported = List.filter (fun i -> List.mem i s) d
+      && members dst = List.filter (fun i -> not (List.mem i s)) d
+      && members src = s)
+
+let test_regbits_remove_inter_lengths () =
+  (* One-word destination against a three-word source and back. *)
+  let short = set_of [ 0; 5; 62 ] and long = set_of [ 5; 62; 63; 126 ] in
+  let got = ref [] in
+  Regbits.Set.remove_inter ~src:long ~dst:short (fun i -> got := i :: !got);
+  check int_list "short dst: reported" [ 5; 62 ] (List.rev !got);
+  check int_list "short dst: left" [ 0 ] (members short);
+  let short = set_of [ 0; 5; 62 ] and long = set_of [ 5; 62; 63; 126 ] in
+  got := [];
+  Regbits.Set.remove_inter ~src:short ~dst:long (fun i -> got := i :: !got);
+  check int_list "long dst: reported" [ 5; 62 ] (List.rev !got);
+  check int_list "long dst: left" [ 63; 126 ] (members long);
+  check int_list "src untouched" [ 0; 5; 62 ] (members short)
+
 let () =
   Alcotest.run "dataflow"
     [
@@ -387,5 +463,12 @@ let () =
         [
           tc "forward path count" test_solver_forward_constant;
           tc "unreachable predecessor" test_solver_unreachable_pred;
+        ] );
+      ( "regbits",
+        [
+          tc "word boundaries" test_regbits_boundaries;
+          prop_regbits_iter_model;
+          tc "remove_inter across row lengths" test_regbits_remove_inter_lengths;
+          prop_regbits_remove_inter;
         ] );
     ]

@@ -6,8 +6,6 @@
 
 open Helpers
 
-let machine = Machine.middle_pressure
-
 (* Order-insensitive identity for a preference: constructor tag, target
    register (rendered, so no polymorphic compare on abstract types),
    both weight sides, originating instruction. *)
@@ -73,10 +71,10 @@ let prepare_fn fn =
   let a = Alloc_common.analyze fn in
   (fn, a, Strength.of_analysis a)
 
-let rpg_matches kinds (fn, a, str) =
+let rpg_matches m kinds (fn, a, str) =
   let g = a.Alloc_common.graph in
-  let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) machine fn str in
-  let oracle = Ref_rpg.build ~kinds machine fn str in
+  let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
+  let oracle = Ref_rpg.build ~kinds m fn str in
   let regs = Reg.Set.elements (Cfg.all_vregs fn) in
   List.for_all
     (fun r ->
@@ -124,12 +122,12 @@ let cpg_matches dense oracle =
   in
   drain (Cpg.initial dense)
 
-let select_matches ?no_spill_set ?spill_risk_set policy fallback (fn, a, str)
+let select_matches ?no_spill_set ?spill_risk_set m policy fallback (fn, a, str)
     kinds =
   let g = a.Alloc_common.graph in
-  let k = machine.Machine.k in
-  let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) machine fn str in
-  let ref_rpg = Ref_rpg.build ~kinds machine fn str in
+  let k = m.Machine.k in
+  let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
+  let ref_rpg = Ref_rpg.build ~kinds m fn str in
   let simp = pdgc_simplify ~k g a.Alloc_common.costs in
   let cpg = Cpg.build ~k g simp in
   let ref_cpg = Ref_cpg.build ~k g simp in
@@ -144,7 +142,7 @@ let select_matches ?no_spill_set ?spill_risk_set policy fallback (fn, a, str)
     | Some s -> s
   in
   let sel =
-    Pdgc_select.run machine g rpg cpg str
+    Pdgc_select.run m g rpg cpg str
       (Pdgc_select.params ~no_spill ~spill_risk ~policy
          ~fallback_nonvolatile_first:fallback ())
   in
@@ -155,7 +153,7 @@ let select_matches ?no_spill_set ?spill_risk_set policy fallback (fn, a, str)
     | Pdgc_select.Fifo -> Ref_select.Fifo
   in
   let ref_sel =
-    Ref_select.run machine g ref_rpg ref_cpg str ~no_spill ~spill_risk
+    Ref_select.run m g ref_rpg ref_cpg str ~no_spill ~spill_risk
       ~policy:ref_policy ~fallback_nonvolatile_first:fallback
   in
   let sorted_colors tbl =
@@ -199,9 +197,9 @@ let cpg_random_drain_matches rng dense oracle =
   reg_list_equal (Cpg.initial dense) (Ref_cpg.initial oracle)
   && drain (Cpg.initial dense)
 
-let built_cpgs (_fn, a, _str) =
+let built_cpgs m (_fn, a, _str) =
   let g = a.Alloc_common.graph in
-  let k = machine.Machine.k in
+  let k = m.Machine.k in
   let simp = pdgc_simplify ~k g a.Alloc_common.costs in
   [
     (Cpg.build ~k g simp, Ref_cpg.build ~k g simp);
@@ -209,21 +207,21 @@ let built_cpgs (_fn, a, _str) =
       Ref_cpg.of_total_order simp.Simplify.stack );
   ]
 
-let check_fn ?(seed = 0) name fn =
+let check_fn ?(seed = 0) ?(m = Machine.middle_pressure) name fn =
   let p = prepare_fn fn in
   List.iter
     (fun kinds ->
-      if not (rpg_matches kinds p) then
+      if not (rpg_matches m kinds p) then
         Alcotest.failf "dense/reference RPG mismatch in %s" name)
     [ `All; `Coalesce_only ];
   List.iter
     (fun (d, o) ->
       if not (cpg_matches d o) then
         Alcotest.failf "dense/reference CPG mismatch in %s" name)
-    (built_cpgs p);
+    (built_cpgs m p);
   List.iter
     (fun (policy, fallback, kinds) ->
-      if not (select_matches policy fallback p kinds) then
+      if not (select_matches m policy fallback p kinds) then
         Alcotest.failf "dense/reference select mismatch in %s" name)
     [
       (Pdgc_select.Differential, false, `All);
@@ -242,7 +240,7 @@ let check_fn ?(seed = 0) name fn =
         if not (cpg_random_drain_matches rng d o) then
           Alcotest.failf "dense/reference CPG mismatch (random drain) in %s"
             name)
-      (built_cpgs p)
+      (built_cpgs m p)
   done;
   let fn', _, _ = p in
   let vregs = Reg.Set.elements (Cfg.all_vregs fn') in
@@ -261,20 +259,29 @@ let check_fn ?(seed = 0) name fn =
     let fallback = Rng.int rng 2 = 0 in
     if
       not
-        (select_matches ~no_spill_set ~spill_risk_set policy fallback p `All)
+        (select_matches ~no_spill_set ~spill_risk_set m policy fallback p
+           `All)
     then
       Alcotest.failf "dense/reference select mismatch (randomized params) in %s"
         name
   done
 
+(* k=24 and k=16: at k=16 relaxation inserts and retires the most CPG
+   edges, so the transitive-pruning path is hit hardest there. *)
 let test_suite_programs () =
   List.iter
-    (fun (name, p) ->
-      let prepared = Pipeline.prepare machine p in
+    (fun m ->
       List.iter
-        (fun fn -> check_fn (name ^ "/" ^ fn.Cfg.name) fn)
-        prepared.Cfg.funcs)
-    (Suite.all ())
+        (fun (name, p) ->
+          let prepared = Pipeline.prepare m p in
+          List.iter
+            (fun fn ->
+              check_fn ~m
+                (Printf.sprintf "%s/%s k=%d" name fn.Cfg.name m.Machine.k)
+                fn)
+            prepared.Cfg.funcs)
+        (Suite.all ()))
+    [ Machine.middle_pressure; Machine.high_pressure ]
 
 let prop_random =
   qcheck ~count:25 "dense PDGC core = tree-based oracle (random programs)"

@@ -150,6 +150,54 @@ let test_freq_of_instr () =
   in
   check Alcotest.int "entry freq" 1 (Strength.freq_of_instr str entry_id)
 
+(* [Strength.build] counts crossings over liveness bits; this is the
+   [Reg.Set] walk it replaced, checked on every virtual register. *)
+let ref_crossings (fn : Cfg.func) live loops =
+  let tbl = Reg.Tbl.create 64 in
+  List.iter
+    (fun (b : Cfg.block) ->
+      let f = Loops.frequency loops b.Cfg.label in
+      Liveness.fold_block_backward live b ~init:() ~f:(fun () ~live_out i ->
+          match i.Instr.kind with
+          | Instr.Call { dst; _ } ->
+              let across =
+                match dst with
+                | Some d -> Reg.Set.remove d live_out
+                | None -> live_out
+              in
+              Reg.Set.iter
+                (fun r ->
+                  let cur = try Reg.Tbl.find tbl r with Not_found -> 0 in
+                  Reg.Tbl.replace tbl r (cur + f))
+                across
+          | _ -> ()))
+    fn.Cfg.blocks;
+  fun r -> try Reg.Tbl.find tbl r with Not_found -> 0
+
+(* Both the source programs, whose calls define virtual registers, and
+   their lowered, renumbered form, where a call defines the return
+   register. *)
+let test_crossings_match_reg_set_walk () =
+  let check_fn name fn =
+    let a = Alloc_common.analyze fn in
+    let str = Strength.of_analysis a in
+    let expected = ref_crossings fn a.Alloc_common.live a.Alloc_common.loops in
+    Reg.Set.iter
+      (fun r ->
+        check Alcotest.int
+          (Printf.sprintf "%s/%s %s" name fn.Cfg.name (Reg.to_string r))
+          (expected r) (Strength.crossings str r))
+      (Cfg.all_vregs fn)
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iter (check_fn name) p.Cfg.funcs;
+      let prepared = Pipeline.prepare Machine.high_pressure p in
+      List.iter
+        (fun fn -> check_fn name (Webs.run (Cfg.clone fn)).Webs.func)
+        prepared.Cfg.funcs)
+    (Suite.all ())
+
 let () =
   Alcotest.run "strength"
     [
@@ -168,5 +216,6 @@ let () =
         [
           tc "heavy crossers" test_memory_positive_for_heavy_crossers;
           tc "weight helpers" test_weight_helpers;
+          tc "crossings = Reg.Set walk" test_crossings_match_reg_set_walk;
         ] );
     ]
