@@ -1,9 +1,9 @@
 (** The paper's evaluation figures, regenerated.
 
     Each runner produces printable series shaped like the corresponding
-    figure; {!print_all} is what [bench/main.exe] and
-    [bin/experiments.exe] emit.  EXPERIMENTS.md records the
-    paper-vs-measured comparison. *)
+    figure; {!print_all} is what [bin/experiments.exe all] emits, pinned
+    byte for byte by [experiments_output.txt].  EXPERIMENTS.md records
+    the paper-vs-measured comparison. *)
 
 type fig9_row = {
   test : string;  (** benchmark (fp rows are suffixed " fp") *)

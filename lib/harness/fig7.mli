@@ -39,5 +39,5 @@ val run : unit -> artifacts
     allocation at k = 3. *)
 
 val print : Format.formatter -> unit -> unit
-(** Renders the whole walkthrough (used by the example binary and the
-    bench harness). *)
+(** Renders the whole walkthrough (used by the example binary and
+    [experiments fig7]). *)

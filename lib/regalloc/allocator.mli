@@ -3,8 +3,8 @@
     Every register allocator in the system is a first-class
     {!t} value: a CLI/registry name, the series label used in the
     paper's figures, and a [run] function.  The registry maps names to
-    allocators so that the pipeline, the experiment harness, the bench
-    driver and the CLI tools all share one lookup path instead of
+    allocators so that the pipeline, the experiment harness, the
+    benchmark and the CLI tools all share one lookup path instead of
     per-module entry points.
 
     {2 Domain-safety contract}

@@ -1,8 +1,8 @@
 (** Load generator for the allocation daemon.
 
     Replays streams of {!Gen} workload programs against a running
-    daemon, measuring end-to-end throughput and per-request latency —
-    the numbers behind the bench [serve] group.  Also hosts the
+    daemon, measuring end-to-end throughput and per-request latency
+    ([pdgc_loadgen]'s measurement mode).  Also hosts the
     [@serve-smoke] selftest: daemon-vs-one-shot byte equivalence,
     cached-vs-uncached byte equivalence, and [jobs=1 ≡ jobs=4]. *)
 

@@ -223,7 +223,8 @@ let func (m : Machine.t) ~(reference : Cfg.func) ~(alloc : Reg.t Reg.Tbl.t)
     let c =
       match src_content with
       | Holds h -> Holds { h with regs = Reg.Set.add vd h.regs }
-      | Clobbered _ | Conflict ->
+      | Clobbered _ as c -> c
+      | Conflict ->
           (* The use check already reported the root cause. *)
           Holds { regs = Reg.Set.singleton vd; slots = ISet.empty }
     in
@@ -268,8 +269,13 @@ let func (m : Machine.t) ~(reference : Cfg.func) ~(alloc : Reg.t Reg.Tbl.t)
                  Diagnostic.Structure
                  "deleted copy is not trivial: dst %s but src %s"
                  (Reg.to_string cd) (Reg.to_string cs));
-          use_check st r pos src;
-          copy_define st ~src_content:(get st (Key.R cs)) dst cd
+          let src_content = get st (Key.R cs) in
+          (* A copy is not a real use: a clobbered source is carried to
+             the destination and reported where that is read. *)
+          (match src_content with
+          | Clobbered _ -> ()
+          | _ -> use_check st r pos src);
+          copy_define st ~src_content dst cd
       | Instr.Spill { src; slot } ->
           use_check st r pos src;
           let st = kill_slot_name slot st in

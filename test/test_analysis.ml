@@ -269,6 +269,18 @@ let sweep name k =
            r.Analyze_driver.entries))
     (Pass.all ())
 
+(* How many of a suite program's functions MAXLIVE certifies on SSA
+   form, out of how many, at the register files of Figs. 9–11. *)
+let test_certified_counts () =
+  List.iter
+    (fun (name, k, certified, funcs) ->
+      let ssa = List.map Ssa_construct.run (Suite.program name).Cfg.funcs in
+      let stats = List.map (fun f -> Maxlive.compute f) ssa in
+      check Alcotest.int (name ^ " functions") funcs (List.length stats);
+      check Alcotest.int (name ^ " certified") certified
+        (List.length (List.filter (Maxlive.certified ~k) stats)))
+    [ ("jess", 16, 7, 14); ("mtrt", 24, 8, 10); ("jack", 24, 13, 13) ]
+
 let test_sweep_jess () = sweep "jess" 16
 let test_sweep_mtrt () = sweep "mtrt" 24
 
@@ -298,6 +310,7 @@ let () =
       ( "sweep",
         [
           tc "maxlive" test_maxlive;
+          tc "certified counts" test_certified_counts;
           tc "jess k=16" test_sweep_jess;
           tc "mtrt k=24" test_sweep_mtrt;
         ] );

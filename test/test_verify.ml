@@ -130,6 +130,27 @@ let test_rejects_volatile_across_call () =
     "volatile-across-call rejected" true
     (has_error Diagnostic.Volatile_across_call ds)
 
+(* Copying a clobbered value is no error, but reading the copy is: the
+   clobber travels with it, kept (r5) or deleted as trivial (r3). *)
+let test_rejects_copy_of_clobbered_value () =
+  let b = Builder.create ~name:"volcopy" ~n_params:0 in
+  let v = Builder.iconst b 5 in
+  let d = Builder.call b "leaf" [] in
+  let y = Builder.reg b Reg.Int_class in
+  Builder.move b ~dst:y ~src:v;
+  let s = Builder.binop b Instr.Add y d in
+  Builder.ret b (Some s);
+  let reference = Builder.finish b in
+  List.iter
+    (fun cy ->
+      let pairs = [ (v, ri 3); (y, cy); (d, ri 0); (s, ri 0) ] in
+      let alloc, final = rename pairs reference in
+      let final = delete_trivial_moves final in
+      Alcotest.(check bool) (Reg.to_string cy ^ " copy rejected") true
+        (has_error Diagnostic.Volatile_across_call
+           (Verify.func m8 ~reference ~alloc ~final ())))
+    [ ri 5; ri 3 ]
+
 let pair_func () =
   let b = Builder.create ~name:"pairs" ~n_params:0 in
   let base = Builder.iconst b 100 in
@@ -236,6 +257,25 @@ let test_lint_rejects_entry_not_first () =
     "entry-not-first flagged" true
     (has_error Diagnostic.Structure (Lint.func Lint.Prepared bad))
 
+(* --- regressions -------------------------------------------------------- *)
+
+(* A never-read copy right after a call, whose source was also the
+   call's argument register: both share that caller-save register, so
+   finalization deletes the copy and saves nothing across the call.
+   The copy reads a clobbered value but is not a real use.  [j] picks
+   the benchmark's seeded variant: the profile seed plus 7919·j. *)
+let dead_copy_after_call name j func () =
+  let p = Suite.profile name and m = Machine.make ~k:16 () in
+  let prog = Gen.generate { p with Gen.seed = p.Gen.seed + (7919 * j) } in
+  let prog = Pipeline.prepare m prog in
+  check Alcotest.bool (func ^ " present") true
+    (List.exists (fun (f : Cfg.func) -> f.Cfg.name = func) prog.Cfg.funcs);
+  List.iter
+    (fun (algo : Allocator.t) ->
+      no_errors algo.Allocator.name
+        (Pipeline.verify_allocated (Pipeline.allocate_program algo m prog)))
+    Pipeline.all_algos
+
 (* --- positive sweep --------------------------------------------------- *)
 
 let sweep name k =
@@ -278,6 +318,7 @@ let () =
           tc "clobbered live range" test_rejects_clobbered_live_range;
           tc "wrong spill slot" test_rejects_wrong_spill_slot;
           tc "volatile across call" test_rejects_volatile_across_call;
+          tc "copy of clobbered value" test_rejects_copy_of_clobbered_value;
           tc "parity-violating pair" test_rejects_parity_violating_pair;
           tc "missing callee save" test_rejects_unsaved_callee_save;
           tc "duplicate slot metadata" test_rejects_duplicate_slot_metadata;
@@ -290,6 +331,11 @@ let () =
           tc "aliased deleted copy" test_accepts_deleted_copy_with_live_source;
           tc "lint phases" test_lint_phases;
           tc "random programs verify" test_random_programs_verify;
+        ] );
+      ( "regression",
+        [
+          tc "jess v2 jess_f3 k=16" (dead_copy_after_call "jess" 2 "jess_f3");
+          tc "db v7 db_f1 k=16" (dead_copy_after_call "db" 7 "db_f1");
         ] );
       ( "sweep",
         [
