@@ -234,7 +234,7 @@ let rpg_consistency =
                               which is not a live node"
                              (Reg.to_string r) (Reg.to_string t))
                   | Rpg.Memory ->
-                      if Rpg.strength str p <= 0 then
+                      if Rpg.strength p <= 0 then
                         emit ~reg:r ~instr_id
                           (Printf.sprintf
                              "memory preference of %s has non-positive \

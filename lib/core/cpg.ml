@@ -133,8 +133,6 @@ let n_edges t = t.edges
 
 (* Dense sub-API (layering rule in cpg.mli). *)
 let compact t = t.cpt
-let index_of t r = idx t r
-let reg_of = reg_at
 
 (* Precondition: the edge is absent (see the header).  The [pred] row
    is left untouched; [finish_build] fills it. *)

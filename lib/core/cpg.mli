@@ -35,8 +35,7 @@ type t
 
 val build : k:int -> Igraph.t -> Simplify.result -> t
 (** Nodes are indexed by the interference graph's compact numbering
-    ([Igraph.compact]); {!index_of} agrees with [Igraph.index_of] for
-    every node. *)
+    ([Igraph.compact]): a node's index is its [Igraph.index_of]. *)
 
 val of_total_order : Reg.t list -> t
 (** A chain: each node must be colored after its predecessor in the
@@ -73,12 +72,6 @@ val topological_orders_ok : t -> bool
 val compact : t -> Regbits.compact
 (** The numbering the node indices live in — the interference graph's
     for {!build}, a private one for {!of_total_order}. *)
-
-val index_of : t -> Reg.t -> int
-(** Dense index of a register, interning it if unseen. *)
-
-val reg_of : t -> int -> Reg.t
-(** Inverse of the numbering; [i] must be a valid index. *)
 
 val resolve_idx : t -> int -> int list
 (** {!resolve} over indices: same pending-counter updates, same

@@ -191,7 +191,7 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
                    in
                    (p, -1, Costs.limited_fixup * f)
                | Rpg.Memory ->
-                   (p, -1, if no_spill n then -1 else Rpg.strength str p))
+                   (p, -1, if no_spill n then -1 else Rpg.strength p))
              (Rpg.prefs_idx rpg i));
       out_ok.(i) <- true
     end;

@@ -29,14 +29,10 @@ type t = {
       (* construction order; each with its source's index *)
   mutable out_nodes : int list; (* indices with out-edges, for pp *)
   pair_list : (int * Reg.t * Reg.t) list;
-  str : Strength.t;
 }
 
-let strength _str p =
-  match p.target with
-  | Memory -> Strength.best p.weight (* stored as {s; s} *)
-  | Coalesce _ | Seq_plus _ | Seq_minus _ | Kind | In_limited ->
-      Strength.best p.weight
+(* A [Memory] weight is stored as [{s; s}], so [best] is [s]. *)
+let strength p = Strength.best p.weight
 
 let find_idx t r =
   match Regbits.find t.cpt r with
@@ -98,7 +94,6 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
       in_edges = [||];
       out_nodes = [];
       pair_list = [];
-      str;
     }
   in
   let grow needed =
@@ -235,7 +230,7 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
     (fun i ->
       t.out_edges.(i) <-
         List.sort
-          (fun (a, _) (b, _) -> compare (strength str b) (strength str a))
+          (fun (a, _) (b, _) -> compare (strength b) (strength a))
           t.out_edges.(i))
     t.out_nodes;
   { t with pair_list = !pair_list }

@@ -28,7 +28,7 @@ type pref = { target : ptype; weight : Strength.weight; instr_id : int option }
 
 type t
 
-val strength : Strength.t -> pref -> int
+val strength : pref -> int
 (** Ranking strength of a preference: the better side of the weight
     pair ([Memory] uses its precomputed positive strength directly). *)
 

@@ -96,7 +96,6 @@ let scratch_live_out t l =
   | None -> ());
   live
 
-let live_out_bits = scratch_live_out
 
 let live_in_bits t l =
   match Hashtbl.find_opt t.entry_bits l with

@@ -9,7 +9,7 @@
     unions over a per-function compact numbering); the [Reg.Set]
     queries below are lazy, memoized views of the dense facts.  Clients
     on the hot path can work on the bitsets directly through
-    {!compact}, {!live_out_bits} and {!iter_block_backward_bits}. *)
+    {!compact}, {!live_in_bits} and {!iter_block_backward_bits}. *)
 
 type t
 
@@ -44,8 +44,7 @@ val compact : t -> Regbits.compact
     leaves the analysis results untouched. *)
 
 val live_in_bits : t -> Instr.label -> Regbits.Set.t
-val live_out_bits : t -> Instr.label -> Regbits.Set.t
-(** Fresh (caller-owned) bitsets of the block-boundary facts. *)
+(** Fresh (caller-owned) bitset of the block-entry facts. *)
 
 val iter_block_backward_bits :
   t -> Cfg.block -> f:(live_out:Regbits.Set.t -> Instr.t -> unit) -> unit

@@ -17,14 +17,14 @@ type slice = { lo : int; hi : int; run_item : int -> unit }
 
 module Pool = struct
   (* A persistent domain pool: the daemon use case submits thousands of
-     small batches, and respawning domains per batch ([map] below) costs
-     a spawn/join round-trip and GC-coordination churn each time.  The
+     small batches, and respawning domains per batch would cost a
+     spawn/join round-trip and GC-coordination churn each time.  The
      pool keeps [jobs - 1] worker domains parked on a condition
      variable; submitting a batch publishes a run-item closure plus a
-     chunked cursor (the same claiming discipline as [map]) and wakes
-     everyone, and the caller participates as worker 0.  All batch
-     state is published and claimed under one mutex, so a worker never
-     observes a half-installed batch. *)
+     chunked cursor and wakes everyone, and the caller participates as
+     worker 0.  All batch state is published and claimed under one
+     mutex, so a worker never observes a half-installed batch.  The
+     one-shot [map] below is a pool that lives for one batch. *)
   type state = {
     lock : Mutex.t;
     work : Condition.t;  (* a new batch arrived, or stop *)
@@ -83,7 +83,7 @@ module Pool = struct
     end
 
   let create ~jobs =
-    (* Same cap as [map]: extra domains on an oversubscribed host cost
+    (* Extra domains on an oversubscribed host cost spawn/join and GC
        coordination without adding throughput. *)
     let n_workers =
       max 1 (min jobs (max 1 (Domain.recommended_domain_count ())))
@@ -166,53 +166,8 @@ module Pool = struct
     if first then Array.iter Domain.join t.domains
 end
 
-let map ?(chunk = 1) ~jobs f xs =
-  let n = List.length xs in
-  (* Never spawn more domains than the host can run: each extra domain
-     on an oversubscribed machine costs spawn/join overhead and GC
-     coordination without adding throughput. *)
-  let jobs = min jobs (max 1 (Domain.recommended_domain_count ())) in
-  if jobs <= 1 || n <= 1 then List.map f xs
-  else begin
-    let items = Array.of_list xs in
-    let jobs = min jobs n in
-    (* Coarsen tiny chunks so the queue cursor is not contended once per
-       item; aim for at least ~4 claims per worker to keep balance. *)
-    let chunk = max (max 1 chunk) (n / (jobs * 4)) in
-    let out = Array.make n Empty in
-    let lock = Mutex.create () in
-    let next = ref 0 in
-    let claim () =
-      Mutex.lock lock;
-      let lo = !next in
-      next := lo + chunk;
-      Mutex.unlock lock;
-      if lo >= n then None else Some (lo, min n (lo + chunk))
-    in
-    let rec drain () =
-      match claim () with
-      | None -> ()
-      | Some (lo, hi) ->
-          for i = lo to hi - 1 do
-            out.(i) <-
-              (match f items.(i) with
-              | v -> Done v
-              | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
-          done;
-          drain ()
-    in
-    let pool = Array.init (jobs - 1) (fun _ -> Domain.spawn drain) in
-    drain ();
-    Array.iter Domain.join pool;
-    (* Re-raise the first failure in input order — what the sequential
-       path would have raised. *)
-    Array.iter
-      (function
-        | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Done _ | Empty -> ())
-      out;
-    Array.to_list
-      (Array.map
-         (function Done v -> v | Empty | Raised _ -> assert false)
-         out)
-  end
+let map ~jobs f xs =
+  let pool = Pool.create ~jobs:(min jobs (List.length xs)) in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> Pool.map pool f xs)

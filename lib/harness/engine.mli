@@ -1,6 +1,6 @@
 (** The multicore allocation engine: a fixed pool of [Domain.t] workers
-    draining a hand-rolled chunked work queue (stdlib [Domain] /
-    [Mutex] only — no external dependencies).
+    draining a chunked work queue (stdlib [Domain] / [Mutex] /
+    [Condition] only — no external dependencies).
 
     [map ~jobs f xs] applies [f] to every element of [xs] and returns
     the results in the original order, so a parallel run is
@@ -22,17 +22,17 @@ val default_jobs : unit -> int
 
 (** {2 Persistent worker pool}
 
-    [map] spawns and joins its domains per call — the right shape for
-    one-shot drivers, and the wrong one for the allocation daemon,
-    which dispatches thousands of small batches over its lifetime.
-    [Pool] keeps the worker domains alive across batches: workers park
-    on a condition variable between submissions, and a batch submission
-    publishes the work and wakes them.  One batch runs at a time per
-    pool ({!Pool.map} is not reentrant); the determinism contract is
-    [map]'s — results merged in input order, first failure re-raised in
-    input order, so any pool size produces bit-for-bit the sequential
-    output provided [f] follows the {!Allocator} domain-safety
-    contract. *)
+    The one work queue of the engine.  {!map} runs one batch on a pool
+    it creates and shuts down per call — the right shape for one-shot
+    drivers, and the wrong one for the allocation daemon, which
+    dispatches thousands of small batches over its lifetime and keeps
+    one [Pool] for all of them: workers park on a condition variable
+    between submissions, and a batch submission publishes the work and
+    wakes them.  One batch runs at a time per pool ({!Pool.map} is not
+    reentrant); results are merged in input order and the first
+    failure in input order is re-raised, so any pool size produces
+    bit-for-bit the sequential output provided [f] follows the
+    {!Allocator} domain-safety contract. *)
 
 module Pool : sig
   type t
@@ -56,15 +56,10 @@ module Pool : sig
       Idempotent. *)
 end
 
-val map : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] runs [f x] for every [x], spreading items over
-    [min jobs (length xs)] workers (one of them the calling domain).
-    The effective
-    worker count is additionally capped at
-    [Domain.recommended_domain_count ()]: asking for more domains than
-    the host can run only adds spawn and GC-coordination overhead.
-    [chunk] is the minimum number of consecutive items a worker claims
-    per queue access (default 1); the engine coarsens it so each
-    worker makes at most a handful of queue round-trips, which keeps
-    the shared cursor uncontended on many cheap items while still
-    balancing coarse uneven ones. *)
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] runs [f x] for every [x] on a {!Pool} of
+    [min jobs (length xs)] workers (one of them the calling domain),
+    shut down before [map] returns or raises.  The pool caps the
+    worker count at [Domain.recommended_domain_count ()] and coarsens
+    its claims so each worker makes only a handful of queue
+    round-trips. *)

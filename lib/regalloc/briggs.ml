@@ -1,11 +1,5 @@
 let aggressive = Alloc_common.config ~name:"briggs+aggressive" ()
 
-let conservative =
-  Alloc_common.config ~name:"briggs+conservative"
-    ~coalesce:Alloc_common.Conservative ~biased:true ()
-
-let allocate_aggressive m f = Alloc_common.allocate aggressive m f
-let allocate_conservative m f = Alloc_common.allocate conservative m f
-
 let allocator =
-  Allocator.v ~name:"briggs" ~label:"Briggs +aggressive" allocate_aggressive
+  Allocator.v ~name:"briggs" ~label:"Briggs +aggressive"
+    (Alloc_common.allocate aggressive)

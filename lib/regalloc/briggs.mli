@@ -1,17 +1,9 @@
-(** Briggs' optimistic allocator (paper Fig. 1(b)).
-
-    Two configurations used in the paper's comparisons:
-    - [aggressive]: optimistic coloring with aggressive coalescing (the
-      "Briggs + aggressive" series of Fig. 9, "regarded as the second
-      best" by Park & Moon);
-    - [conservative]: conservative coalescing plus biased coloring, the
-      classic Briggs recipe. *)
+(** Briggs' optimistic allocator (paper Fig. 1(b)) with aggressive
+    coalescing: the "Briggs + aggressive" series of Fig. 9, "regarded
+    as the second best" by Park & Moon. *)
 
 val aggressive : Alloc_common.config
-val conservative : Alloc_common.config
-val allocate_aggressive : Machine.t -> Cfg.func -> Alloc_common.result
-val allocate_conservative : Machine.t -> Cfg.func -> Alloc_common.result
 
 val allocator : Allocator.t
-(** Registry value ("briggs"): the aggressive configuration the
-    paper's figures measure. *)
+(** Registry value ("briggs"): the configuration the paper's figures
+    measure. *)

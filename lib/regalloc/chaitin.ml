@@ -1,5 +1,6 @@
 let config =
   Alloc_common.config ~name:"chaitin+aggressive" ~mode:Simplify.Chaitin ()
 
-let allocate m f = Alloc_common.allocate config m f
-let allocator = Allocator.v ~name:"chaitin" ~label:"chaitin+aggressive" allocate
+let allocator =
+  Allocator.v ~name:"chaitin" ~label:"chaitin+aggressive"
+    (Alloc_common.allocate config)

@@ -2,7 +2,6 @@
     the baseline of the Fig. 9 comparisons. *)
 
 val config : Alloc_common.config
-val allocate : Machine.t -> Cfg.func -> Alloc_common.result
 
 val allocator : Allocator.t
 (** Registry value ("chaitin"). *)

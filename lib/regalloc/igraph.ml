@@ -7,8 +7,8 @@
    - a bitset row ([bits]) giving O(1) membership for [interferes];
    - a growable int vector ([adjv]) for O(degree) neighbor iteration
      with no tree walks;
-   - a cached degree ([deg]), updated incrementally by [add_edge] and
-     [merge] rather than recomputed.
+   - a cached degree ([deg]), updated incrementally by [add_edge_idx]
+     and [merge] rather than recomputed.
 
    Aliases (coalescing) are a union-find over indices with path
    compression. *)
@@ -102,7 +102,6 @@ let create fn cpt =
   grow t (max 16 (Regbits.size cpt));
   t
 
-let func t = t.fn
 let cls t r = Cfg.cls_of t.fn r
 let alias t r = Regbits.reg_at t.cpt (root t (idx t r))
 let is_node t r = t.present.(root t (idx t r))
@@ -136,8 +135,6 @@ let add_edge_idx t a b =
     t.present.(a) <- true;
     t.present.(b) <- true
   end
-
-let add_edge t a b = add_edge_idx t (root t (idx t a)) (root t (idx t b))
 
 let ensure_node t r =
   let i = root t (idx t r) in
@@ -242,14 +239,3 @@ let copy t =
     present = Array.copy t.present;
     cls_code = Array.copy t.cls_code;
   }
-
-let pp ppf t =
-  let nodes = vnodes t |> List.sort Reg.compare in
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%a: {%a}@ " Reg.pp r
-        (Format.pp_print_list ~pp_sep:Fmt.comma Reg.pp)
-        (Reg.Set.elements (adj t r)))
-    nodes;
-  Format.fprintf ppf "@]"

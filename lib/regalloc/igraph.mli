@@ -15,8 +15,8 @@
     Representation: nodes are dense indices of the liveness compact
     numbering ({!Regbits.compact}).  Membership ([interferes]) is a
     bit-matrix test, neighbor iteration walks a per-node adjacency
-    vector, and degrees are cached and updated incrementally by
-    [add_edge] and [merge] — the engineering of production
+    vector, and degrees are cached and updated incrementally as edges
+    are added and nodes merged — the engineering of production
     Chaitin/Briggs allocators. *)
 
 type t
@@ -25,7 +25,6 @@ type move = { instr_id : int; dst : Reg.t; src : Reg.t }
 
 val build : Cfg.func -> Liveness.t -> t
 
-val func : t -> Cfg.func
 val cls : t -> Reg.t -> Reg.cls
 
 val vnodes : t -> Reg.t list
@@ -89,8 +88,6 @@ val moves : t -> move list
 val alias : t -> Reg.t -> Reg.t
 (** Merge representative of a register (itself if never merged). *)
 
-val add_edge : t -> Reg.t -> Reg.t -> unit
-
 val merge : t -> keep:Reg.t -> drop:Reg.t -> unit
 (** Coalesce [drop] into [keep]: union the adjacency, redirect the
     alias.  [drop] must be virtual and must not interfere with [keep].
@@ -98,5 +95,3 @@ val merge : t -> keep:Reg.t -> drop:Reg.t -> unit
 
 val copy : t -> t
 (** Independent snapshot (shares the underlying function). *)
-
-val pp : Format.formatter -> t -> unit

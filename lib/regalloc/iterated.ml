@@ -15,14 +15,12 @@ type move_stage = Worklist_m | Active_m | Coalesced_m | Constrained_m | Frozen_m
 type state = {
   k : int;
   machine : Machine.t;
-  fn : Cfg.func;
+  g : Igraph.t;  (* the round's graph; coalescing merges in place *)
   stage : node_stage Reg.Tbl.t;
-  adj_list : Reg.Set.t ref Reg.Tbl.t;
-  degree : int Reg.Tbl.t;
+  degree : int Reg.Tbl.t;  (* neighbours not yet on the stack *)
   move_list : int list ref Reg.Tbl.t; (* node -> move ids *)
   move_stage : (int, move_stage) Hashtbl.t;
   move_ends : (int, Reg.t * Reg.t) Hashtbl.t;
-  alias : Reg.t Reg.Tbl.t;
   color : Reg.t Reg.Tbl.t;
   mutable simplify_wl : Reg.Set.t;
   mutable freeze_wl : Reg.Set.t;
@@ -39,14 +37,11 @@ let stage_of st r =
 
 let set_stage st r s = Reg.Tbl.replace st.stage r s
 
-let adj_all st r =
-  match Reg.Tbl.find_opt st.adj_list r with Some c -> !c | None -> Reg.Set.empty
-
-(* Adjacent(n) excludes stack and coalesced nodes. *)
+(* Adjacent(n) excludes stack nodes; merged-away nodes are no longer
+   in the graph. *)
 let adjacent st r =
-  Reg.Set.filter
-    (fun n -> match stage_of st n with On_stack | Coalesced -> false | _ -> true)
-    (adj_all st r)
+  Igraph.fold_adj st.g r ~init:Reg.Set.empty ~f:(fun acc n ->
+      if stage_of st n = On_stack then acc else Reg.Set.add n acc)
 
 let degree_of st r =
   if Reg.is_phys r then Igraph.infinite_degree
@@ -62,11 +57,6 @@ let node_moves st r =
     ms
 
 let move_related st r = node_moves st r <> []
-
-let rec get_alias st r =
-  match stage_of st r with
-  | Coalesced -> get_alias st (Reg.Tbl.find st.alias r)
-  | _ -> r
 
 let enable_moves st nodes =
   Reg.Set.iter
@@ -107,27 +97,6 @@ let simplify st =
       set_stage st n On_stack;
       Reg.Set.iter (decrement_degree st) (adjacent st n)
 
-let add_edge st a b =
-  if (not (Reg.equal a b)) && not (Reg.Set.mem b (adj_all st a)) then begin
-    if not (Reg.is_phys a && Reg.is_phys b) then begin
-      let cell r =
-        match Reg.Tbl.find_opt st.adj_list r with
-        | Some c -> c
-        | None ->
-            let c = ref Reg.Set.empty in
-            Reg.Tbl.replace st.adj_list r c;
-            c
-      in
-      let ca = cell a and cb = cell b in
-      ca := Reg.Set.add b !ca;
-      cb := Reg.Set.add a !cb;
-      if Reg.is_virtual a then
-        Reg.Tbl.replace st.degree a (degree_of st a + 1);
-      if Reg.is_virtual b then
-        Reg.Tbl.replace st.degree b (degree_of st b + 1)
-    end
-  end
-
 let add_work_list st u =
   if
     Reg.is_virtual u
@@ -141,7 +110,7 @@ let add_work_list st u =
   end
 
 let ok st t r =
-  degree_of st t < st.k || Reg.is_phys t || Reg.Set.mem r (adj_all st t)
+  degree_of st t < st.k || Reg.is_phys t || Igraph.interferes st.g t r
 
 let conservative st nodes =
   let significant =
@@ -155,17 +124,27 @@ let combine st u v =
   | Spill_wl -> st.spill_wl <- Reg.Set.remove v st.spill_wl
   | _ -> ());
   set_stage st v Coalesced;
-  Reg.Tbl.replace st.alias v u;
   (match (Reg.Tbl.find_opt st.move_list u, Reg.Tbl.find_opt st.move_list v) with
   | Some cu, Some cv -> cu := !cv @ !cu
   | None, Some cv -> Reg.Tbl.replace st.move_list u (ref !cv)
   | _, None -> ());
   enable_moves st (Reg.Set.singleton v);
+  (* Each of [v]'s neighbours not yet adjacent to [u] gains an edge
+     (precolored pairs never interfere), then loses the one to [v]. *)
+  let nbrs = adjacent st v in
+  let bump r =
+    if Reg.is_virtual r then Reg.Tbl.replace st.degree r (degree_of st r + 1)
+  in
   Reg.Set.iter
     (fun t ->
-      add_edge st t u;
-      decrement_degree st t)
-    (adjacent st v);
+      if not (Igraph.interferes st.g t u || (Reg.is_phys t && Reg.is_phys u))
+      then begin
+        bump t;
+        bump u
+      end)
+    nbrs;
+  Igraph.merge st.g ~keep:u ~drop:v;
+  Reg.Set.iter (decrement_degree st) nbrs;
   if degree_of st u >= st.k && stage_of st u = Freeze_wl then begin
     st.freeze_wl <- Reg.Set.remove u st.freeze_wl;
     st.spill_wl <- Reg.Set.add u st.spill_wl;
@@ -178,13 +157,13 @@ let coalesce st =
   | id :: rest ->
       st.worklist_moves <- rest;
       let x0, y0 = Hashtbl.find st.move_ends id in
-      let x = get_alias st x0 and y = get_alias st y0 in
+      let x = Igraph.alias st.g x0 and y = Igraph.alias st.g y0 in
       let u, v = if Reg.is_phys y then (y, x) else (x, y) in
       if Reg.equal u v then begin
         Hashtbl.replace st.move_stage id Coalesced_m;
         add_work_list st u
       end
-      else if Reg.is_phys v || Reg.Set.mem v (adj_all st u) then begin
+      else if Reg.is_phys v || Igraph.interferes st.g u v then begin
         Hashtbl.replace st.move_stage id Constrained_m;
         add_work_list st u;
         add_work_list st v
@@ -204,10 +183,8 @@ let freeze_moves st u =
   List.iter
     (fun id ->
       let x, y = Hashtbl.find st.move_ends id in
-      let v =
-        if Reg.equal (get_alias st y) (get_alias st u) then get_alias st x
-        else get_alias st y
-      in
+      let x = Igraph.alias st.g x and y = Igraph.alias st.g y in
+      let v = if Reg.equal y (Igraph.alias st.g u) then x else y in
       Hashtbl.replace st.move_stage id Frozen_m;
       if
         Reg.is_virtual v
@@ -250,16 +227,13 @@ let assign_colors st =
   List.iter
     (fun n ->
       let forbidden =
-        Reg.Set.fold
-          (fun w acc ->
-            let w = get_alias st w in
+        Igraph.fold_adj st.g n ~init:Reg.Set.empty ~f:(fun acc w ->
             match stage_of st w with
             | Precolored -> Reg.Set.add w acc
             | Colored -> Reg.Set.add (Reg.Tbl.find st.color w) acc
             | _ -> acc)
-          (adj_all st n) Reg.Set.empty
       in
-      let cls = Cfg.cls_of st.fn n in
+      let cls = Igraph.cls st.g n in
       let free =
         List.filter
           (fun c -> not (Reg.Set.mem c forbidden))
@@ -271,10 +245,9 @@ let assign_colors st =
         List.filter_map
           (fun id ->
             let x, y = Hashtbl.find st.move_ends id in
+            let x = Igraph.alias st.g x and y = Igraph.alias st.g y in
             let p =
-              if Reg.equal (get_alias st x) n then get_alias st y
-              else if Reg.equal (get_alias st y) n then get_alias st x
-              else n
+              if Reg.equal x n then y else if Reg.equal y n then x else n
             in
             if Reg.equal p n then None
             else
@@ -305,7 +278,7 @@ let assign_colors st =
   Reg.Tbl.iter
     (fun n s ->
       if s = Coalesced then
-        let a = get_alias st n in
+        let a = Igraph.alias st.g n in
         match stage_of st a with
         | Precolored -> Reg.Tbl.replace st.color n a
         | Colored -> Reg.Tbl.replace st.color n (Reg.Tbl.find st.color a)
@@ -313,21 +286,18 @@ let assign_colors st =
     (Reg.Tbl.copy st.stage)
 
 let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
-  let fn = a.Alloc_common.fn in
   let g = a.Alloc_common.graph in
   let costs = a.Alloc_common.costs in
   let st =
     {
       k = m.Machine.k;
       machine = m;
-      fn;
+      g;
       stage = Reg.Tbl.create 128;
-      adj_list = Reg.Tbl.create 128;
       degree = Reg.Tbl.create 128;
       move_list = Reg.Tbl.create 64;
       move_stage = Hashtbl.create 64;
       move_ends = Hashtbl.create 64;
-      alias = Reg.Tbl.create 16;
       color = Reg.Tbl.create 128;
       simplify_wl = Reg.Set.empty;
       freeze_wl = Reg.Set.empty;
@@ -339,34 +309,8 @@ let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
       temps;
     }
   in
-  (* Import the interference graph. *)
-  let nodes = ref Reg.Set.empty in
-  List.iter
-    (fun r ->
-      nodes := Reg.Set.add r !nodes;
-      let adj = Igraph.adj g r in
-      Reg.Tbl.replace st.adj_list r (ref adj);
-      Reg.Tbl.replace st.degree r (Reg.Set.cardinal adj))
-    (Igraph.vnodes g);
-  (* Physical nodes need adjacency too (for the George test). *)
-  Reg.Set.iter
-    (fun r ->
-      Reg.Set.iter
-        (fun n ->
-          if Reg.is_phys n && not (Reg.Tbl.mem st.adj_list n) then
-            Reg.Tbl.replace st.adj_list n (ref Reg.Set.empty))
-        (adj_all st r))
-    !nodes;
-  Reg.Set.iter
-    (fun r ->
-      Reg.Set.iter
-        (fun n ->
-          if Reg.is_phys n then begin
-            let c = Reg.Tbl.find st.adj_list n in
-            c := Reg.Set.add r !c
-          end)
-        (adj_all st r))
-    !nodes;
+  let nodes = Reg.Set.of_list (Igraph.vnodes g) in
+  Reg.Set.iter (fun r -> Reg.Tbl.replace st.degree r (Igraph.degree g r)) nodes;
   List.iter
     (fun mv ->
       let id = mv.Igraph.instr_id in
@@ -405,7 +349,7 @@ let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
         st.simplify_wl <- Reg.Set.add n st.simplify_wl;
         set_stage st n Simplify_wl
       end)
-    !nodes;
+    nodes;
   let continue () =
     (not (Reg.Set.is_empty st.simplify_wl))
     || st.worklist_moves <> []

@@ -10,7 +10,6 @@
     last.  Optimistic node removal and biased color assignment give
     frozen and potential-spill nodes their chance. *)
 
-val name : string
 val allocate : Machine.t -> Cfg.func -> Alloc_common.result
 
 val allocator : Allocator.t

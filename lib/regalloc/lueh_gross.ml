@@ -1,8 +1,6 @@
 let name = "aggressive+volatility"
 
-type benefits = { volatile_benefit : int; nonvolatile_benefit : int }
-
-let no_benefit = { volatile_benefit = 0; nonvolatile_benefit = 0 }
+let no_benefit = { Strength.vol = 0; nonvol = 0 }
 
 (* Removable nodes, ordered by (priority, rank). *)
 module Ready = Set.Make (struct
@@ -13,86 +11,33 @@ module Ready = Set.Make (struct
     if c <> 0 then c else Int.compare r1 r2
 end)
 
-(* Frequency-weighted number of calls each register is live across. *)
-let weighted_crossings (fn : Cfg.func) live ~loops =
-  let crossings = Reg.Tbl.create 64 in
-  List.iter
-    (fun (b : Cfg.block) ->
-      let freq = Loops.frequency loops b.Cfg.label in
-      ignore
-        (Liveness.fold_block_backward live b ~init:()
-           ~f:(fun () ~live_out i ->
-             match i.Instr.kind with
-             | Instr.Call { dst; _ } ->
-                 let across =
-                   match dst with
-                   | Some d -> Reg.Set.remove d live_out
-                   | None -> live_out
-                 in
-                 Reg.Set.iter
-                   (fun r ->
-                     if Reg.is_virtual r then begin
-                       let cur =
-                         try Reg.Tbl.find crossings r with Not_found -> 0
-                       in
-                       Reg.Tbl.replace crossings r (cur + freq)
-                     end)
-                   across
-             | _ -> ())))
-    fn.Cfg.blocks;
-  crossings
-
-let benefits_of fn live ~costs ~loops =
-  let crossings = weighted_crossings fn live ~loops in
-  let tbl = Reg.Tbl.create 64 in
-  Reg.Set.iter
-    (fun r ->
-      let spill = Spill_cost.spill_cost costs r in
-      let crossed = try Reg.Tbl.find crossings r with Not_found -> 0 in
-      Reg.Tbl.replace tbl r
-        {
-          volatile_benefit = spill - (Costs.save_restore * crossed);
-          nonvolatile_benefit = spill - Costs.callee_save;
-        })
-    (Cfg.all_vregs fn);
-  tbl
-
-let compute_benefits (_m : Machine.t) (fn : Cfg.func) =
-  let loops = Loops.compute fn in
-  benefits_of fn (Liveness.compute fn)
-    ~costs:(Spill_cost.compute ~loops fn)
-    ~loops
-
 let allocate (m : Machine.t) f0 =
   let color (a : Alloc_common.analysis) ~temps =
     let fn = a.Alloc_common.fn and live = a.Alloc_common.live in
     let g = a.Alloc_common.graph in
     ignore (Coalesce.aggressive g);
     let costs = a.Alloc_common.costs in
-    let benefits = benefits_of fn live ~costs ~loops:a.Alloc_common.loops in
-    (* Benefits of a merge representative: sum over its members, in one
-       pass over the table. *)
+    (* Benefits of a merge representative: the Appendix's volatility
+       weights ({!Strength.volatility}) summed over its members. *)
     let group_benefit =
+      let str = Strength.of_analysis a in
       let sums = Reg.Tbl.create 64 in
-      Reg.Tbl.iter
-        (fun r br ->
+      Reg.Set.iter
+        (fun r ->
+          let w = Strength.volatility str r in
           let rep = Igraph.alias g r in
           let acc =
             Option.value (Reg.Tbl.find_opt sums rep) ~default:no_benefit
           in
           Reg.Tbl.replace sums rep
             {
-              volatile_benefit = acc.volatile_benefit + br.volatile_benefit;
-              nonvolatile_benefit =
-                acc.nonvolatile_benefit + br.nonvolatile_benefit;
+              Strength.vol = acc.Strength.vol + w.Strength.vol;
+              nonvol = acc.Strength.nonvol + w.Strength.nonvol;
             })
-        benefits;
+        (Cfg.all_vregs fn);
       fun rep -> Option.value (Reg.Tbl.find_opt sums rep) ~default:no_benefit
     in
-    let priority rep =
-      let b = group_benefit rep in
-      max b.volatile_benefit b.nonvolatile_benefit
-    in
+    let priority rep = Strength.best (group_benefit rep) in
     (* Preference decision: per call site and class, only the R most
        beneficial crossing ranges keep the non-volatile preference. *)
     let forced_volatile = Reg.Tbl.create 16 in
@@ -118,9 +63,8 @@ let allocate (m : Machine.t) f0 =
                        let ranked =
                          List.filter (fun r -> Igraph.cls g r = cls) across
                          |> List.sort (fun a b ->
-                                compare
-                                  (group_benefit b).nonvolatile_benefit
-                                  (group_benefit a).nonvolatile_benefit)
+                                compare (group_benefit b).Strength.nonvol
+                                  (group_benefit a).Strength.nonvol)
                        in
                        List.iteri
                          (fun idx r ->
@@ -238,7 +182,7 @@ let allocate (m : Machine.t) f0 =
           in
           let b = group_benefit rep in
           let wants_nonvol =
-            b.nonvolatile_benefit > b.volatile_benefit
+            b.Strength.nonvol > b.Strength.vol
             && not (Reg.Tbl.mem forced_volatile rep)
           in
           let ordered =
@@ -246,7 +190,7 @@ let allocate (m : Machine.t) f0 =
             else free_vol @ free_nonvol
           in
           let prefers_memory =
-            b.volatile_benefit <= 0 && b.nonvolatile_benefit <= 0
+            b.Strength.vol <= 0 && b.Strength.nonvol <= 0
             && not (no_spill rep)
           in
           if prefers_memory then

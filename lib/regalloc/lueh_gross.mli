@@ -4,7 +4,9 @@
     Chaitin-style coloring with aggressive coalescing, plus:
     - two benefit functions per live range, for residing in a volatile
       register (pays caller save/restore per crossed call) and in a
-      non-volatile register (pays an amortized callee save);
+      non-volatile register (pays an amortized callee save): the
+      Appendix's {!Strength.volatility} pair, summed over the members
+      of each coalesced range;
     - benefit-driven simplification: lowest-priority nodes are pushed
       first so that important nodes are colored early;
     - the preference decision: per call site, only the [R] most
@@ -13,17 +15,7 @@
     - a select phase that chooses volatile / non-volatile / memory by
       benefit, actively spilling ranges that prefer memory. *)
 
-val name : string
 val allocate : Machine.t -> Cfg.func -> Alloc_common.result
-
-type benefits = {
-  volatile_benefit : int;
-      (** Spill_Cost - caller save/restore over crossed calls *)
-  nonvolatile_benefit : int;  (** Spill_Cost - callee save *)
-}
-
-val compute_benefits : Machine.t -> Cfg.func -> benefits Reg.Tbl.t
-(** Exposed for tests and for the harness's diagnostics. *)
 
 val allocator : Allocator.t
 (** Registry value for this allocator. *)

@@ -1,10 +1,5 @@
 let name = "optimistic"
 
-(* One select work item: a set of webs that would like to share one
-   register.  [forced] is the color imposed when the group was
-   coalesced into a precolored node. *)
-type group = { members : Reg.t list; forced : Reg.t option }
-
 let allocate (m : Machine.t) f0 =
   let k_regs cls = Machine.all m cls in
   let color (a : Alloc_common.analysis) ~temps =
@@ -48,20 +43,18 @@ let allocate (m : Machine.t) f0 =
         if Reg.is_phys rep then
           List.iter (fun w -> Reg.Tbl.replace colors w rep) members)
       groups;
+    (* Select work items: the member webs of a group that would like to
+       share one register. *)
     let work = Queue.create () in
     List.iter
       (fun rep ->
         if Reg.is_virtual rep then
           Queue.add
-            {
-              members = (try Reg.Tbl.find groups rep with Not_found -> [ rep ]);
-              forced = None;
-            }
+            (try Reg.Tbl.find groups rep with Not_found -> [ rep ])
             work)
       simp.Simplify.stack;
     while not (Queue.is_empty work) do
-      let grp = Queue.pop work in
-      let members = grp.members in
+      let members = Queue.pop work in
       let forbidden =
         List.fold_left
           (fun acc w -> Reg.Set.union acc (forbidden_of w))
@@ -74,11 +67,6 @@ let allocate (m : Machine.t) f0 =
       in
       let free =
         List.filter (fun c -> not (Reg.Set.mem c forbidden)) (k_regs cls)
-      in
-      let free =
-        match grp.forced with
-        | Some c -> List.filter (Reg.equal c) free
-        | None -> free
       in
       let vols, nonvols = List.partition (Machine.is_volatile m) free in
       match nonvols @ vols with
@@ -115,7 +103,7 @@ let allocate (m : Machine.t) f0 =
               List.iter
                 (fun w ->
                   if not (List.exists (Reg.equal w) ws) then
-                    Queue.add { members = [ w ]; forced = None } work)
+                    Queue.add [ w ] work)
                 members)
     done;
     if Reg.Set.is_empty !spilled then

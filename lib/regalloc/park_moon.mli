@@ -9,7 +9,6 @@
     stack and colored individually later, spilling only those that
     still fail. *)
 
-val name : string
 val allocate : Machine.t -> Cfg.func -> Alloc_common.result
 
 val allocator : Allocator.t

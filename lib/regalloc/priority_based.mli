@@ -13,7 +13,6 @@
     spill-everywhere code, which slightly disadvantages it on programs
     with long sparse ranges; see DESIGN.md. *)
 
-val name : string
 val allocate : Machine.t -> Cfg.func -> Alloc_common.result
 
 val allocator : Allocator.t

@@ -159,17 +159,15 @@ let test_lueh_gross_benefits () =
       (fun w o acc -> if Reg.equal o orig then w else acc)
       webs.Webs.origin orig
   in
-  let benefits = Lueh_gross.compute_benefits (Machine.make ~k:8 ()) fn' in
-  let v4 = web_of regs.Fig7.v4 in
-  let b = Reg.Tbl.find benefits v4 in
+  let str = Strength.create fn' in
+  let b = Strength.volatility str (web_of regs.Fig7.v4) in
   (* v4 crosses the call at frequency 10: volatile benefit
      spill(30) - 3*10 = 0; non-volatile benefit 30 - 2 = 28. *)
-  check Alcotest.int "volatile benefit" 0 b.Lueh_gross.volatile_benefit;
-  check Alcotest.int "non-volatile benefit" 28 b.Lueh_gross.nonvolatile_benefit;
-  let v1 = web_of regs.Fig7.v1 in
-  let b1 = Reg.Tbl.find benefits v1 in
+  check Alcotest.int "volatile benefit" 0 b.Strength.vol;
+  check Alcotest.int "non-volatile benefit" 28 b.Strength.nonvol;
+  let b1 = Strength.volatility str (web_of regs.Fig7.v1) in
   check Alcotest.bool "non-crosser prefers volatile" true
-    (b1.Lueh_gross.volatile_benefit > b1.Lueh_gross.nonvolatile_benefit)
+    (b1.Strength.vol > b1.Strength.nonvol)
 
 let test_lueh_gross_puts_crossers_in_nonvolatile () =
   let m = Machine.make ~k:8 () in

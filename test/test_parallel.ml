@@ -20,10 +20,35 @@ let test_engine_map_order () =
     Alcotest.(list int)
     "Engine.map preserves input order at any jobs"
     (Engine.map ~jobs:1 f xs)
-    (Engine.map ~jobs:4 ~chunk:3 f xs)
+    (Engine.map ~jobs:4 f xs)
 
 let test_engine_map_empty () =
   check Alcotest.(list int) "empty input" [] (Engine.map ~jobs:4 Fun.id [])
+
+(* One persistent pool across batches, the daemon's usage: a batch that
+   raises must surface the input-order first failure and leave the pool
+   able to run the next batch. *)
+let test_pool_batches () =
+  let pool = Engine.Pool.create ~jobs:4 in
+  let xs = List.init 41 (fun i -> i) in
+  let sq x = x * x in
+  check
+    Alcotest.(list int)
+    "first batch in input order" (List.map sq xs) (Engine.Pool.map pool sq xs);
+  let failing x =
+    if x = 7 || x = 23 || x = 40 then failwith (string_of_int x) else sq x
+  in
+  (match Engine.Pool.map pool failing xs with
+  | _ -> Alcotest.fail "failing batch did not fail"
+  | exception Failure msg ->
+      check Alcotest.string "first failure in input order" "7" msg);
+  check
+    Alcotest.(list int)
+    "batch after a failure" (List.map succ xs)
+    (Engine.Pool.map pool succ xs);
+  Engine.Pool.shutdown pool;
+  (* Already shut down: must return without joining anything again. *)
+  Engine.Pool.shutdown pool
 
 (* An allocator that gives up must give up identically in parallel, so
    the comparison is over outcomes, not just successful allocations. *)
@@ -81,6 +106,7 @@ let () =
         [
           tc "map preserves order" test_engine_map_order;
           tc "map on empty input" test_engine_map_empty;
+          tc "pool survives a failing batch" test_pool_batches;
           tc "first failure is input-ordered" test_failure_order;
         ] );
       ( "determinism",

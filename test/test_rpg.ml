@@ -91,9 +91,9 @@ let test_pairs_listed () =
   | l -> Alcotest.failf "expected one pair, got %d" (List.length l)
 
 let test_prefs_sorted () =
-  let rpg, str, regs = fig7_rpg () in
+  let rpg, _, regs = fig7_rpg () in
   let ps = Rpg.prefs rpg regs.Fig7.v3 in
-  let strengths = List.map (Rpg.strength str) ps in
+  let strengths = List.map Rpg.strength ps in
   check Alcotest.bool "descending" true
     (List.sort (fun a b -> compare b a) strengths = strengths)
 
