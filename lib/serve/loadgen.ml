@@ -210,6 +210,26 @@ let mini_src =
   "fn fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); } \
    fn main() { return fib(10); }"
 
+(* Send [payloads] as consecutive frames in one [write] on a fresh
+   connection, then read one reply per frame. *)
+let exchange_raw ~socket payloads =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let buf = Buffer.create 1024 in
+      List.iter
+        (fun p ->
+          Buffer.add_int32_le buf (Int32.of_int (String.length p));
+          Buffer.add_string buf p)
+        payloads;
+      let frames = Buffer.to_bytes buf in
+      ignore (Unix.write fd frames 0 (Bytes.length frames));
+      List.map
+        (fun _ -> Protocol.decode_response (Protocol.read_frame fd))
+        payloads)
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -295,12 +315,72 @@ let selftest ?exe () =
         let* one = replay_blobs ~socket:sock1 ~machine ~algo:algo_name progs in
         check "jobs=1 matches jobs=4" (one = expected))
   in
+  (* the request-bytes index: a repeated request is answered, and
+     counted, exactly as decoding it again would be *)
+  let encode program =
+    Protocol.encode_request
+      (Protocol.Alloc { machine; algo = algo_name; program })
+  in
+  let req_a, req_b =
+    match programs ~seed:7 ~funcs_per_program:1 ~n_funcs:2 with
+    | a :: b :: _ -> (encode (Protocol.Binary a), encode (Protocol.Binary b))
+    | _ -> assert false
+  in
+  let req_3 = encode (Protocol.Binary (List.hd progs)) in
+  let req_text = encode (Protocol.Text mini_src) in
+  let with_client ?cache_capacity tag f =
+    let sock = temp_socket tag in
+    with_daemon ?exe ~jobs:1 ?cache_capacity ~socket:sock (fun () ->
+        let c = Client.connect_retry sock in
+        let r = f sock c in
+        Client.close c;
+        r)
+  in
+  let* () =
+    with_client "index" (fun sock c ->
+        let* s0 = Client.stats c in
+        let* a1 = Client.alloc_encoded c req_a in
+        let* a2 = Client.alloc_encoded c req_a in
+        let* a3 = Client.alloc_encoded c req_a in
+        let* s1 = Client.stats c in
+        let* () = check "repeated request byte-identical" (a2 = a1 && a3 = a1) in
+        let delta f = f s1 - f s0 in
+        let* () =
+          check "repeated request counted as if decoded"
+            (delta (fun s -> s.Protocol.cache.Cache.hits) = 2
+            && delta (fun s -> s.Protocol.cache.Cache.misses) = 1
+            && delta (fun s -> s.Protocol.funcs_allocated) = 1)
+        in
+        let twice name req =
+          let* x = Client.alloc_encoded c req in
+          let* y = Client.alloc_encoded c req in
+          check name (List.length x > 0 && y = x)
+        in
+        let* () = twice "repeated 3-function request byte-identical" req_3 in
+        let* () = twice "repeated text request byte-identical" req_text in
+        (* a decode error is answered after the good frame before it *)
+        match exchange_raw ~socket:sock [ req_a; "\001garbage" ] with
+        | [ Protocol.Funcs blobs; Protocol.Error_reply _ ] ->
+            check "pipelined reply matches" (blobs = a1)
+        | _ -> Error "serve selftest: pipelined replies out of frame order")
+  in
+  (* once A's function is evicted, A is decoded and allocated again *)
+  let evicted ~cache_capacity between ~misses =
+    with_client ~cache_capacity "evict" (fun _ c ->
+        let* a1 = Client.alloc_encoded c req_a in
+        let* _ = Client.alloc_encoded c between in
+        let* a2 = Client.alloc_encoded c req_a in
+        let* st = Client.stats c in
+        check
+          (Printf.sprintf "capacity %d: evicted request answered again"
+             cache_capacity)
+          (a2 = a1 && st.Protocol.cache.Cache.misses = misses))
+  in
+  let* () = evicted ~cache_capacity:1 req_b ~misses:3 in
+  (* the index still maps A to its evicted key: a stale entry *)
+  let* () = evicted ~cache_capacity:2 req_3 ~misses:5 in
   (* shutdown is acknowledged *)
-  let sock0 = temp_socket "down" in
-  with_daemon ?exe ~jobs:1 ~socket:sock0 (fun () ->
-      let c = Client.connect_retry sock0 in
-      let r = Client.shutdown c in
-      Client.close c;
-      match r with
+  with_client "down" (fun _ c ->
+      match Client.shutdown c with
       | Ok () -> Ok ()
       | Error m -> Error ("serve selftest: shutdown: " ^ m))

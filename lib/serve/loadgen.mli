@@ -79,5 +79,8 @@ val selftest : ?exe:string -> unit -> (unit, string) result
     wire formats; a warm replay is byte-identical to the cold one and
     is served from the cache; [jobs=1] and [jobs=4] daemons agree;
     unknown allocators and malformed programs get error replies naming
-    the problem; shutdown is acknowledged.  [Error] names the first
-    failed check. *)
+    the problem; a repeated request (binary, 3-function, text) gets
+    byte-identical replies and the stats counters a decode would give,
+    also after its function was evicted; a good frame and a malformed
+    one sent in one write are answered in frame order; shutdown is
+    acknowledged.  [Error] names the first failed check. *)

@@ -238,10 +238,10 @@ let rec write_all fd bytes off len =
 let write_frame fd payload =
   let len = String.length payload in
   if len > max_frame then fail "frame too large (%d bytes)" len;
-  let header = Bytes.create 4 in
-  Bytes.set_int32_le header 0 (Int32.of_int len);
-  write_all fd header 0 4;
-  write_all fd (Bytes.of_string payload) 0 len
+  let frame = Bytes.create (4 + len) in
+  Bytes.set_int32_le frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  write_all fd frame 0 (4 + len)
 
 let read_exactly fd n =
   let bytes = Bytes.create n in

@@ -2,7 +2,9 @@
    connections, then dispatches the round's allocation work as one
    Engine.Pool batch — requests that arrive together share worker
    domains.  Responses are written blocking; the daemon's only
-   long-running work happens inside the pool batch. *)
+   long-running work happens inside the pool batch.  A request whose
+   exact bytes were answered before skips decode and digest: an index
+   keyed on the payload's MD5 yields its function cache keys. *)
 
 type config = { socket_path : string; jobs : int; cache_capacity : int }
 
@@ -24,12 +26,20 @@ type job = {
 type slot = Hit of string | Miss of string  (* cached blob | job key *)
 
 type pending =
-  | Alloc_pending of conn * slot list
+  | Alloc_pending of {
+      conn : conn;
+      digest : string;  (* of the request payload *)
+      keys : string array;  (* function cache keys, in function order *)
+      slots : slot list;
+    }
   | Direct of conn * Protocol.response  (* stats, shutdown, errors *)
 
 type t = {
   pool : Engine.Pool.t;
   cache : string Cache.t;
+  by_bytes : string array Cache.t;
+      (* payload digest -> the keys it decoded to; its own hit/miss
+         counters are never reported *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable funcs_served : int;
   mutable funcs_allocated : int;
@@ -88,7 +98,7 @@ let send t conn response =
 (* Phase A: decode each request into per-function slots, consulting the
    cache (hits and misses are counted here) and deduplicating misses
    into the batch's job list. *)
-let stage t conn (req : Protocol.request) jobs job_index =
+let stage_request t conn digest (req : Protocol.request) jobs job_index =
   match req with
   | Protocol.Stats -> Direct (conn, Protocol.Stats_reply (server_stats t))
   | Protocol.Shutdown ->
@@ -117,10 +127,10 @@ let stage t conn (req : Protocol.request) jobs job_index =
           with
           | Error msg -> Direct (conn, Protocol.Error_reply msg)
           | Ok funcs ->
+              let keys = List.map (cache_key machine algo) funcs in
               let slots =
-                List.map
-                  (fun f ->
-                    let key = cache_key machine algo f in
+                List.map2
+                  (fun key f ->
                     match Cache.find t.cache key with
                     | Some blob -> Hit blob
                     | None ->
@@ -129,16 +139,36 @@ let stage t conn (req : Protocol.request) jobs job_index =
                           jobs := { key; machine; algo = a; func = f } :: !jobs
                         end;
                         Miss key)
-                  funcs
+                  keys funcs
               in
-              Alloc_pending (conn, slots)))
+              Alloc_pending { conn; digest; keys = Array.of_list keys; slots }))
+
+(* A payload answered before is served from [by_bytes] when every key
+   it decoded to is still cached: the same counted finds, in the same
+   order, that decoding it again would make.  Otherwise (a stale entry
+   included) it is decoded. *)
+let stage t conn payload jobs job_index =
+  let digest = Digest.string payload in
+  match Cache.find t.by_bytes digest with
+  | Some keys when Array.for_all (Cache.mem t.cache) keys ->
+      let slots =
+        Array.fold_right
+          (fun key acc -> Hit (Option.get (Cache.find t.cache key)) :: acc)
+          keys []
+      in
+      Alloc_pending { conn; digest; keys; slots }
+  | _ -> (
+      match Protocol.decode_request payload with
+      | req -> stage_request t conn digest req jobs job_index
+      | exception (Protocol.Error msg | Codec.Error msg) ->
+          Direct (conn, Protocol.Error_reply msg))
 
 (* Phase B + C: run the deduplicated jobs as one pool batch, feed the
    cache, then answer every request in arrival order. *)
 let process_batch t reqs =
   let jobs = ref [] and job_index = Hashtbl.create 16 in
   let staged =
-    List.map (fun (conn, req) -> stage t conn req jobs job_index) reqs
+    List.map (fun (conn, payload) -> stage t conn payload jobs job_index) reqs
   in
   let results = Hashtbl.create 16 in
   (match List.rev !jobs with
@@ -156,7 +186,7 @@ let process_batch t reqs =
     (fun pending ->
       match pending with
       | Direct (conn, response) -> send t conn response
-      | Alloc_pending (conn, slots) ->
+      | Alloc_pending { conn; digest; keys; slots } ->
           let response =
             try
               let blobs =
@@ -171,6 +201,7 @@ let process_batch t reqs =
                   slots
               in
               t.funcs_served <- t.funcs_served + List.length blobs;
+              Cache.add t.by_bytes digest keys;
               Protocol.Funcs blobs
             with Failure msg -> Protocol.Error_reply msg
           in
@@ -180,8 +211,9 @@ let process_batch t reqs =
 (* ---- frame extraction -------------------------------------------------- *)
 
 (* Pull every complete frame out of a connection's pending buffer.
-   Returns the decoded requests in arrival order; a bad length prefix
-   poisons the stream, so the connection is closed. *)
+   Queues the payloads, undecoded, in arrival order, so every reply —
+   a decode error's included — goes out in frame order; a bad length
+   prefix poisons the stream, so the connection is closed. *)
 let drain_frames t conn out =
   let data = Buffer.contents conn.pending in
   let len = String.length data in
@@ -197,12 +229,8 @@ let drain_frames t conn out =
       alive := false
     end
     else if len - !off - 4 >= frame_len then begin
-      let payload = String.sub data (!off + 4) frame_len in
-      off := !off + 4 + frame_len;
-      match Protocol.decode_request payload with
-      | req -> out := (conn, req) :: !out
-      | exception (Protocol.Error msg | Codec.Error msg) ->
-          send t conn (Protocol.Error_reply msg)
+      out := (conn, String.sub data (!off + 4) frame_len) :: !out;
+      off := !off + 4 + frame_len
     end
     else alive := false
   done;
@@ -234,6 +262,7 @@ let run ?(on_ready = fun () -> ()) cfg =
     {
       pool = Engine.Pool.create ~jobs:(max 1 cfg.jobs);
       cache = Cache.create ~capacity:cfg.cache_capacity;
+      by_bytes = Cache.create ~capacity:cfg.cache_capacity;
       conns = Hashtbl.create 16;
       funcs_served = 0;
       funcs_allocated = 0;

@@ -10,6 +10,13 @@
     (body digest, function name, machine config, allocator name); the
     cached unit is the encoded {!Protocol.func_reply} blob, which makes
     cached and uncached responses byte-identical by construction.
+    In front of decode sits a second LRU of the same capacity, keyed
+    on the MD5 of the raw request payload and holding the cache keys
+    that payload decoded to: a repeated request whose functions are
+    all still cached is served without decoding, with the same
+    counted lookups (so the same stats) and the same reply bytes.
+    Replies on one connection go out in frame order, error replies
+    included.
 
     Error handling: a malformed payload, an unknown allocator or an
     allocation failure is answered with [Error_reply] on the same
