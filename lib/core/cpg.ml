@@ -321,7 +321,9 @@ let pp ppf t =
       | [] -> ()
       | ss ->
           Format.fprintf ppf "%a -> {%a}@ " Reg.pp r
-            (Format.pp_print_list ~pp_sep:Fmt.comma Reg.pp)
+            (Format.pp_print_list
+               ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+               Reg.pp)
             ss)
     t.all;
   Format.fprintf ppf "@]"

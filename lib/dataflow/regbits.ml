@@ -180,6 +180,17 @@ module Set = struct
       bits := !bits lxor lsb
     done
 
+  let min_elt s =
+    let n = Array.length s.words in
+    let rec go w =
+      if w >= n then raise Not_found
+      else
+        let bits = s.words.(w) in
+        if bits = 0 then go (w + 1)
+        else (w * bits_per_word) + bit_index (bits land -bits)
+    in
+    go 0
+
   let iter s f =
     for w = 0 to Array.length s.words - 1 do
       let bits = s.words.(w) in

@@ -85,6 +85,10 @@ module Set : sig
   val union : t -> t -> t
   (** Fresh set; arguments untouched. *)
 
+  val min_elt : t -> int
+  (** The smallest member, found by one bit scan of the first non-empty
+      word.  @raise Not_found if the set is empty. *)
+
   val iter : t -> (int -> unit) -> unit
   (** Ascending index order. *)
 

@@ -204,7 +204,11 @@ let pp_kind ppf kind =
       pr "[%a + %d] = %a" Reg.pp base offset Reg.pp src
   | Limited { dst; src } -> pr "%a = limited %a" Reg.pp dst Reg.pp src
   | Call { dst; callee; args } ->
-      let pp_args = Format.pp_print_list ~pp_sep:Fmt.comma Reg.pp in
+      let pp_args =
+        Format.pp_print_list
+          ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+          Reg.pp
+      in
       (match dst with
       | Some d -> pr "%a = call %s(%a)" Reg.pp d callee pp_args args
       | None -> pr "call %s(%a)" callee pp_args args)
@@ -219,7 +223,9 @@ let pp_kind ppf kind =
   | Phi { dst; srcs } ->
       let pp_src ppf (l, r) = Format.fprintf ppf "L%d: %a" l Reg.pp r in
       pr "%a = phi [%a]" Reg.pp dst
-        (Format.pp_print_list ~pp_sep:Fmt.semi pp_src)
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
+           pp_src)
         srcs
 
 let pp ppf { id; kind } = Format.fprintf ppf "i%d: %a" id pp_kind kind

@@ -60,7 +60,9 @@ let rec pp_expr ppf = function
   | Neg e -> Format.fprintf ppf "-%a" pp_expr e
   | Call (f, args) ->
       Format.fprintf ppf "%s(%a)" f
-        (Format.pp_print_list ~pp_sep:Fmt.comma pp_expr)
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+           pp_expr)
         args
   | Mem e -> Format.fprintf ppf "mem[%a]" pp_expr e
 

@@ -20,36 +20,43 @@ let aggressive g =
     (Igraph.moves g);
   !merges
 
-(* Count distinct significant neighbors of the union with a scratch
-   bitset instead of materializing a [Reg.Set]. *)
-let briggs_ok ~k g a b =
-  let ia = Igraph.index_of g a and ib = Igraph.index_of g b in
+(* Both tests take root indices and the degree to judge significance
+   by: the graph's own for [conservative], iterated coalescing's
+   current degree for its worklists.  Briggs counts the union's distinct
+   significant neighbours with a scratch bitset instead of
+   materializing a [Reg.Set]. *)
+let briggs_ok ~k ~degree g a b =
   let seen = Regbits.Set.create (Regbits.size (Igraph.compact g)) in
   let count = ref 0 in
   let add n =
-    if Igraph.degree_idx g n >= k && not (Regbits.Set.mem seen n) then begin
+    if degree n >= k && not (Regbits.Set.mem seen n) then begin
       Regbits.Set.add seen n;
       incr count
     end
   in
-  Igraph.iter_adj_idx g ia add;
-  if ib <> ia then Igraph.iter_adj_idx g ib add;
+  Igraph.iter_adj_idx g a add;
+  if b <> a then Igraph.iter_adj_idx g b add;
   !count < k
 
-let george_ok ~k g a b =
-  let ia = Igraph.index_of g a and ib = Igraph.index_of g b in
+let george_ok ~k ~degree g a b =
   let ok = ref true in
-  Igraph.iter_adj_idx g ia (fun n ->
+  Igraph.iter_adj_idx g a (fun n ->
       if
         !ok
         && not
-             (Igraph.degree_idx g n < k
+             (degree n < k
              || Reg.is_phys (Igraph.reg_of g n)
-             || Igraph.interferes_idx g n ib)
+             || Igraph.interferes_idx g n b)
       then ok := false);
   !ok
 
 let conservative ~k g =
+  let degree = Igraph.degree_idx g in
+  let safe keep drop =
+    let ki = Igraph.index_of g keep and di = Igraph.index_of g drop in
+    if Reg.is_phys keep then george_ok ~k ~degree g di ki
+    else briggs_ok ~k ~degree g ki di
+  in
   let merges = ref 0 in
   let rec pass budget =
     if budget = 0 then ()
@@ -58,10 +65,7 @@ let conservative ~k g =
       List.iter
         (fun mv ->
           match candidate g mv with
-          | Some (keep, drop)
-            when
-              (if Reg.is_phys keep then george_ok ~k g drop keep
-               else briggs_ok ~k g keep drop) ->
+          | Some (keep, drop) when safe keep drop ->
               Igraph.merge g ~keep ~drop;
               incr merges;
               changed := true

@@ -17,10 +17,18 @@ val aggressive : Igraph.t -> int
 
 val conservative : k:int -> Igraph.t -> int
 
-val briggs_ok : k:int -> Igraph.t -> Reg.t -> Reg.t -> bool
-(** The Briggs conservatism test for a candidate pair. *)
+val briggs_ok :
+  k:int -> degree:(int -> int) -> Igraph.t -> int -> int -> bool
+(** [briggs_ok ~k ~degree g a b] is the Briggs conservatism test for
+    the root indices [a] and [b]: their neighbourhoods hold, together,
+    fewer than [k] distinct nodes of [degree] at least [k].
+    {!conservative} passes the graph's degree ({!Igraph.degree_idx});
+    iterated coalescing passes its current degree, which reads 0 for
+    nodes already on its select stack. *)
 
-val george_ok : k:int -> Igraph.t -> Reg.t -> Reg.t -> bool
-(** The George test: every neighbor of [a] is of insignificant degree,
-    precolored, or already a neighbor of [b].  Used with a precolored
-    [b]. *)
+val george_ok :
+  k:int -> degree:(int -> int) -> Igraph.t -> int -> int -> bool
+(** [george_ok ~k ~degree g a b] is the George test for the root
+    indices [a] and [b]: every neighbour of [a] has [degree] below [k],
+    is precolored, or already neighbours [b].  Used with a precolored
+    [b]; [degree] as for {!briggs_ok}. *)

@@ -12,365 +12,404 @@ type node_stage =
 
 type move_stage = Worklist_m | Active_m | Coalesced_m | Constrained_m | Frozen_m
 
+(* A node worklist: a bitset over Reg.t ranks, so its smallest member
+   is the smallest register, plus its size. *)
+type worklist = { set : Regbits.Set.t; mutable size : int }
+
+(* Nodes are indices of the round graph's compact numbering; moves are
+   positions in [Igraph.moves]. *)
 type state = {
   k : int;
   machine : Machine.t;
   g : Igraph.t;  (* the round's graph; coalescing merges in place *)
-  stage : node_stage Reg.Tbl.t;
-  degree : int Reg.Tbl.t;  (* neighbours not yet on the stack *)
-  move_list : int list ref Reg.Tbl.t; (* node -> move ids *)
-  move_stage : (int, move_stage) Hashtbl.t;
-  move_ends : (int, Reg.t * Reg.t) Hashtbl.t;
-  color : Reg.t Reg.Tbl.t;
-  mutable simplify_wl : Reg.Set.t;
-  mutable freeze_wl : Reg.Set.t;
-  mutable spill_wl : Reg.Set.t;
+  phys : bool array;
+  rank : int array;  (* node -> its position in Reg.t order *)
+  at_rank : int array;  (* inverse of [rank] *)
+  stage : node_stage array;
+  degree : int array;  (* neighbours not yet on the stack *)
+  move_list : Regbits.Vec.t array;  (* node -> move ids, newest last *)
+  move_stage : move_stage array;
+  move_dst : int array;
+  move_src : int array;
+  color : int array;  (* a register, or -1 *)
+  simplify_wl : worklist;
+  freeze_wl : worklist;
+  spill_wl : worklist;
   mutable worklist_moves : int list;
-  mutable select_stack : Reg.t list;
-  mutable spilled : Reg.Set.t;
+  mutable select_stack : int list;
+  mutable spilled : int list;
+  scratch : Regbits.Set.t;  (* ranks, empty between calls *)
   costs : Spill_cost.t;
   temps : unit Reg.Tbl.t;
 }
 
-let stage_of st r =
-  try Reg.Tbl.find st.stage r with Not_found -> Precolored
+let reg st i = Igraph.reg_of st.g i
+let root st i = Igraph.root_idx st.g i
 
-let set_stage st r s = Reg.Tbl.replace st.stage r s
+let degree_of st i =
+  if st.phys.(i) then Igraph.infinite_degree else st.degree.(i)
 
-(* Adjacent(n) excludes stack nodes; merged-away nodes are no longer
-   in the graph. *)
-let adjacent st r =
-  Igraph.fold_adj st.g r ~init:Reg.Set.empty ~f:(fun acc n ->
-      if stage_of st n = On_stack then acc else Reg.Set.add n acc)
+let wl_mem st wl i = Regbits.Set.mem wl.set st.rank.(i)
 
-let degree_of st r =
-  if Reg.is_phys r then Igraph.infinite_degree
-  else try Reg.Tbl.find st.degree r with Not_found -> 0
+let wl_add st wl i =
+  if not (wl_mem st wl i) then begin
+    Regbits.Set.add wl.set st.rank.(i);
+    wl.size <- wl.size + 1
+  end
 
-let node_moves st r =
-  let ms = match Reg.Tbl.find_opt st.move_list r with Some c -> !c | None -> [] in
-  List.filter
-    (fun id ->
-      match Hashtbl.find st.move_stage id with
-      | Worklist_m | Active_m -> true
-      | Coalesced_m | Constrained_m | Frozen_m -> false)
-    ms
+let wl_remove st wl i =
+  if wl_mem st wl i then begin
+    Regbits.Set.remove wl.set st.rank.(i);
+    wl.size <- wl.size - 1
+  end
 
-let move_related st r = node_moves st r <> []
+let wl_min st wl = st.at_rank.(Regbits.Set.min_elt wl.set)
 
-let enable_moves st nodes =
-  Reg.Set.iter
-    (fun n ->
-      List.iter
-        (fun id ->
-          if Hashtbl.find st.move_stage id = Active_m then begin
-            Hashtbl.replace st.move_stage id Worklist_m;
-            st.worklist_moves <- id :: st.worklist_moves
-          end)
-        (node_moves st n))
-    nodes
+let on_stack st i = match st.stage.(i) with On_stack -> true | _ -> false
+let in_freeze_wl st i = match st.stage.(i) with Freeze_wl -> true | _ -> false
+
+(* Adjacent(n): the neighbours of root [i] not on the stack (merged-away
+   nodes are no longer in the graph), plus [i] itself if [self], in
+   ascending Reg.t order. *)
+let adjacent ?(self = false) st i =
+  let s = st.scratch in
+  let n = ref 0 in
+  let add j =
+    Regbits.Set.add s st.rank.(j);
+    incr n
+  in
+  if self then add i;
+  Igraph.iter_adj_idx st.g i (fun j -> if not (on_stack st j) then add j);
+  let out = Array.make !n 0 and pos = ref 0 in
+  Regbits.Set.iter s (fun r ->
+      out.(!pos) <- st.at_rank.(r);
+      incr pos);
+  Regbits.Set.clear s;
+  out
+
+(* [f] over a node's moves, newest first. *)
+let iter_moves st i f =
+  let v = st.move_list.(i) in
+  for p = Regbits.Vec.length v - 1 downto 0 do
+    f (Regbits.Vec.get v p)
+  done
+
+let live_move st id =
+  match st.move_stage.(id) with
+  | Worklist_m | Active_m -> true
+  | Coalesced_m | Constrained_m | Frozen_m -> false
+
+(* NodeMoves: the worklist and active moves, newest first. *)
+let node_moves st i =
+  Regbits.Vec.fold st.move_list.(i) ~init:[] ~f:(fun acc id ->
+      if live_move st id then id :: acc else acc)
+
+let move_related st i =
+  let v = st.move_list.(i) in
+  let rec go p = p >= 0 && (live_move st (Regbits.Vec.get v p) || go (p - 1)) in
+  go (Regbits.Vec.length v - 1)
+
+let enable_moves st n =
+  iter_moves st n (fun id ->
+      match st.move_stage.(id) with
+      | Active_m ->
+          st.move_stage.(id) <- Worklist_m;
+          st.worklist_moves <- id :: st.worklist_moves
+      | Worklist_m | Coalesced_m | Constrained_m | Frozen_m -> ())
+
+let to_simplify st wl i =
+  wl_remove st wl i;
+  wl_add st st.simplify_wl i;
+  st.stage.(i) <- Simplify_wl
 
 let decrement_degree st m =
-  if Reg.is_virtual m then begin
-    let d = degree_of st m in
-    Reg.Tbl.replace st.degree m (d - 1);
+  if not st.phys.(m) then begin
+    let d = st.degree.(m) in
+    st.degree.(m) <- d - 1;
     if d = st.k then begin
-      enable_moves st (Reg.Set.add m (adjacent st m));
-      st.spill_wl <- Reg.Set.remove m st.spill_wl;
+      Array.iter (enable_moves st) (adjacent ~self:true st m);
+      wl_remove st st.spill_wl m;
       if move_related st m then begin
-        st.freeze_wl <- Reg.Set.add m st.freeze_wl;
-        set_stage st m Freeze_wl
+        wl_add st st.freeze_wl m;
+        st.stage.(m) <- Freeze_wl
       end
       else begin
-        st.simplify_wl <- Reg.Set.add m st.simplify_wl;
-        set_stage st m Simplify_wl
+        wl_add st st.simplify_wl m;
+        st.stage.(m) <- Simplify_wl
       end
     end
   end
 
 let simplify st =
-  match Reg.Set.choose_opt st.simplify_wl with
-  | None -> ()
-  | Some n ->
-      st.simplify_wl <- Reg.Set.remove n st.simplify_wl;
-      st.select_stack <- n :: st.select_stack;
-      set_stage st n On_stack;
-      Reg.Set.iter (decrement_degree st) (adjacent st n)
+  let n = wl_min st st.simplify_wl in
+  wl_remove st st.simplify_wl n;
+  st.select_stack <- n :: st.select_stack;
+  st.stage.(n) <- On_stack;
+  Array.iter (decrement_degree st) (adjacent st n)
 
-let add_work_list st u =
+(* Moves [v] from the freeze list to the simplify list once nothing
+   keeps it there. *)
+let unfreeze st v =
   if
-    Reg.is_virtual u
-    && (not (move_related st u))
-    && degree_of st u < st.k
-    && stage_of st u = Freeze_wl
-  then begin
-    st.freeze_wl <- Reg.Set.remove u st.freeze_wl;
-    st.simplify_wl <- Reg.Set.add u st.simplify_wl;
-    set_stage st u Simplify_wl
-  end
-
-let ok st t r =
-  degree_of st t < st.k || Reg.is_phys t || Igraph.interferes st.g t r
-
-let conservative st nodes =
-  let significant =
-    Reg.Set.filter (fun n -> degree_of st n >= st.k) nodes
-  in
-  Reg.Set.cardinal significant < st.k
+    (not st.phys.(v))
+    && (not (move_related st v))
+    && st.degree.(v) < st.k
+    && in_freeze_wl st v
+  then to_simplify st st.freeze_wl v
 
 let combine st u v =
-  (match stage_of st v with
-  | Freeze_wl -> st.freeze_wl <- Reg.Set.remove v st.freeze_wl
-  | Spill_wl -> st.spill_wl <- Reg.Set.remove v st.spill_wl
+  (match st.stage.(v) with
+  | Freeze_wl -> wl_remove st st.freeze_wl v
+  | Spill_wl -> wl_remove st st.spill_wl v
   | _ -> ());
-  set_stage st v Coalesced;
-  (match (Reg.Tbl.find_opt st.move_list u, Reg.Tbl.find_opt st.move_list v) with
-  | Some cu, Some cv -> cu := !cv @ !cu
-  | None, Some cv -> Reg.Tbl.replace st.move_list u (ref !cv)
-  | _, None -> ());
-  enable_moves st (Reg.Set.singleton v);
+  st.stage.(v) <- Coalesced;
+  (* [u]'s move list becomes [v]'s followed by its own. *)
+  let mu = st.move_list.(u) and mv = st.move_list.(v) in
+  for p = 0 to Regbits.Vec.length mv - 1 do
+    Regbits.Vec.push mu (Regbits.Vec.get mv p)
+  done;
+  enable_moves st v;
   (* Each of [v]'s neighbours not yet adjacent to [u] gains an edge
      (precolored pairs never interfere), then loses the one to [v]. *)
   let nbrs = adjacent st v in
-  let bump r =
-    if Reg.is_virtual r then Reg.Tbl.replace st.degree r (degree_of st r + 1)
-  in
-  Reg.Set.iter
+  let bump r = if not st.phys.(r) then st.degree.(r) <- st.degree.(r) + 1 in
+  Array.iter
     (fun t ->
-      if not (Igraph.interferes st.g t u || (Reg.is_phys t && Reg.is_phys u))
+      if not (Igraph.interferes_idx st.g t u || (st.phys.(t) && st.phys.(u)))
       then begin
         bump t;
         bump u
       end)
     nbrs;
-  Igraph.merge st.g ~keep:u ~drop:v;
-  Reg.Set.iter (decrement_degree st) nbrs;
-  if degree_of st u >= st.k && stage_of st u = Freeze_wl then begin
-    st.freeze_wl <- Reg.Set.remove u st.freeze_wl;
-    st.spill_wl <- Reg.Set.add u st.spill_wl;
-    set_stage st u Spill_wl
+  Igraph.merge st.g ~keep:(reg st u) ~drop:(reg st v);
+  Array.iter (decrement_degree st) nbrs;
+  if degree_of st u >= st.k && in_freeze_wl st u then begin
+    wl_remove st st.freeze_wl u;
+    wl_add st st.spill_wl u;
+    st.stage.(u) <- Spill_wl
   end
+
+(* The Briggs and George tests see on-stack nodes as degree 0, exactly
+   as if Adjacent had filtered them out. *)
+let current_degree st n = if on_stack st n then 0 else degree_of st n
 
 let coalesce st =
   match st.worklist_moves with
   | [] -> ()
   | id :: rest ->
       st.worklist_moves <- rest;
-      let x0, y0 = Hashtbl.find st.move_ends id in
-      let x = Igraph.alias st.g x0 and y = Igraph.alias st.g y0 in
-      let u, v = if Reg.is_phys y then (y, x) else (x, y) in
-      if Reg.equal u v then begin
-        Hashtbl.replace st.move_stage id Coalesced_m;
-        add_work_list st u
+      let x = root st st.move_dst.(id) and y = root st st.move_src.(id) in
+      let u, v = if st.phys.(y) then (y, x) else (x, y) in
+      let k = st.k and degree = current_degree st in
+      if u = v then begin
+        st.move_stage.(id) <- Coalesced_m;
+        unfreeze st u
       end
-      else if Reg.is_phys v || Igraph.interferes st.g u v then begin
-        Hashtbl.replace st.move_stage id Constrained_m;
-        add_work_list st u;
-        add_work_list st v
+      else if st.phys.(v) || Igraph.interferes_idx st.g u v then begin
+        st.move_stage.(id) <- Constrained_m;
+        unfreeze st u;
+        unfreeze st v
       end
       else if
-        (Reg.is_phys u && Reg.Set.for_all (fun t -> ok st t u) (adjacent st v))
-        || (not (Reg.is_phys u))
-           && conservative st (Reg.Set.union (adjacent st u) (adjacent st v))
+        if st.phys.(u) then Coalesce.george_ok ~k ~degree st.g v u
+        else Coalesce.briggs_ok ~k ~degree st.g u v
       then begin
-        Hashtbl.replace st.move_stage id Coalesced_m;
+        st.move_stage.(id) <- Coalesced_m;
         combine st u v;
-        add_work_list st u
+        unfreeze st u
       end
-      else Hashtbl.replace st.move_stage id Active_m
+      else st.move_stage.(id) <- Active_m
 
 let freeze_moves st u =
   List.iter
     (fun id ->
-      let x, y = Hashtbl.find st.move_ends id in
-      let x = Igraph.alias st.g x and y = Igraph.alias st.g y in
-      let v = if Reg.equal y (Igraph.alias st.g u) then x else y in
-      Hashtbl.replace st.move_stage id Frozen_m;
-      if
-        Reg.is_virtual v
-        && (not (move_related st v))
-        && degree_of st v < st.k
-        && stage_of st v = Freeze_wl
-      then begin
-        st.freeze_wl <- Reg.Set.remove v st.freeze_wl;
-        st.simplify_wl <- Reg.Set.add v st.simplify_wl;
-        set_stage st v Simplify_wl
-      end)
+      let x = root st st.move_dst.(id) and y = root st st.move_src.(id) in
+      let v = if y = root st u then x else y in
+      st.move_stage.(id) <- Frozen_m;
+      unfreeze st v)
     (node_moves st u)
 
 let freeze st =
-  match Reg.Set.choose_opt st.freeze_wl with
-  | None -> ()
-  | Some u ->
-      st.freeze_wl <- Reg.Set.remove u st.freeze_wl;
-      st.simplify_wl <- Reg.Set.add u st.simplify_wl;
-      set_stage st u Simplify_wl;
-      freeze_moves st u
+  let u = wl_min st st.freeze_wl in
+  to_simplify st st.freeze_wl u;
+  freeze_moves st u
 
+(* The lowest cost/degree, the smallest register winning ties. *)
 let select_spill st =
-  let metric r =
-    if Reg.Tbl.mem st.temps r then infinity
+  let metric i =
+    if Reg.Tbl.mem st.temps (reg st i) then infinity
     else
-      float_of_int (Spill_cost.spill_cost st.costs r)
-      /. float_of_int (max 1 (degree_of st r))
+      float_of_int (Spill_cost.spill_cost st.costs (reg st i))
+      /. float_of_int (max 1 (degree_of st i))
   in
-  match Reg.Set.elements st.spill_wl with
-  | [] -> ()
-  | blocked ->
-      let victim, _ = Alloc_common.first_min metric blocked in
-      st.spill_wl <- Reg.Set.remove victim st.spill_wl;
-      st.simplify_wl <- Reg.Set.add victim st.simplify_wl;
-      set_stage st victim Simplify_wl;
-      freeze_moves st victim
+  let best = ref (-1) and best_m = ref infinity in
+  Regbits.Set.iter st.spill_wl.set (fun r ->
+      let i = st.at_rank.(r) in
+      let m = metric i in
+      if !best < 0 || m < !best_m then begin
+        best := i;
+        best_m := m
+      end);
+  to_simplify st st.spill_wl !best;
+  freeze_moves st !best
 
 let assign_colors st =
+  let m = st.machine in
+  (* [taken.(c) = stamp]: register [c] is forbidden to the node at hand *)
+  let taken = Array.make Reg.first_virtual (-1) and stamp = ref 0 in
   List.iter
     (fun n ->
-      let forbidden =
-        Igraph.fold_adj st.g n ~init:Reg.Set.empty ~f:(fun acc w ->
-            match stage_of st w with
-            | Precolored -> Reg.Set.add w acc
-            | Colored -> Reg.Set.add (Reg.Tbl.find st.color w) acc
-            | _ -> acc)
+      incr stamp;
+      let stamp = !stamp in
+      Igraph.iter_adj_idx st.g (root st n) (fun w ->
+          match st.stage.(w) with
+          | Precolored -> taken.(reg st w) <- stamp
+          | Colored -> taken.(st.color.(w)) <- stamp
+          | _ -> ());
+      let cls = Igraph.cls st.g (reg st n) in
+      let free c =
+        Machine.is_allocatable m c && Reg.phys_cls c = cls && taken.(c) <> stamp
       in
-      let cls = Igraph.cls st.g n in
-      let free =
-        List.filter
-          (fun c -> not (Reg.Set.mem c forbidden))
-          (Machine.all st.machine cls)
-      in
-      let vol, nonvol = List.partition (Machine.is_volatile st.machine) free in
-      (* Biased pick: a frozen/coalesced partner's color first. *)
-      let partner_colors =
-        List.filter_map
-          (fun id ->
-            let x, y = Hashtbl.find st.move_ends id in
-            let x = Igraph.alias st.g x and y = Igraph.alias st.g y in
-            let p =
-              if Reg.equal x n then y else if Reg.equal y n then x else n
-            in
-            if Reg.equal p n then None
-            else
-              match stage_of st p with
-              | Precolored -> Some p
-              | Colored -> Reg.Tbl.find_opt st.color p
-              | _ -> None)
-          (match Reg.Tbl.find_opt st.move_list n with
-          | Some c -> !c
-          | None -> [])
+      (* Biased pick: a frozen/coalesced partner's color first, then
+         non-volatile before volatile, each in file order. *)
+      let partner = ref (-1) in
+      iter_moves st n (fun id ->
+          if !partner < 0 then begin
+            let x = root st st.move_dst.(id) and y = root st st.move_src.(id) in
+            let p = if x = n then y else if y = n then x else n in
+            if p <> n then
+              let c =
+                match st.stage.(p) with
+                | Precolored -> reg st p
+                | Colored -> st.color.(p)
+                | _ -> -1
+              in
+              if c >= 0 && free c then partner := c
+          end);
+      let first_free vol =
+        List.find_opt
+          (fun c -> free c && Machine.is_volatile m c = vol)
+          (Machine.all m cls)
       in
       let choice =
-        match
-          List.find_opt (fun c -> List.exists (Reg.equal c) free) partner_colors
-        with
-        | Some c -> Some c
-        | None -> ( match nonvol @ vol with c :: _ -> Some c | [] -> None)
+        if !partner >= 0 then Some !partner
+        else
+          match first_free false with
+          | Some c -> Some c
+          | None -> first_free true
       in
       match choice with
       | Some c ->
-          set_stage st n Colored;
-          Reg.Tbl.replace st.color n c
+          st.stage.(n) <- Colored;
+          st.color.(n) <- c
       | None ->
-          set_stage st n Spilled;
-          st.spilled <- Reg.Set.add n st.spilled)
+          st.stage.(n) <- Spilled;
+          st.spilled <- n :: st.spilled)
     st.select_stack;
   (* Coalesced nodes take their representative's color. *)
-  Reg.Tbl.iter
+  Array.iteri
     (fun n s ->
-      if s = Coalesced then
-        let a = Igraph.alias st.g n in
-        match stage_of st a with
-        | Precolored -> Reg.Tbl.replace st.color n a
-        | Colored -> Reg.Tbl.replace st.color n (Reg.Tbl.find st.color a)
-        | _ -> st.spilled <- Reg.Set.add n st.spilled)
-    (Reg.Tbl.copy st.stage)
+      match s with
+      | Coalesced -> (
+          let a = root st n in
+          match st.stage.(a) with
+          | Precolored -> st.color.(n) <- reg st a
+          | Colored -> st.color.(n) <- st.color.(a)
+          | _ -> st.spilled <- n :: st.spilled)
+      | _ -> ())
+    st.stage
 
 let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
   let g = a.Alloc_common.graph in
-  let costs = a.Alloc_common.costs in
+  let cpt = Igraph.compact g in
+  let n = Regbits.size cpt in
+  let at_rank = Array.init n Fun.id in
+  Array.sort
+    (fun i j -> Reg.compare (Igraph.reg_of g i) (Igraph.reg_of g j))
+    at_rank;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) at_rank;
+  let moves = Array.of_list (Igraph.moves g) in
+  let worklist () = { set = Regbits.Set.create n; size = 0 } in
   let st =
     {
       k = m.Machine.k;
       machine = m;
       g;
-      stage = Reg.Tbl.create 128;
-      degree = Reg.Tbl.create 128;
-      move_list = Reg.Tbl.create 64;
-      move_stage = Hashtbl.create 64;
-      move_ends = Hashtbl.create 64;
-      color = Reg.Tbl.create 128;
-      simplify_wl = Reg.Set.empty;
-      freeze_wl = Reg.Set.empty;
-      spill_wl = Reg.Set.empty;
+      phys = Array.init n (fun i -> Reg.is_phys (Igraph.reg_of g i));
+      rank;
+      at_rank;
+      stage = Array.make n Precolored;
+      degree = Array.make n 0;
+      move_list = Array.init n (fun _ -> Regbits.Vec.create ());
+      move_stage = Array.make (Array.length moves) Worklist_m;
+      move_dst = Array.map (fun mv -> Regbits.index cpt mv.Igraph.dst) moves;
+      move_src = Array.map (fun mv -> Regbits.index cpt mv.Igraph.src) moves;
+      color = Array.make n (-1);
+      simplify_wl = worklist ();
+      freeze_wl = worklist ();
+      spill_wl = worklist ();
       worklist_moves = [];
       select_stack = [];
-      spilled = Reg.Set.empty;
-      costs;
+      spilled = [];
+      scratch = Regbits.Set.create n;
+      costs = a.Alloc_common.costs;
       temps;
     }
   in
-  let nodes = Reg.Set.of_list (Igraph.vnodes g) in
-  Reg.Set.iter (fun r -> Reg.Tbl.replace st.degree r (Igraph.degree g r)) nodes;
-  List.iter
-    (fun mv ->
-      let id = mv.Igraph.instr_id in
-      if not (Hashtbl.mem st.move_ends id) then begin
-        Hashtbl.replace st.move_ends id (mv.Igraph.dst, mv.Igraph.src);
-        Hashtbl.replace st.move_stage id Worklist_m;
-        st.worklist_moves <- id :: st.worklist_moves;
-        List.iter
-          (fun r ->
-            if not (Reg.is_phys r && Reg.is_phys (if r == mv.Igraph.dst then mv.Igraph.src else mv.Igraph.dst)) then begin
-              let cell =
-                match Reg.Tbl.find_opt st.move_list r with
-                | Some c -> c
-                | None ->
-                    let c = ref [] in
-                    Reg.Tbl.replace st.move_list r c;
-                    c
-              in
-              cell := id :: !cell
-            end)
-          [ mv.Igraph.dst; mv.Igraph.src ]
+  Array.iteri
+    (fun id _ ->
+      let d = st.move_dst.(id) and s = st.move_src.(id) in
+      st.worklist_moves <- id :: st.worklist_moves;
+      if not (st.phys.(d) && st.phys.(s)) then begin
+        Regbits.Vec.push st.move_list.(d) id;
+        Regbits.Vec.push st.move_list.(s) id
       end)
-    (Igraph.moves g);
+    moves;
   (* MakeWorklist *)
-  Reg.Set.iter
-    (fun n ->
-      if degree_of st n >= st.k then begin
-        st.spill_wl <- Reg.Set.add n st.spill_wl;
-        set_stage st n Spill_wl
+  List.iter
+    (fun r ->
+      let i = Igraph.index_of g r in
+      st.degree.(i) <- Igraph.degree_idx g i;
+      if st.degree.(i) >= st.k then begin
+        wl_add st st.spill_wl i;
+        st.stage.(i) <- Spill_wl
       end
-      else if move_related st n then begin
-        st.freeze_wl <- Reg.Set.add n st.freeze_wl;
-        set_stage st n Freeze_wl
+      else if move_related st i then begin
+        wl_add st st.freeze_wl i;
+        st.stage.(i) <- Freeze_wl
       end
       else begin
-        st.simplify_wl <- Reg.Set.add n st.simplify_wl;
-        set_stage st n Simplify_wl
+        wl_add st st.simplify_wl i;
+        st.stage.(i) <- Simplify_wl
       end)
-    nodes;
-  let continue () =
-    (not (Reg.Set.is_empty st.simplify_wl))
-    || st.worklist_moves <> []
-    || (not (Reg.Set.is_empty st.freeze_wl))
-    || not (Reg.Set.is_empty st.spill_wl)
+    (Igraph.vnodes g);
+  let rec loop () =
+    if st.simplify_wl.size > 0 then (simplify st; loop ())
+    else if st.worklist_moves <> [] then (coalesce st; loop ())
+    else if st.freeze_wl.size > 0 then (freeze st; loop ())
+    else if st.spill_wl.size > 0 then (select_spill st; loop ())
   in
-  while continue () do
-    if not (Reg.Set.is_empty st.simplify_wl) then simplify st
-    else if st.worklist_moves <> [] then coalesce st
-    else if not (Reg.Set.is_empty st.freeze_wl) then freeze st
-    else select_spill st
-  done;
+  loop ();
   assign_colors st;
   st
 
 let allocate (m : Machine.t) f0 =
   let color a ~temps =
     let st = run_once m a ~temps in
-    if Reg.Set.is_empty st.spilled then
-      Alloc_common.Colored (Reg.Tbl.find_opt st.color, ())
-    else Alloc_common.Spill st.spilled
+    if st.spilled = [] then
+      let cpt = Igraph.compact st.g in
+      let color_of r =
+        match Regbits.find cpt r with
+        | Some i when st.color.(i) >= 0 -> Some st.color.(i)
+        | _ -> None
+      in
+      Alloc_common.Colored (color_of, ())
+    else
+      Alloc_common.Spill
+        (List.fold_left
+           (fun s i -> Reg.Set.add (reg st i) s)
+           Reg.Set.empty st.spilled)
   in
   fst (Alloc_common.drive ~name f0 color)
 

@@ -210,25 +210,41 @@ let mini_src =
   "fn fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); } \
    fn main() { return fib(10); }"
 
-(* Send [payloads] as consecutive frames in one [write] on a fresh
-   connection, then read one reply per frame. *)
-let exchange_raw ~socket payloads =
+(* Raw frame bytes: each payload behind its length prefix. *)
+let frames payloads =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun p ->
+      Buffer.add_int32_le buf (Int32.of_int (String.length p));
+      Buffer.add_string buf p)
+    payloads;
+  Buffer.contents buf
+
+(* Send [bytes] in one [write] on a fresh connection, then read up to
+   [replies] replies, fewer if the daemon closes the connection first.
+   With [eof], read once more to see whether it then closes (a read
+   that waits 5 s counts as open).  Returns the replies and whether
+   the connection was seen closed. *)
+let exchange_raw ?(eof = false) ~socket ~replies bytes =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun p ->
-          Buffer.add_int32_le buf (Int32.of_int (String.length p));
-          Buffer.add_string buf p)
-        payloads;
-      let frames = Buffer.to_bytes buf in
-      ignore (Unix.write fd frames 0 (Bytes.length frames));
-      List.map
-        (fun _ -> Protocol.decode_response (Protocol.read_frame fd))
-        payloads)
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      let rec read n =
+        if n = 0 && not eof then ([], false)
+        else begin
+          if n = 0 then Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          match Protocol.read_frame fd with
+          | frame when n > 0 ->
+              let rest, closed = read (n - 1) in
+              (Protocol.decode_response frame :: rest, closed)
+          | _ | (exception Unix.Unix_error _) -> ([], false)
+          | exception Protocol.Closed -> ([], true)
+        end
+      in
+      read replies)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -359,10 +375,26 @@ let selftest ?exe () =
         let* () = twice "repeated 3-function request byte-identical" req_3 in
         let* () = twice "repeated text request byte-identical" req_text in
         (* a decode error is answered after the good frame before it *)
-        match exchange_raw ~socket:sock [ req_a; "\001garbage" ] with
-        | [ Protocol.Funcs blobs; Protocol.Error_reply _ ] ->
-            check "pipelined reply matches" (blobs = a1)
-        | _ -> Error "serve selftest: pipelined replies out of frame order")
+        let* () =
+          match
+            exchange_raw ~socket:sock ~replies:2
+              (frames [ req_a; "\001garbage" ])
+          with
+          | [ Protocol.Funcs blobs; Protocol.Error_reply _ ], _ ->
+              check "pipelined reply matches" (blobs = a1)
+          | _ -> Error "serve selftest: pipelined replies out of frame order"
+        in
+        (* so is a bad length prefix, which then closes the connection *)
+        let bad_length = Bytes.create 4 in
+        Bytes.set_int32_le bad_length 0 (-1l);
+        match
+          exchange_raw ~eof:true ~socket:sock ~replies:2
+            (frames [ req_a ] ^ Bytes.to_string bad_length)
+        with
+        | [ Protocol.Funcs blobs; Protocol.Error_reply msg ], true ->
+            check "bad frame length answered after the frame before it"
+              (blobs = a1 && contains msg "bad frame length")
+        | _ -> Error "serve selftest: bad frame length not answered in order")
   in
   (* once A's function is evicted, A is decoded and allocated again *)
   let evicted ~cache_capacity between ~misses =

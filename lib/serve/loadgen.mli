@@ -82,5 +82,7 @@ val selftest : ?exe:string -> unit -> (unit, string) result
     the problem; a repeated request (binary, 3-function, text) gets
     byte-identical replies and the stats counters a decode would give,
     also after its function was evicted; a good frame and a malformed
-    one sent in one write are answered in frame order; shutdown is
+    one sent in one write are answered in frame order; a good frame
+    followed by a bad length prefix in one write gets its reply, then
+    the [bad frame length] error, then EOF; shutdown is
     acknowledged.  [Error] names the first failed check. *)

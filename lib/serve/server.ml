@@ -25,6 +25,10 @@ type job = {
 
 type slot = Hit of string | Miss of string  (* cached blob | job key *)
 
+(* What framing pulled off a connection: a payload, or a length prefix
+   out of range, after which nothing on the connection can be framed. *)
+type frame = Payload of conn * string | Bad_length of conn * int
+
 type pending =
   | Alloc_pending of {
       conn : conn;
@@ -33,6 +37,7 @@ type pending =
       slots : slot list;
     }
   | Direct of conn * Protocol.response  (* stats, shutdown, errors *)
+  | Last of conn * Protocol.response  (* sent, then the connection closes *)
 
 type t = {
   pool : Engine.Pool.t;
@@ -147,7 +152,7 @@ let stage_request t conn digest (req : Protocol.request) jobs job_index =
    it decoded to is still cached: the same counted finds, in the same
    order, that decoding it again would make.  Otherwise (a stale entry
    included) it is decoded. *)
-let stage t conn payload jobs job_index =
+let stage_payload t conn payload jobs job_index =
   let digest = Digest.string payload in
   match Cache.find t.by_bytes digest with
   | Some keys when Array.for_all (Cache.mem t.cache) keys ->
@@ -163,12 +168,19 @@ let stage t conn payload jobs job_index =
       | exception (Protocol.Error msg | Codec.Error msg) ->
           Direct (conn, Protocol.Error_reply msg))
 
+let stage t frame jobs job_index =
+  match frame with
+  | Payload (conn, payload) -> stage_payload t conn payload jobs job_index
+  | Bad_length (conn, n) ->
+      Last
+        (conn, Protocol.Error_reply (Printf.sprintf "bad frame length %d" n))
+
 (* Phase B + C: run the deduplicated jobs as one pool batch, feed the
    cache, then answer every request in arrival order. *)
 let process_batch t reqs =
   let jobs = ref [] and job_index = Hashtbl.create 16 in
   let staged =
-    List.map (fun (conn, payload) -> stage t conn payload jobs job_index) reqs
+    List.map (fun frame -> stage t frame jobs job_index) reqs
   in
   let results = Hashtbl.create 16 in
   (match List.rev !jobs with
@@ -186,6 +198,9 @@ let process_batch t reqs =
     (fun pending ->
       match pending with
       | Direct (conn, response) -> send t conn response
+      | Last (conn, response) ->
+          send t conn response;
+          close_conn t conn
       | Alloc_pending { conn; digest; keys; slots } ->
           let response =
             try
@@ -212,9 +227,11 @@ let process_batch t reqs =
 
 (* Pull every complete frame out of a connection's pending buffer.
    Queues the payloads, undecoded, in arrival order, so every reply —
-   a decode error's included — goes out in frame order; a bad length
-   prefix poisons the stream, so the connection is closed. *)
-let drain_frames t conn out =
+   a decode error's included — goes out in frame order.  A bad length
+   prefix poisons the stream: it is queued too, and its error reply,
+   sent after the replies to the frames before it, closes the
+   connection; the bytes after it are dropped. *)
+let drain_frames conn out =
   let data = Buffer.contents conn.pending in
   let len = String.length data in
   let off = ref 0 and alive = ref true in
@@ -223,21 +240,18 @@ let drain_frames t conn out =
       Int32.to_int (String.get_int32_le data !off)
     in
     if frame_len < 0 || frame_len > Protocol.max_frame then begin
-      send t conn
-        (Protocol.Error_reply (Printf.sprintf "bad frame length %d" frame_len));
-      close_conn t conn;
+      out := Bad_length (conn, frame_len) :: !out;
+      off := len;
       alive := false
     end
     else if len - !off - 4 >= frame_len then begin
-      out := (conn, String.sub data (!off + 4) frame_len) :: !out;
+      out := Payload (conn, String.sub data (!off + 4) frame_len) :: !out;
       off := !off + 4 + frame_len
     end
     else alive := false
   done;
-  if Hashtbl.mem t.conns conn.fd then begin
-    Buffer.clear conn.pending;
-    Buffer.add_substring conn.pending data !off (len - !off)
-  end
+  Buffer.clear conn.pending;
+  Buffer.add_substring conn.pending data !off (len - !off)
 
 let read_chunk = Bytes.create 65536
 
@@ -246,7 +260,7 @@ let handle_readable t conn out =
   | 0 -> close_conn t conn
   | n ->
       Buffer.add_subbytes conn.pending read_chunk 0 n;
-      drain_frames t conn out
+      drain_frames conn out
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn t conn
 

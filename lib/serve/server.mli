@@ -21,7 +21,9 @@
     Error handling: a malformed payload, an unknown allocator or an
     allocation failure is answered with [Error_reply] on the same
     connection, which stays open.  Only an unparseable frame header
-    (length out of range) closes the connection.  A [Shutdown] request
+    (length out of range) closes the connection: the frames before it
+    are answered first, then the header gets its [Error_reply], then
+    the connection closes.  A [Shutdown] request
     is acknowledged to its sender, every other pending request in the
     batch is still answered, and then the daemon exits. *)
 

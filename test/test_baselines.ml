@@ -127,6 +127,54 @@ let test_iterated_conservative_under_pressure () =
         <= no_coalesce.Alloc_common.spill_instrs + 2))
     p.Cfg.funcs
 
+(* The dense worklists against the Reg.Set reference: the reply bytes
+   of every function (a failure's message in its place) must agree. *)
+let reply_bytes allocate m (p : Cfg.program) =
+  List.map
+    (fun f ->
+      match allocate m (Cfg.clone f) with
+      | res -> Protocol.encode_func_reply res (Finalize.apply m res)
+      | exception Alloc_common.Failed msg -> "failed: " ^ msg)
+    p.Cfg.funcs
+
+let same_as_reference m p =
+  reply_bytes Iterated.allocate m p = reply_bytes Ref_iterated.allocate m p
+
+let prop_iterated_matches_reference =
+  qcheck ~count:12 "iterated matches the Reg.Set reference" seed_gen
+    (fun seed ->
+      List.for_all
+        (fun m ->
+          same_as_reference m (Pipeline.prepare m (random_program seed)))
+        [
+          (* the generator's calls pass up to three integer arguments *)
+          Machine.make ~k:4 ~n_volatile:4 ~n_arg_regs:3 ();
+          Machine.make ~k:8 ();
+          Machine.make ~k:16 ();
+        ])
+
+(* The Suite at k = 16 and 24, and each profile's fifth seeded variant
+   at k = 12: inputs where the order of merged move lists shows. *)
+let test_iterated_matches_reference_on_suite () =
+  let run k name p =
+    let m = Machine.make ~k () in
+    check Alcotest.bool
+      (Printf.sprintf "%s at k=%d" name k)
+      true
+      (same_as_reference m (Pipeline.prepare m p))
+  in
+  List.iter
+    (fun (name, p) ->
+      run 16 name p;
+      run 24 name p)
+    (Suite.all ());
+  List.iter
+    (fun name ->
+      let prof = Suite.profile name in
+      run 12 (name ^ " variant 5")
+        (Gen.generate { prof with Gen.seed = prof.Gen.seed + (7919 * 5) }))
+    Suite.names
+
 (* Park-Moon optimistic coalescing ----------------------------------------- *)
 
 let test_park_moon_undoes_harmful_coalesce () =
@@ -217,6 +265,8 @@ let () =
           tc "coalesces chains" test_iterated_coalesces_chain;
           tc "easy graphs need one round" test_iterated_no_spills_easy;
           tc "conservative under pressure" test_iterated_conservative_under_pressure;
+          tc "suite matches the reference" test_iterated_matches_reference_on_suite;
+          prop_iterated_matches_reference;
         ] );
       ( "park-moon",
         [

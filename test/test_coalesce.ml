@@ -72,14 +72,52 @@ let test_briggs_test () =
       let a = mv.Igraph.dst and b = mv.Igraph.src in
       if not (Igraph.interferes g a b) then
         check Alcotest.bool "briggs ok at huge k" true
-          (Coalesce.briggs_ok ~k:32 g a b))
+          (Coalesce.briggs_ok ~k:32 ~degree:(Igraph.degree_idx g) g
+             (Igraph.index_of g a) (Igraph.index_of g b)))
     (Igraph.moves g)
 
 let test_george_test_trivial () =
   let fn, _, x, y = copy_chain () in
   let g = build_graph fn in
   (* Low-degree neighbors make the George test succeed. *)
-  check Alcotest.bool "george ok" true (Coalesce.george_ok ~k:4 g x y)
+  check Alcotest.bool "george ok" true
+    (Coalesce.george_ok ~k:4 ~degree:(Igraph.degree_idx g) g
+       (Igraph.index_of g x) (Igraph.index_of g y))
+
+(* The copy c = a among a clique of long-lived values: [a] also sees
+   [n] and [t], which [c] does not.  On the graph's degrees both tests
+   refuse the pair.  Iterated coalescing judges by its current degree,
+   which reads 0 for a node on its select stack: with [n] and [t]
+   stacked George accepts, and with the clique stacked Briggs does. *)
+let test_degree_sources () =
+  let k = 3 in
+  let b = Builder.create ~name:"degrees" ~n_params:0 in
+  let clique = List.init 4 (fun i -> Builder.iconst b i) in
+  let n = Builder.iconst b 5 in
+  let a = Builder.iconst b 9 in
+  let t = Builder.binop b Instr.Add a n in
+  let c = Builder.reg b Reg.Int_class in
+  Builder.move b ~dst:c ~src:a;
+  let sum =
+    List.fold_left (fun acc r -> Builder.binop b Instr.Add acc r) c clique
+  in
+  Builder.ret b (Some sum);
+  let g = build_graph (Builder.finish b) in
+  let idx = Igraph.index_of g in
+  let ia = idx a and ic = idx c in
+  let graph = Igraph.degree_idx g in
+  let stacked regs i =
+    if List.exists (fun r -> idx r = i) regs then 0 else graph i
+  in
+  check Alcotest.bool "a-c coalescable" false (Igraph.interferes g a c);
+  check Alcotest.bool "george, graph degree" false
+    (Coalesce.george_ok ~k ~degree:graph g ia ic);
+  check Alcotest.bool "george, n and t stacked" true
+    (Coalesce.george_ok ~k ~degree:(stacked [ n; t ]) g ia ic);
+  check Alcotest.bool "briggs, graph degree" false
+    (Coalesce.briggs_ok ~k ~degree:graph g ia ic);
+  check Alcotest.bool "briggs, clique stacked" true
+    (Coalesce.briggs_ok ~k ~degree:(stacked clique) g ia ic)
 
 let test_conservative_no_merge_when_unsafe () =
   (* A copy pair whose union has >= k significant neighbors must not be
@@ -176,6 +214,7 @@ let () =
           tc "physical representative wins" test_aggressive_prefers_phys;
           tc "briggs test at large k" test_briggs_test;
           tc "george test" test_george_test_trivial;
+          tc "both degree sources" test_degree_sources;
           tc "conservative caution" test_conservative_no_merge_when_unsafe;
         ] );
       ( "props",
