@@ -8,36 +8,40 @@
 
 type t = {
   cpt : Regbits.compact;
-  (* Backward solver tables: [input] is the fact at block exit (before
+  (* Backward solver facts: [input] is the fact at block exit (before
      the phi outflow is folded in), [output] the fact at block entry. *)
-  exit_bits : (Instr.label, Regbits.Set.t) Hashtbl.t;
-  entry_bits : (Instr.label, Regbits.Set.t) Hashtbl.t;
-  phi_outflow_bits : (Instr.label, Regbits.Set.t) Hashtbl.t;
+  facts : Regbits.Set.t Solver.result;
+  (* Below, arrays indexed by block label. *)
+  phi_outflow_bits : Regbits.Set.t array;
   (* Memoized Reg.Set views of live_in / live_out. *)
-  in_sets : (Instr.label, Reg.Set.t) Hashtbl.t;
-  out_sets : (Instr.label, Reg.Set.t) Hashtbl.t;
+  in_sets : Reg.Set.t option array;
+  out_sets : Reg.Set.t option array;
 }
 
 let compact t = t.cpt
 
+(* The outflow of a block no phi reads from; shared and never mutated. *)
+let no_outflow = Regbits.Set.create 0
+
 (* Registers a block makes live in its predecessors via phi sources,
-   keyed by predecessor label. *)
-let phi_outflow cpt (f : Cfg.func) =
-  let tbl = Hashtbl.create 16 in
+   indexed by predecessor label. *)
+let phi_outflow cpt bound (f : Cfg.func) =
+  let out = Array.make bound no_outflow in
   Cfg.iter_instrs f (fun _ i ->
       List.iter
         (fun (pred, r) ->
-          let cur =
-            match Hashtbl.find_opt tbl pred with
-            | Some s -> s
-            | None ->
-                let s = Regbits.Set.create (Regbits.size cpt) in
-                Hashtbl.replace tbl pred s;
-                s
-          in
-          Regbits.Set.add cur (Regbits.index cpt r))
+          let idx = Regbits.index cpt r in
+          if pred >= 0 && pred < bound then begin
+            if out.(pred) == no_outflow then
+              out.(pred) <- Regbits.Set.create (Regbits.size cpt);
+            Regbits.Set.add out.(pred) idx
+          end)
         (Instr.phi_srcs i.Instr.kind));
-  tbl
+  out
+
+let outflow t l =
+  if l >= 0 && l < Array.length t.phi_outflow_bits then t.phi_outflow_bits.(l)
+  else no_outflow
 
 (* In-place backward transfer across one instruction. *)
 let transfer_instr_bits cpt live i =
@@ -55,7 +59,10 @@ let transfer_instr_bits cpt live i =
 let compute (f : Cfg.func) =
   let cpt = Regbits.of_func f in
   let n = Regbits.size cpt in
-  let outflow = phi_outflow cpt f in
+  let bound =
+    1 + List.fold_left (fun m (b : Cfg.block) -> max m b.Cfg.label) (-1) f.Cfg.blocks
+  in
+  let outflow = phi_outflow cpt bound f in
   let module F = struct
     type t = Regbits.Set.t
 
@@ -66,61 +73,44 @@ let compute (f : Cfg.func) =
   let module S = Solver.Make (F) in
   let transfer (b : Cfg.block) live_out =
     let live = Regbits.Set.copy live_out in
-    (match Hashtbl.find_opt outflow b.Cfg.label with
-    | Some extra -> ignore (Regbits.Set.union_into ~src:extra ~dst:live)
-    | None -> ());
+    ignore (Regbits.Set.union_into ~src:outflow.(b.Cfg.label) ~dst:live);
     let instrs = b.Cfg.instrs in
     for k = Array.length instrs - 1 downto 0 do
       transfer_instr_bits cpt live instrs.(k)
     done;
     live
   in
-  let result = S.solve ~direction:Solver.Backward ~transfer f in
   {
     cpt;
-    exit_bits = result.S.input;
-    entry_bits = result.S.output;
+    facts = S.solve ~direction:Solver.Backward ~transfer f;
     phi_outflow_bits = outflow;
-    in_sets = Hashtbl.create 16;
-    out_sets = Hashtbl.create 16;
+    in_sets = Array.make bound None;
+    out_sets = Array.make bound None;
   }
 
 let scratch_live_out t l =
-  let live =
-    match Hashtbl.find_opt t.exit_bits l with
-    | Some s -> Regbits.Set.copy s
-    | None -> Regbits.Set.create (Regbits.size t.cpt)
-  in
-  (match Hashtbl.find_opt t.phi_outflow_bits l with
-  | Some extra -> ignore (Regbits.Set.union_into ~src:extra ~dst:live)
-  | None -> ());
+  let live = Regbits.Set.copy (Solver.input t.facts l) in
+  ignore (Regbits.Set.union_into ~src:(outflow t l) ~dst:live);
   live
 
+let live_in_bits t l = Regbits.Set.copy (Solver.output t.facts l)
 
-let live_in_bits t l =
-  match Hashtbl.find_opt t.entry_bits l with
-  | Some s -> Regbits.Set.copy s
-  | None -> Regbits.Set.create (Regbits.size t.cpt)
+let memo views l view =
+  if l < 0 || l >= Array.length views then view ()
+  else
+    match views.(l) with
+    | Some s -> s
+    | None ->
+        let s = view () in
+        views.(l) <- Some s;
+        s
 
 let live_out t l =
-  match Hashtbl.find_opt t.out_sets l with
-  | Some s -> s
-  | None ->
-      let s = Regbits.Set.to_reg_set t.cpt (scratch_live_out t l) in
-      Hashtbl.replace t.out_sets l s;
-      s
+  memo t.out_sets l (fun () -> Regbits.Set.to_reg_set t.cpt (scratch_live_out t l))
 
 let live_in t l =
-  match Hashtbl.find_opt t.in_sets l with
-  | Some s -> s
-  | None ->
-      let s =
-        match Hashtbl.find_opt t.entry_bits l with
-        | Some bits -> Regbits.Set.to_reg_set t.cpt bits
-        | None -> Reg.Set.empty
-      in
-      Hashtbl.replace t.in_sets l s;
-      s
+  memo t.in_sets l (fun () ->
+      Regbits.Set.to_reg_set t.cpt (Solver.output t.facts l))
 
 let iter_block_backward_bits t (b : Cfg.block) ~f =
   let live = scratch_live_out t b.Cfg.label in

@@ -12,8 +12,9 @@ type t = {
   n_sites : int;
   site_of_index : int array; (* dense instr index -> site, or -1 *)
   site_reg : Reg.t array; (* site -> defined register *)
-  reg_sites : int list Reg.Tbl.t; (* reg -> sites, program order *)
-  bits_in : (Instr.label, Regbits.Set.t) Hashtbl.t;
+  reg_base : Reg.t; (* smallest register with a site *)
+  reg_sites : int list array; (* register - reg_base -> sites, program order *)
+  bits_in : Regbits.Set.t Solver.result;
 }
 
 let def_of_instr (i : Instr.t) =
@@ -23,16 +24,16 @@ let def_of_instr (i : Instr.t) =
 
 (* In-place forward transfer: kill the register's other sites, set this
    one. *)
-let transfer_site t live s =
-  let r = t.site_reg.(s) in
-  List.iter (fun d -> Regbits.Set.remove live d) (Reg.Tbl.find t.reg_sites r);
+let transfer_site ~site_reg ~reg_base ~reg_sites live s =
+  List.iter
+    (fun d -> Regbits.Set.remove live d)
+    reg_sites.(site_reg.(s) - reg_base);
   Regbits.Set.add live s
 
 let compute (f : Cfg.func) =
   let n = Cfg.n_instrs f in
   let site_of_index = Array.make n (-1) in
   let sites = ref [] and n_sites = ref 0 in
-  let reg_sites = Reg.Tbl.create 64 in
   let idx = ref 0 in
   List.iter
     (fun (b : Cfg.block) ->
@@ -43,26 +44,22 @@ let compute (f : Cfg.func) =
               let s = !n_sites in
               incr n_sites;
               site_of_index.(!idx) <- s;
-              sites := r :: !sites;
-              let cur = try Reg.Tbl.find reg_sites r with Not_found -> [] in
-              Reg.Tbl.replace reg_sites r (s :: cur)
+              sites := r :: !sites
           | None -> ());
           incr idx)
         b.Cfg.instrs)
     f.Cfg.blocks;
   let n_sites = !n_sites in
   let site_reg = Array.of_list (List.rev !sites) in
-  Reg.Tbl.filter_map_inplace (fun _ sites -> Some (List.rev sites)) reg_sites;
-  let t =
-    {
-      fn = f;
-      n_sites;
-      site_of_index;
-      site_reg;
-      reg_sites;
-      bits_in = Hashtbl.create 16;
-    }
-  in
+  (* Sites by register, over the span of registers with a site; built
+     backwards so each list comes out in program order. *)
+  let reg_base = Array.fold_left min max_int site_reg in
+  let span = Array.fold_left max (-1) site_reg - reg_base + 1 in
+  let reg_sites = Array.make (max 0 span) [] in
+  for s = n_sites - 1 downto 0 do
+    let v = site_reg.(s) - reg_base in
+    reg_sites.(v) <- s :: reg_sites.(v)
+  done;
   let module F = struct
     type nonrec t = Regbits.Set.t
 
@@ -77,13 +74,19 @@ let compute (f : Cfg.func) =
     Array.iteri
       (fun k _ ->
         let s = site_of_index.(base + k) in
-        if s >= 0 then transfer_site t live s)
+        if s >= 0 then transfer_site ~site_reg ~reg_base ~reg_sites live s)
       b.Cfg.instrs;
     live
   in
-  let result = S.solve ~direction:Solver.Forward ~transfer f in
-  Hashtbl.iter (fun l bits -> Hashtbl.replace t.bits_in l bits) result.S.input;
-  t
+  {
+    fn = f;
+    n_sites;
+    site_of_index;
+    site_reg;
+    reg_base;
+    reg_sites;
+    bits_in = S.solve ~direction:Solver.Forward ~transfer f;
+  }
 
 (* {1 Dense accessors} *)
 
@@ -91,12 +94,10 @@ let n_sites t = t.n_sites
 let site_reg t s = t.site_reg.(s)
 
 let sites_of_reg t r =
-  try Reg.Tbl.find t.reg_sites r with Not_found -> []
+  let v = r - t.reg_base in
+  if v >= 0 && v < Array.length t.reg_sites then t.reg_sites.(v) else []
 
-let reaching_in_bits t l =
-  match Hashtbl.find_opt t.bits_in l with
-  | Some s -> s
-  | None -> Regbits.Set.create t.n_sites
+let reaching_in_bits t l = Solver.input t.bits_in l
 
 let iter_block_forward_bits t (b : Cfg.block) ~f =
   let live = Regbits.Set.copy (reaching_in_bits t b.Cfg.label) in
@@ -105,5 +106,7 @@ let iter_block_forward_bits t (b : Cfg.block) ~f =
     (fun k i ->
       let s = t.site_of_index.(base + k) in
       f ~reaching:live ~site:s i;
-      if s >= 0 then transfer_site t live s)
+      if s >= 0 then
+        transfer_site ~site_reg:t.site_reg ~reg_base:t.reg_base
+          ~reg_sites:t.reg_sites live s)
     b.Cfg.instrs

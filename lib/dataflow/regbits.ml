@@ -1,27 +1,73 @@
+(* [phys] maps a physical register id to its index, [virt] a virtual
+   one offset by [base]; [-1] marks an absent id.  [virt] is a window
+   over the span of virtual ids interned so far, grown in either
+   direction: a function's virtual ids are dense (below its [next_reg]),
+   and after web renumbering they start far above [Reg.first_virtual],
+   so a window from 0 would be half empty. *)
 type compact = {
-  tbl : int Reg.Tbl.t;
+  phys : int array;
+  mutable base : int;
+  mutable virt : int array;
   mutable regs : Reg.t array;
   mutable n : int;
 }
 
-let create () = { tbl = Reg.Tbl.create 64; regs = Array.make 16 0; n = 0 }
+let create () =
+  {
+    phys = Array.make Reg.first_virtual (-1);
+    base = 0;
+    virt = [||];
+    regs = Array.make 16 0;
+    n = 0;
+  }
+
+(* Widen [virt] to cover virtual id [r], with half its length again as
+   slack on the side it grows. *)
+let cover c r =
+  let len = Array.length c.virt in
+  let lo, hi =
+    if len = 0 then (r, r + 64)
+    else if r < c.base then (max Reg.first_virtual (r - (len / 2)), c.base + len)
+    else (c.base, r + 1 + (len / 2))
+  in
+  let bigger = Array.make (hi - lo) (-1) in
+  if len > 0 then Array.blit c.virt 0 bigger (c.base - lo) len;
+  c.base <- lo;
+  c.virt <- bigger
+
+let intern c r =
+  if r < 0 then invalid_arg "Regbits.index: negative register id";
+  let i = c.n in
+  if i >= Array.length c.regs then begin
+    let bigger = Array.make (2 * Array.length c.regs) 0 in
+    Array.blit c.regs 0 bigger 0 c.n;
+    c.regs <- bigger
+  end;
+  c.regs.(i) <- r;
+  c.n <- i + 1;
+  if r < Reg.first_virtual then c.phys.(r) <- i
+  else begin
+    let o = r - c.base in
+    if o < 0 || o >= Array.length c.virt then cover c r;
+    c.virt.(r - c.base) <- i
+  end;
+  i
+
+let find_index c r =
+  if r >= Reg.first_virtual then
+    let o = r - c.base in
+    if o >= 0 && o < Array.length c.virt then Array.unsafe_get c.virt o else -1
+  else if r >= 0 then Array.unsafe_get c.phys r
+  else -1
 
 let index c r =
-  match Reg.Tbl.find_opt c.tbl r with
-  | Some i -> i
-  | None ->
-      let i = c.n in
-      if i >= Array.length c.regs then begin
-        let bigger = Array.make (2 * Array.length c.regs) 0 in
-        Array.blit c.regs 0 bigger 0 c.n;
-        c.regs <- bigger
-      end;
-      c.regs.(i) <- r;
-      c.n <- i + 1;
-      Reg.Tbl.replace c.tbl r i;
-      i
+  let i = find_index c r in
+  if i >= 0 then i else intern c r
 
-let find c r = Reg.Tbl.find_opt c.tbl r
+let find c r =
+  let i = find_index c r in
+  if i >= 0 then Some i else None
+
 let size c = c.n
 
 let reg_at c i =

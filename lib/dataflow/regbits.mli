@@ -17,7 +17,12 @@
     — so sets created before a growth step remain valid. *)
 
 type compact
-(** A bidirectional register [<->] dense-index mapping. *)
+(** A bidirectional register [<->] dense-index mapping.  The forward
+    direction is direct-mapped: an array over the physical registers,
+    and one over the span of virtual ids interned so far, grown in
+    either direction.  A function's register ids are dense (below its
+    [next_reg]), so a lookup is one array read, not a hash, and the
+    arrays stay as small as the function's id range. *)
 
 val create : unit -> compact
 (** An empty numbering; registers are interned on first {!index}. *)
@@ -31,10 +36,12 @@ val size : compact -> int
 (** Number of registers interned so far. *)
 
 val index : compact -> Reg.t -> int
-(** Dense index of [r], interning it if new. *)
+(** Dense index of [r], interning it if new.
+    @raise Invalid_argument if [r] is negative. *)
 
 val find : compact -> Reg.t -> int option
-(** Dense index of [r] if already interned. *)
+(** Dense index of [r] if already interned; [None] for any other id,
+    including one past the largest interned. *)
 
 val reg_at : compact -> int -> Reg.t
 (** Inverse of {!index}.  @raise Invalid_argument if out of range. *)

@@ -15,26 +15,34 @@ module type FACT = sig
   val join : t -> t -> t
 end
 
-module Make (F : FACT) : sig
-  type result = {
-    input : (Instr.label, F.t) Hashtbl.t;
-        (** For [Forward]: fact at block entry.  For [Backward]: fact at
-            block exit. *)
-    output : (Instr.label, F.t) Hashtbl.t;
-        (** The transferred fact on the other side of the block. *)
-  }
+type 'a result
+(** Per-block facts, looked up by label. *)
 
+val input : 'a result -> Instr.label -> 'a
+(** For [Forward]: fact at block entry.  For [Backward]: fact at block
+    exit.  The fact type's [bottom] for a block the solver did not
+    reach. *)
+
+val output : 'a result -> Instr.label -> 'a
+(** The transferred fact on the other side of the block ([bottom] for a
+    block the solver did not reach). *)
+
+module Make (F : FACT) : sig
   val solve :
     direction:direction ->
     transfer:(Cfg.block -> F.t -> F.t) ->
     ?entry_fact:F.t ->
     Cfg.func ->
-    result
+    F.t result
   (** [transfer b fact] maps the block-[input] fact to the block-[output]
       fact.  [entry_fact] seeds the entry block (forward) or every exit
       block (backward); defaults to [F.bottom].
 
       Only blocks reachable from the entry are solved; an edge touching
-      an unreachable block contributes [F.bottom] (such blocks have no
-      table entry). *)
+      an unreachable block contributes [F.bottom].
+
+      The worklist runs over reverse-postorder positions, with
+      predecessors, successors and facts in arrays indexed by position;
+      blocks are queued in direction order at the start and joined over
+      their predecessors in {!Cfg.predecessors} order. *)
 end

@@ -244,8 +244,26 @@ let write_kind buf (k : Instr.kind) =
           reg v)
         srcs
 
-let read_kind r : Instr.kind =
-  let reg () = read_int r in
+(* Register ids, instruction ids and labels must lie in [0, bound),
+   the bound being the function's counter: the allocator indexes
+   arrays by them (DESIGN §6, "Decode bounds"). *)
+let read_id r what bound =
+  let v = read_int r in
+  if v < 0 || v >= bound then
+    fail "%s %d outside [0, %d) at offset %d" what v bound r.pos;
+  v
+
+let read_count r what =
+  let n = read_int r in
+  if n < 0 then fail "negative %s count at offset %d" what r.pos;
+  (* Every element takes at least one byte. *)
+  if n > String.length r.src - r.pos then
+    fail "%s count %d exceeds the input at offset %d" what n r.pos;
+  n
+
+let read_kind ~next_reg ~next_label r : Instr.kind =
+  let reg () = read_id r "register" next_reg in
+  let label () = read_id r "label" next_label in
   let int () = read_int r in
   match read_byte r with
   | 0 ->
@@ -301,8 +319,7 @@ let read_kind r : Instr.kind =
         | b -> fail "bad call-dst flag %d at offset %d" b r.pos
       in
       let callee = read_string r in
-      let n = int () in
-      if n < 0 then fail "negative arg count at offset %d" r.pos;
+      let n = read_count r "arg" in
       (* Explicit loops everywhere below: the reader is stateful and
          [List.init]/[Array.init] do not guarantee evaluation order. *)
       let args = ref [] in
@@ -322,21 +339,20 @@ let read_kind r : Instr.kind =
       let dst = reg () in
       let slot = int () in
       Instr.Reload { dst; slot }
-  | 13 -> Instr.Jump (int ())
+  | 13 -> Instr.Jump (label ())
   | 14 ->
       let cond = reg () in
-      let ifso = int () in
-      let ifnot = int () in
+      let ifso = label () in
+      let ifnot = label () in
       Instr.Branch { cond; ifso; ifnot }
   | 15 -> Instr.Ret None
   | 16 -> Instr.Ret (Some (reg ()))
   | 17 ->
       let dst = reg () in
-      let n = int () in
-      if n < 0 then fail "negative phi-source count at offset %d" r.pos;
+      let n = read_count r "phi-source" in
       let srcs = ref [] in
       for _ = 1 to n do
-        let l = int () in
+        let l = label () in
         let v = reg () in
         srcs := (l, v) :: !srcs
       done;
@@ -377,33 +393,40 @@ let write_func buf (f : Cfg.func) =
         b.Cfg.instrs)
     f.Cfg.blocks
 
+let max_counter = 1 lsl 20
+
 let read_func r : Cfg.func =
   let name = read_string r in
   let n_params = read_int r in
   let entry = read_int r in
-  let next_reg = read_int r in
-  let next_instr_id = read_int r in
-  let next_label = read_int r in
-  let n_classes = read_int r in
-  if n_classes < 0 then fail "negative class count at offset %d" r.pos;
+  let counter what =
+    let v = read_int r in
+    if v < 0 || v > max_counter then
+      fail "%s %d outside [0, %d] at offset %d" what v max_counter r.pos;
+    v
+  in
+  let next_reg = counter "next_reg" in
+  let next_instr_id = counter "next_instr_id" in
+  let next_label = counter "next_label" in
+  if entry < 0 || entry >= next_label then
+    fail "entry label %d outside [0, %d) at offset %d" entry next_label r.pos;
+  let n_classes = read_count r "class" in
   let reg_cls = Reg.Tbl.create (max 16 n_classes) in
   for _ = 1 to n_classes do
-    let reg = read_int r in
+    let reg = read_id r "register" next_reg in
     (match read_byte r with
     | 0 -> Reg.Tbl.replace reg_cls reg Reg.Int_class
     | 1 -> Reg.Tbl.replace reg_cls reg Reg.Float_class
     | b -> fail "bad register class %d at offset %d" b r.pos)
   done;
-  let n_blocks = read_int r in
-  if n_blocks < 0 then fail "negative block count at offset %d" r.pos;
+  let n_blocks = read_count r "block" in
   let read_block () =
-    let label = read_int r in
-    let n = read_int r in
-    if n < 0 then fail "negative instruction count at offset %d" r.pos;
+    let label = read_id r "label" next_label in
+    let n = read_count r "instruction" in
     let instrs = Array.make n Instr.dummy in
     for i = 0 to n - 1 do
-      let id = read_int r in
-      let kind = read_kind r in
+      let id = read_id r "instruction id" next_instr_id in
+      let kind = read_kind ~next_reg ~next_label r in
       instrs.(i) <- { Instr.id; kind }
     done;
     (* [mk_block] re-checks the structural invariants, so malformed
@@ -445,8 +468,7 @@ let read_program r : Cfg.program =
   then fail "bad program magic at offset %d" r.pos;
   r.pos <- r.pos + m;
   let main = read_string r in
-  let n = read_int r in
-  if n < 0 then fail "negative function count at offset %d" r.pos;
+  let n = read_count r "function" in
   let funcs = ref [] in
   for _ = 1 to n do
     funcs := read_func r :: !funcs

@@ -19,6 +19,17 @@ exception Error of string
 (** Raised by the decoders on truncated, oversized or malformed
     input.  The message names the offset and what was expected. *)
 
+val max_counter : int
+(** Largest fresh-name counter ([next_reg], [next_instr_id],
+    [next_label]) a decoded function may carry: 2{^20}.  The allocator
+    sizes arrays by register id, instruction id and label, so the
+    decoder also rejects any register id outside [\[0, next_reg)],
+    instruction id outside [\[0, next_instr_id)] and label outside
+    [\[0, next_label)], and any element count larger than the bytes
+    left.  A frame (at most {!Protocol.max_frame} bytes) can then make
+    the daemon allocate only in proportion to its size, never by a
+    counter it claims. *)
+
 val encode_func : Cfg.func -> string
 val decode_func : string -> Cfg.func
 

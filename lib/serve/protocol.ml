@@ -4,7 +4,10 @@ exception Closed
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 (* 64 MiB: generous for any realistic program batch, small enough that
-   a corrupt length prefix cannot drive the peer into the allocator. *)
+   a corrupt length prefix cannot drive the peer into the allocator.
+   Inside a frame, [Codec.max_counter] (2^20) bounds each function's
+   register, instruction and label counters, and every id is checked
+   against its counter, so no decoded value sizes an allocation either. *)
 let max_frame = 1 lsl 26
 
 (* ---- messages --------------------------------------------------------- *)

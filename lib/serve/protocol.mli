@@ -25,7 +25,9 @@
       frame header closes the connection. *)
 
 val max_frame : int
-(** Upper bound on payload size, for both peers. *)
+(** Upper bound on payload size, for both peers: 64 MiB.  Within a
+    payload, {!Codec.max_counter} bounds the counters of each decoded
+    function. *)
 
 exception Error of string
 (** Malformed frame or payload. *)

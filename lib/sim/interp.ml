@@ -119,6 +119,13 @@ let eval_cmp op a b =
   | Instr.Gt -> bool_to_value (r > 0)
   | Instr.Ge -> bool_to_value (r >= 0)
 
+(* What a call leaves in the volatile registers under [~machine]: the
+   callee may have overwritten them, so a caller that reads one without
+   a restore must not find a value that survived only because this
+   callee happened not to write it. *)
+let poison_int = Int 0xbad_c0de
+let poison_float = Flt Float.nan
+
 let run ?machine ?(heap_size = 4096) ?(fuel = 30_000_000) ?(args = [])
     (p : Cfg.program) =
   let images = Hashtbl.create 16 in
@@ -277,6 +284,11 @@ let run ?machine ?(heap_size = 4096) ?(fuel = 30_000_000) ?(args = [])
             charge Costs.call_overhead;
             let arg_values = List.map (get frame) args in
             let res = call_function callee arg_values (depth + 1) in
+            (match st.machine with
+            | Some m ->
+                Array.fill st.int_file 0 m.Machine.n_volatile poison_int;
+                Array.fill st.float_file 0 m.Machine.n_volatile poison_float
+            | None -> ());
             (match (dst, res) with
             | Some d, Some v -> set frame d v
             | Some d, None -> set frame d (Int 0)

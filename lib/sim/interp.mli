@@ -42,7 +42,10 @@ val run :
   Cfg.program ->
   result
 (** Runs the program's [main].  [machine] enables the allocation-aware
-    cost effects (pairing, fixups); omit it for virtual code.  Default
+    cost effects (pairing, fixups) and poisons the machine's volatile
+    registers after each call returns, before the call's [dst] is
+    written, so allocated code that keeps a value in a caller-save
+    register across a call reads garbage; omit it for virtual code.  Default
     [heap_size] 4096 words, [fuel] 30 million instructions. *)
 
 val equal_value : value option -> value option -> bool

@@ -39,21 +39,24 @@ let run (f : Cfg.func) =
           (Dominance.frontier dom l)
       done)
     def_blocks;
-  (* Renaming along the dominator tree. *)
-  let stacks : Reg.t list Reg.Tbl.t = Reg.Tbl.create 64 in
+  (* Renaming along the dominator tree.  Version stacks are indexed by
+     the original register's index in the liveness numbering, which
+     covers every register of [f]; the fresh versions made below are
+     never keys. *)
+  let cpt = Liveness.compact live in
+  let stacks : Reg.t list array = Array.make (Regbits.size cpt) [] in
   let top v =
-    match Reg.Tbl.find_opt stacks v with
-    | Some (n :: _) -> n
-    | Some [] | None -> v (* use without reaching definition *)
+    match stacks.(Regbits.index cpt v) with
+    | n :: _ -> n
+    | [] -> v (* use without reaching definition *)
   in
   let push v n =
-    let cur = try Reg.Tbl.find stacks v with Not_found -> [] in
-    Reg.Tbl.replace stacks v (n :: cur)
+    let i = Regbits.index cpt v in
+    stacks.(i) <- n :: stacks.(i)
   in
   let pop v =
-    match Reg.Tbl.find_opt stacks v with
-    | Some (_ :: rest) -> Reg.Tbl.replace stacks v rest
-    | Some [] | None -> assert false
+    let i = Regbits.index cpt v in
+    match stacks.(i) with _ :: rest -> stacks.(i) <- rest | [] -> assert false
   in
   let fresh_version v =
     if Reg.is_virtual v then Cfg.fresh_reg f (Cfg.cls_of f v) else v

@@ -47,8 +47,8 @@ let check_slots (fn : Cfg.func) emit =
   in
   List.iter
     (fun (b : Cfg.block) ->
-      match Hashtbl.find_opt sol.Slot_solver.input b.Cfg.label with
-      | Some (Some init) ->
+      match Solver.input sol b.Cfg.label with
+      | Some init ->
           ignore
             (Array.fold_left
                (fun (init, index) (i : Instr.t) ->
@@ -65,7 +65,7 @@ let check_slots (fn : Cfg.func) emit =
                  | Instr.Spill { slot; _ } -> (ISet.add slot init, index + 1)
                  | _ -> (init, index + 1))
                (init, 0) b.Cfg.instrs)
-      | _ -> () (* unreachable block *))
+      | None -> () (* unreachable block *))
     fn.Cfg.blocks
 
 (* Per-class argument registers expected by the convention, in order. *)

@@ -487,8 +487,8 @@ let func (m : Machine.t) ~(reference : Cfg.func) ~(alloc : Reg.t Reg.Tbl.t)
   let flow_diags = ref [] in
   List.iter
     (fun label ->
-      match Hashtbl.find_opt sol.S.input label with
-      | Some (Some st) -> (
+      match Solver.input sol label with
+      | Some st -> (
           match Hashtbl.find_opt steps_of label with
           | Some steps ->
               ignore
@@ -496,6 +496,6 @@ let func (m : Machine.t) ~(reference : Cfg.func) ~(alloc : Reg.t Reg.Tbl.t)
                    ~emit:(fun d -> flow_diags := d :: !flow_diags)
                    label steps st)
           | None -> ())
-      | _ -> ())
+      | None -> ())
     (Cfg.reverse_postorder reference);
   List.rev !structural_diags @ List.rev !flow_diags

@@ -97,7 +97,7 @@ module Ref_live = struct
   module S = Solver.Make (Fact)
 
   type t = {
-    result : S.result;
+    result : Reg.Set.t Solver.result;
     phi_outflow : (Instr.label, Reg.Set.t) Hashtbl.t;
   }
 
@@ -137,15 +137,12 @@ module Ref_live = struct
     { result; phi_outflow = outflow }
 
   let live_out t l =
-    let base =
-      try Hashtbl.find t.result.S.input l with Not_found -> Reg.Set.empty
-    in
+    let base = Solver.input t.result l in
     match Hashtbl.find_opt t.phi_outflow l with
     | Some extra -> Reg.Set.union base extra
     | None -> base
 
-  let live_in t l =
-    try Hashtbl.find t.result.S.output l with Not_found -> Reg.Set.empty
+  let live_in t l = Solver.output t.result l
 
   let fold_block_backward t (b : Cfg.block) ~init ~f =
     let live = ref (live_out t b.Cfg.label) in

@@ -314,9 +314,9 @@ let test_solver_forward_constant () =
       ~transfer:(fun _ x -> x + 1)
       ~entry_fact:0 fn
   in
-  check Alcotest.int "entry input" 0 (Hashtbl.find r.Count.input fn.Cfg.entry);
+  check Alcotest.int "entry input" 0 (Solver.input r fn.Cfg.entry);
   let join = find_ret_block fn in
-  check Alcotest.int "join input" 2 (Hashtbl.find r.Count.input join.Cfg.label)
+  check Alcotest.int "join input" 2 (Solver.input r join.Cfg.label)
 
 (* A function whose [dead] block is unreachable from the entry but
    branches back into live code: its edge must contribute bottom to the
@@ -423,6 +423,70 @@ let test_regbits_remove_inter_lengths () =
   check int_list "long dst: left" [ 63; 126 ] (members long);
   check int_list "src untouched" [ 0; 5; 62 ] (members short)
 
+(* The compact numbering: indices in first-visit order, [find] never
+   interns, the id-indexed table grows without renumbering, and
+   [reg_at] inverts [index]. *)
+let test_numbering_first_visit () =
+  (* a, b are params; s = a + b; r = s * a; ret r. *)
+  let fn, a, b, s, r = straightline () in
+  let cpt = Regbits.of_func fn in
+  let expected = [ a; b; s; r ] in
+  check Alcotest.int "size" (List.length expected) (Regbits.size cpt);
+  List.iteri
+    (fun k reg ->
+      check Alcotest.(option int) ("find " ^ Reg.to_string reg) (Some k)
+        (Regbits.find cpt reg);
+      check Alcotest.int ("index " ^ Reg.to_string reg) k
+        (Regbits.index cpt reg))
+    expected;
+  check Alcotest.int "index interns nothing new" (List.length expected)
+    (Regbits.size cpt)
+
+let test_numbering_find () =
+  let cpt = Regbits.create () in
+  let v = Reg.first_virtual in
+  check Alcotest.(option int) "empty table" None (Regbits.find cpt v);
+  check Alcotest.int "first" 0 (Regbits.index cpt (v + 3));
+  check Alcotest.int "second" 1 (Regbits.index cpt 2);
+  check Alcotest.(option int) "interned" (Some 0) (Regbits.find cpt (v + 3));
+  check Alcotest.(option int) "below the largest, never interned" None
+    (Regbits.find cpt (v + 1));
+  check Alcotest.(option int) "past the table" None
+    (Regbits.find cpt (v + 1_000_000));
+  check Alcotest.(option int) "negative" None (Regbits.find cpt (-1));
+  check Alcotest.int "find interns nothing" 2 (Regbits.size cpt);
+  check Alcotest.bool "negative index rejected" true
+    (match Regbits.index cpt (-1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_numbering_growth () =
+  let cpt = Regbits.create () in
+  let early = [ Reg.first_virtual + 7; 0; Reg.first_virtual ] in
+  List.iteri
+    (fun k reg -> check Alcotest.int "early index" k (Regbits.index cpt reg))
+    early;
+  let far = Reg.first_virtual + 100_000 in
+  check Alcotest.int "far id" 3 (Regbits.index cpt far);
+  List.iteri
+    (fun k reg ->
+      check Alcotest.(option int) "kept after growth" (Some k)
+        (Regbits.find cpt reg);
+      check Alcotest.int "index after growth" k (Regbits.index cpt reg))
+    early;
+  check Alcotest.int "size" 4 (Regbits.size cpt)
+
+let test_numbering_reg_at () =
+  let cpt = Regbits.of_func (List.hd (random_program 7).Cfg.funcs) in
+  for k = 0 to Regbits.size cpt - 1 do
+    check Alcotest.int "index (reg_at k) = k" k
+      (Regbits.index cpt (Regbits.reg_at cpt k))
+  done;
+  check Alcotest.bool "reg_at past size rejected" true
+    (match Regbits.reg_at cpt (Regbits.size cpt) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "dataflow"
     [
@@ -466,6 +530,10 @@ let () =
         ] );
       ( "regbits",
         [
+          tc "numbering in first-visit order" test_numbering_first_visit;
+          tc "numbering find" test_numbering_find;
+          tc "numbering growth keeps indices" test_numbering_growth;
+          tc "numbering reg_at inverts index" test_numbering_reg_at;
           tc "word boundaries" test_regbits_boundaries;
           prop_regbits_iter_model;
           tc "remove_inter across row lengths" test_regbits_remove_inter_lengths;

@@ -62,7 +62,9 @@ let test_exec () =
 
    Two input sets: 12 random programs (seeds 1000..1011) at k = 8 and
    16, and the seven suite programs at k = 8, whose large functions
-   keep the spill heuristics busy for many blocked steps per round. *)
+   keep the spill heuristics busy for many blocked steps per round.
+   The suite is pinned again at k = 24 and k = 32, the register files
+   the paper's figures (and perfbench's suite-pdgc workload) run. *)
 let golden_inputs =
   lazy
     (List.concat_map
@@ -74,9 +76,9 @@ let golden_inputs =
              (m, Pipeline.prepare m p)))
        [ 8; 16 ])
 
-let suite_golden_inputs =
+let suite_inputs k =
   lazy
-    (let m = Machine.make ~k:8 () in
+    (let m = Machine.make ~k () in
      List.map (fun (_, p) -> (m, Pipeline.prepare m p)) (Suite.all ()))
 
 let golden_digest inputs (a : Allocator.t) =
@@ -119,6 +121,30 @@ let suite_golden =
     ("priority", "29d5de450771fad117824240367dd798");
   ]
 
+let suite_golden_24 =
+  [
+    ("chaitin", "d6f0f266d5d5bde3b2b0aebd01993e39");
+    ("briggs", "9fca36b174fe294acf3d89a5cb5963e4");
+    ("optimistic", "68d1b03e25f1dc9aedf775c910de5364");
+    ("iterated", "38a0c721481808f64b7b7eefdf321ffe");
+    ("pdgc-co", "5b81def5f7addfde2a07e9623e6c35f5");
+    ("pdgc", "084dca794ad9d03f91d9ccef291f416c");
+    ("lueh-gross", "464caa1a51e4adc76f215235bcaf1f3d");
+    ("priority", "8ae6204e5e1037ebfdc2aec5a2bbba1f");
+  ]
+
+let suite_golden_32 =
+  [
+    ("chaitin", "454a42b699df549669ec2a47b2e9a1e2");
+    ("briggs", "265b472cda78ece2868761cd63727e9b");
+    ("optimistic", "7c58a0a02068f94fc7a2abdf2b7c36ae");
+    ("iterated", "aea51f880440552aa49942670f31de6f");
+    ("pdgc-co", "705aa492112fd96cd6005996e63aa193");
+    ("pdgc", "15f9c23c7485335e939ba9e5ae13efde");
+    ("lueh-gross", "0ad3c85b51b0ac96ac98b5688132d59e");
+    ("priority", "768d1b446bba6fdc9edf91b22e886a8a");
+  ]
+
 let test_golden inputs name digest () =
   let a = Option.get (Allocator.find name) in
   check Alcotest.string (name ^ " output digest") digest
@@ -140,10 +166,15 @@ let () =
           (fun (name, digest) ->
             tc ("output of " ^ name) (test_golden golden_inputs name digest))
           golden
-        @ List.map
-            (fun (name, digest) ->
-              tc
-                ("suite output of " ^ name ^ " at k=8")
-                (test_golden suite_golden_inputs name digest))
-            suite_golden );
+        @ List.concat_map
+            (fun (k, pins) ->
+              let inputs = suite_inputs k in
+              List.map
+                (fun (name, digest) ->
+                  tc
+                    (Printf.sprintf "suite output of %s at k=%d" name k)
+                    (test_golden inputs name digest))
+                pins)
+            [ (8, suite_golden); (24, suite_golden_24); (32, suite_golden_32) ]
+        );
     ]

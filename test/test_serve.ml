@@ -205,10 +205,51 @@ let test_codec_rejects_garbage () =
     | (_ : Cfg.func) -> Alcotest.failf "%s: malformed input decoded" what
     | exception Codec.Error _ -> ()
   in
-  let enc = Codec.encode_func (List.hd (rich_program 3).Cfg.funcs) in
+  let f = List.hd (rich_program 3).Cfg.funcs in
+  let enc = Codec.encode_func f in
   expect_error "truncation" (fun () ->
       Codec.decode_func (String.sub enc 0 (String.length enc / 2)));
-  expect_error "trailing garbage" (fun () -> Codec.decode_func (enc ^ "x"))
+  expect_error "trailing garbage" (fun () -> Codec.decode_func (enc ^ "x"));
+  (* Bounds on what a frame can make the decoder allocate: a real
+     function with one counter or id patched, then only decoded. *)
+  let patched what g =
+    expect_error what (fun () -> Codec.decode_func (Codec.encode_func g))
+  in
+  let over = Codec.max_counter + 1 in
+  patched "next_reg above the bound" { (Cfg.clone f) with Cfg.next_reg = over };
+  patched "next_instr_id above the bound"
+    { (Cfg.clone f) with Cfg.next_instr_id = over };
+  patched "next_label above the bound"
+    { (Cfg.clone f) with Cfg.next_label = over };
+  let v = List.hd (Reg.Set.elements (Cfg.all_vregs f)) in
+  let rename_reg to_ =
+    let g = Cfg.clone f in
+    let sub r = if r = v then to_ else r in
+    Cfg.map_instrs g (fun i ->
+        Instr.map_defs sub (Instr.map_uses sub i.Instr.kind))
+  in
+  patched "negative register id" (rename_reg (-1));
+  patched "register id at next_reg" (rename_reg f.Cfg.next_reg);
+  let patch_first_block patch =
+    let g = Cfg.clone f in
+    match g.Cfg.blocks with
+    | b :: rest -> Cfg.with_blocks g (patch b :: rest)
+    | [] -> assert false
+  in
+  patched "instruction id at next_instr_id"
+    (patch_first_block (fun b ->
+         let instrs = Array.copy b.Cfg.instrs in
+         instrs.(0) <- { (instrs.(0)) with Instr.id = f.Cfg.next_instr_id };
+         { b with Cfg.instrs }));
+  patched "label at next_label"
+    (patch_first_block (fun b -> { b with Cfg.label = f.Cfg.next_label }));
+  (* A count larger than the bytes after it: the class table claims a
+     billion entries and the input ends. *)
+  let buf = Buffer.create 16 in
+  Codec.write_string buf "f";
+  List.iter (Codec.write_int buf) [ 0; 0; 200; 10; 1; 1_000_000_000 ];
+  expect_error "count past the input" (fun () ->
+      Codec.decode_func (Buffer.contents buf))
 
 (* ---- func replies ------------------------------------------------------- *)
 

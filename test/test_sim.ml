@@ -157,6 +157,37 @@ let test_limited_fixup_dynamic () =
     (inside.Interp.cycles + Costs.limited_fixup)
     outside.Interp.cycles
 
+(* A caller keeps a value in a volatile register across a call whose
+   callee never writes that register.  The shared register file would
+   hand the value back intact; under [~machine] the call poisons the
+   volatile registers, so the missing save shows in the result. *)
+let test_volatile_poisoned_after_call () =
+  let m = Machine.middle_pressure in
+  let kept = Reg.phys Reg.Int_class 1 in
+  let ret = Reg.phys Reg.Int_class m.Machine.ret_index in
+  check Alcotest.bool "kept register is volatile" true
+    (Machine.is_volatile m kept);
+  let single name instrs =
+    let fn = Cfg.create_func ~name ~n_params:0 ~entry:0 in
+    Cfg.with_blocks fn
+      [ { Cfg.label = 0; instrs = Array.of_list (List.map (Cfg.instr fn) instrs) } ]
+  in
+  let callee = single "leaf" [ Instr.Ret None ] in
+  let main =
+    single "main"
+      [
+        Instr.Const { dst = kept; value = 42L };
+        Instr.Call { dst = Some ret; callee = "leaf"; args = [] };
+        Instr.Ret (Some kept);
+      ]
+  in
+  let p = { Cfg.funcs = [ main; callee ]; main = "main" } in
+  check Alcotest.bool "survives without a machine" true
+    (Interp.equal_value (Interp.run p).Interp.value (Some (Interp.Int 42)));
+  check Alcotest.bool "poisoned under the machine" false
+    (Interp.equal_value (Interp.run ~machine:m p).Interp.value
+       (Some (Interp.Int 42)))
+
 let test_paired_load_fusion_dynamic () =
   let m = Machine.middle_pressure in
   let mk lo hi =
@@ -325,6 +356,8 @@ let () =
           tc "cycle accounting" test_cycle_accounting;
           tc "limited fixups" test_limited_fixup_dynamic;
           tc "paired-load fusion" test_paired_load_fusion_dynamic;
+          tc "volatile registers poisoned after a call"
+            test_volatile_poisoned_after_call;
         ] );
       ( "finalize",
         [
