@@ -1,20 +1,13 @@
-(* Load generator for the allocation daemon: replay a deterministic
-   stream of workload functions, cold then warm, and report throughput
-   and latency percentiles.  `--selftest` runs the @serve-smoke checks
-   instead (daemon ≡ one-shot pipeline, cached ≡ uncached, jobs=1 ≡
-   jobs=4, error replies).
+(* The @serve-smoke runner: boot daemons from a pdgcd binary on temp
+   sockets and run the daemon equivalence checks (daemon ≡ one-shot
+   pipeline, cached ≡ uncached, jobs=1 ≡ jobs=4, concurrent
+   connections, error replies; see Loadgen.selftest).  Daemon
+   throughput and latency are measured by perfbench's daemon-zipf.
 
-   Exit codes: 0 = success, 1 = runtime/verification failure (a failed
-   selftest check, a daemon error reply, a lost connection), 2 = bad
-   usage — an unknown allocator lists the valid names. *)
+   Exit codes: 0 = every check passed, 1 = a check failed or the
+   daemon could not be run, 2 = bad usage. *)
 
-let usage ppf =
-  Format.fprintf ppf
-    "usage: pdgc_loadgen [--selftest] [--pdgcd EXE] [--socket PATH]@.\
-    \  [--funcs N] [--funcs-per-program N] [--clients N] [--jobs N]@.\
-    \  [--algo NAME] [--k N] [--seed N] [--cache-capacity N] [--json]@.\
-     allocators: %s@."
-    (String.concat ", " (Allocator.names ()))
+let usage ppf = Format.fprintf ppf "usage: pdgc_loadgen --pdgcd EXE@."
 
 let bad fmt =
   Format.kasprintf
@@ -24,158 +17,22 @@ let bad fmt =
       exit 2)
     fmt
 
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "pdgc_loadgen: %s@." msg;
-      exit 1)
-    fmt
-
-let print_pass name (p : Loadgen.pass) =
-  Format.printf
-    "%-6s %8d funcs %6d reqs %8.2fs %10.0f fn/s  p50 %7.3fms  p99 %7.3fms@."
-    name p.Loadgen.functions p.Loadgen.requests p.Loadgen.elapsed_s
-    p.Loadgen.fns_per_s p.Loadgen.p50_ms p.Loadgen.p99_ms
-
-let json_pass (p : Loadgen.pass) =
-  Printf.sprintf
-    {|{"functions": %d, "requests": %d, "elapsed_s": %.6f, "fns_per_s": %.1f, "p50_ms": %.6f, "p99_ms": %.6f}|}
-    p.Loadgen.functions p.Loadgen.requests p.Loadgen.elapsed_s
-    p.Loadgen.fns_per_s p.Loadgen.p50_ms p.Loadgen.p99_ms
+let fail msg =
+  Format.eprintf "pdgc_loadgen: %s@." msg;
+  exit 1
 
 let () =
-  let selftest = ref false in
-  let pdgcd = ref None in
-  let socket = ref None in
-  let funcs = ref 2000 in
-  let funcs_per_program = ref 20 in
-  let clients = ref 1 in
-  let jobs = ref (Engine.default_jobs ()) in
-  let algo = ref "pdgc" in
-  let k = ref 16 in
-  let seed = ref 1 in
-  let cache_capacity = ref 0 in
-  let json = ref false in
-  let int_arg name n f =
-    match int_of_string_opt n with
-    | Some v -> f v
-    | None -> bad "%s expects an integer, got %S" name n
-  in
-  let pos name r n rest parse =
-    int_arg name n (fun v ->
-        if v < 1 then bad "%s expects a positive integer, got %d" name v;
-        r := v);
-    parse rest
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--help" :: _ | "-h" :: _ ->
+  let exe =
+    match List.tl (Array.to_list Sys.argv) with
+    | [ ("--help" | "-h") ] ->
         usage Format.std_formatter;
         exit 0
-    | "--selftest" :: rest ->
-        selftest := true;
-        parse rest
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | "--pdgcd" :: exe :: rest ->
-        pdgcd := Some exe;
-        parse rest
-    | "--socket" :: path :: rest ->
-        socket := Some path;
-        parse rest
-    | "--algo" :: name :: rest ->
-        algo := name;
-        parse rest
-    | "--funcs" :: n :: rest -> pos "--funcs" funcs n rest parse
-    | "--funcs-per-program" :: n :: rest ->
-        pos "--funcs-per-program" funcs_per_program n rest parse
-    | "--clients" :: n :: rest -> pos "--clients" clients n rest parse
-    | "--jobs" :: n :: rest -> pos "--jobs" jobs n rest parse
-    | "--k" :: n :: rest -> pos "--k" k n rest parse
-    | "--seed" :: n :: rest ->
-        int_arg "--seed" n (fun v -> seed := v);
-        parse rest
-    | "--cache-capacity" :: n :: rest ->
-        int_arg "--cache-capacity" n (fun v -> cache_capacity := v);
-        parse rest
-    | [ ("--pdgcd" | "--socket" | "--algo" | "--funcs" | "--funcs-per-program"
-        | "--clients" | "--jobs" | "--k" | "--seed" | "--cache-capacity") ] as
-      last ->
-        bad "missing argument for %s" (List.hd last)
-    | arg :: _ -> bad "unknown argument %S" arg
+    | [ "--pdgcd"; exe ] -> exe
+    | [] -> bad "missing --pdgcd EXE"
+    | [ "--pdgcd" ] -> bad "missing argument for --pdgcd"
+    | "--pdgcd" :: _ :: arg :: _ | arg :: _ -> bad "unknown argument %S" arg
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  if Allocator.find !algo = None then
-    bad "unknown allocator %S@.valid: %s" !algo
-      (String.concat ", " (Allocator.names ()));
-  if !selftest then begin
-    match Loadgen.selftest ?exe:!pdgcd () with
-    | Ok () -> Format.printf "serve selftest: ok@."
-    | Error msg -> fail "%s" msg
-  end
-  else begin
-    let machine = Machine.make ~k:!k () in
-    (* Encode up front; the Cfg programs are dead before the passes. *)
-    let reqs =
-      Loadgen.encode_requests ~machine ~algo:!algo
-        (Loadgen.programs ~seed:!seed ~funcs_per_program:!funcs_per_program
-           ~n_funcs:!funcs)
-    in
-    let measure socket =
-      let replay () =
-        match Loadgen.replay_encoded ~socket ~clients:!clients reqs with
-        | Ok pass -> pass
-        | Error msg -> fail "replay: %s" msg
-      in
-      let cold = replay () in
-      let warm = replay () in
-      let stats =
-        match Client.connect_retry socket with
-        | c ->
-            let s = Client.stats c in
-            Client.close c;
-            (match s with Ok s -> Some s | Error _ -> None)
-        | exception Unix.Unix_error _ -> None
-      in
-      (cold, warm, stats)
-    in
-    let cold, warm, stats =
-      match !socket with
-      | Some path -> measure path
-      | None ->
-          let path = Filename.temp_file "pdgc-loadgen" ".sock" in
-          Sys.remove path;
-          Loadgen.with_daemon ?exe:!pdgcd ~jobs:!jobs
-            ~cache_capacity:!cache_capacity ~socket:path (fun () ->
-              measure path)
-    in
-    let hit_rate =
-      match stats with
-      | Some s ->
-          let total = s.Protocol.cache.Cache.hits + s.Protocol.cache.Cache.misses in
-          if total = 0 then 0.
-          else float_of_int s.Protocol.cache.Cache.hits /. float_of_int total
-      | None -> 0.
-    in
-    if !json then
-      Format.printf
-        {|{"schema": "pdgc-loadgen/1", "algo": %S, "k": %d, "clients": %d, "jobs": %d,@. "cold": %s,@. "warm": %s,@. "cache_hit_rate": %.4f}@.|}
-        !algo !k !clients !jobs (json_pass cold) (json_pass warm) hit_rate
-    else begin
-      Format.printf "algo %s  k %d  clients %d  jobs %d  programs %d@." !algo
-        !k !clients !jobs (List.length reqs);
-      print_pass "cold" cold;
-      print_pass "warm" warm;
-      (match stats with
-      | Some s ->
-          Format.printf
-            "cache: %d hits, %d misses, %d evictions (hit rate %.1f%%); %d \
-             allocated, %d served, %d batches, pool %d@."
-            s.Protocol.cache.Cache.hits s.Protocol.cache.Cache.misses
-            s.Protocol.cache.Cache.evictions (100. *. hit_rate)
-            s.Protocol.funcs_allocated s.Protocol.funcs_served
-            s.Protocol.batches s.Protocol.pool_jobs
-      | None -> ())
-    end
-  end
+  match Loadgen.selftest ~exe () with
+  | Ok () -> Format.printf "serve selftest: ok@."
+  | Error msg -> fail msg
+  | exception e -> fail (Printexc.to_string e)

@@ -6,13 +6,6 @@ let phase_label = function
   | Allocated -> "allocated"
   | Machine -> "machine"
 
-let phase_of_string = function
-  | "ssa" -> Some Ssa
-  | "prepared" -> Some Prepared
-  | "allocated" -> Some Allocated
-  | "machine" -> Some Machine
-  | _ -> None
-
 type ctx = {
   machine : Machine.t option;
   result : Alloc_common.result option;
@@ -38,27 +31,3 @@ type t = {
 }
 
 let v ~name ~phase ~doc run = { name; phase; doc; run }
-
-(* Mirrors the [Allocator] registry: registration happens at module
-   initialization ([Passes]), but the table is mutex-guarded so custom
-   passes registered from worker domains cannot corrupt it. *)
-let lock = Mutex.create ()
-let registered : t list ref = ref []
-
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let register p =
-  with_lock (fun () ->
-      if List.exists (fun q -> String.equal q.name p.name) !registered then
-        invalid_arg (Printf.sprintf "Pass.register: duplicate pass %S" p.name);
-      registered := !registered @ [ p ])
-
-let find name =
-  with_lock (fun () ->
-      List.find_opt (fun p -> String.equal p.name name) !registered)
-
-let all () = with_lock (fun () -> !registered)
-let for_phase ph = List.filter (fun p -> p.phase = ph) (all ())
-let names () = List.map (fun p -> p.name) (all ())

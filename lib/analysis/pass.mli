@@ -1,11 +1,10 @@
 (** Static-analysis pass framework.
 
     A pass inspects one function at one pipeline phase and reports
-    {!Diagnostic.t} values; it never rewrites code.  Passes register
-    themselves in a global registry — the same shape as the
-    {!Allocator} registry — so drivers ([bin/analyze], the pipeline's
-    phase-contract hook) can run "everything registered for this
-    phase" without naming the passes.
+    {!Diagnostic.t} values; it never rewrites code.  The built-in
+    passes are the static list {!Passes.all}; drivers
+    ([Analyze_driver], [bin/analyze]) select from it by name and run
+    each pass at its phase.
 
     The four phases mirror the pipeline's stage boundaries:
 
@@ -24,7 +23,6 @@
 type phase = Ssa | Prepared | Allocated | Machine
 
 val phase_label : phase -> string
-val phase_of_string : string -> phase option
 
 type ctx = {
   machine : Machine.t option;
@@ -57,13 +55,3 @@ val v :
   doc:string ->
   (ctx -> Cfg.func -> Diagnostic.t list) ->
   t
-
-(** {2 Registry} *)
-
-val register : t -> unit
-(** @raise Invalid_argument on a duplicate name. *)
-
-val find : string -> t option
-val all : unit -> t list
-val for_phase : phase -> t list
-val names : unit -> string list

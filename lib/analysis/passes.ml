@@ -329,7 +329,7 @@ let spill_slots =
             res.Alloc_common.spill_slots;
           List.rev !out)
 
-(* ---- registration --------------------------------------------------- *)
+(* ---- the pass list -------------------------------------------------- *)
 
 let all =
   [
@@ -343,6 +343,3 @@ let all =
     spill_slots;
     lint_machine;
   ]
-
-let () = List.iter Pass.register all
-let for_phase = Pass.for_phase

@@ -1,9 +1,8 @@
 (** The built-in static-analysis passes.
 
-    Loading this module registers every pass below in the {!Pass}
-    registry (the same pattern as {!Pipeline} and the allocator
-    registry).  Drivers that resolve passes by name must link against
-    it — use {!all} or {!for_phase} to force the dependency.
+    {!all} lists every pass below, in a fixed order that the
+    [bin/analyze] reports follow; drivers resolve pass names against
+    it.
 
     Phase [Ssa]:
     - [lint-ssa]: structural well-formedness under SSA ({!Lint});
@@ -45,8 +44,4 @@ val spill_slots : Pass.t
 val lint_machine : Pass.t
 
 val all : Pass.t list
-(** Every built-in, in registry order. *)
-
-val for_phase : Pass.phase -> Pass.t list
-(** Registered passes of a phase — [Pass.for_phase] with the builtin
-    registration forced. *)
+(** Every built-in pass; names are distinct. *)

@@ -29,39 +29,16 @@ let algos =
 let all_algos = algos @ [ priority_based ]
 let () = List.iter Allocator.register all_algos
 
-(* Phase contracts: run every pass registered for a phase over one
-   function; error-severity diagnostics abort the run the same way
-   [~verify] failures do.  Warnings (pressure, dead code) pass. *)
-let check_phase ~machine ?result ~what phase fn =
-  let ctx = Pass.ctx ~machine ?result fn in
-  let diags =
-    List.concat_map
-      (fun (p : Pass.t) -> p.Pass.run ctx fn)
-      (Passes.for_phase phase)
-  in
-  match Diagnostic.errors diags with
-  | [] -> ()
-  | errors ->
-      raise
-        (Alloc_common.Failed
-           (Format.asprintf "%s: %s phase contract violated:@.%a" what
-              (Pass.phase_label phase) Verify.report errors))
-
 (* Every prepare stage (SSA round-trip, convention lowering, paired-load
    scheduling) is per-function, so preparing a whole program is exactly
    the per-function composition mapped over it.  The allocation daemon
    leans on this: it prepares request functions one at a time inside
    pool jobs and still matches [prepare] bit-for-bit. *)
-let prepare_func ?(check_phases = false) m f =
-  let ssa = Ssa_construct.run f in
-  if check_phases then check_phase ~machine:m ~what:"prepare" Pass.Ssa ssa;
-  let prepared = Pair_schedule.func (Lower.func m (Ssa_destruct.run ssa)) in
-  if check_phases then
-    check_phase ~machine:m ~what:"prepare" Pass.Prepared prepared;
-  prepared
+let prepare_func m f =
+  Pair_schedule.func (Lower.func m (Ssa_destruct.run (Ssa_construct.run f)))
 
-let prepare ?check_phases m (p : Cfg.program) =
-  { p with Cfg.funcs = List.map (prepare_func ?check_phases m) p.Cfg.funcs }
+let prepare m (p : Cfg.program) =
+  { p with Cfg.funcs = List.map (prepare_func m) p.Cfg.funcs }
 
 type allocated = {
   machine : Machine.t;
@@ -79,31 +56,19 @@ let verify_allocated (a : allocated) =
     (fun (res, t) -> Verify.result a.machine res ~final:t.Finalize.func)
     (List.combine a.results a.finals)
 
-let allocate_program ?(verify = false) ?(check_phases = false) ?jobs
-    (algo : Allocator.t) m (p : Cfg.program) =
+let allocate_program ?jobs (algo : Allocator.t) m (p : Cfg.program) =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Engine.default_jobs ()
   in
   (* One job per function: allocate and finalize, all scratch state
      owned by the job (the Allocator domain-safety contract).  Results
      come back in original function order, so the parallel path is
-     bit-for-bit the sequential one.  Phase contracts run inside the
-     job too — each stage boundary (input, allocator result, machine
-     code) is checked where the data already is. *)
+     bit-for-bit the sequential one. *)
   let pairs =
     Engine.map ~jobs
       (fun f ->
-        let what = algo.Allocator.name in
-        if check_phases then
-          check_phase ~machine:m ~what Pass.Prepared f;
         let res = Allocator.exec algo m f in
-        if check_phases then
-          check_phase ~machine:m ~result:res ~what Pass.Allocated
-            res.Alloc_common.func;
-        let fin = Finalize.apply m res in
-        if check_phases then
-          check_phase ~machine:m ~what Pass.Machine fin.Finalize.func;
-        (res, fin))
+        (res, Finalize.apply m res))
       p.Cfg.funcs
   in
   let results = List.map fst pairs in
@@ -112,20 +77,6 @@ let allocate_program ?(verify = false) ?(check_phases = false) ?jobs
   (match Check.machine_program m program with
   | Ok () -> ()
   | Error msg -> raise (Alloc_common.Failed (algo.Allocator.name ^ ": " ^ msg)));
-  if verify then begin
-    let diags =
-      List.concat_map
-        (fun (res, t) -> Verify.result m res ~final:t.Finalize.func)
-        (List.combine results finals)
-    in
-    match Diagnostic.errors diags with
-    | [] -> ()
-    | errors ->
-        raise
-          (Alloc_common.Failed
-             (Format.asprintf "%s: static verification failed:@.%a"
-                algo.Allocator.name Diagnostic.report errors))
-  end;
   {
     machine = m;
     program;

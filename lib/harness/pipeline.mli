@@ -29,18 +29,14 @@ val all_algos : Allocator.t list
 (** [algos] plus the priority-based extension — exactly the registry
     contents, in registration order. *)
 
-val prepare_func : ?check_phases:bool -> Machine.t -> Cfg.func -> Cfg.func
+val prepare_func : Machine.t -> Cfg.func -> Cfg.func
 (** One function through the prepare pipeline (SSA construction and
     destruction, convention lowering, paired-load scheduling).  Every
     stage is per-function, so [prepare] is exactly this mapped over the
     program — the allocation daemon prepares request functions inside
     its pool jobs and still matches the one-shot path bit-for-bit. *)
 
-val prepare : ?check_phases:bool -> Machine.t -> Cfg.program -> Cfg.program
-(** With [check_phases] (default [false]), the registered phase-[Ssa]
-    passes run over each function's SSA snapshot and the phase-
-    [Prepared] passes over the lowered result; error diagnostics raise
-    {!Alloc_common.Failed}. *)
+val prepare : Machine.t -> Cfg.program -> Cfg.program
 
 type allocated = {
   machine : Machine.t;
@@ -54,30 +50,18 @@ type allocated = {
 }
 
 val allocate_program :
-  ?verify:bool ->
-  ?check_phases:bool ->
-  ?jobs:int ->
-  Allocator.t ->
-  Machine.t ->
-  Cfg.program ->
-  allocated
-(** With [verify] (default [false]), every allocated function is run
-    through the static verifier ({!Verify.result}) and error-severity
-    diagnostics fail the allocation.  With [check_phases] (default
-    [false]), every stage boundary runs the static-analysis passes
-    registered for its phase ({!Pass.for_phase}): [Prepared] on the
-    allocator's input, [Allocated] on each {!Alloc_common.result},
-    [Machine] on the finalized code; error diagnostics fail like
-    [~verify] ones.  [jobs] (default [Engine.default_jobs ()], i.e.
-    [PDGC_JOBS] or 1) sets the worker pool size; results are merged
-    back in function order, so any [jobs] value produces bit-for-bit
-    the sequential output.
-    @raise Alloc_common.Failed on allocator failure, a verification
-    error or a phase-contract violation. *)
+  ?jobs:int -> Allocator.t -> Machine.t -> Cfg.program -> allocated
+(** [jobs] (default [Engine.default_jobs ()], i.e. [PDGC_JOBS] or 1)
+    sets the worker pool size; results are merged back in function
+    order, so any [jobs] value produces bit-for-bit the sequential
+    output.  The finalized program must pass {!Check.machine_program}.
+    @raise Alloc_common.Failed on allocator failure or machine code
+    that fails that check. *)
 
 val verify_allocated : allocated -> Diagnostic.t list
-(** Re-run the static verifier over an allocation, returning the raw
-    diagnostics (warnings included) instead of raising. *)
+(** Run the static verifier ({!Verify.result}) over every allocated
+    function, returning the raw diagnostics (warnings included).
+    Static analysis of each pipeline phase is {!Analyze_driver.run}. *)
 
 val cycles : allocated -> int
 (** Dynamic cycles of the finalized program (interpreter). *)

@@ -1,12 +1,3 @@
-type pass = {
-  functions : int;
-  requests : int;
-  elapsed_s : float;
-  fns_per_s : float;
-  p50_ms : float;
-  p99_ms : float;
-}
-
 (* ---- program streams --------------------------------------------------- *)
 
 (* Modest functions — big enough that allocation dominates the service
@@ -37,91 +28,12 @@ let programs ~seed ~funcs_per_program ~n_funcs =
 
 (* ---- replay ------------------------------------------------------------ *)
 
-type acc = {
-  mutable lats : float list;  (** per-request seconds *)
-  mutable funcs : int;
-  mutable error : string option;
-}
-
-let drive ~socket reqs acc =
-  match Client.connect_retry socket with
-  | exception Unix.Unix_error (e, _, _) ->
-      acc.error <- Some ("connect: " ^ Unix.error_message e)
-  | c ->
-      List.iter
-        (fun payload ->
-          if acc.error = None then begin
-            let t0 = Unix.gettimeofday () in
-            match Client.alloc_encoded c payload with
-            | Ok blobs ->
-                acc.lats <- (Unix.gettimeofday () -. t0) :: acc.lats;
-                acc.funcs <- acc.funcs + List.length blobs
-            | Error msg -> acc.error <- Some msg
-            | exception (Protocol.Closed | Unix.Unix_error _) ->
-                acc.error <- Some "connection lost"
-          end)
-        reqs;
-      Client.close c
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
-
-let deal n xs =
-  let buckets = Array.make n [] in
-  List.iteri (fun i x -> buckets.(i mod n) <- x :: buckets.(i mod n)) xs;
-  Array.to_list (Array.map List.rev buckets)
-
-(* Serialize every request up front: the timed window measures the
-   daemon (framing, decode, cache, allocation), not the client's own
-   codec speed — and cold/warm replay the exact same bytes.  Callers
-   that drop the [Cfg] programs after encoding also shrink the
-   client's live heap to flat strings, so client-side GC marking does
-   not pollute large replays. *)
 let encode_requests ~machine ~algo progs =
   List.map
     (fun p ->
       Protocol.encode_request
         (Protocol.Alloc { machine; algo; program = Protocol.Binary p }))
     progs
-
-let replay_encoded ~socket ?(clients = 1) reqs =
-  let clients = max 1 (min clients (max 1 (List.length reqs))) in
-  let accs =
-    Array.init clients (fun _ -> { lats = []; funcs = 0; error = None })
-  in
-  let t0 = Unix.gettimeofday () in
-  (if clients = 1 then drive ~socket reqs accs.(0)
-   else
-     deal clients reqs
-     |> List.mapi (fun i sub ->
-            Thread.create (fun () -> drive ~socket sub accs.(i)) ())
-     |> List.iter Thread.join);
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  match Array.find_opt (fun a -> a.error <> None) accs with
-  | Some { error = Some msg; _ } -> Error msg
-  | _ ->
-      let lats =
-        Array.of_list (Array.fold_left (fun l a -> a.lats @ l) [] accs)
-      in
-      Array.sort compare lats;
-      let functions = Array.fold_left (fun n a -> n + a.funcs) 0 accs in
-      Ok
-        {
-          functions;
-          requests = Array.length lats;
-          elapsed_s;
-          fns_per_s =
-            (if elapsed_s > 0. then float_of_int functions /. elapsed_s else 0.);
-          p50_ms = 1000. *. percentile lats 0.50;
-          p99_ms = 1000. *. percentile lats 0.99;
-        }
-
-let replay ~socket ~machine ~algo ?clients progs =
-  replay_encoded ~socket ?clients (encode_requests ~machine ~algo progs)
 
 let replay_blobs ~socket ~machine ~algo progs =
   match Client.connect_retry socket with
@@ -139,55 +51,49 @@ let replay_blobs ~socket ~machine ~algo progs =
       in
       let r = go [] progs in
       Client.close c;
-      (match r with Ok bs -> Ok bs | Error msg -> Error msg)
+      r
 
 (* ---- daemon lifecycle -------------------------------------------------- *)
 
-let with_daemon ?(jobs = 4) ?(cache_capacity = 0) ?exe ~socket f =
+(* Start the pdgcd binary [exe] on [socket], run [f], then shut the
+   daemon down and reap it. *)
+let with_daemon ~jobs ?(cache_capacity = 0) ~exe ~socket f =
   (if Sys.file_exists socket then
      try Unix.unlink socket with Unix.Unix_error _ -> ());
-  (* The child must be forked before this process spawns any domain
-     (callers keep daemon phases first); the daemon builds its own pool
-     after the fork. *)
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    match exe with
-    | Some exe ->
-        let argv =
-          [|
-            exe; "--socket"; socket; "--jobs"; string_of_int jobs;
-            "--cache-capacity"; string_of_int cache_capacity;
-          |]
-        in
-        (try Unix.execv exe argv with _ -> ());
-        Unix._exit 127
-    | None ->
-        (try
-           Server.run { Server.socket_path = socket; jobs; cache_capacity }
-         with _ -> Unix._exit 1);
-        Unix._exit 0
-  end
-  else
-    Fun.protect
-      ~finally:(fun () ->
-        (try
-           let c = Client.connect socket in
-           ignore (Client.shutdown c);
-           Client.close c
-         with _ -> ());
-        let rec reap tries =
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ when tries > 0 ->
-              Unix.sleepf 0.05;
-              reap (tries - 1)
-          | 0, _ ->
-              Unix.kill pid Sys.sigkill;
-              ignore (Unix.waitpid [] pid)
-          | _ -> ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        reap 200)
-      f
+  (* [create_process] would look a bare name up in PATH. *)
+  let exe =
+    if Filename.is_implicit exe then
+      Filename.concat Filename.current_dir_name exe
+    else exe
+  in
+  let pid =
+    Unix.create_process exe
+      [|
+        exe; "--socket"; socket; "--jobs"; string_of_int jobs;
+        "--cache-capacity"; string_of_int cache_capacity;
+      |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         let c = Client.connect socket in
+         ignore (Client.shutdown c);
+         Client.close c
+       with _ -> ());
+      let rec reap tries =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when tries > 0 ->
+            Unix.sleepf 0.05;
+            reap (tries - 1)
+        | 0, _ ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+        | _ -> ()
+        | exception Unix.Unix_error _ -> ()
+      in
+      reap 200)
+    f
 
 (* ---- the @serve-smoke selftest ----------------------------------------- *)
 
@@ -220,38 +126,55 @@ let frames payloads =
     payloads;
   Buffer.contents buf
 
-(* Send [bytes] in one [write] on a fresh connection, then read up to
-   [replies] replies, fewer if the daemon closes the connection first.
-   With [eof], read once more to see whether it then closes (a read
-   that waits 5 s counts as open).  Returns the replies and whether
-   the connection was seen closed. *)
-let exchange_raw ?(eof = false) ~socket ~replies bytes =
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let write_raw fd bytes =
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes))
+
+(* Open a connection and send [bytes] on it in one [write].  A read on
+   it that waits 5 s fails, so a reply that never comes fails a check
+   instead of hanging it. *)
+let send_raw ~socket bytes =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    write_raw fd bytes
+  with
+  | () -> fd
+  | exception e ->
+      close_fd fd;
+      raise e
+
+(* Read up to [replies] replies, fewer if the daemon closes the
+   connection first or a read times out.  With [eof], read once more to
+   see whether it then closes (a timeout counts as open).  Returns the
+   replies and whether the connection was seen closed. *)
+let read_replies ?(eof = false) fd replies =
+  let rec read n =
+    if n = 0 && not eof then ([], false)
+    else
+      match Protocol.read_frame fd with
+      | frame when n > 0 ->
+          let rest, closed = read (n - 1) in
+          (Protocol.decode_response frame :: rest, closed)
+      | _ | (exception Unix.Unix_error _) -> ([], false)
+      | exception Protocol.Closed -> ([], true)
+  in
+  read replies
+
+let exchange_raw ?eof ~socket ~replies bytes =
+  let fd = send_raw ~socket bytes in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
-      let rec read n =
-        if n = 0 && not eof then ([], false)
-        else begin
-          if n = 0 then Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-          match Protocol.read_frame fd with
-          | frame when n > 0 ->
-              let rest, closed = read (n - 1) in
-              (Protocol.decode_response frame :: rest, closed)
-          | _ | (exception Unix.Unix_error _) -> ([], false)
-          | exception Protocol.Closed -> ([], true)
-        end
-      in
-      read replies)
+    ~finally:(fun () -> close_fd fd)
+    (fun () -> read_replies ?eof fd replies)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let selftest ?exe () =
+let selftest ~exe () =
   let ( let* ) = Result.bind in
   let check name ok = if ok then Ok () else Error ("serve selftest: " ^ name) in
   let machine = Machine.middle_pressure in
@@ -262,22 +185,59 @@ let selftest ?exe () =
     List.fold_left (fun n p -> n + List.length p.Cfg.funcs) 0 progs
   in
   let expected = List.map (one_shot_blobs ~machine ~algo) progs in
+  (* Request payloads with their one-shot reply blobs: one 12-function
+     request for a connection to keep the daemon busy, then eight
+     1-function requests dealt over four more connections. *)
+  let with_expected ps =
+    List.combine
+      (encode_requests ~machine ~algo:algo_name ps)
+      (List.map (one_shot_blobs ~machine ~algo) ps)
+  in
+  let conns =
+    let small =
+      with_expected (programs ~seed:43 ~funcs_per_program:1 ~n_funcs:8)
+    in
+    with_expected (programs ~seed:44 ~funcs_per_program:12 ~n_funcs:12)
+    :: List.init 4 (fun i -> List.filteri (fun j _ -> j mod 4 = i) small)
+  in
   let mini_prog = Mini_compile.compile_source mini_src in
   let mini_expected = one_shot_blobs ~machine ~algo mini_prog in
   let sock4 = temp_socket "j4" in
   let* () =
-    with_daemon ?exe ~jobs:4 ~socket:sock4 (fun () ->
+    with_daemon ~exe ~jobs:4 ~socket:sock4 (fun () ->
         let* cold = replay_blobs ~socket:sock4 ~machine ~algo:algo_name progs in
         let* () = check "daemon matches one-shot pipeline" (cold = expected) in
         let* warm = replay_blobs ~socket:sock4 ~machine ~algo:algo_name progs in
         let* () = check "warm replay byte-identical to cold" (warm = cold) in
-        (* concurrent clients ride the cross-request batcher *)
-        let* conc =
-          replay ~socket:sock4 ~machine ~algo:algo_name ~clients:4 progs
+        (* Concurrent connections, each accepted (a stats reply) before
+           any request is sent.  Every request frame is written before
+           any reply is read; the last four connections' frames arrive
+           while the daemon allocates the first's, so it reads them at
+           one wakeup and allocates their cold functions as one batch. *)
+        let stats = frames [ Protocol.encode_request Protocol.Stats ] in
+        let fds =
+          List.map
+            (fun _ ->
+              let fd = send_raw ~socket:sock4 stats in
+              ignore (read_replies fd 1);
+              fd)
+            conns
+        in
+        let replies =
+          Fun.protect
+            ~finally:(fun () -> List.iter close_fd fds)
+            (fun () ->
+              List.iter2
+                (fun fd c -> write_raw fd (frames (List.map fst c)))
+                fds conns;
+              List.map2
+                (fun fd c -> fst (read_replies fd (List.length c)))
+                fds conns)
         in
         let* () =
-          check "concurrent clients served every function"
-            (conc.functions = total_funcs)
+          check "concurrent clients match one-shot pipeline"
+            (replies
+            = List.map (List.map (fun (_, blobs) -> Protocol.Funcs blobs)) conns)
         in
         let c = Client.connect_retry sock4 in
         let r =
@@ -327,7 +287,7 @@ let selftest ?exe () =
   (* a jobs=1 daemon answers byte-identically: pool size is invisible *)
   let sock1 = temp_socket "j1" in
   let* () =
-    with_daemon ?exe ~jobs:1 ~socket:sock1 (fun () ->
+    with_daemon ~exe ~jobs:1 ~socket:sock1 (fun () ->
         let* one = replay_blobs ~socket:sock1 ~machine ~algo:algo_name progs in
         check "jobs=1 matches jobs=4" (one = expected))
   in
@@ -346,7 +306,7 @@ let selftest ?exe () =
   let req_text = encode (Protocol.Text mini_src) in
   let with_client ?cache_capacity tag f =
     let sock = temp_socket tag in
-    with_daemon ?exe ~jobs:1 ?cache_capacity ~socket:sock (fun () ->
+    with_daemon ~exe ~jobs:1 ?cache_capacity ~socket:sock (fun () ->
         let c = Client.connect_retry sock in
         let r = f sock c in
         Client.close c;

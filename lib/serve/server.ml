@@ -266,7 +266,7 @@ let handle_readable t conn out =
 
 (* ---- event loop -------------------------------------------------------- *)
 
-let run ?(on_ready = fun () -> ()) cfg =
+let run cfg =
   (if Sys.file_exists cfg.socket_path then
      try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -285,7 +285,6 @@ let run ?(on_ready = fun () -> ()) cfg =
       stopping = false;
     }
   in
-  on_ready ();
   while not t.stopping do
     let fds =
       listen_fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) t.conns []

@@ -33,8 +33,7 @@ type config = {
   cache_capacity : int;  (** LRU bound in entries; [<= 0] = unbounded *)
 }
 
-val run : ?on_ready:(unit -> unit) -> config -> unit
+val run : config -> unit
 (** Bind, listen, serve until a [Shutdown] request, then tear down the
-    socket and the worker pool.  [on_ready] fires once the socket is
-    listening (before the first [accept]).
+    socket and the worker pool.
     @raise Unix.Unix_error if the socket cannot be bound. *)

@@ -126,8 +126,10 @@ let eval_cmp op a b =
 let poison_int = Int 0xbad_c0de
 let poison_float = Flt Float.nan
 
-let run ?machine ?(heap_size = 4096) ?(fuel = 30_000_000) ?(args = [])
-    (p : Cfg.program) =
+(* Words of heap; addresses wrap around it. *)
+let heap_size = 4096
+
+let run ?machine ?(fuel = 30_000_000) ?(args = []) (p : Cfg.program) =
   let images = Hashtbl.create 16 in
   List.iter
     (fun fn -> Hashtbl.replace images fn.Cfg.name (image_of_func machine fn))

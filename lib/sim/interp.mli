@@ -36,7 +36,6 @@ exception Runtime_error of string
 
 val run :
   ?machine:Machine.t ->
-  ?heap_size:int ->
   ?fuel:int ->
   ?args:value list ->
   Cfg.program ->
@@ -45,7 +44,7 @@ val run :
     cost effects (pairing, fixups) and poisons the machine's volatile
     registers after each call returns, before the call's [dst] is
     written, so allocated code that keeps a value in a caller-save
-    register across a call reads garbage; omit it for virtual code.  Default
-    [heap_size] 4096 words, [fuel] 30 million instructions. *)
+    register across a call reads garbage; omit it for virtual code.  The
+    heap is 4096 words; [fuel] defaults to 30 million instructions. *)
 
 val equal_value : value option -> value option -> bool

@@ -1,4 +1,4 @@
-(* Static-analysis framework: registry behavior, one hand-built
+(* Static-analysis framework: the pass list, one hand-built
    negative per pass pinpointing the injected defect, and a positive
    sweep over the generated suite (all allocators, zero errors). *)
 
@@ -29,30 +29,12 @@ let expect_diag name ?reg ~reason ~severity ~block ~index ds =
       check Alcotest.int (name ^ " block") block d.Diagnostic.block;
       check Alcotest.int (name ^ " index") index d.Diagnostic.index
 
-(* ---- registry ------------------------------------------------------- *)
+(* ---- the pass list ------------------------------------------------- *)
 
-let test_registry () =
-  let names = Pass.names () in
-  List.iter
-    (fun (p : Pass.t) ->
-      check Alcotest.bool ("registered " ^ p.Pass.name) true
-        (List.mem p.Pass.name names);
-      check Alcotest.bool ("find " ^ p.Pass.name) true
-        (Pass.find p.Pass.name <> None))
-    Passes.all;
-  check Alcotest.bool "at least six passes" true (List.length names >= 6);
-  check Alcotest.bool "unknown pass absent" true (Pass.find "nope" = None);
-  (* phases partition the registry *)
-  let total =
-    List.length
-      (List.concat_map Pass.for_phase
-         [ Pass.Ssa; Pass.Prepared; Pass.Allocated; Pass.Machine ])
-  in
-  check Alcotest.int "phase partition" (List.length (Pass.all ())) total;
-  Alcotest.check_raises "duplicate registration"
-    (Invalid_argument "Pass.register: duplicate pass \"lint-ssa\"") (fun () ->
-      Pass.register
-        (Pass.v ~name:"lint-ssa" ~phase:Pass.Ssa ~doc:"dup" (fun _ _ -> [])))
+let test_distinct_names () =
+  let names = List.map (fun (p : Pass.t) -> p.Pass.name) Passes.all in
+  check Alcotest.int "names distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
 
 (* ---- negatives: one injected defect per pass ------------------------ *)
 
@@ -200,37 +182,6 @@ let test_spill_slots () =
   (* the reload of the never-stored slot 5 is still leaked *)
   check Alcotest.int "only slot-5 errors remain" 2 (List.length clean)
 
-(* ---- phase contracts in the pipeline -------------------------------- *)
-
-let test_check_phases_accepts_suite () =
-  let m = Machine.make ~k:16 () in
-  let p = Pipeline.prepare ~check_phases:true m (Suite.program "jess") in
-  let a =
-    Pipeline.allocate_program ~check_phases:true Pipeline.pdgc_full m p
-  in
-  check Alcotest.bool "allocated" true (a.Pipeline.results <> [])
-
-let test_check_phases_rejects_bad_input () =
-  let b = Builder.create ~name:"bad" ~n_params:0 in
-  let x = Builder.reg b Reg.Int_class in
-  let y = Builder.binop b Instr.Add x x in
-  Builder.ret b (Some y);
-  let fn = Builder.finish b in
-  let p = { Cfg.funcs = [ fn ]; main = "bad" } in
-  let m = Machine.make ~k:16 () in
-  match Pipeline.allocate_program ~check_phases:true Pipeline.chaitin_base m p with
-  | _ -> Alcotest.fail "use-before-def input must violate the phase contract"
-  | exception Alloc_common.Failed msg ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-        in
-        go 0
-      in
-      check Alcotest.bool "mentions the phase contract" true
-        (contains msg "phase contract")
-
 (* ---- determinism ---------------------------------------------------- *)
 
 let test_report_deterministic () =
@@ -267,7 +218,7 @@ let sweep name k =
         (List.exists
            (fun (e : Analyze_driver.entry) -> e.Analyze_driver.pass = p.Pass.name)
            r.Analyze_driver.entries))
-    (Pass.all ())
+    Passes.all
 
 (* How many of a suite program's functions MAXLIVE certifies on SSA
    form, out of how many, at the register files of Figs. 9–11. *)
@@ -287,7 +238,7 @@ let test_sweep_mtrt () = sweep "mtrt" 24
 let () =
   Alcotest.run "analysis"
     [
-      ("registry", [ tc "register/find/phases" test_registry ]);
+      ("registry", [ tc "pass names distinct" test_distinct_names ]);
       ( "negative",
         [
           tc "use-before-def" test_use_before_def;
@@ -296,11 +247,6 @@ let () =
           tc "ssa-pressure" test_ssa_pressure;
           tc "rpg-consistency" test_rpg_consistency;
           tc "spill-slots" test_spill_slots;
-        ] );
-      ( "pipeline",
-        [
-          tc "check_phases accepts suite" test_check_phases_accepts_suite;
-          tc "check_phases rejects bad input" test_check_phases_rejects_bad_input;
         ] );
       ( "determinism",
         [

@@ -282,10 +282,10 @@ let sweep name k =
   let m = Machine.make ~k () in
   let p = Pipeline.prepare m (Suite.program name) in
   List.iter
-    (fun algo ->
-      (* [~verify] raises on any error-severity diagnostic. *)
-      let a = Pipeline.allocate_program ~verify:true algo m p in
-      ignore (a : Pipeline.allocated))
+    (fun (algo : Allocator.t) ->
+      no_errors
+        (Printf.sprintf "%s %s" name algo.Allocator.name)
+        (Pipeline.verify_allocated (Pipeline.allocate_program algo m p)))
     Pipeline.all_algos
 
 let test_sweep_jess () = sweep "jess" 16
@@ -303,10 +303,9 @@ let test_random_programs_verify () =
       let p = prepared_random_program ~m seed in
       List.iter
         (fun algo ->
-          let a = Pipeline.allocate_program ~verify:true algo m p in
           no_errors
             (Printf.sprintf "%s seed %d" algo.Allocator.name seed)
-            (Pipeline.verify_allocated a))
+            (Pipeline.verify_allocated (Pipeline.allocate_program algo m p)))
         [ Pipeline.chaitin_base; Pipeline.pdgc_full ])
     [ 11; 42; 1234; 9876 ]
 
