@@ -182,6 +182,41 @@ let test_spill_slots () =
   (* the reload of the never-stored slot 5 is still leaked *)
   check Alcotest.int "only slot-5 errors remain" 2 (List.length clean)
 
+(* ---- phase contracts in the pipeline -------------------------------- *)
+
+(* The per-phase checks on the pipeline's own path: jess at k=16 through
+   the full PDGC pipeline passes every phase's passes without an error,
+   and the allocated program verifies clean. *)
+let test_check_phases_accepts_suite () =
+  let m = Machine.make ~k:16 () in
+  let r =
+    Analyze_driver.run ~algos:[ Pipeline.pdgc_full ] m (Suite.program "jess")
+  in
+  check Alcotest.int "no allocator skipped" 0
+    (List.length r.Analyze_driver.skipped);
+  List.iter
+    (fun ph ->
+      let es =
+        List.filter
+          (fun (e : Analyze_driver.entry) -> e.Analyze_driver.phase = ph)
+          r.Analyze_driver.entries
+      in
+      let label = Pass.phase_label ph in
+      check Alcotest.bool (label ^ " checked") true (es <> []);
+      check Alcotest.int (label ^ " errors") 0
+        (Analyze_driver.errors { r with Analyze_driver.entries = es }))
+    [ Pass.Ssa; Pass.Prepared; Pass.Allocated; Pass.Machine ];
+  let a =
+    Pipeline.allocate_program Pipeline.pdgc_full m
+      (Pipeline.prepare m (Suite.program "jess"))
+  in
+  check Alcotest.bool "allocated" true (a.Pipeline.results <> []);
+  check Alcotest.int "verified" 0
+    (List.length
+       (List.filter
+          (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
+          (Pipeline.verify_allocated a)))
+
 (* ---- determinism ---------------------------------------------------- *)
 
 let test_report_deterministic () =
@@ -248,6 +283,8 @@ let () =
           tc "rpg-consistency" test_rpg_consistency;
           tc "spill-slots" test_spill_slots;
         ] );
+      ( "pipeline",
+        [ tc "check_phases accepts suite" test_check_phases_accepts_suite ] );
       ( "determinism",
         [
           tc "verify report" test_report_deterministic;
