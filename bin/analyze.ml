@@ -1,6 +1,7 @@
-(* Static-analysis driver: run the built-in passes (Passes.all) over
-   minilang files and generated-suite benchmarks, at every pipeline
-   phase and across every registered allocator.
+(* Static-analysis driver: run the built-in passes (Passes.all), the
+   allocation verifier among them, over minilang files and
+   generated-suite benchmarks, at every pipeline phase and across every
+   registered allocator.
 
    Exit codes: 0 = clean (no error-severity diagnostics), 1 = errors
    found, 2 = bad usage / unknown input, pass or allocator.  `--json`
@@ -38,7 +39,9 @@ let bad fmt =
       exit 2)
     fmt
 
-(* Register-file size per benchmark, mirroring bin/verify_all. *)
+(* Register-file size per benchmark: the FP-heavy programs run at
+   moderate pressure, db at low, the rest at high (test_verify's
+   sweeps use the same rule). *)
 let k_of name =
   if name = "db" then 32 else if List.mem name Suite.fp_names then 24 else 16
 

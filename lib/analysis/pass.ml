@@ -1,20 +1,19 @@
-type phase = Ssa | Prepared | Allocated | Machine
+type phase = Ssa | Prepared | Machine
 
 let phase_label = function
   | Ssa -> "ssa"
   | Prepared -> "prepared"
-  | Allocated -> "allocated"
   | Machine -> "machine"
 
 type ctx = {
-  machine : Machine.t option;
+  machine : Machine.t;
   result : Alloc_common.result option;
   live : Liveness.t Lazy.t;
   reaching : Reaching.t Lazy.t;
   analysis : Alloc_common.analysis Lazy.t;
 }
 
-let ctx ?machine ?result fn =
+let ctx ~machine ?result fn =
   {
     machine;
     result;

@@ -6,13 +6,12 @@
     ([Analyze_driver], [bin/analyze]) select from it by name and run
     each pass at its phase.
 
-    The four phases mirror the pipeline's stage boundaries:
+    The three phases mirror the pipeline's stage boundaries:
 
     - [Ssa]: after SSA construction, before destruction;
     - [Prepared]: after lowering and pair scheduling — allocator input;
-    - [Allocated]: an allocator's [Alloc_common.result], pre-finalize
-      (the body is web-renamed, spill code inserted, still virtual);
-    - [Machine]: finalized machine code.
+    - [Machine]: finalized machine code, with the allocator's result
+      it came from.
 
     The shared {!ctx} gives passes the expensive analyses lazily:
     cheap structural passes force nothing, dataflow passes force only
@@ -20,17 +19,15 @@
     {!Alloc_common.analysis} (liveness, interference graph, spill
     costs, loop forest) exactly once per function. *)
 
-type phase = Ssa | Prepared | Allocated | Machine
+type phase = Ssa | Prepared | Machine
 
 val phase_label : phase -> string
 
 type ctx = {
-  machine : Machine.t option;
-      (** [None] only for phase-[Ssa] runs before a machine is chosen;
-          passes needing one skip silently. *)
+  machine : Machine.t;
   result : Alloc_common.result option;
-      (** The allocator result under inspection; [Some] only at
-          [Allocated]. *)
+      (** The allocator result the finalized body came from; [Some]
+          exactly at [Machine]. *)
   live : Liveness.t Lazy.t;
   reaching : Reaching.t Lazy.t;
   analysis : Alloc_common.analysis Lazy.t;
@@ -38,7 +35,7 @@ type ctx = {
           recomputed, not shared with the allocator's own rounds. *)
 }
 
-val ctx : ?machine:Machine.t -> ?result:Alloc_common.result -> Cfg.func -> ctx
+val ctx : machine:Machine.t -> ?result:Alloc_common.result -> Cfg.func -> ctx
 (** Context for one function; every lazy analysis is over that
     function. *)
 

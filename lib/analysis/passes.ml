@@ -13,14 +13,6 @@ let lint_prepared =
     ~doc:"structural well-formedness of lowered allocator input"
     (fun _ctx fn -> Lint.func Lint.Prepared fn)
 
-let lint_machine =
-  Pass.v ~name:"lint-machine" ~phase:Pass.Machine
-    ~doc:"well-formedness and allocatability of finalized machine code"
-    (fun ctx fn ->
-      match ctx.Pass.machine with
-      | Some m -> Lint.func (Lint.Machine m) fn
-      | None -> [])
-
 (* ---- use-before-def ------------------------------------------------- *)
 
 let use_before_def =
@@ -135,20 +127,18 @@ let ssa_pressure =
   Pass.v ~name:"ssa-pressure" ~phase:Pass.Ssa
     ~doc:"MAXLIVE vs. K: is greedy chordal coloring guaranteed?"
     (fun ctx fn ->
-      match ctx.Pass.machine with
-      | None -> []
-      | Some m ->
-          let ml = Maxlive.compute ~live:(Lazy.force ctx.Pass.live) fn in
-          if Maxlive.certified ~k:m.Machine.k ml then []
-          else
-            [
-              Diagnostic.v ~severity:Diagnostic.Warning ~func:fn.Cfg.name
-                Diagnostic.Pressure
-                (Format.asprintf
-                   "%a exceeds k=%d: greedy chordal coloring is not \
-                    guaranteed, spill-before-color must lower pressure"
-                   Maxlive.pp ml m.Machine.k);
-            ])
+      let k = ctx.Pass.machine.Machine.k in
+      let ml = Maxlive.compute ~live:(Lazy.force ctx.Pass.live) fn in
+      if Maxlive.certified ~k ml then []
+      else
+        [
+          Diagnostic.v ~severity:Diagnostic.Warning ~func:fn.Cfg.name
+            Diagnostic.Pressure
+            (Format.asprintf
+               "%a exceeds k=%d: greedy chordal coloring is not \
+                guaranteed, spill-before-color must lower pressure"
+               Maxlive.pp ml k);
+        ])
 
 (* ---- rpg-consistency ------------------------------------------------ *)
 
@@ -156,178 +146,96 @@ let rpg_consistency =
   Pass.v ~name:"rpg-consistency" ~phase:Pass.Prepared
     ~doc:"preference graph vs. interference graph consistency"
     (fun ctx fn ->
-      match ctx.Pass.machine with
-      | None -> []
-      | Some m ->
-          let a = Lazy.force ctx.Pass.analysis in
-          let graph = a.Alloc_common.graph in
-          let str = Strength.of_analysis a in
-          let rpg = Rpg.build ~cpt:(Igraph.compact graph) m fn str in
-          (* instruction id -> position, for pinpointing edge sites *)
-          let loc = Hashtbl.create 64 in
+      let m = ctx.Pass.machine in
+      let a = Lazy.force ctx.Pass.analysis in
+      let graph = a.Alloc_common.graph in
+      let str = Strength.of_analysis a in
+      let rpg = Rpg.build ~cpt:(Igraph.compact graph) m fn str in
+      (* instruction id -> position, for pinpointing edge sites *)
+      let loc = Hashtbl.create 64 in
+      List.iter
+        (fun (b : Cfg.block) ->
+          Array.iteri
+            (fun index (i : Instr.t) ->
+              Hashtbl.replace loc i.Instr.id (b.Cfg.label, index))
+            b.Cfg.instrs)
+        fn.Cfg.blocks;
+      let out = ref [] in
+      let emit ?severity ~reg ~instr_id msg =
+        let block, index =
+          match instr_id with
+          | Some id -> (
+              match Hashtbl.find_opt loc id with
+              | Some bi -> bi
+              | None -> (-1, -1))
+          | None -> (-1, -1)
+        in
+        out :=
+          Diagnostic.v ~block ~index
+            ~instr:(Option.value instr_id ~default:(-1))
+            ~reg ?severity ~func:fn.Cfg.name Diagnostic.Bad_preference msg
+          :: !out
+      in
+      let mirror_ok r t instr_id =
+        List.exists
+          (fun (p : Rpg.pref) ->
+            match p.Rpg.target with
+            | Rpg.Coalesce back -> Reg.equal back r && p.Rpg.instr_id = instr_id
+            | _ -> false)
+          (Rpg.prefs rpg t)
+      in
+      Reg.Set.iter
+        (fun r ->
           List.iter
-            (fun (b : Cfg.block) ->
-              Array.iteri
-                (fun index (i : Instr.t) ->
-                  Hashtbl.replace loc i.Instr.id (b.Cfg.label, index))
-                b.Cfg.instrs)
-            fn.Cfg.blocks;
-          let out = ref [] in
-          let emit ?severity ~reg ~instr_id msg =
-            let block, index =
-              match instr_id with
-              | Some id -> (
-                  match Hashtbl.find_opt loc id with
-                  | Some bi -> bi
-                  | None -> (-1, -1))
-              | None -> (-1, -1)
-            in
-            out :=
-              Diagnostic.v ~block ~index
-                ~instr:(Option.value instr_id ~default:(-1))
-                ~reg ?severity ~func:fn.Cfg.name Diagnostic.Bad_preference msg
-              :: !out
-          in
-          let mirror_ok r t instr_id =
-            List.exists
-              (fun (p : Rpg.pref) ->
-                match p.Rpg.target with
-                | Rpg.Coalesce back ->
-                    Reg.equal back r && p.Rpg.instr_id = instr_id
-                | _ -> false)
-              (Rpg.prefs rpg t)
-          in
-          Reg.Set.iter
-            (fun r ->
-              List.iter
-                (fun (p : Rpg.pref) ->
-                  let instr_id = p.Rpg.instr_id in
-                  match p.Rpg.target with
-                  | Rpg.Coalesce t ->
-                      if Reg.is_virtual t && not (Igraph.is_node graph t)
-                      then
-                        emit ~reg:r ~instr_id
-                          (Printf.sprintf
-                             "coalesce preference of %s targets %s, which \
-                              is not a live node"
-                             (Reg.to_string r) (Reg.to_string t));
-                      if
-                        Igraph.is_node graph t && Igraph.interferes graph r t
-                      then
-                        emit ~severity:Diagnostic.Warning ~reg:r ~instr_id
-                          (Printf.sprintf
-                             "copy between interfering live ranges %s and \
-                              %s: this preference can never be honored"
-                             (Reg.to_string r) (Reg.to_string t));
-                      if Reg.is_virtual t && not (mirror_ok r t instr_id)
-                      then
-                        emit ~reg:r ~instr_id
-                          (Printf.sprintf
-                             "coalesce edge %s -> %s has no mirror edge"
-                             (Reg.to_string r) (Reg.to_string t))
-                  | Rpg.Seq_plus t | Rpg.Seq_minus t ->
-                      if Reg.is_virtual t && not (Igraph.is_node graph t)
-                      then
-                        emit ~reg:r ~instr_id
-                          (Printf.sprintf
-                             "sequential preference of %s targets %s, \
-                              which is not a live node"
-                             (Reg.to_string r) (Reg.to_string t))
-                  | Rpg.Memory ->
-                      if Rpg.strength p <= 0 then
-                        emit ~reg:r ~instr_id
-                          (Printf.sprintf
-                             "memory preference of %s has non-positive \
-                              strength"
-                             (Reg.to_string r))
-                  | Rpg.Kind | Rpg.In_limited -> ())
-                (Rpg.prefs rpg r))
-            (Cfg.all_vregs fn);
-          List.rev !out)
+            (fun (p : Rpg.pref) ->
+              let instr_id = p.Rpg.instr_id in
+              match p.Rpg.target with
+              | Rpg.Coalesce t ->
+                  if Reg.is_virtual t && not (Igraph.is_node graph t) then
+                    emit ~reg:r ~instr_id
+                      (Printf.sprintf
+                         "coalesce preference of %s targets %s, which is \
+                          not a live node"
+                         (Reg.to_string r) (Reg.to_string t));
+                  if Igraph.is_node graph t && Igraph.interferes graph r t
+                  then
+                    emit ~severity:Diagnostic.Warning ~reg:r ~instr_id
+                      (Printf.sprintf
+                         "copy between interfering live ranges %s and %s: \
+                          this preference can never be honored"
+                         (Reg.to_string r) (Reg.to_string t));
+                  if Reg.is_virtual t && not (mirror_ok r t instr_id) then
+                    emit ~reg:r ~instr_id
+                      (Printf.sprintf
+                         "coalesce edge %s -> %s has no mirror edge"
+                         (Reg.to_string r) (Reg.to_string t))
+              | Rpg.Seq_plus t | Rpg.Seq_minus t ->
+                  if Reg.is_virtual t && not (Igraph.is_node graph t) then
+                    emit ~reg:r ~instr_id
+                      (Printf.sprintf
+                         "sequential preference of %s targets %s, which is \
+                          not a live node"
+                         (Reg.to_string r) (Reg.to_string t))
+              | Rpg.Memory ->
+                  if Rpg.strength p <= 0 then
+                    emit ~reg:r ~instr_id
+                      (Printf.sprintf
+                         "memory preference of %s has non-positive strength"
+                         (Reg.to_string r))
+              | Rpg.Kind | Rpg.In_limited -> ())
+            (Rpg.prefs rpg r))
+        (Cfg.all_vregs fn);
+      List.rev !out)
 
-(* ---- spill-slots ---------------------------------------------------- *)
+(* ---- verify --------------------------------------------------------- *)
 
-let spill_slots =
-  Pass.v ~name:"spill-slots" ~phase:Pass.Allocated
-    ~doc:"spill-slot metadata vs. body traffic (leaks, aliasing)"
+let verify =
+  Pass.v ~name:"verify" ~phase:Pass.Machine
+    ~doc:"the allocation verifier on the finalized code (Verify.result)"
     (fun ctx fn ->
       match ctx.Pass.result with
-      | None -> []
-      | Some res ->
-          let name = fn.Cfg.name in
-          let out = ref [] in
-          (* Aliasing: slots are globally unique within a function, so a
-             slot booked by two different webs is corrupted frame
-             layout. *)
-          let meta = Hashtbl.create 16 in
-          List.iter
-            (fun (r, slot) ->
-              (match Hashtbl.find_opt meta slot with
-              | Some r0 when not (Reg.equal r0 r) ->
-                  out :=
-                    Diagnostic.v ~reg:r ~func:name Diagnostic.Slot_mismatch
-                      (Printf.sprintf
-                         "frame slot %d double-booked: assigned to both %s \
-                          and %s"
-                         slot (Reg.to_string r0) (Reg.to_string r))
-                    :: !out
-              | _ -> ());
-              Hashtbl.replace meta slot r)
-            res.Alloc_common.spill_slots;
-          let stored = Hashtbl.create 16 in
-          let traffic = Hashtbl.create 16 in
-          let reloads = ref [] in
-          List.iter
-            (fun (b : Cfg.block) ->
-              Array.iteri
-                (fun index (i : Instr.t) ->
-                  let site slot reg =
-                    Hashtbl.replace traffic slot ();
-                    if not (Hashtbl.mem meta slot) then
-                      out :=
-                        Diagnostic.v ~block:b.Cfg.label ~index
-                          ~instr:i.Instr.id ~reg ~func:name
-                          Diagnostic.Slot_mismatch
-                          (Printf.sprintf
-                             "frame slot %d has spill traffic but no \
-                              metadata entry (leaked slot)"
-                             slot)
-                        :: !out
-                  in
-                  match i.Instr.kind with
-                  | Instr.Spill { src; slot } ->
-                      Hashtbl.replace stored slot ();
-                      site slot src
-                  | Instr.Reload { dst; slot } ->
-                      reloads := (b.Cfg.label, index, i, dst, slot) :: !reloads;
-                      site slot dst
-                  | _ -> ())
-                b.Cfg.instrs)
-            fn.Cfg.blocks;
-          List.iter
-            (fun (block, index, (i : Instr.t), dst, slot) ->
-              if not (Hashtbl.mem stored slot) then
-                out :=
-                  Diagnostic.v ~block ~index ~instr:i.Instr.id ~reg:dst
-                    ~func:name Diagnostic.Slot_mismatch
-                    (Printf.sprintf
-                       "reload from frame slot %d, which is never stored"
-                       slot)
-                  :: !out)
-            (List.rev !reloads);
-          List.iter
-            (fun (r, slot) ->
-              if not (Hashtbl.mem traffic slot) then
-                out :=
-                  Diagnostic.v ~reg:r ~severity:Diagnostic.Warning ~func:name
-                    Diagnostic.Slot_mismatch
-                    (Printf.sprintf
-                       "metadata books frame slot %d for %s but the body \
-                        never touches it"
-                       slot (Reg.to_string r))
-                  :: !out)
-            res.Alloc_common.spill_slots;
-          List.rev !out)
+      | Some res -> Verify.result ctx.Pass.machine res ~final:fn
+      | None -> invalid_arg "verify: a Machine pass needs the allocator result")
 
 (* ---- the pass list -------------------------------------------------- *)
 
@@ -340,6 +248,5 @@ let all =
     dead_store;
     unreachable_block;
     rpg_consistency;
-    spill_slots;
-    lint_machine;
+    verify;
   ]

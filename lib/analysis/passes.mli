@@ -24,14 +24,10 @@
       copies between interfering live ranges are flagged as warnings
       (the builder records them, coalescing can never honor them).
 
-    Phase [Allocated] (allocator result, pre-finalize):
-    - [spill-slots]: slot metadata vs. body traffic — double-booked
-      slots, spill traffic on slots missing from the metadata (leaks),
-      reloads from slots never stored.
-
-    Phase [Machine]:
-    - [lint-machine]: well-formedness plus allocatability of the
-      finalized code. *)
+    Phase [Machine] (finalized code, with its allocator result):
+    - [verify]: the allocation verifier, {!Verify.result} — slot
+      metadata, translation validation, machine constraints, and
+      well-formedness plus allocatability ({!Lint}). *)
 
 val lint_ssa : Pass.t
 val ssa_pressure : Pass.t
@@ -40,8 +36,7 @@ val use_before_def : Pass.t
 val dead_store : Pass.t
 val unreachable_block : Pass.t
 val rpg_consistency : Pass.t
-val spill_slots : Pass.t
-val lint_machine : Pass.t
+val verify : Pass.t
 
 val all : Pass.t list
 (** Every built-in pass; names are distinct. *)

@@ -70,18 +70,11 @@ let run ?jobs ?(passes = Passes.all) ?algos m (p : Cfg.program) =
           Engine.map ~jobs
             (fun f ->
               let res = Allocator.exec algo m f in
-              let allocated =
-                run_phase ~result:res Pass.Allocated res.Alloc_common.func
-              in
               let fin = Finalize.apply m res in
-              (allocated, run_phase Pass.Machine fin.Finalize.func))
+              run_phase ~result:res Pass.Machine fin.Finalize.func)
             prepared.Cfg.funcs
         with
-        | rows ->
-            collect Pass.Allocated (Some algo.Allocator.name)
-              (List.map fst rows)
-            @ collect Pass.Machine (Some algo.Allocator.name)
-                (List.map snd rows)
+        | rows -> collect Pass.Machine (Some algo.Allocator.name) rows
         | exception Alloc_common.Failed msg ->
             skipped := (algo.Allocator.name, msg) :: !skipped;
             [])

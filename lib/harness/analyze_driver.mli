@@ -2,8 +2,8 @@
 
     Runs a pass selection over every phase snapshot of a program — the
     SSA form of each function, the prepared (lowered) body, and, per
-    allocator, the allocation result and finalized machine code — and
-    returns the diagnostics grouped by (phase, allocator, pass).  The
+    allocator, the finalized machine code with its allocation result —
+    and returns the diagnostics grouped by (phase, allocator, pass).  The
     per-function work fans out over {!Engine} workers and merges back
     in function order, and every entry's diagnostics are
     {!Diagnostic.normalize}d, so any [jobs] value yields bit-for-bit

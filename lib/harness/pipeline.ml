@@ -73,10 +73,16 @@ let allocate_program ?jobs (algo : Allocator.t) m (p : Cfg.program) =
   in
   let results = List.map fst pairs in
   let finals = List.map snd pairs in
+  List.iter
+    (fun t ->
+      match Diagnostic.errors (Lint.func (Lint.Machine m) t.Finalize.func) with
+      | [] -> ()
+      | d :: _ ->
+          raise
+            (Alloc_common.Failed
+               (Format.asprintf "%s: %a" algo.Allocator.name Diagnostic.pp d)))
+    finals;
   let program = { p with Cfg.funcs = List.map (fun t -> t.Finalize.func) finals } in
-  (match Check.machine_program m program with
-  | Ok () -> ()
-  | Error msg -> raise (Alloc_common.Failed (algo.Allocator.name ^ ": " ^ msg)));
   {
     machine = m;
     program;

@@ -54,9 +54,11 @@ val allocate_program :
 (** [jobs] (default [Engine.default_jobs ()], i.e. [PDGC_JOBS] or 1)
     sets the worker pool size; results are merged back in function
     order, so any [jobs] value produces bit-for-bit the sequential
-    output.  The finalized program must pass {!Check.machine_program}.
-    @raise Alloc_common.Failed on allocator failure or machine code
-    that fails that check. *)
+    output.  Every finalized function must lint clean as machine code
+    ([Lint.Machine]: well-formed, every register physical and
+    allocatable, no [Phi] or [Param]).
+    @raise Alloc_common.Failed on allocator failure or on the first
+    lint error. *)
 
 val verify_allocated : allocated -> Diagnostic.t list
 (** Run the static verifier ({!Verify.result}) over every allocated

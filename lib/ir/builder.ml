@@ -1,6 +1,5 @@
 type t = {
   func : Cfg.func;
-  entry : Instr.label;
   mutable order : Instr.label list; (* creation order, reversed *)
   bodies : (Instr.label, Instr.t list ref) Hashtbl.t;
   mutable current : Instr.label;
@@ -11,10 +10,9 @@ let create ~name ~n_params =
   let func = Cfg.create_func ~name ~n_params ~entry in
   let bodies = Hashtbl.create 16 in
   Hashtbl.replace bodies entry (ref []);
-  { func; entry; order = [ entry ]; bodies; current = entry }
+  { func; order = [ entry ]; bodies; current = entry }
 
 let reg b cls = Cfg.fresh_reg b.func cls
-let entry_label b = b.entry
 
 let new_block b =
   let l = Cfg.fresh_label b.func in
@@ -26,8 +24,6 @@ let switch_to b l =
   if not (Hashtbl.mem b.bodies l) then
     invalid_arg (Printf.sprintf "Builder.switch_to: unknown label L%d" l);
   b.current <- l
-
-let current_label b = b.current
 
 let emit b kind =
   let i = Cfg.instr b.func kind in

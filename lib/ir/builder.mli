@@ -15,7 +15,6 @@ val create : name:string -> n_params:int -> t
 (** A builder positioned at the freshly created entry block. *)
 
 val reg : t -> Reg.cls -> Reg.t
-val entry_label : t -> Instr.label
 
 val new_block : t -> Instr.label
 (** Create a block label; it becomes part of the function once selected
@@ -23,8 +22,6 @@ val new_block : t -> Instr.label
 
 val switch_to : t -> Instr.label -> unit
 (** Subsequent emissions go to this block. *)
-
-val current_label : t -> Instr.label
 
 val emit : t -> Instr.kind -> unit
 

@@ -55,9 +55,9 @@ val with_blocks : func -> block list -> func
     numbering of the result is rebuilt on demand. *)
 
 val clone : func -> func
-(** Deep copy, including register metadata.  Allocators clone their
-    input so that runs do not perturb each other through the shared
-    fresh-name counters. *)
+(** Deep copy, including register metadata.  SSA construction and the
+    allocators clone their input so that runs do not perturb each
+    other through the shared fresh-name counters. *)
 
 val fresh_reg : func -> Reg.cls -> Reg.t
 val fresh_label : func -> Instr.label

@@ -67,7 +67,6 @@ let uses = function
   | Ret r -> Option.to_list r
   | Phi { srcs; _ } -> List.map snd srcs
 
-let is_move = function Move _ -> true | _ -> false
 
 let is_terminator = function
   | Jump _ | Branch _ | Ret _ -> true

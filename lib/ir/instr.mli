@@ -82,7 +82,6 @@ val uses : kind -> Reg.t list
 (** Registers read by the instruction.  For [Phi] this is every source;
     use {!phi_srcs} for per-edge treatment. *)
 
-val is_move : kind -> bool
 val is_terminator : kind -> bool
 
 val successors : kind -> label list

@@ -33,10 +33,6 @@ let to_string r =
 
 let pp ppf r = Format.pp_print_string ppf (to_string r)
 
-let pp_cls ppf = function
-  | Int_class -> Format.pp_print_string ppf "int"
-  | Float_class -> Format.pp_print_string ppf "float"
-
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
 

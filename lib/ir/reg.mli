@@ -46,7 +46,6 @@ val phys_index : t -> int
 val phys_cls : t -> cls
 
 val pp : Format.formatter -> t -> unit
-val pp_cls : Format.formatter -> cls -> unit
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

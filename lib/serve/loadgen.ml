@@ -98,10 +98,6 @@ let with_daemon ~jobs ?(cache_capacity = 0) ~exe ~socket f =
 (* ---- the @serve-smoke selftest ----------------------------------------- *)
 
 let one_shot_blobs ~machine ~algo p =
-  (* Prepare mutates the shared fresh-name counters of its input
-     functions; clone so the caller's program still encodes (and
-     digests) exactly as before the one-shot run. *)
-  let p = { p with Cfg.funcs = List.map Cfg.clone p.Cfg.funcs } in
   let a =
     Pipeline.allocate_program ~jobs:1 algo machine (Pipeline.prepare machine p)
   in
@@ -174,9 +170,55 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+let ( let* ) = Result.bind
+let check name ok = if ok then Ok () else Error ("serve selftest: " ^ name)
+
+(* Connections opened and written together, with no stats round trip
+   first, while the daemon is held up writing the replies to a flood of
+   stats requests that are read only afterwards.  They wait in the
+   listen backlog together, so the daemon accepts them at one wakeup
+   and allocates their requests in one batch.  [conns] pairs each
+   connection's request payload with its one-shot reply blobs; [c], an
+   accepted client, reads the batch counter. *)
+let opened_together ~socket c conns =
+  let batches () =
+    Result.map (fun st -> st.Protocol.batches) (Client.stats c)
+  in
+  (* Each reply is its own write, and a Unix socket's send buffer
+     (208 KiB by default on Linux) holds a few hundred of them: the daemon
+     blocks long before the last. *)
+  let flood_frames = 12_000 in
+  let stats = Protocol.encode_request Protocol.Stats in
+  let* b0 = batches () in
+  let flood =
+    send_raw ~socket (frames (List.init flood_frames (fun _ -> stats)))
+  in
+  let answered, replies =
+    Fun.protect
+      ~finally:(fun () -> close_fd flood)
+      (fun () ->
+        match Unix.select [ flood ] [] [] 5.0 with
+        | [], _, _ -> (0, [])
+        | _ ->
+            let fds =
+              List.map (fun (p, _) -> send_raw ~socket (frames [ p ])) conns
+            in
+            Fun.protect
+              ~finally:(fun () -> List.iter close_fd fds)
+              (fun () ->
+                let answered = fst (read_replies flood flood_frames) in
+                ( List.length answered,
+                  List.map (fun fd -> fst (read_replies fd 1)) fds )))
+  in
+  let* b1 = batches () in
+  let* () = check "stats flood answered" (answered = flood_frames) in
+  let* () =
+    check "connections opened together match one-shot pipeline"
+      (replies = List.map (fun (_, blobs) -> [ Protocol.Funcs blobs ]) conns)
+  in
+  check "connections opened together allocated in one batch" (b1 - b0 = 1)
+
 let selftest ~exe () =
-  let ( let* ) = Result.bind in
-  let check name ok = if ok then Ok () else Error ("serve selftest: " ^ name) in
   let machine = Machine.middle_pressure in
   let algo = Pipeline.pdgc_full in
   let algo_name = algo.Allocator.name in
@@ -241,6 +283,11 @@ let selftest ~exe () =
         in
         let c = Client.connect_retry sock4 in
         let r =
+          let* () =
+            opened_together ~socket:sock4 c
+              (with_expected
+                 (programs ~seed:45 ~funcs_per_program:1 ~n_funcs:4))
+          in
           let* st = Client.stats c in
           let* () =
             check "warm replay served from cache"

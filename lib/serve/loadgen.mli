@@ -24,7 +24,10 @@ val selftest : exe:string -> unit -> (unit, string) result
     byte-identical to the cold one and is served from the cache; five
     connections whose request frames are all written before any reply
     is read, four of them while the daemon allocates the first one's,
-    each get replies byte-identical to the one-shot blobs;
+    each get replies byte-identical to the one-shot blobs; four
+    connections opened and written together, with no stats round trip
+    first, while the daemon is blocked writing the replies to a flood
+    of stats requests, get the one-shot bytes from one batch;
     [jobs=1] and [jobs=4] daemons agree; unknown allocators and
     malformed programs get error replies naming the problem; a
     repeated request (binary, 3-function, text) gets byte-identical

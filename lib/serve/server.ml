@@ -1,10 +1,11 @@
-(* Single-threaded select loop.  Every wakeup drains the readable
-   connections, then dispatches the round's allocation work as one
-   Engine.Pool batch — requests that arrive together share worker
-   domains.  Responses are written blocking; the daemon's only
-   long-running work happens inside the pool batch.  A request whose
-   exact bytes were answered before skips decode and digest: an index
-   keyed on the payload's MD5 yields its function cache keys. *)
+(* Single-threaded select loop.  Every wakeup accepts every pending
+   connection and drains the readable ones, then dispatches the
+   round's allocation work as one Engine.Pool batch — requests that
+   arrive together share worker domains.  Responses are written
+   blocking; the daemon's only long-running work happens inside the
+   pool batch.  A request whose exact bytes were answered before skips
+   decode and digest: an index keyed on the payload's MD5 yields its
+   function cache keys. *)
 
 type config = { socket_path : string; jobs : int; cache_capacity : int }
 
@@ -266,12 +267,25 @@ let handle_readable t conn out =
 
 (* ---- event loop -------------------------------------------------------- *)
 
+(* Accept every pending connection: the listening socket is
+   non-blocking, so [accept] fails (EAGAIN) once the backlog is empty.
+   Clients that connect and write together are then read at the same
+   next wakeup, and their requests batched together. *)
+let rec accept_all t listen_fd =
+  match Unix.accept listen_fd with
+  | client, _ ->
+      Hashtbl.replace t.conns client
+        { fd = client; pending = Buffer.create 4096 };
+      accept_all t listen_fd
+  | exception Unix.Unix_error _ -> ()
+
 let run cfg =
   (if Sys.file_exists cfg.socket_path then
      try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
   Unix.listen listen_fd 64;
+  Unix.set_nonblock listen_fd;
   let t =
     {
       pool = Engine.Pool.create ~jobs:(max 1 cfg.jobs);
@@ -295,13 +309,7 @@ let run cfg =
         let reqs = ref [] in
         List.iter
           (fun fd ->
-            if fd == listen_fd then begin
-              match Unix.accept listen_fd with
-              | client, _ ->
-                  Hashtbl.replace t.conns client
-                    { fd = client; pending = Buffer.create 4096 }
-              | exception Unix.Unix_error _ -> ()
-            end
+            if fd == listen_fd then accept_all t listen_fd
             else
               match Hashtbl.find_opt t.conns fd with
               | Some conn -> handle_readable t conn reqs

@@ -158,7 +158,3 @@ let apply (m : Machine.t) (res : Alloc_common.result) =
     callee_saved = List.length save_slots;
     caller_save_instrs = !caller_save_instrs;
   }
-
-let program m allocate (p : Cfg.program) =
-  let results = List.map (fun f -> apply m (allocate f)) p.Cfg.funcs in
-  ( { p with Cfg.funcs = List.map (fun t -> t.func) results }, results )

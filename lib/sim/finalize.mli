@@ -28,7 +28,3 @@ type t = {
 }
 
 val apply : Machine.t -> Alloc_common.result -> t
-
-val program :
-  Machine.t -> (Cfg.func -> Alloc_common.result) -> Cfg.program -> Cfg.program * t list
-(** Allocate and finalize every function of a program. *)

@@ -1,4 +1,7 @@
 let run (f : Cfg.func) =
+  (* The first prepare stage to make fresh names: working on a clone
+     leaves the caller's counters and class table as they were. *)
+  let f = Cfg.clone f in
   let dom = Dominance.compute f in
   let live = Liveness.compute f in
   let labels = Dominance.labels dom in

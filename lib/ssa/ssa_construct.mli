@@ -7,6 +7,11 @@
 
     Only virtual registers are renamed.  A use reached by no definition
     keeps its original name (the workload generator never produces such
-    programs; the fallback merely keeps the pass total). *)
+    programs; the fallback merely keeps the pass total).
+
+    [run] works on a {!Cfg.clone} of its argument, so the fresh names
+    it and the later prepare stages make leave the argument's counters
+    ([next_reg], [next_instr_id], [next_label]) and class table
+    untouched. *)
 
 val run : Cfg.func -> Cfg.func

@@ -7,8 +7,6 @@ let limited_fixup = 1
 let save_restore = store + load
 let callee_save = 2
 let call_overhead = 2
-let spill = store
-let reload = load
 
 let inst_cost = function
   | Instr.Move _ -> move

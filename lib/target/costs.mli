@@ -33,12 +33,6 @@ val callee_save : int
 val call_overhead : int
 (** Fixed per-call bookkeeping charged by the interpreter. *)
 
-val spill : int
-(** Cost of one inserted spill store ([store]). *)
-
-val reload : int
-(** Cost of one inserted reload ([load]). *)
-
 val inst_cost : Instr.kind -> int
 (** The interpreter's charge for one executed instruction.  [Phi] and
     [Param] are free (they never survive to machine code); paired loads

@@ -97,18 +97,6 @@ let func (m : Machine.t) (fn : Cfg.func) =
             diag ~block:b.Cfg.label ~index ~instr:i.Instr.id ?reg ?severity
               reason fmt
           in
-          List.iter
-            (fun r ->
-              if Reg.is_virtual r then
-                emit
-                  (at ~reg:r Diagnostic.Not_allocatable
-                     "%s is still virtual after allocation" (Reg.to_string r))
-              else if not (Machine.is_allocatable m r) then
-                emit
-                  (at ~reg:r Diagnostic.Not_allocatable
-                     "%s is outside the machine's %d-register file"
-                     (Reg.to_string r) m.Machine.k))
-            (Instr.defs i.Instr.kind @ Instr.uses i.Instr.kind);
           match i.Instr.kind with
           | Instr.Load_pair { dst_lo; dst_hi; _ } ->
               if not (Machine.pair_ok m dst_lo dst_hi) then
@@ -161,14 +149,8 @@ let func (m : Machine.t) (fn : Cfg.func) =
                      "limited-use destination %s is outside the limited set \
                       (costs a fixup)"
                      (Reg.to_string dst))
-          | Instr.Phi _ ->
-              emit (at Diagnostic.Structure "phi survived finalization")
-          | Instr.Param _ ->
-              emit (at Diagnostic.Structure "param survived finalization")
           | _ -> ())
         b.Cfg.instrs)
     fn.Cfg.blocks;
   check_slots fn emit;
   List.rev !out
-
-let program m (p : Cfg.program) = List.concat_map (func m) p.Cfg.funcs

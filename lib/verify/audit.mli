@@ -1,9 +1,8 @@
 (** Constraint auditor for finalized machine code.
 
-    Independently of the dataflow validation, re-check every machine
-    constraint on the final code alone:
+    Independently of the dataflow validation, re-check the machine's
+    irregular constraints on the final code alone:
 
-    - every register is physical and allocatable ([Machine.is_allocatable]);
     - every [Load_pair] satisfies [Machine.pair_ok];
     - calls pass their arguments in the machine's per-class
       [Machine.arg_reg] sequence and receive results in
@@ -12,7 +11,9 @@
       warning (the preference is soft; missing it costs a fixup cycle);
     - no frame slot is reloaded before some path has stored to it
       (forward must-initialize dataflow over the slots, reusing
-      {!Solver.Make}). *)
+      {!Solver.Make}).
+
+    Allocatability and leftover [Phi]/[Param] are {!Lint}'s rules
+    ([Lint.Machine]). *)
 
 val func : Machine.t -> Cfg.func -> Diagnostic.t list
-val program : Machine.t -> Cfg.program -> Diagnostic.t list

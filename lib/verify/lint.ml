@@ -78,5 +78,3 @@ let func phase (fn : Cfg.func) =
         b.Cfg.instrs)
     fn.Cfg.blocks;
   List.rev !out
-
-let program phase (p : Cfg.program) = List.concat_map (func phase) p.Cfg.funcs

@@ -9,9 +9,10 @@
     - [Prepared]: what allocators consume — no [Phi], no [Param], no
       [Load_pair]; virtual registers allowed.
     - [Machine m]: finalized code — additionally every register is
-      physical and allocatable in [m]. *)
+      physical and allocatable in [m]; [Load_pair] is legal.  This is
+      the one home of those rules: [Verify] runs it on every final
+      body, and [Pipeline.allocate_program] fails on its first error. *)
 
 type phase = Ssa | Prepared | Machine of Machine.t
 
 val func : phase -> Cfg.func -> Diagnostic.t list
-val program : phase -> Cfg.program -> Diagnostic.t list

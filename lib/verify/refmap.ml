@@ -350,9 +350,7 @@ let func (m : Machine.t) ~(reference : Cfg.func) ~(alloc : Reg.t Reg.Tbl.t)
             [ Reg.Int_class; Reg.Float_class ];
           st
       | Instr.Phi _ | Instr.Param _ ->
-          emit
-            (diag ~block:label ~index:pos ~instr:r.Instr.id Diagnostic.Structure
-               "phi/param reached the allocator's output");
+          (* Left in place by finalization, so {!Lint} reports it. *)
           st
       | kind ->
           List.iter (use_check st r pos) (Instr.uses kind);
@@ -442,12 +440,6 @@ let func (m : Machine.t) ~(reference : Cfg.func) ~(alloc : Reg.t Reg.Tbl.t)
                    Diagnostic.Structure
                    "paired load does not match its two reference loads under \
                     the allocation");
-            if not (Machine.pair_ok m pl_lo pl_hi) then
-              emit
-                (diag ~block:label ~index:pos ~instr:pair.Instr.id ~reg:pl_hi
-                   Diagnostic.Bad_pair
-                   "%s and %s violate the machine's pairing rule"
-                   (Reg.to_string pl_lo) (Reg.to_string pl_hi));
             use_check st lo pos l1_base;
             let st = define st l1_dst pl_lo in
             (* Deleted copies between the two loads run, on the

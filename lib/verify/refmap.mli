@@ -19,11 +19,13 @@
 
     Violations reported: uses reading a location that does not hold the
     expected value (clobbered live ranges), values left in volatile
-    registers across calls, spill-slot store/load mismatches, paired
-    loads violating the machine's pairing rule, callee-save registers
-    not restored at returns, and any structural divergence that is not
-    a pure renaming (reordered, dropped or invented instructions,
-    non-trivial deleted copies, unallocated virtuals). *)
+    registers across calls, spill-slot store/load mismatches,
+    callee-save registers not restored at returns, and any structural
+    divergence that is not a pure renaming (reordered, dropped or
+    invented instructions, non-trivial deleted copies, unallocated
+    virtuals).  The pairing rule, the calling convention and
+    allocatability of the final code alone are {!Audit}'s and {!Lint}'s
+    checks. *)
 
 val func :
   Machine.t ->

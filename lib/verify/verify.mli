@@ -1,14 +1,18 @@
 (** Static allocation verification: the public entry points.
 
-    Combines the three layers of the library into one verdict per
-    allocated function:
+    Combines the layers of the library into one verdict per allocated
+    function, each machine-code rule in exactly one of them:
 
+    + the spill-slot metadata rule — each spilled web books a distinct
+      frame slot, every slot with spill traffic in the allocator's body
+      is booked, and a booking the body never touches is a warning;
     + {!Refmap} — dataflow translation validation of the final code
       against the allocator's pre-finalization body;
     + {!Audit} — machine-constraint re-checking on the final code
-      (allocatability, pairing, calling convention, slot
+      (pairing, calling convention, limited sets, slot
       initialization);
-    + {!Lint} — well-formedness of the final CFG.
+    + {!Lint} — well-formedness of the final CFG, allocatability, no
+      leftover [Phi] or [Param].
 
     A function passes when no {!Diagnostic.severity} [Error] remains;
     warnings (eg. missed limited-set preferences) are reported but do
@@ -18,15 +22,14 @@ val func :
   Machine.t ->
   reference:Cfg.func ->
   alloc:Reg.t Reg.Tbl.t ->
-  ?spill_slots:(Reg.t * int) list ->
+  spill_slots:(Reg.t * int) list ->
   final:Cfg.func ->
-  unit ->
   Diagnostic.t list
 (** Verify one function.  [reference] is the allocator's output body
     (virtual registers, spill code inserted), [alloc] its allocation
-    map, [final] the finalized machine code.  [spill_slots] is the
-    allocator's spill-slot metadata ([Alloc_common.result.spill_slots]);
-    when given, slot assignments are audited for double-booking. *)
+    map, [spill_slots] its spill-slot metadata
+    ([Alloc_common.result.spill_slots]), [final] the finalized machine
+    code. *)
 
 val result :
   Machine.t -> Alloc_common.result -> final:Cfg.func -> Diagnostic.t list

@@ -24,6 +24,30 @@ let test_prepare_preserves_semantics () =
         (Interp.equal_value before.Interp.value after.Interp.value))
     (Suite.all ())
 
+(* Preparing and allocating one program twice gives the same reply
+   bytes, and leaves the program's fresh-name counters as they were. *)
+let test_prepare_leaves_input_untouched () =
+  let m = Machine.make ~k:16 () in
+  let p = Suite.program "jess" in
+  let counters () =
+    List.map
+      (fun (f : Cfg.func) ->
+        (f.Cfg.next_reg, f.Cfg.next_label, f.Cfg.next_instr_id))
+      p.Cfg.funcs
+  in
+  let before = counters () in
+  let replies () =
+    let a =
+      Pipeline.allocate_program Pipeline.pdgc_full m (Pipeline.prepare m p)
+    in
+    List.map2 Protocol.encode_func_reply a.Pipeline.results a.Pipeline.finals
+  in
+  let first = replies () in
+  check Alcotest.(list string) "same reply bytes" first (replies ());
+  check
+    Alcotest.(list (triple int int int))
+    "counters untouched" before (counters ())
+
 let suite_end_to_end name k =
   let m = Machine.make ~k () in
   let p = Pipeline.prepare m (Suite.program name) in
@@ -119,6 +143,7 @@ let () =
         [
           tc "lowering and destruction complete" test_prepare_lowers_and_destructs;
           tc "semantics preserved" test_prepare_preserves_semantics;
+          tc "input left untouched" test_prepare_leaves_input_untouched;
         ] );
       ( "end-to-end",
         [

@@ -60,7 +60,7 @@ let test_roundtrip_semantics_diamond () =
   let p = { Cfg.funcs = [ fn ]; main = fn.Cfg.name } in
   let args = [ Interp.Int 3; Interp.Int 9 ] in
   let before = Interp.run ~args p in
-  let fn' = Ssa_destruct.run (Ssa_construct.run (Cfg.clone fn)) in
+  let fn' = Ssa_destruct.run (Ssa_construct.run fn) in
   let after = Interp.run ~args { p with Cfg.funcs = [ fn' ] } in
   check Alcotest.bool "same result" true
     (Interp.equal_value before.Interp.value after.Interp.value)
@@ -69,7 +69,7 @@ let test_roundtrip_semantics_loop () =
   let fn, _, _, _, _, _ = counted_loop ~trip:7 () in
   let p = { Cfg.funcs = [ fn ]; main = fn.Cfg.name } in
   let before = Interp.run p in
-  let fn' = Ssa_destruct.run (Ssa_construct.run (Cfg.clone fn)) in
+  let fn' = Ssa_destruct.run (Ssa_construct.run fn) in
   let after = Interp.run { p with Cfg.funcs = [ fn' ] } in
   check Alcotest.bool "same result" true
     (Interp.equal_value before.Interp.value after.Interp.value);
@@ -83,7 +83,7 @@ let prop_roundtrip_preserves_semantics =
       let before = Interp.run p in
       let funcs =
         List.map
-          (fun f -> Ssa_destruct.run (Ssa_construct.run (Cfg.clone f)))
+          (fun f -> Ssa_destruct.run (Ssa_construct.run f))
           p.Cfg.funcs
       in
       let after = Interp.run { p with Cfg.funcs } in
@@ -95,7 +95,7 @@ let prop_construct_single_def =
       let p = random_program seed in
       List.for_all
         (fun fn ->
-          let ssa = Ssa_construct.run (Cfg.clone fn) in
+          let ssa = Ssa_construct.run fn in
           Reg.Set.for_all
             (fun r -> count_defs ssa r <= 1)
             (Cfg.all_vregs ssa))
@@ -107,7 +107,7 @@ let prop_destruct_no_critical_edges =
       let p = random_program seed in
       List.for_all
         (fun fn ->
-          let out = Ssa_destruct.run (Ssa_construct.run (Cfg.clone fn)) in
+          let out = Ssa_destruct.run (Ssa_construct.run fn) in
           Result.is_ok (Cfg.validate out) && count_phis out = 0)
         p.Cfg.funcs)
 
@@ -141,7 +141,7 @@ let test_destruct_splits_critical_edge () =
   in
   let p = { Cfg.funcs = [ fn ]; main = fn.Cfg.name } in
   let before = Interp.run p in
-  let ssa = Ssa_construct.run (Cfg.clone fn) in
+  let ssa = Ssa_construct.run fn in
   check Alcotest.int "phi in terminator-only join" 1 (count_phis ssa);
   let out = Ssa_destruct.run ssa in
   check Alcotest.bool "wellformed" true (Result.is_ok (Cfg.wellformed out));

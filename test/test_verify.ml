@@ -84,7 +84,7 @@ let test_rejects_clobbered_live_range () =
   let reference, a, c, s = clobber_func () in
   (* [a] and [c] interfere but share r1: the add reads a clobbered value. *)
   let alloc, final = rename [ (a, ri 1); (c, ri 1); (s, ri 0) ] reference in
-  let ds = Verify.func m8 ~reference ~alloc ~final () in
+  let ds = Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final in
   Alcotest.(check bool)
     "clobber rejected" true
     (has_error Diagnostic.Clobbered_value ds)
@@ -92,7 +92,8 @@ let test_rejects_clobbered_live_range () =
 let test_accepts_correct_renaming () =
   let reference, a, c, s = clobber_func () in
   let alloc, final = rename [ (a, ri 1); (c, ri 2); (s, ri 0) ] reference in
-  no_errors "correct renaming" (Verify.func m8 ~reference ~alloc ~final ())
+  no_errors "correct renaming"
+    (Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final)
 
 let test_rejects_wrong_spill_slot () =
   let b = Builder.create ~name:"slots" ~n_params:0 in
@@ -109,7 +110,7 @@ let test_rejects_wrong_spill_slot () =
         | Instr.Reload { dst; slot = 0 } -> Instr.Reload { dst; slot = 1 }
         | k -> k)
   in
-  let ds = Verify.func m8 ~reference ~alloc ~final () in
+  let ds = Verify.func m8 ~reference ~alloc ~spill_slots:[ (a, 0) ] ~final in
   Alcotest.(check bool)
     "wrong slot rejected" true
     (has_error Diagnostic.Slot_mismatch ds)
@@ -125,7 +126,7 @@ let test_rejects_volatile_across_call () =
   let alloc, final =
     rename [ (v, ri 3); (d, ri 0); (s, ri 0) ] reference
   in
-  let ds = Verify.func m8 ~reference ~alloc ~final () in
+  let ds = Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final in
   Alcotest.(check bool)
     "volatile-across-call rejected" true
     (has_error Diagnostic.Volatile_across_call ds)
@@ -148,7 +149,7 @@ let test_rejects_copy_of_clobbered_value () =
       let final = delete_trivial_moves final in
       Alcotest.(check bool) (Reg.to_string cy ^ " copy rejected") true
         (has_error Diagnostic.Volatile_across_call
-           (Verify.func m8 ~reference ~alloc ~final ())))
+           (Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final)))
     [ ri 5; ri 3 ]
 
 let pair_func () =
@@ -167,7 +168,7 @@ let test_rejects_parity_violating_pair () =
     rename [ (base, ri 1); (lo, ri 2); (hi, ri 4); (s, ri 0) ] reference
   in
   let final = fuse_adjacent final in
-  let ds = Verify.func m8 ~reference ~alloc ~final () in
+  let ds = Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final in
   Alcotest.(check bool)
     "parity violation rejected" true
     (has_error Diagnostic.Bad_pair ds)
@@ -178,7 +179,8 @@ let test_accepts_legal_pair () =
     rename [ (base, ri 1); (lo, ri 2); (hi, ri 3); (s, ri 0) ] reference
   in
   let final = fuse_adjacent final in
-  no_errors "legal pair" (Verify.func m8 ~reference ~alloc ~final ())
+  no_errors "legal pair"
+    (Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final)
 
 let test_rejects_unsaved_callee_save () =
   let b = Builder.create ~name:"nonvol" ~n_params:0 in
@@ -187,7 +189,7 @@ let test_rejects_unsaved_callee_save () =
   let reference = Builder.finish b in
   (* Writes non-volatile r4 and returns without restoring it. *)
   let alloc, final = rename [ (v, ri 4) ] reference in
-  let ds = Verify.func m8 ~reference ~alloc ~final () in
+  let ds = Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final in
   Alcotest.(check bool)
     "missing callee save rejected" true
     (has_error Diagnostic.Bad_callee_save ds);
@@ -208,19 +210,36 @@ let test_accepts_deleted_copy_with_live_source () =
   let alloc, final = rename [ (x, ri 1); (y, ri 1); (s, ri 0) ] reference in
   let final = delete_trivial_moves final in
   no_errors "aliased deleted copy"
-    (Verify.func m8 ~reference ~alloc ~final ())
+    (Verify.func m8 ~reference ~alloc ~spill_slots:[] ~final)
 
 let test_rejects_duplicate_slot_metadata () =
   let reference, a, c, s = clobber_func () in
   let alloc, final = rename [ (a, ri 1); (c, ri 2); (s, ri 0) ] reference in
   let ds =
-    Verify.func m8 ~reference ~alloc
-      ~spill_slots:[ (a, 0); (c, 0) ]
-      ~final ()
+    Verify.func m8 ~reference ~alloc ~spill_slots:[ (a, 0); (c, 0) ] ~final
   in
   Alcotest.(check bool)
     "double-booked slot rejected" true
     (has_error Diagnostic.Slot_mismatch ds)
+
+(* A body returning [r] is left as is by finalization; however many
+   layers look at it, an unallocatable register is one diagnostic. *)
+let not_allocatable_once r () =
+  let b = Builder.create ~name:"ret" ~n_params:0 in
+  let r = match r with Some r -> r | None -> Builder.reg b Reg.Int_class in
+  Builder.ret b (Some r);
+  let fn = Builder.finish b in
+  let ds =
+    Verify.func m8 ~reference:fn ~alloc:(Reg.Tbl.create 0) ~spill_slots:[]
+      ~final:fn
+  in
+  Alcotest.(check int)
+    "one not-allocatable error" 1
+    (List.length
+       (List.filter
+          (fun (d : Diagnostic.t) ->
+            d.Diagnostic.reason = Diagnostic.Not_allocatable)
+          (Diagnostic.errors ds)))
 
 (* --- linter ----------------------------------------------------------- *)
 
@@ -321,6 +340,9 @@ let () =
           tc "parity-violating pair" test_rejects_parity_violating_pair;
           tc "missing callee save" test_rejects_unsaved_callee_save;
           tc "duplicate slot metadata" test_rejects_duplicate_slot_metadata;
+          tc "virtual return reported once" (not_allocatable_once None);
+          tc "r12 return at k=8 reported once"
+            (not_allocatable_once (Some (ri 12)));
           tc "entry block not first" test_lint_rejects_entry_not_first;
         ] );
       ( "positive",
