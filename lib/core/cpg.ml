@@ -134,10 +134,14 @@ let n_edges t = t.edges
 (* Dense sub-API (layering rule in cpg.mli). *)
 let compact t = t.cpt
 
+(* A fresh row as wide as the numbering, so that no later [add] or
+   [union_into] has to regrow it. *)
+let full_row t = Regbits.Set.create (Regbits.size t.cpt)
+
 (* Precondition: the edge is absent (see the header).  The [pred] row
    is left untouched; [finish_build] fills it. *)
 let add_edge_idx t u v =
-  if t.succ.(u) == empty_set then t.succ.(u) <- Regbits.Set.create 0;
+  if t.succ.(u) == empty_set then t.succ.(u) <- full_row t;
   Regbits.Set.add t.succ.(u) v;
   t.indeg.(v) <- t.indeg.(v) + 1;
   t.edges <- t.edges + 1
@@ -185,10 +189,10 @@ let build ~k g (simp : Simplify.result) =
      succ edges (frozen once [i] pops; [i] joins its own set then).
      Monotone — see the header invariant — so edge retirement never
      touches it.  Slots alias the shared empty sentinel until first
-     mutated ([add]/[union_into] grow their target): most
-     nodes never become an edge tail or target, so even allocating one
-     empty set per node — let alone pre-sizing to the node count,
-     O(n^2) words per build — is wasted work on the common path. *)
+     mutated, then get a row at full width ([full_row]): most nodes
+     never become an edge tail or target, so allocating a row for
+     every node would be wasted work, but a row that is needed at all
+     would otherwise regrow by doubling as its members arrive. *)
   let reach = Array.make t.cap empty_set in
   (* Step 4: residual degree starts at the full interference degree —
      the same initialization {!Simplify.run} uses.  Physical neighbors
@@ -211,53 +215,59 @@ let build ~k g (simp : Simplify.result) =
      state plus [n]'s frozen set, and [ready.(u)] can only be flipped
      by [u]'s own decrement, which runs after its edge work — so the
      fusion observes exactly the two-phase state. *)
+  (* The node being popped, and its reachable set once frozen.  One
+     [visit] closure serves every pop. *)
+  let cur = ref (-1) and rn = ref empty_set in
+  (* Freeze the popped node's reachable set: from here on it answers
+     "does n reach m?" for every later step in O(1).  Materialized
+     lazily — if no neighbor enters the edge branch below, nothing ever
+     reads it again (edges into [n] exist only through that branch), so
+     the freeze can be skipped outright. *)
+  let freeze_rn n =
+    if !rn == empty_set then begin
+      let s = if reach.(n) == empty_set then full_row t else reach.(n) in
+      Regbits.Set.add s n;
+      reach.(n) <- s;
+      rn := s
+    end;
+    !rn
+  in
+  let retire m =
+    t.indeg.(m) <- t.indeg.(m) - 1;
+    t.edges <- t.edges - 1
+  in
+  (* Step 7: non-ready remaining neighbors precede n.  Skip an edge
+     that is already implied ([n] reachable from [u]), and retire
+     direct edges it makes transitive ([u -> m] with [m] reachable from
+     [n]).  Edges into [n] from other tails never enter [reach.(u)], so
+     the scan order over the neighbors cannot influence the final edge
+     set. *)
+  let visit u =
+    if u < t.cap && virt.(u) && present.(u) then begin
+      let n = !cur in
+      if (not ready.(u)) && not (Regbits.Set.mem reach.(u) n) then begin
+        let rn = freeze_rn n in
+        (* One word-wise pass retires the stale edges [u -> m], m in
+           [rn], before [u -> n] is added: [n] is in [rn] but not yet
+           in [u]'s row ([n] is not reachable from [u]), so the new
+           edge is never its own victim. *)
+        Regbits.Set.remove_inter ~src:rn ~dst:t.succ.(u) retire;
+        add_edge_idx t u n;
+        if reach.(u) == empty_set then reach.(u) <- full_row t;
+        ignore (Regbits.Set.union_into ~src:rn ~dst:reach.(u))
+      end;
+      (* Step 8: the removal may make [u] ready. *)
+      let d = degree.(u) - 1 in
+      degree.(u) <- d;
+      if d < k then ready.(u) <- true
+    end
+  in
   List.iter
     (fun n ->
       present.(n) <- false;
-      (* Freeze n's reachable set: from here on it answers "does n
-         reach m?" for every later step in O(1).  Materialized lazily —
-         if no neighbor enters the edge branch below, nothing ever
-         reads it again (edges into [n] exist only through that
-         branch), so the freeze can be skipped outright. *)
-      let rn_frozen = ref empty_set in
-      let freeze_rn () =
-        if !rn_frozen == empty_set then begin
-          let s =
-            if reach.(n) == empty_set then Regbits.Set.create 0 else reach.(n)
-          in
-          Regbits.Set.add s n;
-          reach.(n) <- s;
-          rn_frozen := s
-        end;
-        !rn_frozen
-      in
-      (* Step 7: non-ready remaining neighbors precede n.  Skip an edge
-         that is already implied ([n] reachable from [u]), and retire
-         direct edges it makes transitive ([u -> m] with [m] reachable
-         from [n]).  Edges into [n] from other tails never enter
-         [reach.(u)], so the scan order over the neighbors cannot
-         influence the final edge set. *)
-      Igraph.iter_adj_idx g n (fun u ->
-          if u < t.cap && virt.(u) && present.(u) then begin
-            if (not ready.(u)) && not (Regbits.Set.mem reach.(u) n) then begin
-              let rn = freeze_rn () in
-              (* One word-wise pass retires the stale edges
-                 [u -> m], m in [rn], before [u -> n] is added: [n]
-                 is in [rn] but not yet in [u]'s row ([n] is not
-                 reachable from [u]), so the new edge is never its own
-                 victim. *)
-              Regbits.Set.remove_inter ~src:rn ~dst:t.succ.(u) (fun m ->
-                  t.indeg.(m) <- t.indeg.(m) - 1;
-                  t.edges <- t.edges - 1);
-              add_edge_idx t u n;
-              if reach.(u) == empty_set then reach.(u) <- Regbits.Set.create 0;
-              ignore (Regbits.Set.union_into ~src:rn ~dst:reach.(u))
-            end;
-            (* Step 8: the removal may make [u] ready. *)
-            let d = degree.(u) - 1 in
-            degree.(u) <- d;
-            if d < k then ready.(u) <- true
-          end))
+      cur := n;
+      rn := empty_set;
+      Igraph.iter_adj_idx g n visit)
     order_idx;
   (* Nodes with no predecessors hang off the top. *)
   finish_build t order_idx
@@ -286,7 +296,9 @@ let resolve_idx t i =
       let p = t.pending.(s) - 1 in
       t.pending.(s) <- p;
       if p = 0 then ready := s :: !ready);
-  List.sort (fun a b -> Reg.compare (reg_at t b) (reg_at t a)) !ready
+  match !ready with
+  | ([] | [ _ ]) as one -> one
+  | many -> List.sort (fun a b -> Reg.compare (reg_at t b) (reg_at t a)) many
 
 let resolve t r =
   match find_idx t r with

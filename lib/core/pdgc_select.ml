@@ -132,16 +132,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     if Reg.is_phys r then color_idx.(i) <- Reg.phys_index r
   done;
   let spilled_bits = Regbits.Set.create n_cap in
-  let stats =
-    ref
-      {
-        honored_coalesce = 0;
-        honored_sequential = 0;
-        honored_kind = 0;
-        honored_limited = 0;
-        active_spills = 0;
-      }
-  in
+  let n_coalesce = ref 0 and n_seq = ref 0 and n_kind = ref 0 in
+  let n_limited = ref 0 and n_active = ref 0 in
   let nidx r = Igraph.index_of g r in
   let reg_of_idx i = Regbits.reg_at cpt i in
   let ncls_arr = Array.make n_cap (-1) in
@@ -424,14 +416,15 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   let mark_dirty i =
     (* A node without preferences has the constant summary (0, 0, _) —
        no invalidation event can change its key, so never dirty it. *)
-    if Rpg.prefs_idx rpg i <> [] then begin
-      sm_ok.(i) <- false;
-      if not dirty.(i) then begin
-        dirty.(i) <- true;
-        dirty_stack.(!n_dirty) <- i;
-        incr n_dirty
-      end
-    end
+    match Rpg.prefs_idx rpg i with
+    | [] -> ()
+    | _ :: _ ->
+        sm_ok.(i) <- false;
+        if not dirty.(i) then begin
+          dirty.(i) <- true;
+          dirty_stack.(!n_dirty) <- i;
+          incr n_dirty
+        end
   in
   let flush_dirty () =
     while !n_dirty > 0 do
@@ -444,17 +437,23 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   (* The summary-invalidation contract (module header).  [colored]
      carries the machine-register index the node just took, if any:
      graph neighbors then lose that register (forbidden-mask update)
-     and their summaries go dirty in the same walk.  A spill takes no
-     color, so neighbors are left alone; only the preference edges —
-     sources of incoming preferences, targets of outgoing ones — are
-     invalidated on both paths. *)
+     and their summaries go dirty in the same walk.  A neighbor that
+     already had the register forbidden keeps its availability, so it
+     is not dirtied: whatever else of its summary reads this node's
+     color comes through a preference edge, and the walks below cover
+     those.  A spill takes no color, so neighbors are left alone; only
+     the preference edges — sources of incoming preferences, targets
+     of outgoing ones — are invalidated on both paths. *)
   let invalidate_after i ~colored =
     (match colored with
     | Some c ->
         let bit = 1 lsl c in
         Igraph.iter_adj_idx g i (fun nb ->
-            forbidden.(nb) <- forbidden.(nb) lor bit;
-            mark_dirty nb)
+            let f = forbidden.(nb) in
+            if f land bit = 0 then begin
+              forbidden.(nb) <- f lor bit;
+              mark_dirty nb
+            end)
     | None -> ());
     Array.iter (fun (_, ui, _) -> mark_dirty ui) (incoming_of i);
     Array.iter (fun (_, tgt, _) -> if tgt >= 0 then mark_dirty tgt) (prefs_of i)
@@ -514,16 +513,6 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
               Some heap.(0)
             end)
   in
-  let bump which =
-    let s = !stats in
-    stats :=
-      (match which with
-      | `Coalesce -> { s with honored_coalesce = s.honored_coalesce + 1 }
-      | `Seq -> { s with honored_sequential = s.honored_sequential + 1 }
-      | `Kind -> { s with honored_kind = s.honored_kind + 1 }
-      | `Limited -> { s with honored_limited = s.honored_limited + 1 }
-      | `Active -> { s with active_spills = s.active_spills + 1 })
-  in
   let finish i n ~colored =
     invalidate_after i ~colored;
     remove_ready i;
@@ -533,50 +522,70 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     Regbits.Set.add spilled_bits i;
     finish i n ~colored:None
   in
+  (* Scratch for [assign], grown to the longest preference list met:
+     per preference its resolution ([sc_res]) and effective strength
+     ([sc_eff]), and the honorable ones ranked strongest first
+     ([sc_rank], preference positions). *)
+  let sc_res = ref [||] and sc_eff = ref [||] and sc_rank = ref [||] in
   let assign i =
     let n = reg_of_idx i in
     let ncls = ncls_of i in
     let avail = available_idx i in
     if avail = 0 then spill i n
     else begin
-      let resolved =
-        Array.map (fun pe -> (pe, resolve ncls avail pe)) (prefs_of i)
-      in
+      let pr = prefs_of i in
+      let np = Array.length pr in
+      if np > Array.length !sc_res then begin
+        let len = max np (2 * Array.length !sc_res) in
+        sc_res := Array.make len 0;
+        sc_eff := Array.make len 0;
+        sc_rank := Array.make len 0
+      end;
+      let res = !sc_res and eff = !sc_eff and rank = !sc_rank in
       (* Honorable preferences with positive effective strength,
-         strongest first (stable sort over the prefs order, as
-         before). *)
-      let honorable =
-        Array.to_list resolved
-        |> List.filter_map (fun (((p, _, _) as pe), r) ->
-               let e = eff_strength ncls pe r in
-               if e > 0 then Some (p, r, e) else None)
-        |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-      in
-      let strongest_is_memory =
-        match honorable with (_, r, _) :: _ -> r = want_memory | [] -> false
-      in
-      if strongest_is_memory then begin
-        bump `Active;
+         strongest first.  Each is inserted after every ranked one at
+         least as strong, so equal strengths keep the prefs order (a
+         stable ranking; the screen below depends on it). *)
+      let n_hon = ref 0 in
+      for j = 0 to np - 1 do
+        let r = resolve ncls avail pr.(j) in
+        res.(j) <- r;
+        let e = eff_strength ncls pr.(j) r in
+        if e > 0 then begin
+          eff.(j) <- e;
+          let at = ref !n_hon in
+          while !at > 0 && eff.(rank.(!at - 1)) < e do
+            rank.(!at) <- rank.(!at - 1);
+            decr at
+          done;
+          rank.(!at) <- j;
+          incr n_hon
+        end
+      done;
+      if !n_hon > 0 && res.(rank.(0)) = want_memory then begin
+        incr n_active;
         spill i n
       end
       else begin
         (* Step 4.2: screen, strongest first. *)
         let current = ref avail in
-        List.iter
-          (fun (p, r, _) ->
-            if r > 0 then begin
-              let s = r land !current in
-              if s <> 0 then begin
-                current := s;
-                match p.Rpg.target with
-                | Rpg.Coalesce _ -> bump `Coalesce
-                | Rpg.Seq_plus _ | Rpg.Seq_minus _ -> bump `Seq
-                | Rpg.Kind -> bump `Kind
-                | Rpg.In_limited -> bump `Limited
-                | Rpg.Memory -> ()
-              end
-            end)
-          honorable;
+        for q = 0 to !n_hon - 1 do
+          let j = rank.(q) in
+          let r = res.(j) in
+          if r > 0 then begin
+            let s = r land !current in
+            if s <> 0 then begin
+              current := s;
+              let p, _, _ = pr.(j) in
+              match p.Rpg.target with
+              | Rpg.Coalesce _ -> incr n_coalesce
+              | Rpg.Seq_plus _ | Rpg.Seq_minus _ -> incr n_seq
+              | Rpg.Kind -> incr n_kind
+              | Rpg.In_limited -> incr n_limited
+              | Rpg.Memory -> ()
+            end
+          end
+        done;
         (* Step 4.3: keep future preferences honorable — both this
            node's deferred preferences and unallocated nodes' preferences
            targeting this node.  [c - 1 available to t] is a left shift
@@ -586,17 +595,17 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
         in
         (* A [defer] resolution implies a virtual, pre-interned target:
            physical targets always resolve to a screen or [dead]. *)
-        Array.iter
-          (fun (((p : Rpg.pref), tgt, _), r) ->
-            if r = defer then
-              match p.Rpg.target with
-              | Rpg.Coalesce _ -> keep_if_nonempty (available_idx tgt)
-              | Rpg.Seq_plus _ ->
-                  (* n wants reg(t)+1: keep c with c-1 available to t. *)
-                  keep_if_nonempty (available_idx tgt lsl 1 land all_mask)
-              | Rpg.Seq_minus _ -> keep_if_nonempty (available_idx tgt lsr 1)
-              | Rpg.Kind | Rpg.In_limited | Rpg.Memory -> ())
-          resolved;
+        for j = 0 to np - 1 do
+          if res.(j) = defer then
+            let (p : Rpg.pref), tgt, _ = pr.(j) in
+            match p.Rpg.target with
+            | Rpg.Coalesce _ -> keep_if_nonempty (available_idx tgt)
+            | Rpg.Seq_plus _ ->
+                (* n wants reg(t)+1: keep c with c-1 available to t. *)
+                keep_if_nonempty (available_idx tgt lsl 1 land all_mask)
+            | Rpg.Seq_minus _ -> keep_if_nonempty (available_idx tgt lsr 1)
+            | Rpg.Kind | Rpg.In_limited | Rpg.Memory -> ()
+        done;
         Array.iter
           (fun (virt, ui, (p : Rpg.pref)) ->
             if
@@ -660,5 +669,12 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   {
     colors;
     spilled = Regbits.Set.to_reg_set cpt spilled_bits;
-    stats = !stats;
+    stats =
+      {
+        honored_coalesce = !n_coalesce;
+        honored_sequential = !n_seq;
+        honored_kind = !n_kind;
+        honored_limited = !n_limited;
+        active_spills = !n_active;
+      };
   }

@@ -252,6 +252,16 @@ module Set = struct
       end
     done
 
+  let iter_new ~src ~mask ~row f =
+    for w = 0 to min (Array.length src.words) (Array.length mask.words) - 1 do
+      let bits = src.words.(w) land mask.words.(w) in
+      if bits <> 0 then begin
+        let r = row.words in
+        let bits = if w < Array.length r then bits land lnot r.(w) else bits in
+        if bits <> 0 then iter_word w bits f
+      end
+    done
+
   let fold s ~init ~f =
     let acc = ref init in
     iter s (fun i -> acc := f !acc i);

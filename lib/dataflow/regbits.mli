@@ -106,6 +106,12 @@ module Set : sig
       ([dst ∩ src]) in ascending order; [src] is untouched.  One
       word-wise pass over the shorter of the two rows. *)
 
+  val iter_new : src:t -> mask:t -> row:t -> (int -> unit) -> unit
+  (** Call the function on each index of [src ∩ mask] that is not in
+      [row], ascending.  One word-wise pass: each word's new members
+      are computed before the function sees any of them, so the
+      function may add those members to [row]. *)
+
   val to_reg_set : compact -> t -> Reg.Set.t
   val of_reg_set : compact -> Reg.Set.t -> t
 end

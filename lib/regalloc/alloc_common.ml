@@ -57,12 +57,16 @@ let remap_temps (webs : Webs.t) temps =
   out
 
 (* Registers at or above the spill-insertion watermark are the
-   temporaries the new spill code introduced. *)
+   temporaries the new spill code introduced.  Every such register was
+   handed out below the function's [next_reg]; one the spill code did
+   not end up using is harmless, since the table is only ever probed
+   with registers of the body (and the next round's [remap_temps]
+   keeps only those). *)
 let add_spill_temps temps (ins : Spill_insert.result) =
-  Reg.Set.iter
-    (fun r ->
-      if r >= ins.Spill_insert.temp_watermark then Reg.Tbl.replace temps r ())
-    (Cfg.all_vregs ins.Spill_insert.func);
+  let fn = ins.Spill_insert.func in
+  for r = ins.Spill_insert.temp_watermark to fn.Cfg.next_reg - 1 do
+    Reg.Tbl.replace temps r ()
+  done;
   temps
 
 let first_min metric = function
@@ -109,19 +113,27 @@ let drive ~name ?(rematerialize = false) f0 color =
     let webs = Webs.run fn in
     let fn = webs.Webs.func in
     let temps = remap_temps webs temps in
-    match color (analyze fn) ~temps with
+    let a = analyze fn in
+    match color a ~temps with
     | Colored (color_of, x) ->
+        (* The liveness numbering holds every register of the body, each
+           once.  An uncolored register is reported by its smallest id,
+           so the message does not depend on the numbering's order. *)
+        let cpt = Liveness.compact a.live in
         let alloc = Reg.Tbl.create 64 in
-        Reg.Set.iter
-          (fun r ->
+        let uncolored = ref max_int in
+        for i = 0 to Regbits.size cpt - 1 do
+          let r = Regbits.reg_at cpt i in
+          if Reg.is_virtual r then
             match color_of r with
-            | Some c -> Reg.Tbl.replace alloc r c
-            | None ->
-                raise
-                  (Failed
-                     (Printf.sprintf "%s: %s left uncolored" name
-                        (Reg.to_string r))))
-          (Cfg.all_vregs fn);
+            | Some c -> Reg.Tbl.add alloc r c
+            | None -> uncolored := min !uncolored r
+        done;
+        if !uncolored < max_int then
+          raise
+            (Failed
+               (Printf.sprintf "%s: %s left uncolored" name
+                  (Reg.to_string !uncolored)));
         let spill_slots = List.concat (List.rev slots) in
         ({ func = fn; alloc; rounds = n; spill_instrs; spill_slots }, x)
     | Spill spilled ->

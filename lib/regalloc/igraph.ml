@@ -118,6 +118,18 @@ let root_idx t i =
   if i >= t.cap then grow t (i + 1);
   root t i
 
+(* Record the edge [a]-[b]; [add_edge_idx] and [build]
+   have checked that it is new and allowed. *)
+let link t a b =
+  Regbits.Set.add t.bits.(a) b;
+  Regbits.Set.add t.bits.(b) a;
+  Regbits.Vec.push t.adjv.(a) b;
+  Regbits.Vec.push t.adjv.(b) a;
+  t.deg.(a) <- t.deg.(a) + 1;
+  t.deg.(b) <- t.deg.(b) + 1;
+  t.present.(a) <- true;
+  t.present.(b) <- true
+
 (* Indices must be roots. *)
 let add_edge_idx t a b =
   if
@@ -125,20 +137,7 @@ let add_edge_idx t a b =
     && cls_code_of t a = cls_code_of t b
     && not (reg_is_phys t a && reg_is_phys t b)
     && not (Regbits.Set.mem t.bits.(a) b)
-  then begin
-    Regbits.Set.add t.bits.(a) b;
-    Regbits.Set.add t.bits.(b) a;
-    Regbits.Vec.push t.adjv.(a) b;
-    Regbits.Vec.push t.adjv.(b) a;
-    t.deg.(a) <- t.deg.(a) + 1;
-    t.deg.(b) <- t.deg.(b) + 1;
-    t.present.(a) <- true;
-    t.present.(b) <- true
-  end
-
-let ensure_node t r =
-  let i = root t (idx t r) in
-  t.present.(i) <- true
+  then link t a b
 
 let interferes t a b =
   let a = root t (idx t a) and b = root t (idx t b) in
@@ -177,14 +176,31 @@ let vnodes t =
 
 let moves t = t.move_list
 
+(* Each definition's new neighbors are one word-wise difference: live
+   out, of its class (and virtual, for a physical definition), and not
+   yet in its row.  [Regbits.Set.iter_new] hands them over in ascending
+   index order, the order the per-member [add_edge_idx] walk visited
+   them in, so every adjacency vector keeps that insertion order. *)
 let build (fn : Cfg.func) (live : Liveness.t) =
   let t = create fn (Liveness.compact live) in
+  let n = Regbits.size t.cpt in
+  (* [same.(c)]: the nodes of class code [c]; [vsame.(c)]: its virtual
+     ones, the only possible neighbors of a physical node. *)
+  let same = Array.init 2 (fun _ -> Regbits.Set.create n) in
+  let vsame = Array.init 2 (fun _ -> Regbits.Set.create n) in
+  (* The liveness numbering holds exactly the registers the body defines
+     or uses: every one is a node, its row as wide as the numbering. *)
+  for i = 0 to n - 1 do
+    t.bits.(i) <- Regbits.Set.create n;
+    t.present.(i) <- true;
+    let c = cls_code_of t i in
+    Regbits.Set.add same.(c) i;
+    if not (reg_is_phys t i) then Regbits.Set.add vsame.(c) i
+  done;
   List.iter
     (fun b ->
       Liveness.iter_block_backward_bits live b ~f:(fun ~live_out i ->
           let kind = i.Instr.kind in
-          List.iter (ensure_node t) (Instr.defs kind);
-          List.iter (ensure_node t) (Instr.uses kind);
           (match kind with
           | Instr.Move { dst; src }
             when (not (Reg.equal dst src))
@@ -199,8 +215,10 @@ let build (fn : Cfg.func) (live : Liveness.t) =
           List.iter
             (fun d ->
               let di = idx t d in
-              Regbits.Set.iter live_out (fun l ->
-                  if l <> exempt then add_edge_idx t di l))
+              let c = cls_code_of t di in
+              let mask = if reg_is_phys t di then vsame.(c) else same.(c) in
+              Regbits.Set.iter_new ~src:live_out ~mask ~row:t.bits.(di)
+                (fun l -> if l <> di && l <> exempt then link t di l))
             (Instr.defs kind)))
     fn.Cfg.blocks;
   t

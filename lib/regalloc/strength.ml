@@ -8,7 +8,7 @@ type t = {
   costs : Spill_cost.t;
   cpt : Regbits.compact; (* the liveness numbering [crossings] is over *)
   crossings : int array; (* by index: freq-weighted calls crossed *)
-  freq : (int, int) Hashtbl.t; (* instr id -> frequency *)
+  freq : int array; (* by instr id (all below [next_instr_id]): frequency *)
   last_use : (int, Reg.Set.t) Hashtbl.t;
       (* copy id -> registers it uses that die there *)
   defs_at : (int, Reg.Set.t) Hashtbl.t; (* copy id -> defined registers *)
@@ -19,7 +19,7 @@ let build (fn : Cfg.func) ~costs ~live ~loops =
   (* Counted for every index, physical ones included: {!crossings}
      answers 0 for a physical register. *)
   let crossings = Array.make (Regbits.size cpt) 0 in
-  let freq = Hashtbl.create 256 in
+  let freq = Array.make fn.Cfg.next_instr_id 1 in
   let last_use = Hashtbl.create 64 in
   let defs_at = Hashtbl.create 256 in
   let is_live live_out r =
@@ -31,7 +31,7 @@ let build (fn : Cfg.func) ~costs ~live ~loops =
     (fun (b : Cfg.block) ->
       let f = Loops.frequency loops b.Cfg.label in
       Liveness.iter_block_backward_bits live b ~f:(fun ~live_out i ->
-          Hashtbl.replace freq i.Instr.id f;
+          freq.(i.Instr.id) <- f;
           (* [defs_at] / [last_use] back the Ideal_Inst_Cost test of
              {!coalesce}, which is only ever asked about copies:
              building the per-instruction sets for every instruction
@@ -78,7 +78,8 @@ let crossings t r =
     match Regbits.find t.cpt r with
     | Some i when i < Array.length t.crossings -> t.crossings.(i)
     | Some _ | None -> 0
-let freq_of_instr t id = try Hashtbl.find t.freq id with Not_found -> 1
+let freq_of_instr t id =
+  if id >= 0 && id < Array.length t.freq then t.freq.(id) else 1
 
 (* Call_Cost(V) per register kind. *)
 let call_cost t r =

@@ -20,9 +20,34 @@ let write_uvarint buf n =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
-let write_int buf n =
-  (* Zigzag: sign moves to bit 0, magnitude shifts up. *)
-  write_uvarint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+(* Zigzag: sign moves to bit 0, magnitude shifts up. *)
+let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+let write_int buf n = write_uvarint buf (zigzag n)
+
+(* The same encodings written in place: [put_*] writes at [pos] and
+   returns the position after, [*_size] is the number of bytes. *)
+let uvarint_size n =
+  let rec go n acc = if n lsr 7 = 0 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
+
+let rec put_uvarint b pos n =
+  if n lsr 7 = 0 then begin
+    Bytes.set b pos (Char.chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.chr (n land 0x7f lor 0x80));
+    put_uvarint b (pos + 1) (n lsr 7)
+  end
+
+let int_size n = uvarint_size (zigzag n)
+let put_int b pos n = put_uvarint b pos (zigzag n)
+let string_size s = uvarint_size (String.length s) + String.length s
+
+let put_string b pos s =
+  let pos = put_uvarint b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
 
 let write_int64 buf (v : int64) =
   let v = ref v in

@@ -62,6 +62,16 @@ val read_program : reader -> Cfg.program
 val write_int : Buffer.t -> int -> unit
 val write_int64 : Buffer.t -> int64 -> unit
 val write_string : Buffer.t -> string -> unit
+
+val int_size : int -> int
+val put_int : Bytes.t -> int -> int -> int
+(** [put_int b pos n] writes what {!write_int} would append, at [pos],
+    and returns the position after it; {!int_size} is its length. *)
+
+val string_size : string -> int
+val put_string : Bytes.t -> int -> string -> int
+(** {!put_int}'s counterpart for {!write_string}. *)
+
 val read_byte : reader -> int
 val read_int : reader -> int
 val read_int64 : reader -> int64

@@ -238,13 +238,39 @@ let rec write_all fd bytes off len =
     write_all fd bytes (off + n) (len - n)
   end
 
-let write_frame fd payload =
-  let len = String.length payload in
+(* A frame with room for a [len]-byte payload after its length prefix. *)
+let frame_for len =
   if len > max_frame then fail "frame too large (%d bytes)" len;
   let frame = Bytes.create (4 + len) in
   Bytes.set_int32_le frame 0 (Int32.of_int len);
+  frame
+
+let write_frame fd payload =
+  let len = String.length payload in
+  let frame = frame_for len in
   Bytes.blit_string payload 0 frame 4 len;
   write_all fd frame 0 (4 + len)
+
+(* A function reply is encoded straight into its frame, so each cached
+   blob is copied once on its way to the socket. *)
+let write_response fd resp =
+  match resp with
+  | Funcs blobs ->
+      let n = List.length blobs in
+      let len =
+        List.fold_left
+          (fun acc b -> acc + Codec.string_size b)
+          (1 + Codec.int_size n) blobs
+      in
+      let frame = frame_for len in
+      Bytes.set frame 4 '\000';
+      let pos =
+        List.fold_left (Codec.put_string frame) (Codec.put_int frame 5 n) blobs
+      in
+      assert (pos = 4 + len);
+      write_all fd frame 0 (4 + len)
+  | Stats_reply _ | Shutdown_ack | Error_reply _ ->
+      write_frame fd (encode_response resp)
 
 let read_exactly fd n =
   let bytes = Bytes.create n in

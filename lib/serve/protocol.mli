@@ -92,6 +92,12 @@ val decode_response : string -> response
 (** {2 Framed blocking I/O} *)
 
 val write_frame : Unix.file_descr -> string -> unit
+
+val write_response : Unix.file_descr -> response -> unit
+(** [write_frame fd (encode_response resp)], the bytes identical, but a
+    function reply is encoded directly into the frame: each blob is
+    copied once.  @raise Error on a payload above {!max_frame}. *)
+
 val read_frame : Unix.file_descr -> string
 (** @raise Closed on EOF at a frame boundary or mid-frame.
     @raise Error on an oversized length prefix. *)

@@ -98,7 +98,7 @@ let close_conn t conn =
 
 let send t conn response =
   t.requests_served <- t.requests_served + 1;
-  try Protocol.write_frame conn.fd (Protocol.encode_response response)
+  try Protocol.write_response conn.fd response
   with Unix.Unix_error _ | Protocol.Error _ -> close_conn t conn
 
 (* Phase A: decode each request into per-function slots, consulting the

@@ -74,54 +74,67 @@ let apply (m : Machine.t) (res : Alloc_common.result) =
       fn.Cfg.blocks
   in
   let fn = Cfg.with_blocks fn blocks in
-  (* Callee saves: non-volatile registers this function writes. *)
-  let written =
-    Cfg.fold_instrs fn
-      (fun acc _ i ->
-        List.fold_left (fun s r -> Reg.Set.add r s) acc (Instr.defs i.Instr.kind))
-      Reg.Set.empty
-  in
-  let to_save =
-    Reg.Set.filter
-      (fun r -> Machine.is_allocatable m r && not (Machine.is_volatile m r))
-      written
-    |> Reg.Set.elements
-  in
+  (* Callee saves: non-volatile registers this function writes, in
+     ascending register order. *)
+  let written = Array.make Reg.first_virtual false in
+  Cfg.iter_instrs fn (fun _ i ->
+      List.iter
+        (fun r -> if Reg.is_phys r then written.(r) <- true)
+        (Instr.defs i.Instr.kind));
+  let to_save = ref [] in
+  for r = Reg.first_virtual - 1 downto 0 do
+    if written.(r) && Machine.is_allocatable m r && not (Machine.is_volatile m r)
+    then to_save := r :: !to_save
+  done;
+  let to_save = !to_save in
   let slot_base = Spill_insert.next_slot fn in
   let save_slots = List.mapi (fun idx r -> (r, slot_base + idx)) to_save in
   let caller_slot = ref (slot_base + List.length save_slots) in
   let caller_save_instrs = ref 0 in
-  (* Caller saves need liveness on the rewritten body. *)
+  (* Caller saves need liveness on the rewritten body: the allocatable
+     volatile registers live across a call, its result excepted.  The
+     walk runs on the liveness bitsets; a [Reg.Set] (for the ascending
+     register order of the slots) is built only at a call. *)
   let live = Liveness.compute fn in
+  let cpt = Liveness.compact live in
+  let volatile = Regbits.Set.create (Regbits.size cpt) in
+  for idx = 0 to Regbits.size cpt - 1 do
+    let r = Regbits.reg_at cpt idx in
+    if Machine.is_allocatable m r && Machine.is_volatile m r then
+      Regbits.Set.add volatile idx
+  done;
   let blocks =
     List.map
       (fun (b : Cfg.block) ->
-        let instrs =
-          Liveness.fold_block_backward live b ~init:[]
-            ~f:(fun acc ~live_out i ->
-              match i.Instr.kind with
-              | Instr.Call { dst; _ } ->
-                  let across =
-                    (match dst with
-                    | Some d -> Reg.Set.remove d live_out
-                    | None -> live_out)
-                    |> Reg.Set.filter (fun r ->
-                           Machine.is_allocatable m r && Machine.is_volatile m r)
-                  in
-                  let saves, restores =
-                    Reg.Set.fold
-                      (fun r (sv, rs) ->
-                        let slot = !caller_slot in
-                        incr caller_slot;
-                        caller_save_instrs := !caller_save_instrs + 2;
-                        ( Cfg.instr fn (Instr.Spill { src = r; slot }) :: sv,
-                          Cfg.instr fn (Instr.Reload { dst = r; slot }) :: rs ))
-                      across ([], [])
-                  in
-                  saves @ (i :: restores) @ acc
-              | _ -> i :: acc)
-        in
-        { b with Cfg.instrs = Array.of_list instrs })
+        let instrs = ref [] in
+        Liveness.iter_block_backward_bits live b ~f:(fun ~live_out i ->
+            match i.Instr.kind with
+            | Instr.Call { dst; _ } ->
+                let across =
+                  Regbits.Set.fold live_out ~init:Reg.Set.empty
+                    ~f:(fun acc idx ->
+                      if Regbits.Set.mem volatile idx then
+                        Reg.Set.add (Regbits.reg_at cpt idx) acc
+                      else acc)
+                in
+                let across =
+                  match dst with
+                  | Some d -> Reg.Set.remove d across
+                  | None -> across
+                in
+                let saves, restores =
+                  Reg.Set.fold
+                    (fun r (sv, rs) ->
+                      let slot = !caller_slot in
+                      incr caller_slot;
+                      caller_save_instrs := !caller_save_instrs + 2;
+                      ( Cfg.instr fn (Instr.Spill { src = r; slot }) :: sv,
+                        Cfg.instr fn (Instr.Reload { dst = r; slot }) :: rs ))
+                    across ([], [])
+                in
+                instrs := saves @ (i :: restores) @ !instrs
+            | _ -> instrs := i :: !instrs);
+        { b with Cfg.instrs = Array.of_list !instrs })
       fn.Cfg.blocks
   in
   (* Prologue and per-return epilogue for callee saves. *)

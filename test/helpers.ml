@@ -155,8 +155,15 @@ module Ref_live = struct
 end
 
 module Ref_igraph = struct
+  (* [adj_seq]: each node's neighbors in the order their edges were
+     first added, most recent first.  A definition meets the registers
+     live out of it in the order of their first occurrence in the body
+     (definitions before uses, instructions in block order): the
+     insertion order the dense graph's adjacency vectors must keep,
+     since Simplify, the CPG and select walk them in that order. *)
   type t = {
     adj_tbl : Reg.Set.t ref Reg.Tbl.t;
+    adj_seq : Reg.t list ref Reg.Tbl.t;
     mutable move_list : (int * Reg.t * Reg.t) list;
   }
 
@@ -166,18 +173,46 @@ module Ref_igraph = struct
     | None ->
         let c = ref Reg.Set.empty in
         Reg.Tbl.replace t.adj_tbl r c;
+        Reg.Tbl.replace t.adj_seq r (ref []);
         c
 
   let add_edge fn t a b =
     if (not (Reg.equal a b)) && Cfg.cls_of fn a = Cfg.cls_of fn b then
       if not (Reg.is_phys a && Reg.is_phys b) then begin
         let ca = adj_cell t a and cb = adj_cell t b in
-        ca := Reg.Set.add b !ca;
-        cb := Reg.Set.add a !cb
+        if not (Reg.Set.mem b !ca) then begin
+          ca := Reg.Set.add b !ca;
+          cb := Reg.Set.add a !cb;
+          let sa = Reg.Tbl.find t.adj_seq a and sb = Reg.Tbl.find t.adj_seq b in
+          sa := b :: !sa;
+          sb := a :: !sb
+        end
       end
 
+  (* Neighbors of [r] in insertion order. *)
+  let adj_sequence t r =
+    match Reg.Tbl.find_opt t.adj_seq r with Some l -> List.rev !l | None -> []
+
+  let first_occurrence (fn : Cfg.func) =
+    let rank = Reg.Tbl.create 256 in
+    let see r =
+      if not (Reg.Tbl.mem rank r) then
+        Reg.Tbl.replace rank r (Reg.Tbl.length rank)
+    in
+    Cfg.iter_instrs fn (fun _ i ->
+        List.iter see (Instr.defs i.Instr.kind);
+        List.iter see (Instr.uses i.Instr.kind));
+    fun r -> Reg.Tbl.find rank r
+
   let build (fn : Cfg.func) (live : Ref_live.t) =
-    let t = { adj_tbl = Reg.Tbl.create 256; move_list = [] } in
+    let t =
+      {
+        adj_tbl = Reg.Tbl.create 256;
+        adj_seq = Reg.Tbl.create 256;
+        move_list = [];
+      }
+    in
+    let rank = first_occurrence fn in
     List.iter
       (fun b ->
         ignore
@@ -197,9 +232,14 @@ module Ref_igraph = struct
                  | Instr.Move { src; _ } -> Some src
                  | _ -> None
                in
+               let live_out =
+                 List.sort
+                   (fun x y -> compare (rank x) (rank y))
+                   (Reg.Set.elements live_out)
+               in
                List.iter
                  (fun d ->
-                   Reg.Set.iter
+                   List.iter
                      (fun l -> if exempt <> Some l then add_edge fn t d l)
                      live_out)
                  (Instr.defs kind))))

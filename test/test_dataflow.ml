@@ -369,6 +369,16 @@ let iter_members s =
 let model l = List.sort_uniq compare l
 let int_list = Alcotest.(list int)
 
+(* [Regbits.Set.iter_new]'s members, in visit order.  With [~grow] the
+   callback adds each member to [row] as it goes, as the interference
+   graph's build does. *)
+let new_members ?(grow = false) ~src ~mask ~row () =
+  let acc = ref [] in
+  Regbits.Set.iter_new ~src ~mask ~row (fun i ->
+      if grow then Regbits.Set.add row i;
+      acc := i :: !acc);
+  List.rev !acc
+
 let test_regbits_boundaries () =
   let s = set_of boundary_bits in
   check int_list "iter ascending" boundary_bits (iter_members s);
@@ -378,7 +388,22 @@ let test_regbits_boundaries () =
     (fun i ->
       let one = set_of [ i ] in
       check int_list (Printf.sprintf "singleton %d" i) [ i ] (iter_members one))
-    boundary_bits
+    boundary_bits;
+  (* iter_new over rows of one, two and three words. *)
+  let long = set_of boundary_bits in
+  let mask = set_of [ 62; 63; 125; 126 ] in
+  check int_list "row of one word" [ 63; 125; 126 ]
+    (new_members ~src:long ~mask ~row:(set_of [ 0; 62 ]) ());
+  check int_list "mask of one word" [ 62 ]
+    (new_members ~src:long ~mask:(set_of [ 62 ]) ~row:(set_of [ 126 ]) ());
+  check int_list "source of two words" [ 62; 125 ]
+    (new_members ~src:(set_of [ 0; 62; 125 ]) ~mask ~row:(set_of [ 63; 126 ]) ());
+  check int_list "empty row" [ 62; 63; 125; 126 ]
+    (new_members ~src:long ~mask ~row:(Regbits.Set.create 0) ());
+  let row = set_of [ 63 ] in
+  check int_list "callback grows the row" [ 62; 125; 126 ]
+    (new_members ~grow:true ~src:long ~mask ~row ());
+  check int_list "row holds them after" [ 62; 63; 125; 126 ] (members row)
 
 (* Indices drawn mostly from the word boundaries, sets created with a
    random capacity hint so their word arrays differ in length. *)
@@ -395,7 +420,22 @@ let prop_regbits_iter_model =
       let s = set_of ~cap l in
       iter_members s = model l
       && members s = model l
-      && Regbits.Set.cardinal s = List.length (model l))
+      && Regbits.Set.cardinal s = List.length (model l)
+      && new_members ~src:s ~mask:s ~row:(Regbits.Set.create 0) () = model l)
+
+let prop_regbits_iter_new =
+  qcheck ~count:200 "iter_new = (src ∩ mask) \\ row, ascending"
+    QCheck2.Gen.(triple sized_set_gen sized_set_gen sized_set_gen)
+    (fun ((scap, sl), (mcap, ml), (rcap, rl)) ->
+      let src = set_of ~cap:scap sl
+      and mask = set_of ~cap:mcap ml
+      and row = set_of ~cap:rcap rl in
+      let expected =
+        List.filter (fun i -> List.mem i ml && not (List.mem i rl)) (model sl)
+      in
+      new_members ~src ~mask ~row () = expected
+      && new_members ~grow:true ~src ~mask ~row () = expected
+      && members row = model (rl @ expected))
 
 let prop_regbits_remove_inter =
   qcheck ~count:200 "remove_inter reports and removes dst ∩ src"
@@ -536,6 +576,7 @@ let () =
           tc "numbering reg_at inverts index" test_numbering_reg_at;
           tc "word boundaries" test_regbits_boundaries;
           prop_regbits_iter_model;
+          prop_regbits_iter_new;
           tc "remove_inter across row lengths" test_regbits_remove_inter_lengths;
           prop_regbits_remove_inter;
         ] );

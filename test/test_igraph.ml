@@ -115,15 +115,22 @@ let test_copy_independent () =
 
 (* The dense graph (bit-matrix + adjacency vectors + cached degrees)
    must match the seed's Reg.Set-based construction exactly: same node
-   set, same adjacency, same degrees, same recorded moves. *)
+   set, same adjacency in the same insertion order, same degrees, same
+   recorded moves. *)
 let igraph_matches_reference (fn : Cfg.func) =
   let g = build_graph fn in
   let oracle = Ref_igraph.build fn (Ref_live.compute fn) in
+  let sequence reg =
+    List.rev (Igraph.fold_adj g reg ~init:[] ~f:(fun acc n -> n :: acc))
+  in
   let nodes_ok =
     Reg.Tbl.fold
       (fun reg cell ok ->
         ok && Igraph.is_node g reg
         && Reg.Set.equal !cell (Igraph.adj g reg)
+        && List.equal Reg.equal
+             (Ref_igraph.adj_sequence oracle reg)
+             (sequence reg)
         && Igraph.degree g reg
            =
            if Reg.is_phys reg then Igraph.infinite_degree

@@ -325,12 +325,28 @@ let test_protocol_round_trips () =
       pool_jobs = 2;
     }
   in
+  (* [write_response] frames exactly [encode_response]'s payload. *)
+  let framed resp =
+    let rd, wr = Unix.pipe () in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close rd;
+        Unix.close wr)
+      (fun () ->
+        Protocol.write_response wr resp;
+        Protocol.read_frame rd)
+  in
   List.iter
     (fun resp ->
       check Alcotest.bool "response round trip" true
-        (Protocol.decode_response (Protocol.encode_response resp) = resp))
+        (Protocol.decode_response (Protocol.encode_response resp) = resp);
+      check Alcotest.string "written frame" (Protocol.encode_response resp)
+        (framed resp))
     [
       Protocol.Funcs [ "alpha"; ""; "gamma" ];
+      (* multi-byte length and count varints *)
+      Protocol.Funcs (String.make 300 'x' :: List.init 130 string_of_int);
+      Protocol.Funcs [];
       Protocol.Stats_reply stats;
       Protocol.Shutdown_ack;
       (* status byte 255: must be read as a raw byte, not a varint *)

@@ -289,6 +289,62 @@ let test_finalize_caller_saves_semantics () =
   check Alcotest.bool "caller saves preserve values" true
     (Interp.equal_value before.Interp.value after.Interp.value)
 
+(* Caller saves surround the call: one slot per register, handed out in
+   ascending register order, the stores and the reloads each in
+   descending register order (highest slot first).  The call's result
+   is neither saved nor restored, though it is live after the call. *)
+let test_finalize_caller_save_layout () =
+  let m = Machine.make ~k:8 () in
+  let r i = Reg.phys Reg.Int_class i in
+  let ret = r m.Machine.ret_index in
+  List.iter
+    (fun x -> check Alcotest.bool "volatile" true (Machine.is_volatile m x))
+    [ ret; r 1; r 2; r 3 ];
+  let fn = Cfg.create_func ~name:"main" ~n_params:0 ~entry:0 in
+  let add dst a b = Instr.Binop { op = Instr.Add; dst; src1 = a; src2 = b } in
+  let call = Instr.Call { dst = Some ret; callee = "leaf"; args = [] } in
+  let body =
+    [
+      Instr.Const { dst = r 3; value = 3L };
+      Instr.Const { dst = r 1; value = 1L };
+      Instr.Const { dst = r 2; value = 2L };
+      call;
+      add (r 1) (r 1) (r 2);
+      add (r 1) (r 1) (r 3);
+      add ret ret (r 1);
+      Instr.Ret (Some ret);
+    ]
+  in
+  let fn =
+    Cfg.with_blocks fn
+      [ { Cfg.label = 0; instrs = Array.of_list (List.map (Cfg.instr fn) body) } ]
+  in
+  let res =
+    {
+      Alloc_common.func = fn;
+      alloc = Reg.Tbl.create 0;
+      rounds = 1;
+      spill_instrs = 0;
+      spill_slots = [];
+    }
+  in
+  let t = Finalize.apply m res in
+  check Alcotest.int "caller-save instructions" 6 t.Finalize.caller_save_instrs;
+  let show k = Format.asprintf "%a" Instr.pp_kind k in
+  let got =
+    Cfg.fold_instrs t.Finalize.func (fun acc _ i -> show i.Instr.kind :: acc) []
+    |> List.rev
+  in
+  let save reg slot = show (Instr.Spill { src = r reg; slot }) in
+  let restore reg slot = show (Instr.Reload { dst = r reg; slot }) in
+  let expected =
+    List.map show (List.filteri (fun i _ -> i < 3) body)
+    @ [ save 3 2; save 2 1; save 1 0; show call ]
+    @ [ restore 3 2; restore 2 1; restore 1 0 ]
+    @ List.map show (List.filteri (fun i _ -> i > 3) body)
+  in
+  check Alcotest.(list string) "saves and restores around the call" expected got
+
 (* Machine-code lint ------------------------------------------------------ *)
 
 let lint_errors m fn = Diagnostic.errors (Lint.func (Lint.Machine m) fn)
@@ -374,6 +430,7 @@ let () =
           tc "callee saves" test_finalize_callee_saves;
           tc "caller saves preserve semantics"
             test_finalize_caller_saves_semantics;
+          tc "caller-save layout" test_finalize_caller_save_layout;
         ] );
       ( "check",
         [
