@@ -296,9 +296,7 @@ let resolve_idx t i =
       let p = t.pending.(s) - 1 in
       t.pending.(s) <- p;
       if p = 0 then ready := s :: !ready);
-  match !ready with
-  | ([] | [ _ ]) as one -> one
-  | many -> List.sort (fun a b -> Reg.compare (reg_at t b) (reg_at t a)) many
+  List.sort (fun a b -> Reg.compare (reg_at t b) (reg_at t a)) !ready
 
 let resolve t r =
   match find_idx t r with

@@ -165,30 +165,49 @@ let decode_func_reply s =
 
 (* ---- responses -------------------------------------------------------- *)
 
-let encode_response resp =
-  let buf = Buffer.create 1024 in
-  (match resp with
-  | Funcs blobs ->
-      Buffer.add_char buf '\000';
-      Codec.write_int buf (List.length blobs);
-      List.iter (Codec.write_string buf) blobs
-  | Stats_reply s ->
-      Buffer.add_char buf '\001';
-      Codec.write_int buf s.cache.Cache.hits;
-      Codec.write_int buf s.cache.Cache.misses;
-      Codec.write_int buf s.cache.Cache.evictions;
-      Codec.write_int buf s.cache.Cache.entries;
-      Codec.write_int buf s.cache.Cache.capacity;
-      Codec.write_int buf s.funcs_served;
-      Codec.write_int buf s.funcs_allocated;
-      Codec.write_int buf s.requests_served;
-      Codec.write_int buf s.batches;
-      Codec.write_int buf s.pool_jobs
-  | Shutdown_ack -> Buffer.add_char buf '\002'
-  | Error_reply msg ->
-      Buffer.add_char buf '\255';
-      Codec.write_string buf msg);
+(* The one encoder of a function reply: status byte 0, the blob count,
+   then each blob length-prefixed.  [put_funcs b pos blobs] writes the
+   [funcs_size blobs] bytes at [pos], so the daemon can encode a reply
+   straight into its frame ({!write_response}). *)
+let funcs_size blobs =
+  List.fold_left
+    (fun acc b -> acc + Codec.string_size b)
+    (1 + Codec.int_size (List.length blobs))
+    blobs
+
+let put_funcs b pos blobs =
+  Bytes.set b pos '\000';
+  let pos = Codec.put_int b (pos + 1) (List.length blobs) in
+  ignore (List.fold_left (Codec.put_string b) pos blobs : int)
+
+let buffered f =
+  let buf = Buffer.create 64 in
+  f buf;
   Buffer.contents buf
+
+let encode_response = function
+  | Funcs blobs ->
+      let b = Bytes.create (funcs_size blobs) in
+      put_funcs b 0 blobs;
+      Bytes.unsafe_to_string b
+  | Stats_reply s ->
+      buffered (fun buf ->
+          Buffer.add_char buf '\001';
+          Codec.write_int buf s.cache.Cache.hits;
+          Codec.write_int buf s.cache.Cache.misses;
+          Codec.write_int buf s.cache.Cache.evictions;
+          Codec.write_int buf s.cache.Cache.entries;
+          Codec.write_int buf s.cache.Cache.capacity;
+          Codec.write_int buf s.funcs_served;
+          Codec.write_int buf s.funcs_allocated;
+          Codec.write_int buf s.requests_served;
+          Codec.write_int buf s.batches;
+          Codec.write_int buf s.pool_jobs)
+  | Shutdown_ack -> "\002"
+  | Error_reply msg ->
+      buffered (fun buf ->
+          Buffer.add_char buf '\255';
+          Codec.write_string buf msg)
 
 let decode_response s =
   let r = Codec.reader s in
@@ -256,18 +275,9 @@ let write_frame fd payload =
 let write_response fd resp =
   match resp with
   | Funcs blobs ->
-      let n = List.length blobs in
-      let len =
-        List.fold_left
-          (fun acc b -> acc + Codec.string_size b)
-          (1 + Codec.int_size n) blobs
-      in
+      let len = funcs_size blobs in
       let frame = frame_for len in
-      Bytes.set frame 4 '\000';
-      let pos =
-        List.fold_left (Codec.put_string frame) (Codec.put_int frame 5 n) blobs
-      in
-      assert (pos = 4 + len);
+      put_funcs frame 4 blobs;
       write_all fd frame 0 (4 + len)
   | Stats_reply _ | Shutdown_ack | Error_reply _ ->
       write_frame fd (encode_response resp)
