@@ -97,9 +97,9 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     (ps : params) =
   let { no_spill; spill_risk; policy; fallback_nonvolatile_first } = ps in
   let k = m.Machine.k in
-  if k > Sys.int_size - 1 then
-    invalid_arg "Pdgc_select.run: machine k exceeds the bitmask width";
-  let all_mask = (1 lsl k) - 1 in
+  let all_mask = Machine.file_mask m in
+  let vol_mask = Machine.volatile_mask m in
+  let nonvol_mask = Machine.nonvolatile_mask m in
   let cpt = Igraph.compact g in
   if Rpg.compact rpg != cpt then
     invalid_arg "Pdgc_select.run: the RPG must be built over the graph's numbering";
@@ -107,20 +107,6 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   (* The CPG built by [Cpg.build] indexes nodes by this same numbering;
      the ablation chain from [Cpg.of_total_order] does not. *)
   let cpg_shares_numbering = Cpg.compact cpg == cpt in
-  (* Per-class masks: volatile / nonvolatile / limited partitions of the
-     k machine registers (bit j = register index j of that class). *)
-  let cls_code = function Reg.Int_class -> 0 | Reg.Float_class -> 1 in
-  let vol_mask = [| 0; 0 |] and lim_mask = [| 0; 0 |] in
-  List.iter
-    (fun cls ->
-      let c = cls_code cls in
-      for j = 0 to k - 1 do
-        let r = Reg.phys cls j in
-        if Machine.is_volatile m r then vol_mask.(c) <- vol_mask.(c) lor (1 lsl j);
-        if Machine.in_limited_set m r then
-          lim_mask.(c) <- lim_mask.(c) lor (1 lsl j)
-      done)
-    [ Reg.Int_class; Reg.Float_class ];
   (* Virtual nodes in the order they took their colors; [colors] is
      filled from it once at the end, in that order. *)
   let colored = ref [] in
@@ -136,16 +122,6 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   let n_limited = ref 0 and n_active = ref 0 in
   let nidx r = Igraph.index_of g r in
   let reg_of_idx i = Regbits.reg_at cpt i in
-  let ncls_arr = Array.make n_cap (-1) in
-  let ncls_of i =
-    let c = ncls_arr.(i) in
-    if c >= 0 then c
-    else begin
-      let c = cls_code (Igraph.cls g (reg_of_idx i)) in
-      ncls_arr.(i) <- c;
-      c
-    end
-  in
   (* Preference edges with pre-interned endpoints, built once per node
      on first touch: each out-edge carries the dense index of its
      virtual Coalesce/Seq target (-1 for physical targets and the
@@ -222,7 +198,7 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      mask.  [tgt] is the pre-interned index of the virtual target, -1
      when the target is a physical register (or the preference has
      none). *)
-  let resolve ncls avail ((p : Rpg.pref), tgt, fixed) =
+  let resolve avail ((p : Rpg.pref), tgt, fixed) =
     let target_reg t delta =
       (* Color of the target as a machine-register index; -1 if none. *)
       let c = if tgt < 0 then Reg.phys_index t else color_idx.(tgt) in
@@ -240,9 +216,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     | Rpg.Seq_minus t -> target_reg t (-1)
     | Rpg.Kind ->
         let volatile = p.Rpg.weight.Strength.vol >= p.Rpg.weight.Strength.nonvol in
-        let km = if volatile then vol_mask.(ncls) else all_mask land lnot vol_mask.(ncls) in
-        avail land km
-    | Rpg.In_limited -> avail land lim_mask.(ncls)
+        avail land (if volatile then vol_mask else nonvol_mask)
+    | Rpg.In_limited -> avail land Machine.limited_mask m
     | Rpg.Memory -> if fixed < 0 then dead else want_memory
   in
   (* Effective strength of a resolved preference.  Coalesce and
@@ -253,14 +228,14 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      preferences rank by the benefit of the right kind over the wrong
      one (for the paper's v4 the two formulations coincide at 28), and
      limited-set preferences by the fixup saving. *)
-  let eff_strength ncls ((p : Rpg.pref), _, fixed) r =
+  let eff_strength ((p : Rpg.pref), _, fixed) r =
     if r = want_memory then fixed
     else if r <= 0 then 0
     else
       match p.Rpg.target with
       | Rpg.Coalesce _ | Rpg.Seq_plus _ | Rpg.Seq_minus _ ->
           (* The screen is a singleton here; test its volatility. *)
-          let volatile = r land vol_mask.(ncls) <> 0 in
+          let volatile = r land vol_mask <> 0 in
           Strength.weight_for ~volatile p.Rpg.weight
       | Rpg.Kind | Rpg.In_limited -> fixed
       | Rpg.Memory -> 0
@@ -280,11 +255,10 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
       let pr = prefs_of i in
       let mx = ref 0 and mn = ref max_int and cnt = ref 0 in
       if Array.length pr > 0 then begin
-        let ncls = ncls_of i in
         let avail = available_idx i in
         for j = 0 to Array.length pr - 1 do
           let pe = pr.(j) in
-          let e = eff_strength ncls pe (resolve ncls avail pe) in
+          let e = eff_strength pe (resolve avail pe) in
           if e > 0 then begin
             incr cnt;
             if e > !mx then mx := e;
@@ -529,7 +503,6 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   let sc_res = ref [||] and sc_eff = ref [||] and sc_rank = ref [||] in
   let assign i =
     let n = reg_of_idx i in
-    let ncls = ncls_of i in
     let avail = available_idx i in
     if avail = 0 then spill i n
     else begin
@@ -548,9 +521,9 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
          stable ranking; the screen below depends on it). *)
       let n_hon = ref 0 in
       for j = 0 to np - 1 do
-        let r = resolve ncls avail pr.(j) in
+        let r = resolve avail pr.(j) in
         res.(j) <- r;
-        let e = eff_strength ncls pr.(j) r in
+        let e = eff_strength pr.(j) r in
         if e > 0 then begin
           eff.(j) <- e;
           let at = ref !n_hon in
@@ -622,30 +595,24 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
                   keep_if_nonempty (available_idx ui lsl 1 land all_mask)
               | Rpg.Kind | Rpg.In_limited | Rpg.Memory -> ())
           (incoming_of i);
-        (* Step 4.4: deterministic final pick — the lowest register of
-           the better-scoring kind that [current] still offers (of all
-           of [current] on a tie).  [current] is never empty: it starts
-           as [avail] and every screen above keeps it nonempty. *)
+        (* Step 4.4: deterministic final pick ({!Machine.pick}) — the
+           lowest register of the better-scoring kind that [current]
+           still offers, else (or on a tie) the lowest of [current].
+           [current] is never empty: it starts as [avail] and every
+           screen above keeps it nonempty. *)
         let sv, sn =
           if fallback_nonvolatile_first then (0, 1)
           else
             let w = Strength.volatility str n in
             (w.Strength.vol, w.Strength.nonvol)
         in
-        let cv = !current land vol_mask.(ncls) in
-        let cn = !current land lnot vol_mask.(ncls) in
-        let best =
-          if sv > sn && cv <> 0 then cv
-          else if sn > sv && cn <> 0 then cn
-          else !current
+        let prefer =
+          if sv > sn then vol_mask else if sn > sv then nonvol_mask else 0
         in
-        let choice = ref 0 in
-        while best land (1 lsl !choice) = 0 do
-          incr choice
-        done;
-        color_idx.(i) <- !choice;
+        let choice = Machine.pick ~prefer !current in
+        color_idx.(i) <- choice;
         colored := i :: !colored;
-        finish i n ~colored:(Some !choice)
+        finish i n ~colored:(Some choice)
       end
     end
   in
@@ -663,8 +630,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   let colors : Reg.t Reg.Tbl.t = Reg.Tbl.create 64 in
   List.iter
     (fun i ->
-      let cls = if ncls_of i = 0 then Reg.Int_class else Reg.Float_class in
-      Reg.Tbl.replace colors (reg_of_idx i) (Reg.phys cls color_idx.(i)))
+      let n = reg_of_idx i in
+      Reg.Tbl.replace colors n (Reg.phys (Igraph.cls g n) color_idx.(i)))
     (List.rev !colored);
   {
     colors;

@@ -6,37 +6,31 @@ let color_of t g r =
   let rep = Igraph.alias g r in
   if Reg.is_phys rep then Some rep else Reg.Tbl.find_opt t.colors rep
 
-(* Neighbors all share [rep]'s class, so colors can be screened through
-   a within-class bitmask instead of a materialized set.  Machine files
-   wider than the word fall back to an overflow set for the high
-   registers (none of the modeled machines need it). *)
+(* Neighbors all share [rep]'s class, so their colors screen through
+   one register mask; a neighbor's register outside the file adds no
+   bit. *)
+let free_mask m g color_of r =
+  Machine.file_mask m
+  land lnot
+         (Igraph.fold_adj g r ~init:0 ~f:(fun acc n ->
+              match color_of n with
+              | Some c -> acc lor (1 lsl Reg.phys_index c)
+              | None -> acc))
+
 let available m g t r =
   let rep = Igraph.alias g r in
-  let cls = Igraph.cls g rep in
-  let forbidden = ref 0 in
-  let overflow = ref Reg.Set.empty in
-  Igraph.iter_adj g rep (fun n ->
-      match color_of t g n with
-      | Some c ->
-          let j = Reg.phys_index c in
-          if j < Sys.int_size - 1 then forbidden := !forbidden lor (1 lsl j)
-          else overflow := Reg.Set.add c !overflow
-      | None -> ());
+  let free = free_mask m g (color_of t g) rep in
   List.filter
-    (fun c ->
-      let j = Reg.phys_index c in
-      (if j < Sys.int_size - 1 then !forbidden land (1 lsl j) = 0 else true)
-      && not (Reg.Set.mem c !overflow))
-    (Machine.all m cls)
-
-let reorder m order regs =
-  let vol, nonvol = List.partition (Machine.is_volatile m) regs in
-  match order with
-  | Index_order -> regs
-  | Nonvolatile_first -> nonvol @ vol
-  | Volatile_first -> vol @ nonvol
+    (fun c -> free land (1 lsl Reg.phys_index c) <> 0)
+    (Machine.all m (Igraph.cls g rep))
 
 let run m g ~stack ~order ~biased =
+  let prefer =
+    match order with
+    | Index_order -> 0
+    | Nonvolatile_first -> Machine.nonvolatile_mask m
+    | Volatile_first -> Machine.volatile_mask m
+  in
   let t = { colors = Reg.Tbl.create 64; failed = Reg.Set.empty } in
   let failed = ref Reg.Set.empty in
   let moves = Igraph.moves g in
@@ -55,27 +49,27 @@ let run m g ~stack ~order ~biased =
     (fun r ->
       let rep = Igraph.alias g r in
       if (not (Reg.is_phys rep)) && not (Reg.Tbl.mem t.colors rep) then begin
-        match available m g t rep with
-        | [] -> failed := Reg.Set.add rep !failed
-        | free ->
-            let free = reorder m order free in
-            let choice =
-              if not biased then None
-              else
-                (* Take a partner's color if it is free. *)
-                List.find_map
-                  (fun p ->
-                    match color_of t g p with
-                    | Some c when List.exists (Reg.equal c) free -> Some c
-                    | _ -> None)
-                  (partners rep)
-            in
-            let c =
-              match choice with
-              | Some c -> c
-              | None -> ( match free with c :: _ -> c | [] -> assert false)
-            in
-            Reg.Tbl.replace t.colors rep c
+        let free = free_mask m g (color_of t g) rep in
+        if free = 0 then failed := Reg.Set.add rep !failed
+        else
+          let choice =
+            if not biased then None
+            else
+              (* Take a partner's color if it is free. *)
+              List.find_map
+                (fun p ->
+                  match color_of t g p with
+                  | Some c when free land (1 lsl Reg.phys_index c) <> 0 ->
+                      Some c
+                  | _ -> None)
+                (partners rep)
+          in
+          let c =
+            match choice with
+            | Some c -> c
+            | None -> Reg.phys (Igraph.cls g rep) (Machine.pick ~prefer free)
+          in
+          Reg.Tbl.replace t.colors rep c
       end)
     stack;
   { t with failed = !failed }

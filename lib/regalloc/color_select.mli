@@ -26,6 +26,13 @@ val color_of : t -> Igraph.t -> Reg.t -> Reg.t option
 (** Assigned register of any node (aliases resolved; physical registers
     are their own color). *)
 
+val free_mask :
+  Machine.t -> Igraph.t -> (Reg.t -> Reg.t option) -> Reg.t -> int
+(** [free_mask m g color_of r]: the register mask ({!Machine.file_mask})
+    of the file minus every register [color_of] gives a neighbor of
+    [r] in [g].  Neighbors share [r]'s class; a neighbor's register
+    outside the file adds no bit. *)
+
 val available :
   Machine.t -> Igraph.t -> t -> Reg.t -> Reg.t list
 (** Free registers for a node given current assignments: the machine's

@@ -255,20 +255,20 @@ let select_spill st =
 
 let assign_colors st =
   let m = st.machine in
-  (* [taken.(c) = stamp]: register [c] is forbidden to the node at hand *)
-  let taken = Array.make Reg.first_virtual (-1) and stamp = ref 0 in
   List.iter
     (fun n ->
-      incr stamp;
-      let stamp = !stamp in
+      let forbidden = ref 0 in
       Igraph.iter_adj_idx st.g (root st n) (fun w ->
           match st.stage.(w) with
-          | Precolored -> taken.(reg st w) <- stamp
-          | Colored -> taken.(st.color.(w)) <- stamp
+          | Precolored ->
+              forbidden := !forbidden lor (1 lsl Reg.phys_index (reg st w))
+          | Colored ->
+              forbidden := !forbidden lor (1 lsl Reg.phys_index st.color.(w))
           | _ -> ());
+      let free_regs = Machine.file_mask m land lnot !forbidden in
       let cls = Igraph.cls st.g (reg st n) in
       let free c =
-        Machine.is_allocatable m c && Reg.phys_cls c = cls && taken.(c) <> stamp
+        Reg.phys_cls c = cls && free_regs land (1 lsl Reg.phys_index c) <> 0
       in
       (* Biased pick: a frozen/coalesced partner's color first, then
          non-volatile before volatile, each in file order. *)
@@ -286,25 +286,21 @@ let assign_colors st =
               in
               if c >= 0 && free c then partner := c
           end);
-      let first_free vol =
-        List.find_opt
-          (fun c -> free c && Machine.is_volatile m c = vol)
-          (Machine.all m cls)
-      in
       let choice =
-        if !partner >= 0 then Some !partner
+        if !partner >= 0 then !partner
         else
-          match first_free false with
-          | Some c -> Some c
-          | None -> first_free true
+          match Machine.pick ~prefer:(Machine.nonvolatile_mask m) free_regs with
+          | -1 -> -1
+          | j -> Reg.phys cls j
       in
-      match choice with
-      | Some c ->
-          st.stage.(n) <- Colored;
-          st.color.(n) <- c
-      | None ->
-          st.stage.(n) <- Spilled;
-          st.spilled <- n :: st.spilled)
+      if choice >= 0 then begin
+        st.stage.(n) <- Colored;
+        st.color.(n) <- choice
+      end
+      else begin
+        st.stage.(n) <- Spilled;
+        st.spilled <- n :: st.spilled
+      end)
     st.select_stack;
   (* Coalesced nodes take their representative's color. *)
   Array.iteri

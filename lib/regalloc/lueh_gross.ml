@@ -165,29 +165,10 @@ let allocate (m : Machine.t) f0 =
       let active_spills = ref Reg.Set.empty in
       List.iter
         (fun rep ->
-          let forbidden =
-            Igraph.fold_adj g rep ~init:Reg.Set.empty ~f:(fun acc nb ->
-                match color_of nb with
-                | Some c -> Reg.Set.add c acc
-                | None -> acc)
-          in
-          let cls = Igraph.cls g rep in
-          let free =
-            List.filter
-              (fun c -> not (Reg.Set.mem c forbidden))
-              (Machine.all m cls)
-          in
-          let free_vol, free_nonvol =
-            List.partition (Machine.is_volatile m) free
-          in
           let b = group_benefit rep in
           let wants_nonvol =
             b.Strength.nonvol > b.Strength.vol
             && not (Reg.Tbl.mem forced_volatile rep)
-          in
-          let ordered =
-            if wants_nonvol then free_nonvol @ free_vol
-            else free_vol @ free_nonvol
           in
           let prefers_memory =
             b.Strength.vol <= 0 && b.Strength.nonvol <= 0
@@ -196,13 +177,19 @@ let allocate (m : Machine.t) f0 =
           if prefers_memory then
             active_spills := Reg.Set.add rep !active_spills
           else
-            match ordered with
-            | c :: _ -> Reg.Tbl.replace colors rep c
-            | [] ->
+            let prefer =
+              if wants_nonvol then Machine.nonvolatile_mask m
+              else Machine.volatile_mask m
+            in
+            match
+              Machine.pick ~prefer (Color_select.free_mask m g color_of rep)
+            with
+            | -1 ->
                 (* Chaitin simplification guarantees a free register. *)
                 raise
                   (Alloc_common.Failed
-                     (name ^ ": no color for " ^ Reg.to_string rep)))
+                     (name ^ ": no color for " ^ Reg.to_string rep))
+            | j -> Reg.Tbl.replace colors rep (Reg.phys (Igraph.cls g rep) j))
         !stack;
       if not (Reg.Set.is_empty !active_spills) then respill !active_spills
       else Alloc_common.Colored (color_of, ())

@@ -1,7 +1,6 @@
 let name = "optimistic"
 
 let allocate (m : Machine.t) f0 =
-  let k_regs cls = Machine.all m cls in
   let color (a : Alloc_common.analysis) ~temps =
     let fn = a.Alloc_common.fn and g0 = a.Alloc_common.graph in
     let g = Igraph.copy g0 in
@@ -29,12 +28,6 @@ let allocate (m : Machine.t) f0 =
     let color_of r =
       if Reg.is_phys r then Some r else Reg.Tbl.find_opt colors r
     in
-    let forbidden_of r =
-      Igraph.fold_adj g0 r ~init:Reg.Set.empty ~f:(fun acc nb ->
-          match color_of nb with
-          | Some c -> Reg.Set.add c acc
-          | None -> acc)
-    in
     let spilled = ref Reg.Set.empty in
     (* Groups coalesced into a physical register never reach the select
        stack; fix their color up front. *)
@@ -55,10 +48,10 @@ let allocate (m : Machine.t) f0 =
       simp.Simplify.stack;
     while not (Queue.is_empty work) do
       let members = Queue.pop work in
-      let forbidden =
-        List.fold_left
-          (fun acc w -> Reg.Set.union acc (forbidden_of w))
-          Reg.Set.empty members
+      (* Each member's free registers, screened once: the coloring
+         below changes nothing they read. *)
+      let frees =
+        List.map (fun w -> (w, Color_select.free_mask m g0 color_of w)) members
       in
       let cls =
         match members with
@@ -66,45 +59,43 @@ let allocate (m : Machine.t) f0 =
         | [] -> assert false
       in
       let free =
-        List.filter (fun c -> not (Reg.Set.mem c forbidden)) (k_regs cls)
+        List.fold_left (fun acc (_, f) -> acc land f) (Machine.file_mask m) frees
       in
-      let vols, nonvols = List.partition (Machine.is_volatile m) free in
-      match nonvols @ vols with
-      | c :: _ -> List.iter (fun w -> Reg.Tbl.replace colors w c) members
-      | [] -> (
+      match Machine.pick ~prefer:(Machine.nonvolatile_mask m) free with
+      | -1 -> (
           match members with
           | [ w ] -> spilled := Reg.Set.add w !spilled
           | _ ->
               (* Undo the coalesce: find the color covering the most
                  spill cost, color that primary partition, push the
-                 rest to the bottom of the stack as singletons. *)
-              let benefit_of c =
-                List.filter
-                  (fun w -> not (Reg.Set.mem c (forbidden_of w)))
-                  members
-                |> List.fold_left
-                     (fun (ws, total) w ->
-                       (w :: ws, total + Spill_cost.spill_cost costs w))
-                     ([], 0)
-              in
-              let primary, _ =
+                 rest to the bottom of the stack as singletons.
+                 Members merged together never interfere, so the
+                 primary partition is internally consistent. *)
+              let benefit j =
                 List.fold_left
-                  (fun (best, best_b) c ->
-                    let ws, b = benefit_of c in
-                    (* Members must also not conflict with each other;
-                       webs merged together never interfere, so the set
-                       is internally consistent. *)
-                    if b > best_b then ((c, ws), b) else (best, best_b))
-                  ((Reg.phys cls 0, []), -1)
-                  (k_regs cls)
+                  (fun total (w, f) ->
+                    if f land (1 lsl j) <> 0 then
+                      total + Spill_cost.spill_cost costs w
+                    else total)
+                  0 frees
               in
-              let c, ws = primary in
-              List.iter (fun w -> Reg.Tbl.replace colors w c) ws;
+              let best = ref 0 and best_b = ref (-1) in
+              for j = 0 to m.Machine.k - 1 do
+                let b = benefit j in
+                if b > !best_b then begin
+                  best := j;
+                  best_b := b
+                end
+              done;
+              let c = Reg.phys cls !best in
               List.iter
-                (fun w ->
-                  if not (List.exists (Reg.equal w) ws) then
-                    Queue.add [ w ] work)
-                members)
+                (fun (w, f) ->
+                  if f land (1 lsl !best) <> 0 then Reg.Tbl.replace colors w c
+                  else Queue.add [ w ] work)
+                frees)
+      | j ->
+          let c = Reg.phys cls j in
+          List.iter (fun w -> Reg.Tbl.replace colors w c) members
     done;
     if Reg.Set.is_empty !spilled then
       Alloc_common.Colored (Reg.Tbl.find_opt colors, ())

@@ -35,24 +35,15 @@ let allocate (m : Machine.t) f0 =
     let spilled = ref Reg.Set.empty in
     List.iter
       (fun r ->
-        let forbidden =
-          Igraph.fold_adj g r ~init:Reg.Set.empty ~f:(fun acc nb ->
-              match color_of nb with
-              | Some c -> Reg.Set.add c acc
-              | None -> acc)
-        in
-        let free =
-          List.filter
-            (fun c -> not (Reg.Set.mem c forbidden))
-            (Machine.all m (Igraph.cls g r))
-        in
-        let vol, nonvol = List.partition (Machine.is_volatile m) free in
-        match nonvol @ vol with
-        | c :: _ -> Reg.Tbl.replace colors r c
-        | [] ->
+        match
+          Machine.pick ~prefer:(Machine.nonvolatile_mask m)
+            (Color_select.free_mask m g color_of r)
+        with
+        | -1 ->
             if Reg.Tbl.mem temps r then
               raise (Alloc_common.Failed (name ^ ": spill temporary blocked"))
-            else spilled := Reg.Set.add r !spilled)
+            else spilled := Reg.Set.add r !spilled
+        | j -> Reg.Tbl.replace colors r (Reg.phys (Igraph.cls g r) j))
       order;
     if Reg.Set.is_empty !spilled then
       Alloc_common.Colored (Reg.Tbl.find_opt colors, ())

@@ -17,16 +17,10 @@ val connect_retry : ?attempts:int -> ?delay:float -> string -> t
 
 val close : t -> unit
 
-val request : t -> Protocol.request -> Protocol.response
-(** Send one request and block for its response.
+(** {2 Requests}
+
+    Each sends one request and blocks for its response.
     @raise Protocol.Closed if the daemon hangs up. *)
-
-val request_encoded : t -> string -> Protocol.response
-(** [request] over an already-serialized request payload
-    ([Protocol.encode_request] output).  Lets a load generator encode
-    once and replay many times without re-serializing per pass. *)
-
-(** {2 Typed wrappers} *)
 
 val alloc :
   t ->
@@ -38,7 +32,9 @@ val alloc :
     message. *)
 
 val alloc_encoded : t -> string -> (string list, string) result
-(** [alloc] over a pre-encoded [Alloc] request payload. *)
+(** [alloc] over a pre-encoded [Alloc] request payload
+    ([Protocol.encode_request] output), so a load generator encodes once
+    and replays many times. *)
 
 val alloc_funcs :
   t ->

@@ -60,7 +60,6 @@ val read_program : reader -> Cfg.program
     integer and string representation. *)
 
 val write_int : Buffer.t -> int -> unit
-val write_int64 : Buffer.t -> int64 -> unit
 val write_string : Buffer.t -> string -> unit
 
 val int_size : int -> int
@@ -74,5 +73,4 @@ val put_string : Bytes.t -> int -> string -> int
 
 val read_byte : reader -> int
 val read_int : reader -> int
-val read_int64 : reader -> int64
 val read_string : reader -> string

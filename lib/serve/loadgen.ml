@@ -321,6 +321,24 @@ let selftest ~exe () =
             | Error msg -> check "malformed minilang rejected" (contains msg "minilang")
             | Ok _ -> Error "serve selftest: malformed minilang accepted"
           in
+          (* A machine [Machine.make] rejects is answered in band, and
+             the connection still serves the next request. *)
+          let* () =
+            match
+              Client.alloc c
+                ~machine:{ machine with Machine.k = 0 }
+                ~algo:algo_name (Protocol.Binary mini_prog)
+            with
+            | Error msg -> check "k = 0 machine rejected" (contains msg "k = 0")
+            | Ok _ -> Error "serve selftest: k = 0 machine accepted"
+          in
+          let* after =
+            Client.alloc c ~machine ~algo:algo_name (Protocol.Binary mini_prog)
+          in
+          let* () =
+            check "request after a rejected machine matches one-shot"
+              (after = mini_expected)
+          in
           let* fr =
             Client.alloc_funcs c ~machine ~algo:algo_name
               (Protocol.Binary mini_prog)

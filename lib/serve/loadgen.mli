@@ -28,8 +28,10 @@ val selftest : exe:string -> unit -> (unit, string) result
     connections opened and written together, with no stats round trip
     first, while the daemon is blocked writing the replies to a flood
     of stats requests, get the one-shot bytes from one batch;
-    [jobs=1] and [jobs=4] daemons agree; unknown allocators and
-    malformed programs get error replies naming the problem; a
+    [jobs=1] and [jobs=4] daemons agree; unknown allocators, malformed
+    programs and a machine with [k = 0] get error replies naming the
+    problem, and the next request on that connection still gets the
+    one-shot bytes; a
     repeated request (binary, 3-function, text) gets byte-identical
     replies and the stats counters a decode would give, also after its
     function was evicted; a good frame and a malformed one sent in one

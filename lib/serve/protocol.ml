@@ -61,7 +61,12 @@ let read_machine r : Machine.t =
     | 1 -> Machine.Consecutive
     | _ -> fail "bad pair rule at offset %d" (Codec.pos r)
   in
-  { Machine.name; k; n_volatile; n_arg_regs; ret_index; limited_size; pair_rule }
+  (* A request's machine passes the same checks as any other, so a bad
+     one is an error reply, never a failure deep inside an allocator. *)
+  try
+    Machine.make ~name ~n_volatile ~n_arg_regs ~ret_index ~limited_size
+      ~pair_rule ~k ()
+  with Invalid_argument msg -> raise (Error msg)
 
 (* ---- requests --------------------------------------------------------- *)
 

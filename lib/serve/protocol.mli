@@ -20,7 +20,8 @@
     - [1] stats reply;
     - [2] shutdown acknowledgement;
     - [255] error, with a message.  Protocol errors (bad opcode,
-      malformed payload, unknown allocator) are answered with an error
+      malformed payload, a machine {!Machine.make} rejects, unknown
+      allocator) are answered with an error
       reply on the same connection, which stays open; only a broken
       frame header closes the connection. *)
 
@@ -86,6 +87,9 @@ val decode_func_reply : string -> func_reply
 
 val encode_request : request -> string
 val decode_request : string -> request
+(** @raise Error on a malformed payload, including a machine config
+    that {!Machine.make} rejects (the error carries its message). *)
+
 val encode_response : response -> string
 val decode_response : string -> response
 

@@ -29,7 +29,6 @@ type fun_image = {
   fn : Cfg.func;
   body : (Instr.label, Instr.t array) Hashtbl.t;
   has_params : bool;
-  fused_hi : (int, unit) Hashtbl.t; (* hi-load instr ids executing free *)
 }
 
 type machine_state = {
@@ -55,7 +54,7 @@ type frame = {
   params : value array;
 }
 
-let image_of_func (machine : Machine.t option) (fn : Cfg.func) =
+let image_of_func (fn : Cfg.func) =
   let body = Hashtbl.create 16 in
   List.iter
     (fun (b : Cfg.block) ->
@@ -67,12 +66,7 @@ let image_of_func (machine : Machine.t option) (fn : Cfg.func) =
         acc || match i.Instr.kind with Instr.Param _ -> true | _ -> false)
       false
   in
-  let fused_hi =
-    match machine with
-    | None -> Hashtbl.create 0
-    | Some m -> Pairs.fused_hi_ids m fn
-  in
-  { fn; body; has_params; fused_hi }
+  { fn; body; has_params }
 
 let to_int = function Int n -> n | Flt f -> int_of_float f
 let to_float = function Flt f -> f | Int n -> float_of_int n
@@ -132,7 +126,7 @@ let heap_size = 4096
 let run ?machine ?(fuel = 30_000_000) ?(args = []) (p : Cfg.program) =
   let images = Hashtbl.create 16 in
   List.iter
-    (fun fn -> Hashtbl.replace images fn.Cfg.name (image_of_func machine fn))
+    (fun fn -> Hashtbl.replace images fn.Cfg.name (image_of_func fn))
     p.Cfg.funcs;
   let st =
     {
@@ -244,11 +238,7 @@ let run ?machine ?(fuel = 30_000_000) ?(args = []) (p : Cfg.program) =
             step (idx + 1)
         | Instr.Load { dst; base; offset } ->
             st.mem_ops <- st.mem_ops + 1;
-            if Hashtbl.mem image.fused_hi i.Instr.id then begin
-              st.fused_pairs <- st.fused_pairs + 1
-              (* second half of a fused pair: free *)
-            end
-            else charge Costs.load;
+            charge Costs.load;
             let addr = to_int (get frame base) + offset in
             set frame dst st.heap.(heap_index addr);
             step (idx + 1)

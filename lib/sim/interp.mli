@@ -10,9 +10,9 @@
       program's result, so tests compare the value computed before and
       after allocation;
     - {b performance model}: executed instructions are charged the
-      paper's cycle costs ({!Costs}), fused paired loads execute at the
-      cost of one load when the machine's pairing rule holds for their
-      destination registers, and limited operations missing the limited
+      paper's cycle costs ({!Costs}), a paired load ({!Instr.Load_pair},
+      which {!Finalize} forms only where the machine's pairing rule
+      holds) costs one load, and limited operations missing the limited
       set pay the fixup cycle.  The resulting cycle counts are the
       "execution time" series of Figs. 10 and 11. *)
 
@@ -25,7 +25,7 @@ type stats = {
   mem_ops : int;  (** heap loads + stores *)
   spill_ops : int;  (** frame spills + reloads (incl. save/restore) *)
   calls : int;
-  fused_pairs : int;  (** dynamic count of loads absorbed by pairing *)
+  fused_pairs : int;  (** dynamic count of executed [Load_pair]s *)
   limited_fixups : int;
 }
 
@@ -40,8 +40,8 @@ val run :
   ?args:value list ->
   Cfg.program ->
   result
-(** Runs the program's [main].  [machine] enables the allocation-aware
-    cost effects (pairing, fixups) and poisons the machine's volatile
+(** Runs the program's [main].  [machine] enables the limited-set
+    fixup cost and poisons the machine's volatile
     registers after each call returns, before the call's [dst] is
     written, so allocated code that keeps a value in a caller-save
     register across a call reads garbage; omit it for virtual code.  The

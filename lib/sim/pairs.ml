@@ -1,26 +1,3 @@
-let fused_hi_ids (m : Machine.t) (fn : Cfg.func) =
-  let word = 8 in
-  let fused = Hashtbl.create 8 in
-  let rec scan = function
-    | { Instr.kind = Instr.Load l1; _ }
-      :: ({ Instr.kind = Instr.Load l2; _ } as i2)
-      :: rest
-      when Reg.equal l1.base l2.base
-           && l2.offset = l1.offset + word
-           && Reg.is_phys l1.dst && Reg.is_phys l2.dst
-           && Machine.pair_ok m l1.dst l2.dst ->
-        Hashtbl.replace fused i2.Instr.id ();
-        scan rest
-    | _ :: rest -> scan rest
-    | [] -> ()
-  in
-  List.iter
-    (fun (b : Cfg.block) -> scan (Array.to_list b.Cfg.instrs))
-    fn.Cfg.blocks;
-  fused
-
-let count m fn = Hashtbl.length (fused_hi_ids m fn)
-
 let count_fused (fn : Cfg.func) =
   Cfg.fold_instrs fn
     (fun acc _ i ->

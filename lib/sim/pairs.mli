@@ -1,17 +1,10 @@
-(** Paired-load detection on allocated code.
+(** Paired loads in allocated code.
 
-    Two adjacent loads off the same base at consecutive word offsets
-    fuse into one paired load when the machine's pairing rule accepts
-    their destination registers (different parity on IA-64).  The
-    second (higher) load of a fused pair then executes for free; this
-    module reports those instruction ids. *)
-
-val fused_hi_ids : Machine.t -> Cfg.func -> (int, unit) Hashtbl.t
-(** Adjacent unfused load pairs whose destinations satisfy the rule —
-    relevant for code that has not been through the finalizer (which
-    rewrites such pairs into {!Instr.Load_pair}). *)
-
-val count : Machine.t -> Cfg.func -> int
+    {!Finalize} fuses two adjacent loads off the same base at
+    consecutive word offsets into one {!Instr.Load_pair} when the
+    machine's pairing rule accepts their destination registers
+    (different parity on IA-64); the pair then executes at the cost of
+    one load. *)
 
 val count_fused : Cfg.func -> int
 (** [Load_pair] instructions present in (finalized) code. *)

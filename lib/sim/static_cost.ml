@@ -1,16 +1,10 @@
 let func ?machine (fn : Cfg.func) =
   let loops = Loops.compute fn in
-  let fused =
-    match machine with
-    | Some m -> Pairs.fused_hi_ids m fn
-    | None -> Hashtbl.create 0
-  in
   Cfg.fold_instrs fn
     (fun acc (b : Cfg.block) i ->
       let freq = Loops.frequency loops b.Cfg.label in
       let cost =
         match i.Instr.kind with
-        | Instr.Load _ when Hashtbl.mem fused i.Instr.id -> 0
         | Instr.Limited { dst; _ } -> (
             match machine with
             | Some m when Reg.is_phys dst && not (Machine.in_limited_set m dst)

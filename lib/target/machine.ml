@@ -10,9 +10,13 @@ type t = {
   pair_rule : pair_rule;
 }
 
+(* Every class's file must fit one register mask: bits 0 .. 61 of a
+   non-negative int (bit 62 is the sign bit). *)
+let max_k = Sys.int_size - 1
+
 let make ?name ?n_volatile ?n_arg_regs ?(ret_index = 0) ?limited_size
     ?(pair_rule = Parity) ~k () =
-  if k < 4 || k > Reg.max_phys || k mod 2 <> 0 then
+  if k < 4 || k > max_k || k mod 2 <> 0 then
     invalid_arg (Printf.sprintf "Machine.make: unsupported k = %d" k);
   let n_volatile = match n_volatile with Some n -> n | None -> k / 2 in
   let n_arg_regs = match n_arg_regs with Some n -> n | None -> n_volatile - 1 in
@@ -50,6 +54,18 @@ let nonvolatiles m cls =
     (List.init (m.k - m.n_volatile) (fun i -> Reg.phys cls (m.n_volatile + i)))
 
 let in_limited_set m r = Reg.is_phys r && Reg.phys_index r < m.limited_size
+let file_mask m = (1 lsl m.k) - 1
+let volatile_mask m = (1 lsl m.n_volatile) - 1
+let nonvolatile_mask m = file_mask m land lnot (volatile_mask m)
+let limited_mask m = (1 lsl m.limited_size) - 1
+
+let rec lowest bits j = if bits land (1 lsl j) <> 0 then j else lowest bits (j + 1)
+
+let pick ~prefer free =
+  if free = 0 then -1
+  else
+    let p = free land prefer in
+    lowest (if p <> 0 then p else free) 0
 
 let arg_reg m cls i =
   if i < 0 || i >= m.n_arg_regs then

@@ -36,7 +36,9 @@ val make :
 (** Defaults: half the file volatile, [n_volatile - 1] argument
     registers, return register 0, limited set of [max 2 (k / 4)],
     [Parity] pairing.
-    @raise Invalid_argument for an odd, too small or too large [k]. *)
+    @raise Invalid_argument for an odd [k], a [k] below 4 or above 62,
+    or a volatile prefix, argument block, return register or limited
+    set that does not fit the file. *)
 
 val low_pressure : t
 (** k = 32: the paper's "low pressure" file. *)
@@ -61,6 +63,33 @@ val nonvolatiles : t -> Reg.cls -> Reg.Set.t
 
 val in_limited_set : t -> Reg.t -> bool
 (** Physical with index below [limited_size]. *)
+
+(** {2 The register file as masks}
+
+    Bit [j] of a register mask stands for the register of index [j] of
+    whichever class is at hand (the two files are symmetric).  {!make}
+    keeps [k <= 62 = Sys.int_size - 1], so a whole file fits the
+    non-negative bits of one int and every allocator can screen and
+    pick registers with word operations. *)
+
+val file_mask : t -> int
+(** Bits [0, k): every allocatable register. *)
+
+val volatile_mask : t -> int
+(** Bits [0, n_volatile): the caller-save registers. *)
+
+val nonvolatile_mask : t -> int
+(** Bits [n_volatile, k): the callee-save registers. *)
+
+val limited_mask : t -> int
+(** Bits [0, limited_size): the limited set. *)
+
+val pick : prefer:int -> int -> int
+(** [pick ~prefer free]: the index of the lowest register in
+    [free land prefer], else of the lowest in [free], else [-1] when
+    [free] is empty — the final register choice of every allocator
+    (paper §5.3 step 4.4, and §6.2's "non-volatile registers first"
+    with [prefer = nonvolatile_mask m]). *)
 
 val arg_reg : t -> Reg.cls -> int -> Reg.t
 (** The [i]th argument register of the class.

@@ -6,7 +6,6 @@
 type t
 
 val create : int -> t
-val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] in [0 .. bound-1]; [bound > 0]. *)
 

@@ -580,6 +580,9 @@ module Ref_cpg = struct
       order;
     t
 
+  (* Only the resolution state changes after [build]. *)
+  let copy t = { t with pending = Reg.Tbl.copy t.pending }
+
   let resolve t r =
     Reg.Set.fold
       (fun s acc ->

@@ -71,10 +71,36 @@ let prepare_fn fn =
   let a = Alloc_common.analyze fn in
   (fn, a, Strength.of_analysis a)
 
-let rpg_matches m kinds (fn, a, str) =
+(* What every comparison of one function reads, computed once: the
+   simplification, the reference RPG per preference set, and both
+   reference CPGs.  The reference RPG is never mutated after [build];
+   the CPGs are, so consumers take [Ref_cpg.copy]s. *)
+type shared = {
+  prepared : Cfg.func * Alloc_common.analysis * Strength.t;
+  simp : Simplify.result;
+  ref_rpgs : ([ `All | `Coalesce_only ] * Ref_rpg.t) list;
+  ref_cpg : Ref_cpg.t;
+  ref_chain : Ref_cpg.t;
+}
+
+let share m ((fn, a, str) as prepared) =
+  let g = a.Alloc_common.graph in
+  let k = m.Machine.k in
+  let simp = pdgc_simplify ~k g a.Alloc_common.costs in
+  {
+    prepared;
+    simp;
+    ref_rpgs =
+      List.map
+        (fun kinds -> (kinds, Ref_rpg.build ~kinds m fn str))
+        [ `All; `Coalesce_only ];
+    ref_cpg = Ref_cpg.build ~k g simp;
+    ref_chain = Ref_cpg.of_total_order simp.Simplify.stack;
+  }
+
+let rpg_matches m kinds oracle (fn, a, str) =
   let g = a.Alloc_common.graph in
   let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
-  let oracle = Ref_rpg.build ~kinds m fn str in
   let regs = Reg.Set.elements (Cfg.all_vregs fn) in
   List.for_all
     (fun r ->
@@ -122,15 +148,15 @@ let cpg_matches dense oracle =
   in
   drain (Cpg.initial dense)
 
-let select_matches ?no_spill_set ?spill_risk_set m policy fallback (fn, a, str)
+let select_matches ?no_spill_set ?spill_risk_set m policy fallback shared
     kinds =
+  let (fn, a, str), simp = (shared.prepared, shared.simp) in
   let g = a.Alloc_common.graph in
   let k = m.Machine.k in
   let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
-  let ref_rpg = Ref_rpg.build ~kinds m fn str in
-  let simp = pdgc_simplify ~k g a.Alloc_common.costs in
+  let ref_rpg = List.assoc kinds shared.ref_rpgs in
   let cpg = Cpg.build ~k g simp in
-  let ref_cpg = Ref_cpg.build ~k g simp in
+  let ref_cpg = Ref_cpg.copy shared.ref_cpg in
   let no_spill =
     match no_spill_set with
     | None -> fun _ -> false
@@ -197,31 +223,32 @@ let cpg_random_drain_matches rng dense oracle =
   reg_list_equal (Cpg.initial dense) (Ref_cpg.initial oracle)
   && drain (Cpg.initial dense)
 
-let built_cpgs m (_fn, a, _str) =
+(* Fresh dense CPGs (built and chained) beside copies of their shared
+   references: resolving mutates both sides. *)
+let built_cpgs m shared =
+  let _, a, _ = shared.prepared in
   let g = a.Alloc_common.graph in
-  let k = m.Machine.k in
-  let simp = pdgc_simplify ~k g a.Alloc_common.costs in
+  let k = m.Machine.k and simp = shared.simp in
   [
-    (Cpg.build ~k g simp, Ref_cpg.build ~k g simp);
-    ( Cpg.of_total_order simp.Simplify.stack,
-      Ref_cpg.of_total_order simp.Simplify.stack );
+    (Cpg.build ~k g simp, Ref_cpg.copy shared.ref_cpg);
+    (Cpg.of_total_order simp.Simplify.stack, Ref_cpg.copy shared.ref_chain);
   ]
 
 let check_fn ?(seed = 0) ?(m = Machine.middle_pressure) name fn =
-  let p = prepare_fn fn in
+  let shared = share m (prepare_fn fn) in
   List.iter
-    (fun kinds ->
-      if not (rpg_matches m kinds p) then
+    (fun (kinds, oracle) ->
+      if not (rpg_matches m kinds oracle shared.prepared) then
         Alcotest.failf "dense/reference RPG mismatch in %s" name)
-    [ `All; `Coalesce_only ];
+    shared.ref_rpgs;
   List.iter
     (fun (d, o) ->
       if not (cpg_matches d o) then
         Alcotest.failf "dense/reference CPG mismatch in %s" name)
-    (built_cpgs m p);
+    (built_cpgs m shared);
   List.iter
     (fun (policy, fallback, kinds) ->
-      if not (select_matches m policy fallback p kinds) then
+      if not (select_matches m policy fallback shared kinds) then
         Alcotest.failf "dense/reference select mismatch in %s" name)
     [
       (Pdgc_select.Differential, false, `All);
@@ -240,9 +267,9 @@ let check_fn ?(seed = 0) ?(m = Machine.middle_pressure) name fn =
         if not (cpg_random_drain_matches rng d o) then
           Alcotest.failf "dense/reference CPG mismatch (random drain) in %s"
             name)
-      (built_cpgs m p)
+      (built_cpgs m shared)
   done;
-  let fn', _, _ = p in
+  let fn', _, _ = shared.prepared in
   let vregs = Reg.Set.elements (Cfg.all_vregs fn') in
   let random_subset () =
     Reg.Set.of_list (List.filter (fun _ -> Rng.int rng 4 = 0) vregs)
@@ -259,8 +286,8 @@ let check_fn ?(seed = 0) ?(m = Machine.middle_pressure) name fn =
     let fallback = Rng.int rng 2 = 0 in
     if
       not
-        (select_matches ~no_spill_set ~spill_risk_set m policy fallback p
-           `All)
+        (select_matches ~no_spill_set ~spill_risk_set m policy fallback
+           shared `All)
     then
       Alcotest.failf "dense/reference select mismatch (randomized params) in %s"
         name

@@ -353,6 +353,43 @@ let test_protocol_round_trips () =
       Protocol.Error_reply "boom";
     ]
 
+(* A request's machine passes [Machine.make]: a machine it rejects
+   decodes to [Protocol.Error] carrying its message. *)
+let test_protocol_rejects_bad_machines () =
+  let base = Machine.high_pressure in
+  List.iter
+    (fun (label, (m : Machine.t)) ->
+      let expected =
+        match
+          Machine.make ~name:m.Machine.name ~n_volatile:m.Machine.n_volatile
+            ~n_arg_regs:m.Machine.n_arg_regs ~ret_index:m.Machine.ret_index
+            ~limited_size:m.Machine.limited_size ~pair_rule:m.Machine.pair_rule
+            ~k:m.Machine.k ()
+        with
+        | _ -> Alcotest.failf "%s: Machine.make accepted it" label
+        | exception Invalid_argument msg -> msg
+      in
+      let payload =
+        Protocol.encode_request
+          (Protocol.Alloc
+             {
+               machine = m;
+               algo = "pdgc";
+               program = Protocol.Text "fn main() { return 1; }";
+             })
+      in
+      match Protocol.decode_request payload with
+      | _ -> Alcotest.failf "%s: request decoded" label
+      | exception Protocol.Error msg -> check Alcotest.string label expected msg)
+    [
+      ("k = 0", { base with Machine.k = 0 });
+      ("k = 3", { base with Machine.k = 3 });
+      ("k = 64", { base with Machine.k = 64 });
+      ("n_volatile > k", { base with Machine.n_volatile = base.Machine.k + 4 });
+      ("limited_size = 0", { base with Machine.limited_size = 0 });
+      ("ret_index = -1", { base with Machine.ret_index = -1 });
+    ]
+
 (* ---- LRU cache ---------------------------------------------------------- *)
 
 let test_cache_lru () =
@@ -415,6 +452,7 @@ let () =
         [
           tc "func replies round-trip" test_func_reply_round_trip;
           tc "requests and responses round-trip" test_protocol_round_trips;
+          tc "machines Machine.make rejects" test_protocol_rejects_bad_machines;
         ] );
       ( "cache",
         [

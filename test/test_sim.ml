@@ -188,30 +188,48 @@ let test_volatile_poisoned_after_call () =
     (Interp.equal_value (Interp.run ~machine:m p).Interp.value
        (Some (Interp.Int 42)))
 
+(* Pairing happens once, in [Finalize]: a different-parity pair becomes
+   one [Load_pair] charged one load; a same-parity pair stays two
+   loads. *)
 let test_paired_load_fusion_dynamic () =
   let m = Machine.middle_pressure in
-  let mk lo hi =
+  let finalized lo hi =
     let fn = Cfg.create_func ~name:"main" ~n_params:0 ~entry:0 in
     let base = Reg.phys Reg.Int_class 0 in
-    Cfg.with_blocks fn
-      [
-        {
-          Cfg.label = 0;
-          instrs =
-            [|
-              Cfg.instr fn (Instr.Load { dst = Reg.phys Reg.Int_class lo; base; offset = 0 });
-              Cfg.instr fn
-                (Instr.Load { dst = Reg.phys Reg.Int_class hi; base; offset = 8 });
-              Cfg.instr fn (Instr.Ret None);
-            |];
-        };
-      ]
+    let fn =
+      Cfg.with_blocks fn
+        [
+          {
+            Cfg.label = 0;
+            instrs =
+              [|
+                Cfg.instr fn
+                  (Instr.Load { dst = Reg.phys Reg.Int_class lo; base; offset = 0 });
+                Cfg.instr fn
+                  (Instr.Load { dst = Reg.phys Reg.Int_class hi; base; offset = 8 });
+                Cfg.instr fn (Instr.Ret None);
+              |];
+          };
+        ]
+    in
+    Finalize.apply m
+      {
+        Alloc_common.func = fn;
+        alloc = Reg.Tbl.create 1;
+        rounds = 1;
+        spill_instrs = 0;
+        spill_slots = [];
+      }
   in
-  let stats lo hi =
-    (Interp.run ~machine:m { Cfg.funcs = [ mk lo hi ]; main = "main" }).Interp.stats
+  let stats (t : Finalize.t) =
+    (Interp.run ~machine:m { Cfg.funcs = [ t.Finalize.func ]; main = "main" })
+      .Interp.stats
   in
-  (* Different parity fuses; same parity does not. *)
-  let fused = stats 2 3 and unfused = stats 2 4 in
+  let fused = finalized 2 3 and unfused = finalized 2 4 in
+  check Alcotest.int "one Load_pair" 1 (Pairs.count_fused fused.Finalize.func);
+  check Alcotest.int "counted as fused" 1 fused.Finalize.pairs_fused;
+  check Alcotest.int "two loads" 0 (Pairs.count_fused unfused.Finalize.func);
+  let fused = stats fused and unfused = stats unfused in
   check Alcotest.int "fused pair" 1 fused.Interp.fused_pairs;
   check Alcotest.int "unfused pair" 0 unfused.Interp.fused_pairs;
   check Alcotest.int "fusion saves a load"

@@ -64,7 +64,41 @@ let test_limited_set () =
 let test_make_validates () =
   Alcotest.check_raises "k too small"
     (Invalid_argument "Machine.make: unsupported k = 2") (fun () ->
-      ignore (Machine.make ~k:2 ()))
+      ignore (Machine.make ~k:2 ()));
+  Alcotest.check_raises "k too large"
+    (Invalid_argument "Machine.make: unsupported k = 64") (fun () ->
+      ignore (Machine.make ~k:64 ()))
+
+let test_masks_and_pick () =
+  let m = Machine.make ~k:16 () in
+  check Alcotest.int "file" 0xffff (Machine.file_mask m);
+  check Alcotest.int "volatile" 0x00ff (Machine.volatile_mask m);
+  check Alcotest.int "nonvolatile" 0xff00 (Machine.nonvolatile_mask m);
+  check Alcotest.int "limited" 0x000f (Machine.limited_mask m);
+  let nonvol = Machine.nonvolatile_mask m in
+  check Alcotest.int "preferred half first" 9
+    (Machine.pick ~prefer:nonvol 0b1010_0000_0110);
+  check Alcotest.int "else the lowest free" 1
+    (Machine.pick ~prefer:nonvol 0b0000_0000_0110);
+  check Alcotest.int "no preference" 1 (Machine.pick ~prefer:0 0b1010_0000_0110);
+  check Alcotest.int "nothing free" (-1) (Machine.pick ~prefer:nonvol 0);
+  let widest = Machine.make ~k:62 () in
+  check Alcotest.int "widest file" max_int (Machine.file_mask widest);
+  check Alcotest.int "its top register" 61
+    (Machine.pick ~prefer:0 (1 lsl 61))
+
+(* The widest file a register mask holds: every allocator, pdgc's
+   select included, allocates at k = 62. *)
+let test_widest_file_allocates () =
+  let m = Machine.make ~k:62 () in
+  let p = Pipeline.prepare m (Suite.program "mtrt") in
+  check Alcotest.int "eight allocators" 8 (List.length (Allocator.all ()));
+  List.iter
+    (fun a ->
+      List.iter
+        (fun fn -> assert_valid_allocation m (Allocator.exec a m fn))
+        p.Cfg.funcs)
+    (Allocator.all ())
 
 let test_costs () =
   check Alcotest.int "load" 2 (Costs.inst_cost (Instr.Load { dst = 0; base = 0; offset = 0 }));
@@ -314,6 +348,8 @@ let () =
           tc "pair rules" test_pair_rules;
           tc "limited set" test_limited_set;
           tc "make validates" test_make_validates;
+          tc "register masks and pick" test_masks_and_pick;
+          tc "k = 62 allocates" test_widest_file_allocates;
           tc "cost constants" test_costs;
         ] );
       ( "lowering",
