@@ -19,7 +19,7 @@ let ctx ~machine ?result fn =
     result;
     live = lazy (Liveness.compute fn);
     reaching = lazy (Reaching.compute fn);
-    analysis = lazy (Alloc_common.analyze fn);
+    analysis = lazy (Alloc_common.analyze ~loops:(Loops.compute fn) fn);
   }
 
 type t = {

@@ -23,12 +23,11 @@ let allocate_config_verbose config (m : Machine.t) f0 =
     | Coalescing_only -> `Coalesce_only
     | Full_preferences -> `All
   in
-  let color (a : Alloc_common.analysis) ~temps =
+  let color (a : Alloc_common.analysis) ~no_spill =
     let fn = a.Alloc_common.fn and g = a.Alloc_common.graph in
     let str = Strength.of_analysis a in
     let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
     let costs = a.Alloc_common.costs in
-    let no_spill r = Reg.Tbl.mem temps r in
     (* Nothing merged: [spill_cost] = [choose_victim]'s merged cost. *)
     let metric r =
       if no_spill r then infinity

@@ -3,8 +3,8 @@
    The fixpoint runs entirely over Regbits bitsets indexed by a
    per-function compact numbering — unions and equality checks are
    word-parallel — while the public API keeps the Reg.Set boundary the
-   rest of the pipeline was written against.  Block-boundary Reg.Set
-   views are converted lazily and memoized. *)
+   rest of the pipeline was written against.  Block-exit Reg.Set views
+   are converted lazily and memoized. *)
 
 type t = {
   cpt : Regbits.compact;
@@ -13,8 +13,7 @@ type t = {
   facts : Regbits.Set.t Solver.result;
   (* Below, arrays indexed by block label. *)
   phi_outflow_bits : Regbits.Set.t array;
-  (* Memoized Reg.Set views of live_in / live_out. *)
-  in_sets : Reg.Set.t option array;
+  (* Memoized Reg.Set views of live_out. *)
   out_sets : Reg.Set.t option array;
 }
 
@@ -84,7 +83,6 @@ let compute (f : Cfg.func) =
     cpt;
     facts = S.solve ~direction:Solver.Backward ~transfer f;
     phi_outflow_bits = outflow;
-    in_sets = Array.make bound None;
     out_sets = Array.make bound None;
   }
 
@@ -95,22 +93,20 @@ let scratch_live_out t l =
 
 let live_in_bits t l = Regbits.Set.copy (Solver.output t.facts l)
 
-let memo views l view =
-  if l < 0 || l >= Array.length views then view ()
-  else
-    match views.(l) with
-    | Some s -> s
-    | None ->
-        let s = view () in
-        views.(l) <- Some s;
-        s
+let live_in_mem t l r =
+  let i = Regbits.find_index t.cpt r in
+  i >= 0 && Regbits.Set.mem (Solver.output t.facts l) i
 
 let live_out t l =
-  memo t.out_sets l (fun () -> Regbits.Set.to_reg_set t.cpt (scratch_live_out t l))
-
-let live_in t l =
-  memo t.in_sets l (fun () ->
-      Regbits.Set.to_reg_set t.cpt (Solver.output t.facts l))
+  if l < 0 || l >= Array.length t.out_sets then
+    Regbits.Set.to_reg_set t.cpt (scratch_live_out t l)
+  else
+    match t.out_sets.(l) with
+    | Some s -> s
+    | None ->
+        let s = Regbits.Set.to_reg_set t.cpt (scratch_live_out t l) in
+        t.out_sets.(l) <- Some s;
+        s
 
 let iter_block_backward_bits t (b : Cfg.block) ~f =
   let live = scratch_live_out t b.Cfg.label in
@@ -142,25 +138,3 @@ let fold_block_backward t (b : Cfg.block) ~init ~f =
     live := transfer_instr !live i
   done;
   !acc
-
-let live_across_calls (f : Cfg.func) t =
-  let counts = Hashtbl.create 64 in
-  let bump r =
-    let cur = try Hashtbl.find counts r with Not_found -> 0 in
-    Hashtbl.replace counts r (cur + 1)
-  in
-  List.iter
-    (fun b ->
-      iter_block_backward_bits t b ~f:(fun ~live_out i ->
-          match i.Instr.kind with
-          | Instr.Call { dst; _ } ->
-              let skip =
-                match dst with
-                | Some d -> Regbits.find t.cpt d
-                | None -> None
-              in
-              Regbits.Set.iter live_out (fun idx ->
-                  if skip <> Some idx then bump (Regbits.reg_at t.cpt idx))
-          | _ -> ()))
-    f.Cfg.blocks;
-  counts

@@ -7,7 +7,7 @@
 
     The fixpoint runs over dense {!Regbits} bitsets (word-parallel
     unions over a per-function compact numbering); the [Reg.Set]
-    queries below are lazy, memoized views of the dense facts.  Clients
+    views below are lazy and memoized.  Clients
     on the hot path can work on the bitsets directly through
     {!compact}, {!live_in_bits} and {!iter_block_backward_bits}. *)
 
@@ -15,7 +15,6 @@ type t
 
 val compute : Cfg.func -> t
 
-val live_in : t -> Instr.label -> Reg.Set.t
 val live_out : t -> Instr.label -> Reg.Set.t
 
 val fold_block_backward :
@@ -27,11 +26,6 @@ val fold_block_backward :
 (** Walk a block's instructions from last to first; [f] receives each
     instruction together with the set of registers live immediately
     after it. *)
-
-val live_across_calls : Cfg.func -> t -> (Reg.t, int) Hashtbl.t
-(** For every register, the number of call sites it is live across
-    (live after the call and not just defined by it).  Registers never
-    live across a call are absent. *)
 
 (** {1 Dense access}
 
@@ -45,6 +39,9 @@ val compact : t -> Regbits.compact
 
 val live_in_bits : t -> Instr.label -> Regbits.Set.t
 (** Fresh (caller-owned) bitset of the block-entry facts. *)
+
+val live_in_mem : t -> Instr.label -> Reg.t -> bool
+(** Is the register live into the block?  One bit test, no copy. *)
 
 val iter_block_backward_bits :
   t -> Cfg.block -> f:(live_out:Regbits.Set.t -> Instr.t -> unit) -> unit

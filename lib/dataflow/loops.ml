@@ -1,44 +1,50 @@
 type t = {
-  depths : (Instr.label, int) Hashtbl.t;
+  depths : int array; (* by label; 0 outside loops and when unreachable *)
   headers : Instr.label list;
 }
 
 (* For each back edge n -> h (h dominates n), the natural loop is h plus
    every block that reaches n without passing through h.  Nesting depth
-   of a block = number of natural loops containing it. *)
+   of a block = number of natural loops containing it.  A loop's body is
+   marked by stamping its blocks with the loop's ordinal, so one array
+   serves every loop. *)
 let compute (f : Cfg.func) =
-  let depths = Hashtbl.create 16 in
-  let headers = ref [] in
   let dom = Dominance.compute f in
-  let preds = Cfg.predecessors f in
-  List.iter (fun l -> Hashtbl.replace depths l 0) (Dominance.labels dom);
+  let preds = Dominance.predecessors dom in
+  let by_label = Cfg.blocks_by_label f in
+  let bound = Array.length preds in
+  let depths = Array.make bound 0 in
+  let stamp = Array.make bound (-1) in
+  let loop = ref 0 in
+  let headers = ref [] in
+  let mark l =
+    stamp.(l) <- !loop;
+    if Dominance.reachable dom l then depths.(l) <- depths.(l) + 1
+  in
+  let rec pull m =
+    if stamp.(m) <> !loop then begin
+      mark m;
+      List.iter pull preds.(m)
+    end
+  in
   List.iter
     (fun n ->
-      List.iter
-        (fun h ->
-          if Dominance.dominates dom h n then begin
-            if not (List.mem h !headers) then headers := h :: !headers;
-            let body = Hashtbl.create 16 in
-            Hashtbl.replace body h ();
-            let rec pull m =
-              if not (Hashtbl.mem body m) then begin
-                Hashtbl.replace body m ();
-                List.iter pull (try Hashtbl.find preds m with Not_found -> [])
-              end
-            in
-            pull n;
-            Hashtbl.iter
-              (fun l () ->
-                match Hashtbl.find_opt depths l with
-                | Some d -> Hashtbl.replace depths l (d + 1)
-                | None -> () (* unreachable block *))
-              body
-          end)
-        (Cfg.successors (Cfg.block f n)))
+      match by_label.(n) with
+      | None -> ()
+      | Some b ->
+          List.iter
+            (fun h ->
+              if Dominance.dominates dom h n then begin
+                if not (List.mem h !headers) then headers := h :: !headers;
+                mark h;
+                pull n;
+                incr loop
+              end)
+            (Cfg.successors b))
     (Dominance.labels dom);
   { depths; headers = !headers }
 
-let depth t l = try Hashtbl.find t.depths l with Not_found -> 0
+let depth t l = if l >= 0 && l < Array.length t.depths then t.depths.(l) else 0
 
 let frequency t l =
   let d = min (depth t l) 6 in

@@ -3,7 +3,12 @@
     The paper estimates instruction execution frequencies "by heuristics
     based on program structure" and uses [Freq_Fact = 10] per loop level
     in the Appendix; we reproduce that: a block at loop-nesting depth
-    [d] has frequency [10^d] (capped to avoid overflow). *)
+    [d] has frequency [10^d] (capped to avoid overflow).
+
+    Depths are kept in an array indexed by label.  The forest depends
+    only on the blocks and edges, so one computation serves every body
+    that keeps them: the allocation rounds' web renumbering and spill
+    insertion rewrite instructions, never labels or successors. *)
 
 type t
 

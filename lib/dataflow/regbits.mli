@@ -43,6 +43,9 @@ val find : compact -> Reg.t -> int option
 (** Dense index of [r] if already interned; [None] for any other id,
     including one past the largest interned. *)
 
+val find_index : compact -> Reg.t -> int
+(** {!find} without the option: [-1] for an id not interned. *)
+
 val reg_at : compact -> int -> Reg.t
 (** Inverse of {!index}.  @raise Invalid_argument if out of range. *)
 

@@ -9,12 +9,62 @@ type numbering = {
   index_of_id : int array; (* instr id -> dense index, -1 when absent *)
 }
 
+(* One byte per virtual register, at [r - Reg.first_virtual]: 0 when no
+   class is recorded, 1 for the integer class, 2 for the float class.
+   The record is shared by every rewritten version of a function, so
+   growing [bytes] in place keeps them in step. *)
+module Classes = struct
+  type t = { mutable bytes : Bytes.t; mutable length : int }
+
+  let create n = { bytes = Bytes.make (max n 16) '\000'; length = 0 }
+  let copy t = { t with bytes = Bytes.copy t.bytes }
+  let length t = t.length
+
+  let code : Reg.cls -> char = function
+    | Reg.Int_class -> '\001'
+    | Reg.Float_class -> '\002'
+
+  let add t r cls =
+    if not (Reg.is_virtual r) then
+      invalid_arg (Printf.sprintf "Cfg.Classes.add: physical register %d" r);
+    let o = r - Reg.first_virtual in
+    let len = Bytes.length t.bytes in
+    if o >= len then begin
+      let bigger = Bytes.make (max (o + 1) (2 * len)) '\000' in
+      Bytes.blit t.bytes 0 bigger 0 len;
+      t.bytes <- bigger
+    end;
+    if Bytes.unsafe_get t.bytes o = '\000' then t.length <- t.length + 1;
+    Bytes.unsafe_set t.bytes o (code cls)
+
+  (* Allocation-free: both results are static constants. *)
+  let find_opt t r =
+    let o = r - Reg.first_virtual in
+    if o < 0 || o >= Bytes.length t.bytes then None
+    else
+      match Bytes.unsafe_get t.bytes o with
+      | '\001' -> Some Reg.Int_class
+      | '\002' -> Some Reg.Float_class
+      | _ -> None
+
+  let fold f t init =
+    let acc = ref init in
+    Bytes.iteri
+      (fun o c ->
+        match c with
+        | '\001' -> acc := f (o + Reg.first_virtual) Reg.Int_class !acc
+        | '\002' -> acc := f (o + Reg.first_virtual) Reg.Float_class !acc
+        | _ -> ())
+      t.bytes;
+    !acc
+end
+
 type func = {
   name : string;
   entry : Instr.label;
   blocks : block list;
   n_params : int;
-  reg_cls : Reg.cls Reg.Tbl.t;
+  reg_cls : Classes.t;
   mutable next_reg : Reg.t;
   mutable next_instr_id : int;
   mutable next_label : Instr.label;
@@ -29,7 +79,7 @@ let create_func ~name ~n_params ~entry =
     entry;
     blocks = [];
     n_params;
-    reg_cls = Reg.Tbl.create 64;
+    reg_cls = Classes.create 64;
     next_reg = Reg.first_virtual;
     next_instr_id = 0;
     next_label = entry + 1;
@@ -41,7 +91,7 @@ let with_blocks f blocks = { f with blocks; numbering = None }
 let clone f =
   {
     f with
-    reg_cls = Reg.Tbl.copy f.reg_cls;
+    reg_cls = Classes.copy f.reg_cls;
     next_reg = f.next_reg;
     next_instr_id = f.next_instr_id;
     next_label = f.next_label;
@@ -51,7 +101,7 @@ let clone f =
 let fresh_reg f cls =
   let r = f.next_reg in
   f.next_reg <- r + 1;
-  Reg.Tbl.replace f.reg_cls r cls;
+  Classes.add f.reg_cls r cls;
   r
 
 let fresh_label f =
@@ -65,7 +115,11 @@ let instr f kind =
   { Instr.id; kind }
 
 let cls_of f r =
-  if Reg.is_phys r then Reg.phys_cls r else Reg.Tbl.find f.reg_cls r
+  if Reg.is_phys r then Reg.phys_cls r
+  else
+    match Classes.find_opt f.reg_cls r with
+    | Some c -> c
+    | None -> raise Not_found
 
 let block_opt f l = List.find_opt (fun b -> b.label = l) f.blocks
 
@@ -102,26 +156,38 @@ let terminator b =
 
 let successors b = Instr.successors (terminator b).Instr.kind
 
-let predecessors f =
-  let preds = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace preds b.label []) f.blocks;
+(* Label-indexed arrays of a function have this length: one past the
+   largest label the entry, a block or a branch target names, and at
+   least [next_label]. *)
+let label_bound f =
+  List.fold_left
+    (fun m b ->
+      List.fold_left (fun m s -> max m (s + 1)) (max m (b.label + 1)) (successors b))
+    (max f.next_label (f.entry + 1))
+    f.blocks
+
+let blocks_by_label f =
+  let t = Array.make (label_bound f) None in
   List.iter
-    (fun b ->
-      List.iter
-        (fun s ->
-          let cur = try Hashtbl.find preds s with Not_found -> [] in
-          Hashtbl.replace preds s (b.label :: cur))
-        (successors b))
+    (fun b -> if Option.is_none t.(b.label) then t.(b.label) <- Some b)
+    f.blocks;
+  t
+
+let predecessors f =
+  let preds = Array.make (label_bound f) [] in
+  List.iter
+    (fun b -> List.iter (fun s -> preds.(s) <- b.label :: preds.(s)) (successors b))
     f.blocks;
   preds
 
 let reverse_postorder f =
-  let visited = Hashtbl.create 16 in
+  let by_label = blocks_by_label f in
+  let visited = Array.make (Array.length by_label) false in
   let order = ref [] in
   let rec go l =
-    if not (Hashtbl.mem visited l) then begin
-      Hashtbl.replace visited l ();
-      (match block_opt f l with
+    if not visited.(l) then begin
+      visited.(l) <- true;
+      (match by_label.(l) with
       | Some b -> List.iter go (successors b)
       | None -> ());
       order := l :: !order
@@ -243,10 +309,7 @@ let digest_reg f buf r =
      allocates against the other register file. *)
   let cls =
     if Reg.is_phys r then Reg.phys_cls r
-    else
-      match Reg.Tbl.find_opt f.reg_cls r with
-      | Some c -> c
-      | None -> Reg.Int_class
+    else Option.value (Classes.find_opt f.reg_cls r) ~default:Reg.Int_class
   in
   Buffer.add_char buf (match cls with Reg.Int_class -> 'i' | Reg.Float_class -> 'f')
 
@@ -391,16 +454,16 @@ let find_func p name =
 
 let validate f =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let labels = Hashtbl.create 16 in
   let exception Invalid of string in
   try
+    let present = Array.make (label_bound f) false in
     List.iter
       (fun b ->
-        if Hashtbl.mem labels b.label then
+        if present.(b.label) then
           raise (Invalid (Printf.sprintf "duplicate label L%d" b.label));
-        Hashtbl.replace labels b.label ())
+        present.(b.label) <- true)
       f.blocks;
-    if not (Hashtbl.mem labels f.entry) then
+    if not present.(f.entry) then
       raise (Invalid (Printf.sprintf "entry L%d missing" f.entry));
     let preds = predecessors f in
     List.iter
@@ -429,7 +492,7 @@ let validate f =
                 if !seen_non_phi then
                   raise
                     (Invalid (Printf.sprintf "phi after non-phi in L%d" b.label));
-                let ps = try Hashtbl.find preds b.label with Not_found -> [] in
+                let ps = preds.(b.label) in
                 let src_labels = List.map fst srcs in
                 if List.sort compare src_labels <> List.sort compare ps then
                   raise
@@ -440,7 +503,7 @@ let validate f =
           b.instrs;
         List.iter
           (fun s ->
-            if not (Hashtbl.mem labels s) then
+            if not present.(s) then
               raise
                 (Invalid
                    (Printf.sprintf "L%d branches to missing L%d" b.label s)))

@@ -9,7 +9,12 @@
     Register metadata (class of each virtual register, the next fresh
     register and instruction identifiers) lives in mutable tables shared
     by all rewritten versions of the function, so passes that rebuild
-    the block list keep register identities stable.  Each function also
+    the block list keep register identities stable.  The class table
+    ({!Classes}) is one byte per virtual register, indexed by its id
+    less {!Reg.first_virtual}: virtual ids are dense below [next_reg],
+    so a lookup is one byte read and a copy one blit.  Labels are dense
+    too (below [next_label]); per-block facts are arrays of length
+    {!label_bound}.  Each function also
     carries a lazily-built {e dense instruction numbering}: consecutive
     indices over the body in block order, recoverable from the stable
     instruction ids, so per-instruction side tables are plain
@@ -21,12 +26,33 @@ type block = { label : Instr.label; instrs : Instr.t array }
 type numbering
 (** Dense per-function instruction numbering (see {!instr_index}). *)
 
+(** The class of every virtual register of a function. *)
+module Classes : sig
+  type t
+
+  val create : int -> t
+  (** An empty table; the argument is a capacity hint in registers. *)
+
+  val add : t -> Reg.t -> Reg.cls -> unit
+  (** Record (or overwrite) a virtual register's class.
+      @raise Invalid_argument for a physical register. *)
+
+  val find_opt : t -> Reg.t -> Reg.cls option
+  val length : t -> int
+  (** Number of registers with a recorded class. *)
+
+  val fold : (Reg.t -> Reg.cls -> 'a -> 'a) -> t -> 'a -> 'a
+  (** Ascending register order. *)
+
+  val copy : t -> t
+end
+
 type func = {
   name : string;
   entry : Instr.label;
   blocks : block list;
   n_params : int;
-  reg_cls : Reg.cls Reg.Tbl.t;
+  reg_cls : Classes.t;
   mutable next_reg : Reg.t;
   mutable next_instr_id : int;
   mutable next_label : Instr.label;
@@ -76,8 +102,18 @@ val block_opt : func -> Instr.label -> block option
 val successors : block -> Instr.label list
 val terminator : block -> Instr.t
 
-val predecessors : func -> (Instr.label, Instr.label list) Hashtbl.t
-(** Map from block label to predecessor labels. *)
+val label_bound : func -> int
+(** Length of the function's label-indexed arrays: one past the largest
+    label the entry, a block or a branch target names, and at least
+    [next_label]. *)
+
+val blocks_by_label : func -> block option array
+(** The block of each label (the first, should labels repeat), in an
+    array of length {!label_bound}. *)
+
+val predecessors : func -> Instr.label list array
+(** Predecessor labels of each label, in an array of length
+    {!label_bound}; a label's list runs in reverse block order. *)
 
 val reverse_postorder : func -> Instr.label list
 (** Reachable blocks in reverse postorder from the entry. *)

@@ -38,8 +38,7 @@ type analysis = {
   loops : Loops.t;
 }
 
-let analyze fn =
-  let loops = Loops.compute fn in
+let analyze ~loops fn =
   let live = Liveness.compute fn in
   let graph = Igraph.build fn live in
   let costs = Spill_cost.compute ~loops ~cpt:(Liveness.compact live) fn in
@@ -104,17 +103,36 @@ let spill_clusters g fn spilled =
 
 type 'x step = Colored of (Reg.t -> Reg.t option) * 'x | Spill of Reg.Set.t
 
+(* The round's temporaries as a bit test over its liveness numbering,
+   which holds every register of the body: allocators probe it for
+   every blocked node and memory preference. *)
+let temp_test live temps =
+  let cpt = Liveness.compact live in
+  let bits = Regbits.Set.create (Regbits.size cpt) in
+  Reg.Tbl.iter
+    (fun r () ->
+      let i = Regbits.find_index cpt r in
+      if i >= 0 then Regbits.Set.add bits i)
+    temps;
+  fun r ->
+    let i = Regbits.find_index cpt r in
+    i >= 0 && Regbits.Set.mem bits i
+
 (* The one round loop every allocator shares: renumber, analyze, let the
    allocator color; on [Spill] insert spill code and go again.  Slots
-   are kept per round (newest first) and flattened once at the end. *)
+   are kept per round (newest first) and flattened once at the end.
+   Neither webs nor spill insertion touches a label or an edge, so the
+   loop forest of the input serves every round. *)
 let drive ~name ?(rematerialize = false) f0 color =
+  let f = Cfg.clone f0 in
+  let loops = Loops.compute f in
   let rec round fn ~temps ~n ~spill_instrs ~slots =
     if n > max_rounds then raise (Failed (name ^ ": too many rounds"));
     let webs = Webs.run fn in
     let fn = webs.Webs.func in
     let temps = remap_temps webs temps in
-    let a = analyze fn in
-    match color a ~temps with
+    let a = analyze ~loops fn in
+    match color a ~no_spill:(temp_test a.live temps) with
     | Colored (color_of, x) ->
         (* The liveness numbering holds every register of the body, each
            once.  An uncolored register is reported by its smallest id,
@@ -143,17 +161,16 @@ let drive ~name ?(rematerialize = false) f0 color =
           ~spill_instrs:(spill_instrs + ins.Spill_insert.n_spill_instrs)
           ~slots:(ins.Spill_insert.slots :: slots)
   in
-  round (Cfg.clone f0) ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0
+  round f ~temps:(Reg.Tbl.create 16) ~n:1 ~spill_instrs:0
     ~slots:[]
 
 let allocate config (m : Machine.t) f0 =
-  let color a ~temps =
+  let color a ~no_spill =
     let g = a.graph in
     (match config.coalesce with
     | No_coalesce -> ()
     | Aggressive -> ignore (Coalesce.aggressive g)
     | Conservative -> ignore (Coalesce.conservative ~k:m.Machine.k g));
-    let no_spill r = Reg.Tbl.mem temps r in
     let simp =
       Simplify.run config.mode ~k:m.Machine.k g
         ~spill_choice:(choose_victim a.costs g ~no_spill)

@@ -65,7 +65,9 @@ type analysis = {
   loops : Loops.t;
 }
 
-val analyze : Cfg.func -> analysis
+val analyze : loops:Loops.t -> Cfg.func -> analysis
+(** The round's analyses over [fn], reusing [loops], a loop forest of a
+    body with [fn]'s blocks and edges. *)
 
 val remap_temps : Webs.t -> unit Reg.Tbl.t -> unit Reg.Tbl.t
 (** Carry the spill-temporary set across a web renumbering: a web
@@ -88,11 +90,13 @@ val drive :
   name:string ->
   ?rematerialize:bool ->
   Cfg.func ->
-  (analysis -> temps:unit Reg.Tbl.t -> 'x step) ->
+  (analysis -> no_spill:(Reg.t -> bool) -> 'x step) ->
   result * 'x
 (** [drive ~name f color] allocates a clone of [f] (the input is never
-    mutated).  Each round renumbers the body into webs, carries the
-    spill temporaries over ([temps], which [color] must not spill
+    mutated).  It computes the loop forest once: web renumbering and
+    spill insertion keep every label and edge.  Each round renumbers
+    the body into webs, carries the spill temporaries over ([no_spill]
+    tests for them with one bit test; [color] must not spill them
     again), runs {!analyze} and hands the result to [color].  [Spill]
     inserts spill code ([rematerialize] as in {!Spill_insert.insert},
     default [false]) and starts the next round; [Colored] ends the

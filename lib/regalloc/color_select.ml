@@ -17,13 +17,6 @@ let free_mask m g color_of r =
               | Some c -> acc lor (1 lsl Reg.phys_index c)
               | None -> acc))
 
-let available m g t r =
-  let rep = Igraph.alias g r in
-  let free = free_mask m g (color_of t g) rep in
-  List.filter
-    (fun c -> free land (1 lsl Reg.phys_index c) <> 0)
-    (Machine.all m (Igraph.cls g rep))
-
 let run m g ~stack ~order ~biased =
   let prefer =
     match order with

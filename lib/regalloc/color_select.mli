@@ -33,12 +33,6 @@ val free_mask :
     [r] in [g].  Neighbors share [r]'s class; a neighbor's register
     outside the file adds no bit. *)
 
-val available :
-  Machine.t -> Igraph.t -> t -> Reg.t -> Reg.t list
-(** Free registers for a node given current assignments: the machine's
-    file of the node's class minus colors of its (representative's)
-    neighbors. *)
-
 val run :
   Machine.t ->
   Igraph.t ->

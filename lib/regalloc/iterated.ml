@@ -40,7 +40,7 @@ type state = {
   mutable spilled : int list;
   scratch : Regbits.Set.t;  (* ranks, empty between calls *)
   costs : Spill_cost.t;
-  temps : unit Reg.Tbl.t;
+  no_spill : Reg.t -> bool;
 }
 
 let reg st i = Igraph.reg_of st.g i
@@ -237,7 +237,7 @@ let freeze st =
 (* The lowest cost/degree, the smallest register winning ties. *)
 let select_spill st =
   let metric i =
-    if Reg.Tbl.mem st.temps (reg st i) then infinity
+    if st.no_spill (reg st i) then infinity
     else
       float_of_int (Spill_cost.spill_cost st.costs (reg st i))
       /. float_of_int (max 1 (degree_of st i))
@@ -315,7 +315,7 @@ let assign_colors st =
       | _ -> ())
     st.stage
 
-let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
+let run_once (m : Machine.t) (a : Alloc_common.analysis) ~no_spill =
   let g = a.Alloc_common.graph in
   let cpt = Igraph.compact g in
   let n = Regbits.size cpt in
@@ -350,7 +350,7 @@ let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
       spilled = [];
       scratch = Regbits.Set.create n;
       costs = a.Alloc_common.costs;
-      temps;
+      no_spill;
     }
   in
   Array.iteri
@@ -391,8 +391,8 @@ let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
   st
 
 let allocate (m : Machine.t) f0 =
-  let color a ~temps =
-    let st = run_once m a ~temps in
+  let color a ~no_spill =
+    let st = run_once m a ~no_spill in
     if st.spilled = [] then
       let cpt = Igraph.compact st.g in
       let color_of r =

@@ -12,7 +12,7 @@ module Ready = Set.Make (struct
 end)
 
 let allocate (m : Machine.t) f0 =
-  let color (a : Alloc_common.analysis) ~temps =
+  let color (a : Alloc_common.analysis) ~no_spill =
     let fn = a.Alloc_common.fn and live = a.Alloc_common.live in
     let g = a.Alloc_common.graph in
     ignore (Coalesce.aggressive g);
@@ -76,9 +76,11 @@ let allocate (m : Machine.t) f0 =
       fn.Cfg.blocks;
     (* Merge representatives holding a spill temporary. *)
     let temp_reps = Reg.Tbl.create 16 in
-    Reg.Tbl.iter
-      (fun w () -> Reg.Tbl.replace temp_reps (Igraph.alias g w) ())
-      temps;
+    let cpt = Liveness.compact live in
+    for i = 0 to Regbits.size cpt - 1 do
+      let w = Regbits.reg_at cpt i in
+      if no_spill w then Reg.Tbl.replace temp_reps (Igraph.alias g w) ()
+    done;
     let no_spill rep = Reg.Tbl.mem temp_reps rep in
     (* Benefit-driven Chaitin simplification: among removable nodes,
        push the lowest-priority one first, ties going to the earliest

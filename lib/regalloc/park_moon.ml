@@ -1,7 +1,7 @@
 let name = "optimistic"
 
 let allocate (m : Machine.t) f0 =
-  let color (a : Alloc_common.analysis) ~temps =
+  let color (a : Alloc_common.analysis) ~no_spill =
     let fn = a.Alloc_common.fn and g0 = a.Alloc_common.graph in
     let g = Igraph.copy g0 in
     ignore (Coalesce.aggressive g);
@@ -15,8 +15,7 @@ let allocate (m : Machine.t) f0 =
     List.iter (fun r -> add_member (Igraph.alias g r) r) (Igraph.vnodes g0);
     (* Optimistic simplification of the merged graph. *)
     let no_spill r =
-      List.exists (fun w -> Reg.Tbl.mem temps w)
-        (try Reg.Tbl.find groups r with Not_found -> [ r ])
+      List.exists no_spill (try Reg.Tbl.find groups r with Not_found -> [ r ])
     in
     let simp =
       Simplify.run Simplify.Optimistic ~k:m.Machine.k g

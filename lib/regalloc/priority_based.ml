@@ -1,7 +1,7 @@
 let name = "priority-based"
 
 let allocate (m : Machine.t) f0 =
-  let color (a : Alloc_common.analysis) ~temps =
+  let color (a : Alloc_common.analysis) ~no_spill =
     let g = a.Alloc_common.graph in
     let costs = a.Alloc_common.costs in
     (* Chow-Hennessy priority: savings per unit of range size.  Spill
@@ -9,7 +9,7 @@ let allocate (m : Machine.t) f0 =
        and are colored first.  Ties break on the register id so the
        coloring order does not depend on graph iteration order. *)
     let priority r =
-      if Reg.Tbl.mem temps r then infinity
+      if no_spill r then infinity
       else
         let info = Spill_cost.info costs r in
         float_of_int info.Spill_cost.spill_cost
@@ -40,7 +40,7 @@ let allocate (m : Machine.t) f0 =
             (Color_select.free_mask m g color_of r)
         with
         | -1 ->
-            if Reg.Tbl.mem temps r then
+            if no_spill r then
               raise (Alloc_common.Failed (name ^ ": spill temporary blocked"))
             else spilled := Reg.Set.add r !spilled
         | j -> Reg.Tbl.replace colors r (Reg.phys (Igraph.cls g r) j))

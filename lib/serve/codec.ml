@@ -393,19 +393,16 @@ let write_func buf (f : Cfg.func) =
   write_int buf f.Cfg.next_reg;
   write_int buf f.Cfg.next_instr_id;
   write_int buf f.Cfg.next_label;
-  (* The class table in sorted register order: hash-table iteration
-     order is unspecified, and the encoding must be a pure function of
-     content (the re-encode-is-byte-identical contract). *)
-  let classes =
-    List.sort compare (Reg.Tbl.fold (fun r c acc -> (r, c) :: acc) f.Cfg.reg_cls [])
-  in
-  write_int buf (List.length classes);
-  List.iter
-    (fun (r, c) ->
+  (* The class table in ascending register order, so the encoding is a
+     pure function of content (the re-encode-is-byte-identical
+     contract). *)
+  write_int buf (Cfg.Classes.length f.Cfg.reg_cls);
+  Cfg.Classes.fold
+    (fun r c () ->
       write_int buf r;
       Buffer.add_char buf
         (match c with Reg.Int_class -> '\000' | Reg.Float_class -> '\001'))
-    classes;
+    f.Cfg.reg_cls ();
   write_int buf (List.length f.Cfg.blocks);
   List.iter
     (fun (b : Cfg.block) ->
@@ -435,14 +432,23 @@ let read_func r : Cfg.func =
   let next_label = counter "next_label" in
   if entry < 0 || entry >= next_label then
     fail "entry label %d outside [0, %d) at offset %d" entry next_label r.pos;
+  (* The table takes a byte per register up to the largest id it
+     names, so that id is bounded by the entry count (and so by the
+     frame's size): [fresh_reg] numbers registers densely from
+     [Reg.first_virtual] and records a class for each. *)
   let n_classes = read_count r "class" in
-  let reg_cls = Reg.Tbl.create (max 16 n_classes) in
+  let reg_cls = Cfg.Classes.create n_classes in
   for _ = 1 to n_classes do
     let reg = read_id r "register" next_reg in
-    (match read_byte r with
-    | 0 -> Reg.Tbl.replace reg_cls reg Reg.Int_class
-    | 1 -> Reg.Tbl.replace reg_cls reg Reg.Float_class
-    | b -> fail "bad register class %d at offset %d" b r.pos)
+    if Reg.is_phys reg then
+      fail "class entry for physical register %d at offset %d" reg r.pos;
+    if reg >= Reg.first_virtual + n_classes then
+      fail "class entry for register %d beyond %d entries at offset %d" reg
+        n_classes r.pos;
+    match read_byte r with
+    | 0 -> Cfg.Classes.add reg_cls reg Reg.Int_class
+    | 1 -> Cfg.Classes.add reg_cls reg Reg.Float_class
+    | b -> fail "bad register class %d at offset %d" b r.pos
   done;
   let n_blocks = read_count r "block" in
   let read_block () =

@@ -11,8 +11,8 @@
     bit-for-bit like the original.
 
     Determinism contract: [encode] is a pure function of the
-    function's structural content (the class table is emitted in sorted
-    register order, never hash-table order), and
+    function's structural content (the class table is emitted in
+    ascending register order), and
     [encode (decode (encode f)) = encode f] byte for byte. *)
 
 exception Error of string
@@ -26,9 +26,11 @@ val max_counter : int
     decoder also rejects any register id outside [\[0, next_reg)],
     instruction id outside [\[0, next_instr_id)] and label outside
     [\[0, next_label)], and any element count larger than the bytes
-    left.  A frame (at most {!Protocol.max_frame} bytes) can then make
-    the daemon allocate only in proportion to its size, never by a
-    counter it claims. *)
+    left.  The class table, a byte per register up to the largest it
+    names, may name only virtual registers below
+    [Reg.first_virtual + n] for its [n] entries.  A frame (at most
+    {!Protocol.max_frame} bytes) can then make the daemon allocate only
+    in proportion to its size, never by a counter it claims. *)
 
 val encode_func : Cfg.func -> string
 val decode_func : string -> Cfg.func

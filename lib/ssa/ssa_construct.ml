@@ -5,48 +5,54 @@ let run (f : Cfg.func) =
   let dom = Dominance.compute f in
   let live = Liveness.compute f in
   let labels = Dominance.labels dom in
-  let blocks_tbl = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace blocks_tbl l (Cfg.block f l)) labels;
-  (* Definition blocks of every virtual register. *)
-  let def_blocks = Reg.Tbl.create 64 in
+  let by_label = Cfg.blocks_by_label f in
+  let bound = Array.length by_label in
+  (* Per-register facts are indexed by the liveness numbering, which
+     covers every register of [f]; the fresh versions made below are
+     never keys. *)
+  let cpt = Liveness.compact live in
+  (* Definition blocks of every virtual register, newest first.  The
+     phis of a block are placed in the fold order of [defined], a
+     register table filled at each register's first definition; that
+     order reaches the output, so it stays a hash table. *)
+  let def_blocks = Array.make (Regbits.size cpt) [] in
+  let defined = Reg.Tbl.create 64 in
   Cfg.iter_instrs f (fun b i ->
       List.iter
         (fun r ->
-          if Reg.is_virtual r then begin
-            let cur = try Reg.Tbl.find def_blocks r with Not_found -> [] in
-            if not (List.mem b.Cfg.label cur) then
-              Reg.Tbl.replace def_blocks r (b.Cfg.label :: cur)
-          end)
+          if Reg.is_virtual r then
+            let v = Regbits.index cpt r in
+            match def_blocks.(v) with
+            | l :: _ when l = b.Cfg.label -> ()
+            | cur ->
+                if cur = [] then Reg.Tbl.replace defined r ();
+                def_blocks.(v) <- b.Cfg.label :: cur)
         (Instr.defs i.Instr.kind));
-  (* Phi placement at iterated dominance frontiers, pruned by liveness. *)
-  let phis : (Instr.label, Reg.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace phis l (ref [])) labels;
+  (* Phi placement at iterated dominance frontiers, pruned by liveness.
+     [on_frontier.(y)] holds the index of the last variable given a phi
+     at [y]. *)
+  let phis = Array.make bound [] in
+  let on_frontier = Array.make bound (-1) in
   Reg.Tbl.iter
-    (fun v defs ->
+    (fun v () ->
+      let vi = Regbits.index cpt v in
+      let defs = def_blocks.(vi) in
       let work = Queue.create () in
-      let on_frontier = Hashtbl.create 8 in
       List.iter (fun l -> Queue.add l work) defs;
       while not (Queue.is_empty work) do
         let l = Queue.pop work in
         List.iter
           (fun y ->
-            if
-              (not (Hashtbl.mem on_frontier y))
-              && Reg.Set.mem v (Liveness.live_in live y)
-            then begin
-              Hashtbl.replace on_frontier y ();
-              let cell = Hashtbl.find phis y in
-              cell := v :: !cell;
+            if on_frontier.(y) <> vi && Liveness.live_in_mem live y v then begin
+              on_frontier.(y) <- vi;
+              phis.(y) <- v :: phis.(y);
               if not (List.mem y defs) then Queue.add y work
             end)
           (Dominance.frontier dom l)
       done)
-    def_blocks;
-  (* Renaming along the dominator tree.  Version stacks are indexed by
-     the original register's index in the liveness numbering, which
-     covers every register of [f]; the fresh versions made below are
-     never keys. *)
-  let cpt = Liveness.compact live in
+    defined;
+  (* Renaming along the dominator tree, one version stack per original
+     register. *)
   let stacks : Reg.t list array = Array.make (Regbits.size cpt) [] in
   let top v =
     match stacks.(Regbits.index cpt v) with
@@ -64,42 +70,25 @@ let run (f : Cfg.func) =
   let fresh_version v =
     if Reg.is_virtual v then Cfg.fresh_reg f (Cfg.cls_of f v) else v
   in
-  (* Renamed phi destinations per block: (original var, new version). *)
-  let phi_dsts : (Instr.label, (Reg.t * Reg.t) list) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  (* Phi-source contributions: (block, original var) -> (pred, version). *)
-  let contribs : (Instr.label * Reg.t, (Instr.label * Reg.t) list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let contribution s v pred version =
-    let key = (s, v) in
-    let cell =
-      match Hashtbl.find_opt contribs key with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.replace contribs key c;
-          c
-    in
-    cell := (pred, version) :: !cell
-  in
-  let new_body : (Instr.label, Instr.t array) Hashtbl.t = Hashtbl.create 16 in
+  (* Renamed phi destinations per block, (original var, new version) in
+     [phis] order; [phi_srcs.(l).(j)] gathers the (pred, version)
+     sources of the [j]th phi of [l]. *)
+  let phi_dsts = Array.make bound [] in
+  let phi_srcs = Array.make bound [||] in
+  List.iter (fun l -> phi_srcs.(l) <- Array.make (List.length phis.(l)) []) labels;
+  let new_body = Array.make bound [||] in
   let rec walk l =
-    let b = Hashtbl.find blocks_tbl l in
+    let b = Option.get by_label.(l) in
     let popped = ref [] in
-    let dsts =
+    phi_dsts.(l) <-
       List.map
         (fun v ->
           let n = fresh_version v in
           push v n;
           popped := v :: !popped;
           (v, n))
-        !(Hashtbl.find phis l)
-    in
-    Hashtbl.replace phi_dsts l dsts;
-    let body =
+        phis.(l);
+    new_body.(l) <-
       Array.map
         (fun i ->
           let kind = Instr.map_uses top i.Instr.kind in
@@ -116,12 +105,11 @@ let run (f : Cfg.func) =
               kind
           in
           { i with Instr.kind })
-        b.Cfg.instrs
-    in
-    Hashtbl.replace new_body l body;
+        b.Cfg.instrs;
     List.iter
       (fun s ->
-        List.iter (fun v -> contribution s v l (top v)) !(Hashtbl.find phis s))
+        let srcs = phi_srcs.(s) in
+        List.iteri (fun j v -> srcs.(j) <- (l, top v) :: srcs.(j)) phis.(s))
       (Cfg.successors b);
     List.iter walk (Dominance.children dom l);
     List.iter pop !popped
@@ -130,21 +118,15 @@ let run (f : Cfg.func) =
   let blocks =
     List.map
       (fun l ->
+        let srcs = phi_srcs.(l) in
         let phi_instrs =
-          List.map
-            (fun (v, dst) ->
-              let srcs =
-                match Hashtbl.find_opt contribs (l, v) with
-                | Some c -> !c
-                | None -> []
-              in
-              Cfg.instr f (Instr.Phi { dst; srcs }))
-            (Hashtbl.find phi_dsts l)
+          List.mapi
+            (fun j (_, dst) -> Cfg.instr f (Instr.Phi { dst; srcs = srcs.(j) }))
+            phi_dsts.(l)
         in
         {
           Cfg.label = l;
-          instrs =
-            Array.append (Array.of_list phi_instrs) (Hashtbl.find new_body l);
+          instrs = Array.append (Array.of_list phi_instrs) new_body.(l);
         })
       labels
   in

@@ -33,12 +33,13 @@ let sequentialize ~fresh copies =
    block with several predecessors) so phi copies can sit on the edge. *)
 let split_critical_edges (f : Cfg.func) =
   let preds = Cfg.predecessors f in
-  let n_preds l = List.length (try Hashtbl.find preds l with Not_found -> []) in
+  let n_preds l = List.length preds.(l) in
   let new_blocks = ref [] in
-  (* Maps (pred, succ) to the label of the block splitting that edge;
-     phi sources are retargeted with it below. *)
-  let split : (Instr.label * Instr.label, Instr.label) Hashtbl.t =
-    Hashtbl.create 8
+  (* [split.(p)] pairs each successor [s] of [p] whose edge was split
+     with the label of the block splitting it; phi sources are
+     retargeted with it below. *)
+  let split : (Instr.label * Instr.label) list array =
+    Array.make (Array.length preds) []
   in
   let blocks =
     List.map
@@ -47,11 +48,12 @@ let split_critical_edges (f : Cfg.func) =
         | Instr.Branch { cond; ifso; ifnot } ->
             let reroute target =
               if n_preds target > 1 then begin
-                match Hashtbl.find_opt split (b.Cfg.label, target) with
+                let p = b.Cfg.label in
+                match List.assoc_opt target split.(p) with
                 | Some m -> m
                 | None ->
                     let m = Cfg.fresh_label f in
-                    Hashtbl.replace split (b.Cfg.label, target) m;
+                    split.(p) <- (target, m) :: split.(p);
                     new_blocks :=
                       { Cfg.label = m; instrs = [| Cfg.instr f (Instr.Jump target) |] }
                       :: !new_blocks;
@@ -90,7 +92,7 @@ let split_critical_edges (f : Cfg.func) =
                   let srcs =
                     List.map
                       (fun (p, r) ->
-                        match Hashtbl.find_opt split (p, b.Cfg.label) with
+                        match List.assoc_opt b.Cfg.label split.(p) with
                         | Some m -> (m, r)
                         | None -> (p, r))
                       srcs
@@ -106,28 +108,18 @@ let split_critical_edges (f : Cfg.func) =
 
 let run (f : Cfg.func) =
   let f = split_critical_edges f in
-  (* Per-predecessor parallel copies gathered from all phis. *)
-  let edge_copies : (Instr.label, (Reg.t * Reg.t) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let add_copy pred dst src =
-    let cell =
-      match Hashtbl.find_opt edge_copies pred with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.replace edge_copies pred c;
-          c
-    in
-    cell := (dst, src) :: !cell
-  in
+  (* Per-predecessor parallel copies gathered from all phis, newest
+     first. *)
+  let edge_copies = Array.make (Cfg.label_bound f) [] in
   List.iter
     (fun b ->
       Array.iter
         (fun i ->
           match i.Instr.kind with
           | Instr.Phi { dst; srcs } ->
-              List.iter (fun (p, s) -> add_copy p dst s) srcs
+              List.iter
+                (fun (p, s) -> edge_copies.(p) <- (dst, s) :: edge_copies.(p))
+                srcs
           | _ -> ())
         b.Cfg.instrs)
     f.Cfg.blocks;
@@ -142,11 +134,11 @@ let run (f : Cfg.func) =
             (Array.to_list b.Cfg.instrs)
         in
         let instrs =
-          match Hashtbl.find_opt edge_copies b.Cfg.label with
-          | None -> instrs
-          | Some copies ->
+          match edge_copies.(b.Cfg.label) with
+          | [] -> instrs
+          | copies ->
               let moves =
-                sequentialize ~fresh (List.rev !copies)
+                sequentialize ~fresh (List.rev copies)
                 |> List.map (fun (dst, src) ->
                        Cfg.instr f (Instr.Move { dst; src }))
               in

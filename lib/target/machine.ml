@@ -46,13 +46,6 @@ let all m cls = List.init m.k (Reg.phys cls)
 let is_allocatable m r = Reg.is_phys r && Reg.phys_index r < m.k
 let is_volatile m r = Reg.is_phys r && Reg.phys_index r < m.n_volatile
 
-let volatiles m cls =
-  Reg.Set.of_list (List.init m.n_volatile (Reg.phys cls))
-
-let nonvolatiles m cls =
-  Reg.Set.of_list
-    (List.init (m.k - m.n_volatile) (fun i -> Reg.phys cls (m.n_volatile + i)))
-
 let in_limited_set m r = Reg.is_phys r && Reg.phys_index r < m.limited_size
 let file_mask m = (1 lsl m.k) - 1
 let volatile_mask m = (1 lsl m.n_volatile) - 1

@@ -58,9 +58,6 @@ val is_allocatable : t -> Reg.t -> bool
 val is_volatile : t -> Reg.t -> bool
 (** Physical with index below [n_volatile]: clobbered by calls. *)
 
-val volatiles : t -> Reg.cls -> Reg.Set.t
-val nonvolatiles : t -> Reg.cls -> Reg.Set.t
-
 val in_limited_set : t -> Reg.t -> bool
 (** Physical with index below [limited_size]. *)
 

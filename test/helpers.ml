@@ -16,6 +16,10 @@ let reg_set_testable : Reg.Set.t Alcotest.testable =
         (Reg.Set.elements s))
     Reg.Set.equal
 
+(* Registers live into a block, as a set. *)
+let live_in live l =
+  Regbits.Set.to_reg_set (Liveness.compact live) (Liveness.live_in_bits live l)
+
 (* A straight-line function: r = (a + b) * a; ret r. *)
 let straightline () =
   let b = Builder.create ~name:"straight" ~n_params:2 in
@@ -152,6 +156,108 @@ module Ref_live = struct
         live := transfer_instr !live i;
         acc)
       init (List.rev (Array.to_list b.Cfg.instrs))
+end
+
+(* Reference dominance and loop facts, straight from the definitions,
+   over the blocks reachable from the entry:
+   - dominator sets by the iterative set-intersection fixpoint;
+   - the immediate dominator as the strict dominator that every other
+     strict dominator of the block dominates;
+   - the frontier of [a] as the blocks [y] with a predecessor [a]
+     dominates while [a] does not strictly dominate [y];
+   - one natural loop per back edge [n -> h] ([h] dominates [n]): [h]
+     and every block reaching [n] without passing through [h]; a
+     block's depth is the number of those loops holding it.
+   Edges are counted with multiplicity, as successor lists give them.
+   The label-indexed [Dominance] and [Loops] are checked against it
+   (test_dataflow). *)
+module Ref_dom = struct
+  module S = Set.Make (Int)
+  module M = Map.Make (Int)
+
+  type t = {
+    entry : Instr.label;
+    reachable : S.t;
+    edges : (Instr.label * Instr.label) list;  (* reachable sources *)
+    doms : S.t M.t;
+    loops : (Instr.label * S.t) list;  (* header, body *)
+  }
+
+  let succs (fn : Cfg.func) l =
+    match Cfg.block_opt fn l with Some b -> Cfg.successors b | None -> []
+
+  let compute (fn : Cfg.func) =
+    let entry = fn.Cfg.entry in
+    let rec visit seen l =
+      if S.mem l seen then seen else List.fold_left visit (S.add l seen) (succs fn l)
+    in
+    let reachable = visit S.empty entry in
+    let edges =
+      List.concat_map
+        (fun n -> List.map (fun s -> (n, s)) (succs fn n))
+        (S.elements reachable)
+    in
+    let preds l = List.filter_map (fun (n, s) -> if s = l then Some n else None) edges in
+    let step doms =
+      M.mapi
+        (fun l d ->
+          if l = entry then d
+          else
+            match preds l with
+            | [] -> d
+            | p :: ps ->
+                S.add l
+                  (List.fold_left
+                     (fun acc q -> S.inter acc (M.find q doms))
+                     (M.find p doms) ps))
+        doms
+    in
+    let rec fix doms =
+      let doms' = step doms in
+      if M.equal S.equal doms doms' then doms else fix doms'
+    in
+    let init =
+      S.fold
+        (fun l m -> M.add l (if l = entry then S.singleton entry else reachable) m)
+        reachable M.empty
+    in
+    let doms = fix init in
+    let dominates a b = S.mem a (M.find b doms) in
+    let rec pull body m =
+      if S.mem m body then body else List.fold_left pull (S.add m body) (preds m)
+    in
+    let loops =
+      List.filter_map
+        (fun (n, h) ->
+          if dominates h n then Some (h, pull (S.singleton h) n) else None)
+        edges
+    in
+    { entry; reachable; edges; doms; loops }
+
+  let labels t = S.elements t.reachable
+  let dominates t a b = S.mem a (M.find b t.doms)
+
+  let idom t l =
+    if l = t.entry then None
+    else
+      let strict = S.remove l (M.find l t.doms) in
+      match S.elements (S.filter (fun d -> S.subset strict (M.find d t.doms)) strict) with
+      | [ d ] -> Some d
+      | _ -> invalid_arg (Printf.sprintf "Ref_dom.idom: L%d" l)
+
+  let children t a = List.filter (fun l -> idom t l = Some a) (labels t)
+
+  let frontier t a =
+    List.filter
+      (fun y ->
+        List.exists (fun (p, s) -> s = y && dominates t a p) t.edges
+        && not (a <> y && dominates t a y))
+      (labels t)
+
+  let depth t l =
+    List.length (List.filter (fun (_, body) -> S.mem l body) t.loops)
+
+  let headers t = List.sort_uniq compare (List.map fst t.loops)
 end
 
 module Ref_igraph = struct
@@ -670,7 +776,9 @@ module Ref_select = struct
       else Some (Reg.phys (Reg.phys_cls c) idx)
     in
     let kind_set cls volatile =
-      if volatile then Machine.volatiles m cls else Machine.nonvolatiles m cls
+      Machine.all m cls
+      |> List.filter (fun c -> Machine.is_volatile m c = volatile)
+      |> Reg.Set.of_list
     in
     (* Steps 2.1/2.2: resolve a preference of [n] given its available
        set. *)
@@ -1002,7 +1110,7 @@ module Ref_iterated = struct
     mutable select_stack : Reg.t list;
     mutable spilled : Reg.Set.t;
     costs : Spill_cost.t;
-    temps : unit Reg.Tbl.t;
+    no_spill : Reg.t -> bool;
   }
 
   let stage_of st r =
@@ -1182,7 +1290,7 @@ module Ref_iterated = struct
 
   let select_spill st =
     let metric r =
-      if Reg.Tbl.mem st.temps r then infinity
+      if st.no_spill r then infinity
       else
         float_of_int (Spill_cost.spill_cost st.costs r)
         /. float_of_int (max 1 (degree_of st r))
@@ -1258,7 +1366,7 @@ module Ref_iterated = struct
           | _ -> st.spilled <- Reg.Set.add n st.spilled)
       (Reg.Tbl.copy st.stage)
 
-  let run_once (m : Machine.t) (a : Alloc_common.analysis) ~temps =
+  let run_once (m : Machine.t) (a : Alloc_common.analysis) ~no_spill =
     let g = a.Alloc_common.graph in
     let costs = a.Alloc_common.costs in
     let st =
@@ -1279,7 +1387,7 @@ module Ref_iterated = struct
         select_stack = [];
         spilled = Reg.Set.empty;
         costs;
-        temps;
+        no_spill;
       }
     in
     let nodes = Reg.Set.of_list (Igraph.vnodes g) in
@@ -1339,8 +1447,8 @@ module Ref_iterated = struct
     st
 
   let allocate (m : Machine.t) f0 =
-    let color a ~temps =
-      let st = run_once m a ~temps in
+    let color a ~no_spill =
+      let st = run_once m a ~no_spill in
       if Reg.Set.is_empty st.spilled then
         Alloc_common.Colored (Reg.Tbl.find_opt st.color, ())
       else Alloc_common.Spill st.spilled

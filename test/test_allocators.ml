@@ -115,7 +115,7 @@ let test_round_budget () =
      converges; the driver must give up after its 64-round budget. *)
   let fn, _ = Fig7.build () in
   let rounds = ref 0 in
-  let stuck _ ~temps:_ =
+  let stuck _ ~no_spill:_ =
     incr rounds;
     Alloc_common.Spill Reg.Set.empty
   in

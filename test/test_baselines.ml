@@ -65,14 +65,18 @@ let test_select_biased_takes_partner_color () =
 let test_select_avail_excludes_neighbors () =
   let fn, a, b, _, _ = straightline () in
   let g, sel = select_for fn ~order:Color_select.Index_order ~biased:false ~k:8 in
-  let m = Machine.make ~k:8 () in
-  let avail_b = Color_select.available m g sel b in
-  (match Color_select.color_of sel g a with
-  | Some ca ->
-      check Alcotest.bool "a's color not available to b" false
-        (List.exists (Reg.equal ca) avail_b)
-  | None -> Alcotest.fail "a uncolored");
-  ignore avail_b
+  check Alcotest.bool "a and b interfere" true (Igraph.interferes g a b);
+  let color r =
+    match Color_select.color_of sel g r with
+    | Some c -> c
+    | None -> Alcotest.fail (Reg.to_string r ^ " uncolored")
+  in
+  let cb = color b in
+  Igraph.iter_adj g b (fun n ->
+      check Alcotest.bool
+        (Reg.to_string n ^ "'s color differs from b's")
+        false
+        (Reg.equal (color n) cb))
 
 (* Iterated coalescing ----------------------------------------------------- *)
 

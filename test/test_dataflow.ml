@@ -8,7 +8,7 @@ let test_liveness_straightline () =
   let fn, a, b, s, r = straightline () in
   let live = Liveness.compute fn in
   check reg_set_testable "nothing live at entry" Reg.Set.empty
-    (Liveness.live_in live fn.Cfg.entry);
+    (live_in live fn.Cfg.entry);
   let entry = Cfg.block fn fn.Cfg.entry in
   let after =
     Liveness.fold_block_backward live entry ~init:[]
@@ -31,7 +31,7 @@ let test_liveness_straightline () =
 let test_liveness_loop () =
   let fn, acc, i, header, _, _ = counted_loop () in
   let live = Liveness.compute fn in
-  let at_header = Liveness.live_in live header in
+  let at_header = live_in live header in
   check Alcotest.bool "acc live around loop" true (Reg.Set.mem acc at_header);
   check Alcotest.bool "i live around loop" true (Reg.Set.mem i at_header)
 
@@ -48,7 +48,7 @@ let test_liveness_diamond () =
   let live = Liveness.compute fn in
   let join = find_ret_block fn in
   check reg_set_testable "only x live at join" (Reg.Set.singleton x)
-    (Liveness.live_in live join.Cfg.label);
+    (live_in live join.Cfg.label);
   let entry_out = Liveness.live_out live fn.Cfg.entry in
   check Alcotest.bool "p0 live into arms" true (Reg.Set.mem p0 entry_out);
   check Alcotest.bool "p1 live into arms" true (Reg.Set.mem p1 entry_out)
@@ -61,10 +61,9 @@ let test_live_across_calls () =
   let z = Builder.binop b Instr.Add x y in
   Builder.ret b (Some z);
   let fn = Builder.finish b in
-  let live = Liveness.compute fn in
-  let crossings = Liveness.live_across_calls fn live in
-  check Alcotest.int "x crosses once" 1 (Hashtbl.find crossings x);
-  check Alcotest.bool "y does not cross" false (Hashtbl.mem crossings y)
+  let str = Strength.create fn in
+  check Alcotest.int "x crosses once" 1 (Strength.crossings str x);
+  check Alcotest.int "y does not cross" 0 (Strength.crossings str y)
 
 let prop_liveness_undefined_free =
   qcheck "generated programs have no undefined uses" seed_gen (fun seed ->
@@ -73,7 +72,7 @@ let prop_liveness_undefined_free =
         (fun fn ->
           let live = Liveness.compute fn in
           Reg.Set.is_empty
-            (Reg.Set.filter Reg.is_virtual (Liveness.live_in live fn.Cfg.entry)))
+            (Reg.Set.filter Reg.is_virtual (live_in live fn.Cfg.entry)))
         p.Cfg.funcs)
 
 let prop_live_out_is_join_of_succs =
@@ -87,7 +86,7 @@ let prop_live_out_is_join_of_succs =
             (fun (b : Cfg.block) ->
               let expected =
                 List.fold_left
-                  (fun acc s -> Reg.Set.union acc (Liveness.live_in live s))
+                  (fun acc s -> Reg.Set.union acc (live_in live s))
                   Reg.Set.empty (Cfg.successors b)
               in
               Reg.Set.equal expected (Liveness.live_out live b.Cfg.label))
@@ -103,7 +102,7 @@ let liveness_matches_reference (fn : Cfg.func) =
   List.for_all
     (fun (b : Cfg.block) ->
       let l = b.Cfg.label in
-      Reg.Set.equal (Liveness.live_in dense l) (Ref_live.live_in oracle l)
+      Reg.Set.equal (live_in dense l) (Ref_live.live_in oracle l)
       && Reg.Set.equal (Liveness.live_out dense l) (Ref_live.live_out oracle l)
       &&
       let walk fold =
@@ -298,6 +297,120 @@ let test_nested_loop_depth () =
   check Alcotest.int "inner body depth" 2 (Loops.depth loops b2);
   check Alcotest.int "inner frequency" 100 (Loops.frequency loops b2)
 
+(* Dominance and loops against the definitions ---------------------------- *)
+
+let ints = Alcotest.(list int)
+
+(* Every fact of [Dominance] and [loops] for every label of [fn], against
+   [Ref_dom]; children and frontiers compare as sets. *)
+let check_cfg_facts what (fn : Cfg.func) ~loops =
+  let dom = Dominance.compute fn in
+  let r = Ref_dom.compute fn in
+  let labels = Ref_dom.labels r in
+  let at l fact = Printf.sprintf "%s: L%d %s" what l fact in
+  check ints (what ^ ": reachable labels") labels
+    (List.sort compare (Dominance.labels dom));
+  List.iter
+    (fun l ->
+      check Alcotest.(option int) (at l "idom") (Ref_dom.idom r l)
+        (Dominance.idom dom l);
+      check ints (at l "children") (Ref_dom.children r l)
+        (List.sort compare (Dominance.children dom l));
+      check ints (at l "frontier") (Ref_dom.frontier r l)
+        (List.sort compare (Dominance.frontier dom l));
+      List.iter
+        (fun a ->
+          if Dominance.dominates dom a l <> Ref_dom.dominates r a l then
+            Alcotest.failf "%s: dominates L%d L%d" what a l)
+        labels)
+    labels;
+  for l = 0 to Cfg.label_bound fn - 1 do
+    check Alcotest.int (at l "depth") (Ref_dom.depth r l) (Loops.depth loops l)
+  done;
+  check ints (what ^ ": loop headers") (Ref_dom.headers r)
+    (List.sort compare (Loops.loop_headers loops))
+
+let k8 = Machine.make ~k:8 ()
+
+(* The body of every round of a k=8 optimistic allocation of [fn]
+   (no coalescing, so spills come early), each with the loop forest the
+   round driver handed it. *)
+let round_bodies (fn : Cfg.func) =
+  let bodies = ref [] in
+  let color (a : Alloc_common.analysis) ~no_spill =
+    bodies := (a.Alloc_common.fn, a.Alloc_common.loops) :: !bodies;
+    let g = a.Alloc_common.graph in
+    let spill s = Alloc_common.Spill (Alloc_common.spill_clusters g a.Alloc_common.fn s) in
+    let simp =
+      Simplify.run Simplify.Optimistic ~k:k8.Machine.k g
+        ~spill_choice:(Alloc_common.choose_victim a.Alloc_common.costs g ~no_spill)
+        ~never_spill:no_spill ()
+    in
+    if not (Reg.Set.is_empty simp.Simplify.forced_spills) then
+      spill simp.Simplify.forced_spills
+    else
+      let sel =
+        Color_select.run k8 g ~stack:simp.Simplify.stack
+          ~order:Color_select.Nonvolatile_first ~biased:false
+      in
+      if not (Reg.Set.is_empty sel.Color_select.failed) then
+        spill sel.Color_select.failed
+      else Alloc_common.Colored (Color_select.color_of sel g, ())
+  in
+  ignore (Alloc_common.drive ~name:"rounds" fn color);
+  List.rev !bodies
+
+(* A function before [prepare], after it, and after each spill round. *)
+let check_cfg_facts_stages what (fn : Cfg.func) =
+  check_cfg_facts (what ^ " raw") fn ~loops:(Loops.compute fn);
+  let prepared = Pipeline.prepare_func k8 fn in
+  check_cfg_facts (what ^ " prepared") prepared ~loops:(Loops.compute prepared);
+  List.iteri
+    (fun n (body, loops) ->
+      check_cfg_facts (Printf.sprintf "%s round %d" what (n + 1)) body ~loops)
+    (round_bodies prepared)
+
+let check_program_cfg_facts name (p : Cfg.program) =
+  List.iter
+    (fun (fn : Cfg.func) -> check_cfg_facts_stages (name ^ "/" ^ fn.Cfg.name) fn)
+    p.Cfg.funcs
+
+let test_cfg_facts_suite () =
+  List.iter (fun (name, p) -> check_program_cfg_facts name p) (Suite.all ())
+
+let test_cfg_facts_random () =
+  for seed = 1 to 12 do
+    check_program_cfg_facts (Printf.sprintf "seed %d" seed) (random_program seed)
+  done
+
+(* The round driver computes the loop forest once per function: web
+   renumbering and spill insertion must keep the label list and every
+   block's successor list. *)
+let shape (fn : Cfg.func) =
+  List.map (fun (b : Cfg.block) -> (b.Cfg.label, Cfg.successors b)) fn.Cfg.blocks
+
+let test_rounds_keep_cfg () =
+  let shape_t = Alcotest.(list (pair int (list int))) in
+  List.iter
+    (fun (name, (p : Cfg.program)) ->
+      List.iter
+        (fun (fn : Cfg.func) ->
+          let what = name ^ "/" ^ fn.Cfg.name in
+          let fn = Pipeline.prepare_func k8 fn in
+          let webs = (Webs.run fn).Webs.func in
+          check shape_t (what ^ ": webs") (shape fn) (shape webs);
+          List.iter
+            (fun rematerialize ->
+              let ins =
+                Spill_insert.insert ~rematerialize webs (Cfg.all_vregs webs)
+              in
+              check shape_t
+                (Printf.sprintf "%s: spill insertion (remat %b)" what rematerialize)
+                (shape fn) (shape ins.Spill_insert.func))
+            [ false; true ])
+        p.Cfg.funcs)
+    (Suite.all ())
+
 (* Solver --------------------------------------------------------------- *)
 
 let test_solver_forward_constant () =
@@ -339,9 +452,9 @@ let test_solver_unreachable_pred () =
      crash the worklist. *)
   let live = Liveness.compute fn in
   check reg_set_testable "x live into tail" (Reg.Set.singleton x)
-    (Liveness.live_in live tail);
+    (live_in live tail);
   check reg_set_testable "nothing live at entry" Reg.Set.empty
-    (Liveness.live_in live fn.Cfg.entry);
+    (live_in live fn.Cfg.entry);
   (* Forward analysis over the same shape. *)
   let reaching = Reaching.compute fn in
   check Alcotest.bool "x def recorded" true
@@ -557,11 +670,14 @@ let () =
           tc "loop frontier" test_dominance_loop_frontier;
           tc "dominator tree partitions" test_dom_children_partition;
           prop_idom_dominates;
+          tc "suite = definitions" test_cfg_facts_suite;
+          tc "random programs = definitions" test_cfg_facts_random;
         ] );
       ( "loops",
         [
           tc "single loop depth" test_loop_depth;
           tc "nested loop depth" test_nested_loop_depth;
+          tc "webs and spill insertion keep the CFG" test_rounds_keep_cfg;
         ] );
       ( "solver",
         [

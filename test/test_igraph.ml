@@ -232,7 +232,7 @@ let prop_simultaneously_live_interfere =
           List.for_all
             (fun (b : Cfg.block) ->
               let live_in =
-                Reg.Set.filter Reg.is_virtual (Liveness.live_in live b.Cfg.label)
+                Reg.Set.filter Reg.is_virtual (live_in live b.Cfg.label)
               in
               Reg.Set.for_all
                 (fun x ->

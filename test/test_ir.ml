@@ -137,7 +137,7 @@ let test_builder_diamond () =
       fn.Cfg.blocks
   in
   check Alcotest.int "join preds" 2
-    (List.length (Hashtbl.find preds join.Cfg.label))
+    (List.length preds.(join.Cfg.label))
 
 let test_successors_preds () =
   let fn, _, _, header, body, exit = counted_loop () in
@@ -145,7 +145,7 @@ let test_successors_preds () =
   check (Alcotest.list Alcotest.int) "header succs" [ body; exit ]
     (Cfg.successors hdr);
   let preds = Cfg.predecessors fn in
-  let hdr_preds = List.sort compare (Hashtbl.find preds header) in
+  let hdr_preds = List.sort compare preds.(header) in
   check (Alcotest.list Alcotest.int) "header preds"
     (List.sort compare [ fn.Cfg.entry; body ])
     hdr_preds

@@ -128,8 +128,7 @@ let test_digest_sees_every_instruction () =
 (* ---- codec round trips -------------------------------------------------- *)
 
 let cls_entries (f : Cfg.func) =
-  List.sort compare
-    (Reg.Tbl.fold (fun r c acc -> (r, c) :: acc) f.Cfg.reg_cls [])
+  List.rev (Cfg.Classes.fold (fun r c acc -> (r, c) :: acc) f.Cfg.reg_cls [])
 
 let check_func_round_trip what (f : Cfg.func) =
   let enc = Codec.encode_func f in
@@ -249,7 +248,24 @@ let test_codec_rejects_garbage () =
   Codec.write_string buf "f";
   List.iter (Codec.write_int buf) [ 0; 0; 200; 10; 1; 1_000_000_000 ];
   expect_error "count past the input" (fun () ->
-      Codec.decode_func (Buffer.contents buf))
+      Codec.decode_func (Buffer.contents buf));
+  (* The class table takes a byte per register up to the largest id it
+     names, so it may name only virtual registers below
+     [first_virtual + entries].  A blockless function with one class
+     entry: the control decodes, the two patched entries must not. *)
+  let one_class reg =
+    let buf = Buffer.create 16 in
+    Codec.write_string buf "f";
+    List.iter (Codec.write_int buf) [ 0; 0; Reg.first_virtual + 64; 0; 1; 1; reg ];
+    Buffer.add_char buf '\000';
+    Codec.write_int buf 0;
+    Buffer.contents buf
+  in
+  ignore (Codec.decode_func (one_class Reg.first_virtual));
+  expect_error "class entry for a physical register" (fun () ->
+      Codec.decode_func (one_class (Reg.first_virtual - 1)));
+  expect_error "class entry past first_virtual + entries" (fun () ->
+      Codec.decode_func (one_class (Reg.first_virtual + 1)))
 
 (* ---- func replies ------------------------------------------------------- *)
 

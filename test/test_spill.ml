@@ -73,7 +73,8 @@ let test_chaitin_metric_protects_temps () =
    scan, on every register of every function, after aggressive and after
    conservative coalescing. *)
 let merged_costs_agree ~k (f : Cfg.func) =
-  let a = Alloc_common.analyze (Webs.run (Cfg.clone f)).Webs.func in
+  let fn = (Webs.run (Cfg.clone f)).Webs.func in
+  let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
   List.for_all
     (fun coalesce ->
       let g = Igraph.copy a.Alloc_common.graph in
@@ -128,7 +129,8 @@ let victim_fixture () =
   Builder.move b ~dst:t ~src:s;
   let r = Builder.binop b Instr.Mul t a in
   Builder.ret b (Some r);
-  let an = Alloc_common.analyze (Builder.finish b) in
+  let fn = Builder.finish b in
+  let an = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
   let g = an.Alloc_common.graph in
   ignore (Coalesce.aggressive g);
   check reg_testable "t merged into s's node" (Igraph.alias g s)

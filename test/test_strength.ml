@@ -179,7 +179,7 @@ let ref_crossings (fn : Cfg.func) live loops =
    register. *)
 let test_crossings_match_reg_set_walk () =
   let check_fn name fn =
-    let a = Alloc_common.analyze fn in
+    let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
     let str = Strength.of_analysis a in
     let expected = ref_crossings fn a.Alloc_common.live a.Alloc_common.loops in
     Reg.Set.iter

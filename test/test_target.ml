@@ -15,12 +15,20 @@ let test_pressure_models () =
 
 let test_volatile_partition () =
   let m = Machine.middle_pressure in
-  let vols = Machine.volatiles m Reg.Int_class in
-  let nonvols = Machine.nonvolatiles m Reg.Int_class in
-  check Alcotest.int "total" m.Machine.k
-    (Reg.Set.cardinal vols + Reg.Set.cardinal nonvols);
-  check Alcotest.bool "disjoint" true
-    (Reg.Set.is_empty (Reg.Set.inter vols nonvols));
+  let all = Machine.all m Reg.Int_class in
+  check Alcotest.int "total" m.Machine.k (List.length all);
+  check Alcotest.int "volatile count" m.Machine.n_volatile
+    (List.length (List.filter (Machine.is_volatile m) all));
+  List.iter
+    (fun r ->
+      let bit = 1 lsl Reg.phys_index r in
+      check Alcotest.bool
+        (Reg.to_string r ^ " in exactly one mask")
+        true
+        ((Machine.volatile_mask m land bit <> 0) = Machine.is_volatile m r
+        && (Machine.nonvolatile_mask m land bit <> 0)
+           = not (Machine.is_volatile m r)))
+    all;
   check Alcotest.bool "r0 volatile" true
     (Machine.is_volatile m (Reg.phys Reg.Int_class 0));
   check Alcotest.bool "last not volatile" false
