@@ -421,10 +421,19 @@ let selftest ~exe () =
               (blobs = a1 && contains msg "bad frame length")
         | _ -> Error "serve selftest: bad frame length not answered in order")
   in
-  (* once A's function is evicted, A is decoded and allocated again *)
-  let evicted ~cache_capacity between ~misses =
+  (* once A's function is evicted, A is decoded and allocated again.  A
+     full cache refuses a function's first miss and admits its second,
+     so the request in between is sent twice. *)
+  let evicted ~cache_capacity between ~refused ~misses =
     with_client ~cache_capacity "evict" (fun _ c ->
         let* a1 = Client.alloc_encoded c req_a in
+        let* _ = Client.alloc_encoded c between in
+        let* s1 = Client.stats c in
+        let* () =
+          check
+            (Printf.sprintf "capacity %d: first misses refused" cache_capacity)
+            (s1.Protocol.cache.Cache.refused = refused)
+        in
         let* _ = Client.alloc_encoded c between in
         let* a2 = Client.alloc_encoded c req_a in
         let* st = Client.stats c in
@@ -433,9 +442,9 @@ let selftest ~exe () =
              cache_capacity)
           (a2 = a1 && st.Protocol.cache.Cache.misses = misses))
   in
-  let* () = evicted ~cache_capacity:1 req_b ~misses:3 in
+  let* () = evicted ~cache_capacity:1 req_b ~refused:1 ~misses:4 in
   (* the index still maps A to its evicted key: a stale entry *)
-  let* () = evicted ~cache_capacity:2 req_3 ~misses:5 in
+  let* () = evicted ~cache_capacity:2 req_3 ~refused:2 ~misses:7 in
   (* shutdown is acknowledged *)
   with_client "down" (fun _ c ->
       match Client.shutdown c with

@@ -203,6 +203,7 @@ let encode_response = function
           Codec.write_int buf s.cache.Cache.evictions;
           Codec.write_int buf s.cache.Cache.entries;
           Codec.write_int buf s.cache.Cache.capacity;
+          Codec.write_int buf s.cache.Cache.refused;
           Codec.write_int buf s.funcs_served;
           Codec.write_int buf s.funcs_allocated;
           Codec.write_int buf s.requests_served;
@@ -231,6 +232,7 @@ let decode_response s =
       let evictions = Codec.read_int r in
       let entries = Codec.read_int r in
       let capacity = Codec.read_int r in
+      let refused = Codec.read_int r in
       let funcs_served = Codec.read_int r in
       let funcs_allocated = Codec.read_int r in
       let requests_served = Codec.read_int r in
@@ -238,7 +240,7 @@ let decode_response s =
       let pool_jobs = Codec.read_int r in
       Stats_reply
         {
-          cache = { Cache.hits; misses; evictions; entries; capacity };
+          cache = { Cache.hits; misses; evictions; entries; capacity; refused };
           funcs_served;
           funcs_allocated;
           requests_served;

@@ -10,7 +10,7 @@
     (body digest, function name, machine config, allocator name); the
     cached unit is the encoded {!Protocol.func_reply} blob, which makes
     cached and uncached responses byte-identical by construction.
-    In front of decode sits a second LRU of the same capacity, keyed
+    In front of decode sits a second {!Cache} of the same capacity, keyed
     on the MD5 of the raw request payload and holding the cache keys
     that payload decoded to: a repeated request whose functions are
     all still cached is served without decoding, with the same
@@ -30,7 +30,7 @@
 type config = {
   socket_path : string;  (** bound at startup; a stale file is unlinked *)
   jobs : int;  (** requested pool size; capped by the host (see {!Engine.Pool}) *)
-  cache_capacity : int;  (** LRU bound in entries; [<= 0] = unbounded *)
+  cache_capacity : int;  (** bound in entries of both caches; [<= 0] = unbounded *)
 }
 
 val run : config -> unit

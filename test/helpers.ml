@@ -387,9 +387,9 @@ let assert_semantics_preserved ?(m = Machine.middle_pressure) name algo seed =
 let assert_valid_allocation m (res : Alloc_common.result) =
   Alloc_common.check_complete m res
 
-let qcheck ?(count = 50) name gen prop =
+let qcheck ?(count = 50) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count gen prop)
+    (QCheck2.Test.make ~name ~count ?print gen prop)
 
 let seed_gen = QCheck2.Gen.int_range 0 100_000
 
@@ -1454,4 +1454,72 @@ module Ref_iterated = struct
       else Alloc_common.Spill st.spilled
     in
     fst (Alloc_common.drive ~name:"iterated" f0 color)
+end
+
+(* Reference for [Cache], as the policy reads: the entries as an
+   association list, hottest first, and the ghost as the last [capacity]
+   refusals, newest first, each turned to [None] once its key is
+   admitted.  [~plain_lru:true] admits every key: the plain LRU policy
+   the ghost improves on.  Linear per operation; the daemon's O(1)
+   cache is checked against it step by step (test_serve). *)
+module Ref_cache = struct
+  type 'a t = {
+    capacity : int;
+    plain_lru : bool;
+    mutable entries : (string * 'a) list;
+    mutable ghost : string option list;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable refused : int;
+  }
+
+  let create ?(plain_lru = false) capacity =
+    {
+      capacity = max 0 capacity;
+      plain_lru;
+      entries = [];
+      ghost = [];
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      refused = 0;
+    }
+
+  let rec take n = function x :: l when n > 0 -> x :: take (n - 1) l | _ -> []
+  let touch t key v = t.entries <- (key, v) :: List.remove_assoc key t.entries
+  let mem t key = List.mem_assoc key t.entries
+
+  let find t key =
+    match List.assoc_opt key t.entries with
+    | Some v ->
+        t.hits <- t.hits + 1;
+        touch t key v;
+        Some v
+    | None ->
+        t.misses <- t.misses + 1;
+        None
+
+  let add t key v =
+    if mem t key || t.capacity = 0 || List.length t.entries < t.capacity then
+      touch t key v
+    else if t.plain_lru || List.mem (Some key) t.ghost then begin
+      t.ghost <- List.map (fun k -> if k = Some key then None else k) t.ghost;
+      t.entries <- (key, v) :: take (t.capacity - 1) t.entries;
+      t.evictions <- t.evictions + 1
+    end
+    else begin
+      t.ghost <- take t.capacity (Some key :: t.ghost);
+      t.refused <- t.refused + 1
+    end
+
+  let stats t : Cache.stats =
+    {
+      hits = t.hits;
+      misses = t.misses;
+      evictions = t.evictions;
+      entries = List.length t.entries;
+      capacity = t.capacity;
+      refused = t.refused;
+    }
 end

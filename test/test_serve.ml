@@ -1,5 +1,6 @@
 (* Allocation-service tests: the body digest (cache addressing), the
-   binary IR codec (round-trip properties), the LRU cache and the wire
+   binary IR codec (round-trip properties), the cache (LRU with
+   second-miss admission, against a list model) and the wire
    protocol.  The live daemon itself is exercised end-to-end by the
    @serve-smoke alias (bin/pdgc_loadgen --selftest). *)
 
@@ -333,7 +334,14 @@ let test_protocol_round_trips () =
   let stats =
     {
       Protocol.cache =
-        { Cache.hits = 5; misses = 3; evictions = 1; entries = 2; capacity = 8 };
+        {
+          Cache.hits = 5;
+          misses = 3;
+          evictions = 1;
+          entries = 2;
+          capacity = 8;
+          refused = 4;
+        };
       funcs_served = 10;
       funcs_allocated = 4;
       requests_served = 6;
@@ -413,7 +421,10 @@ let test_cache_lru () =
   Cache.add c "a" 1;
   Cache.add c "b" 2;
   check Alcotest.bool "hit a" true (Cache.find c "a" = Some 1);
-  (* b is now coldest: adding c evicts it, not a *)
+  (* c's first add is refused while the cache is full; its second is
+     admitted and evicts b, now coldest, not a *)
+  Cache.add c "c" 3;
+  check Alcotest.bool "c refused once" false (Cache.mem c "c");
   Cache.add c "c" 3;
   check Alcotest.bool "b evicted" true (Cache.find c "b" = None);
   check Alcotest.bool "a kept" true (Cache.find c "a" = Some 1);
@@ -423,7 +434,8 @@ let test_cache_lru () =
   check Alcotest.int "misses" 1 s.Cache.misses;
   check Alcotest.int "evictions" 1 s.Cache.evictions;
   check Alcotest.int "entries" 2 s.Cache.entries;
-  check Alcotest.int "capacity" 2 s.Cache.capacity
+  check Alcotest.int "capacity" 2 s.Cache.capacity;
+  check Alcotest.int "refused" 1 s.Cache.refused
 
 let test_cache_replace_and_mem () =
   let c = Cache.create ~capacity:2 in
@@ -445,6 +457,97 @@ let test_cache_unbounded () =
   check Alcotest.int "no evictions" 0 s.Cache.evictions;
   check Alcotest.int "everything kept" 1000 s.Cache.entries;
   check Alcotest.bool "oldest still present" true (Cache.find c "0" = Some 0)
+
+(* Random find / add / mem sequences over a few keys at small
+   capacities, checked after every step against [Ref_cache]: each
+   returned value, every stats field and which keys are cached. *)
+type cache_op = Find of int | Add of int * int | Mem of int
+
+let cache_keys = List.init 6 (Printf.sprintf "k%d")
+
+let print_cache_case (capacity, ops) =
+  Printf.sprintf "capacity %d: %s" capacity
+    (String.concat "; "
+       (List.map
+          (function
+            | Find k -> Printf.sprintf "find k%d" k
+            | Add (k, v) -> Printf.sprintf "add k%d %d" k v
+            | Mem k -> Printf.sprintf "mem k%d" k)
+          ops))
+
+let prop_cache_model =
+  let op =
+    QCheck2.Gen.(
+      let key = int_range 0 5 in
+      oneof
+        [
+          map (fun k -> Find k) key;
+          map2 (fun k v -> Add (k, v)) key small_nat;
+          map (fun k -> Mem k) key;
+        ])
+  in
+  qcheck ~count:500 ~print:print_cache_case "matches the LRU + ghost model"
+    QCheck2.Gen.(pair (int_range 0 3) (list_size (int_range 0 60) op))
+    (fun (capacity, ops) ->
+      let c = Cache.create ~capacity and r = Ref_cache.create capacity in
+      List.for_all
+        (fun op ->
+          let key k = List.nth cache_keys k in
+          (match op with
+          | Find k -> Cache.find c (key k) = Ref_cache.find r (key k)
+          | Mem k -> Cache.mem c (key k) = Ref_cache.mem r (key k)
+          | Add (k, v) ->
+              Cache.add c (key k) v;
+              Ref_cache.add r (key k) v;
+              true)
+          && Cache.stats c = Ref_cache.stats r
+          && List.for_all (fun k -> Cache.mem c k = Ref_cache.mem r k) cache_keys)
+        ops)
+
+(* The request shape the admission policy is for, as perfbench's
+   daemon-zipf draws it: Zipf(1.3) over 4,096 programs through 512
+   entries, 3,000 warm-up requests, then 50,000 counted; each request
+   is a find and, on a miss, an add. *)
+let zipf_stream ~seed ~n =
+  let keys = 4096 and skew = 1.3 in
+  let cdf = Array.make keys 0. and total = ref 0. in
+  for i = 0 to keys - 1 do
+    total := !total +. (1. /. (float_of_int (i + 1) ** skew));
+    cdf.(i) <- !total
+  done;
+  let r = Rng.create seed in
+  Array.init n (fun _ ->
+      let x = float_of_int (Rng.int r (1 lsl 30)) /. float_of_int (1 lsl 30) *. !total in
+      let lo = ref 0 and hi = ref (keys - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cdf.(mid) < x then lo := mid + 1 else hi := mid
+      done;
+      Printf.sprintf "p%d" !lo)
+
+let test_cache_zipf () =
+  let warmup = 3000 in
+  let stream = zipf_stream ~seed:1 ~n:(warmup + 50_000) in
+  let counted_hits find add =
+    let hits = ref 0 in
+    Array.iteri
+      (fun i key ->
+        match find key with
+        | Some () -> if i >= warmup then incr hits
+        | None -> add key ())
+      stream;
+    !hits
+  in
+  let c = Cache.create ~capacity:512 in
+  let hits = counted_hits (Cache.find c) (Cache.add c) in
+  let model = Ref_cache.create 512 in
+  let lru = Ref_cache.create ~plain_lru:true 512 in
+  check Alcotest.int "model hits" hits
+    (counted_hits (Ref_cache.find model) (Ref_cache.add model));
+  let lru_hits = counted_hits (Ref_cache.find lru) (Ref_cache.add lru) in
+  check Alcotest.bool "more hits than plain LRU" true (hits > lru_hits);
+  check Alcotest.int "hits" 46106 hits;
+  check Alcotest.int "plain-LRU hits" 45239 lru_hits
 
 let () =
   Alcotest.run "serve"
@@ -475,5 +578,7 @@ let () =
           tc "lru eviction and counters" test_cache_lru;
           tc "replace and mem" test_cache_replace_and_mem;
           tc "unbounded capacity" test_cache_unbounded;
+          prop_cache_model;
+          tc "zipf stream: more hits than plain LRU" test_cache_zipf;
         ] );
     ]
