@@ -269,9 +269,4 @@ module Set = struct
 
   let to_reg_set c s =
     fold s ~init:Reg.Set.empty ~f:(fun acc i -> Reg.Set.add (reg_at c i) acc)
-
-  let of_reg_set c rs =
-    let s = create (size c) in
-    Reg.Set.iter (fun r -> add s (index c r)) rs;
-    s
 end

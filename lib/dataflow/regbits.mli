@@ -116,5 +116,4 @@ module Set : sig
       function may add those members to [row]. *)
 
   val to_reg_set : compact -> t -> Reg.Set.t
-  val of_reg_set : compact -> Reg.Set.t -> t
 end

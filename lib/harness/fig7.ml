@@ -64,16 +64,8 @@ type artifacts = {
 
 let simplify_for k g costs =
   Simplify.run Simplify.Optimistic ~k g () ~spill_choice:(fun blocked ->
-      match blocked with
-      | [] -> invalid_arg "fig7: no spill candidates"
-      | first :: rest ->
-          List.fold_left
-            (fun acc r ->
-              if
-                Spill_cost.spill_cost costs r < Spill_cost.spill_cost costs acc
-              then r
-              else acc)
-            first rest)
+      let cost r = float_of_int (Spill_cost.spill_cost costs r) in
+      fst (Alloc_common.first_min cost blocked))
 
 let run () =
   let fn, r0s = build () in

@@ -44,6 +44,3 @@ and block = stmt list
 
 type func = { name : string; params : string list; body : block }
 type program = func list
-
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit

@@ -17,30 +17,31 @@ let allocate (m : Machine.t) f0 =
     let g = a.Alloc_common.graph in
     ignore (Coalesce.aggressive g);
     let costs = a.Alloc_common.costs in
+    (* Per-node facts: arrays over the compact numbering, by root index. *)
+    let cpt = Igraph.compact g in
+    let n = Regbits.size cpt in
+    let at rep = Igraph.index_of g rep in
     (* Benefits of a merge representative: the Appendix's volatility
        weights ({!Strength.volatility}) summed over its members. *)
     let group_benefit =
       let str = Strength.of_analysis a in
-      let sums = Reg.Tbl.create 64 in
-      Reg.Set.iter
-        (fun r ->
+      let sums = Array.make n no_benefit in
+      for i = 0 to n - 1 do
+        let r = Regbits.reg_at cpt i and j = Igraph.root_idx g i in
+        if Reg.is_virtual r then
           let w = Strength.volatility str r in
-          let rep = Igraph.alias g r in
-          let acc =
-            Option.value (Reg.Tbl.find_opt sums rep) ~default:no_benefit
-          in
-          Reg.Tbl.replace sums rep
+          sums.(j) <-
             {
-              Strength.vol = acc.Strength.vol + w.Strength.vol;
-              nonvol = acc.Strength.nonvol + w.Strength.nonvol;
-            })
-        (Cfg.all_vregs fn);
-      fun rep -> Option.value (Reg.Tbl.find_opt sums rep) ~default:no_benefit
+              Strength.vol = sums.(j).Strength.vol + w.Strength.vol;
+              nonvol = sums.(j).Strength.nonvol + w.Strength.nonvol;
+            }
+      done;
+      fun rep -> sums.(at rep)
     in
     let priority rep = Strength.best (group_benefit rep) in
     (* Preference decision: per call site and class, only the R most
        beneficial crossing ranges keep the non-volatile preference. *)
-    let forced_volatile = Reg.Tbl.create 16 in
+    let forced_volatile = Array.make n false in
     let n_nonvol = m.Machine.k - m.Machine.n_volatile in
     List.iter
       (fun (b : Cfg.block) ->
@@ -69,69 +70,64 @@ let allocate (m : Machine.t) f0 =
                        List.iteri
                          (fun idx r ->
                            if idx >= n_nonvol then
-                             Reg.Tbl.replace forced_volatile r ())
+                             forced_volatile.(at r) <- true)
                          ranked)
                      [ Reg.Int_class; Reg.Float_class ]
                | _ -> ())))
       fn.Cfg.blocks;
     (* Merge representatives holding a spill temporary. *)
-    let temp_reps = Reg.Tbl.create 16 in
-    let cpt = Liveness.compact live in
-    for i = 0 to Regbits.size cpt - 1 do
-      let w = Regbits.reg_at cpt i in
-      if no_spill w then Reg.Tbl.replace temp_reps (Igraph.alias g w) ()
+    let temp_rep = Array.make n false in
+    for i = 0 to n - 1 do
+      if no_spill (Regbits.reg_at cpt i) then
+        temp_rep.(Igraph.root_idx g i) <- true
     done;
-    let no_spill rep = Reg.Tbl.mem temp_reps rep in
+    let no_spill rep = temp_rep.(at rep) in
     (* Benefit-driven Chaitin simplification: among removable nodes,
-       push the lowest-priority one first, ties going to the earliest
-       in [order], the fold order of a register table filled with the
-       nodes.  That order decides ties, so the output depends on it.
-       Removing a key never reorders a hash table's other keys, so
-       ranking the nodes once is enough, and the removable nodes wait
-       in a set keyed by (priority, rank).  A node joins it once, when
-       its degree drops below k; degrees only fall. *)
+       push the lowest-priority one first, ties going to the lowest
+       compact index.  The removable nodes wait in a set keyed by
+       (priority, index); a node joins it once, when its degree drops
+       below k, since degrees only fall. *)
     let k = m.Machine.k in
-    let order =
-      let present = Reg.Tbl.create 64 in
-      List.iter (fun r -> Reg.Tbl.replace present r ()) (Igraph.vnodes g);
-      Array.of_list (Reg.Tbl.fold (fun r () acc -> r :: acc) present [])
-    in
-    let rank = Array.make (Regbits.size (Igraph.compact g)) (-1) in
-    Array.iteri (fun i r -> rank.(Igraph.index_of g r) <- i) order;
-    let degree = Array.map (Igraph.degree g) order in
-    let present = Array.make (Array.length order) true in
-    let prio = Array.map priority order in
+    let present = Array.make n false in
+    let degree = Array.make n 0 in
+    let prio = Array.make n 0 in
     let ready = ref Ready.empty in
     let make_ready i = ready := Ready.add (prio.(i), i) !ready in
-    Array.iteri (fun i d -> if d < k then make_ready i) degree;
+    let nodes = Igraph.vnodes g in
+    List.iter
+      (fun r ->
+        let i = Igraph.index_of g r in
+        present.(i) <- true;
+        degree.(i) <- Igraph.degree_idx g i;
+        prio.(i) <- priority r;
+        if degree.(i) < k then make_ready i)
+      nodes;
     let stack = ref [] in
     let forced_spills = ref Reg.Set.empty in
     let remove i =
       present.(i) <- false;
-      Igraph.iter_adj_idx g (Igraph.index_of g order.(i)) (fun nb ->
-          let j = rank.(nb) in
-          if j >= 0 && present.(j) then begin
+      Igraph.iter_adj_idx g i (fun j ->
+          if present.(j) then begin
             let d = degree.(j) in
             degree.(j) <- d - 1;
             if d = k then make_ready j
           end)
     in
-    (* Only blocked nodes remain: the first one in [order] with the
+    (* Only blocked nodes remain: the lowest-indexed one with the
        lowest merged cost / degree. *)
     let spill_metric =
       let merged = lazy (Spill_cost.merged_spill_costs costs g) in
       fun i ->
-        let r = order.(i) in
-        if no_spill r then infinity
+        if temp_rep.(i) then infinity
         else
-          float_of_int (Lazy.force merged r)
+          float_of_int (Lazy.force merged (Igraph.reg_of g i))
           /. float_of_int (max 1 degree.(i))
     in
-    for _ = 1 to Array.length order do
+    for _ = 1 to List.length nodes do
       match Ready.min_elt_opt !ready with
       | Some ((_, i) as e) ->
           ready := Ready.remove e !ready;
-          stack := order.(i) :: !stack;
+          stack := Igraph.reg_of g i :: !stack;
           remove i
       | None ->
           let victim = ref (-1) and victim_m = ref infinity in
@@ -145,7 +141,7 @@ let allocate (m : Machine.t) f0 =
                 end
               end)
             present;
-          let r = order.(!victim) in
+          let r = Igraph.reg_of g !victim in
           (* A spill temporary's range is already minimal; spilling it
              would reproduce the same code forever.  Remove it
              optimistically instead — select will find it a register. *)
@@ -170,7 +166,7 @@ let allocate (m : Machine.t) f0 =
           let b = group_benefit rep in
           let wants_nonvol =
             b.Strength.nonvol > b.Strength.vol
-            && not (Reg.Tbl.mem forced_volatile rep)
+            && not forced_volatile.(at rep)
           in
           let prefers_memory =
             b.Strength.vol <= 0 && b.Strength.nonvol <= 0

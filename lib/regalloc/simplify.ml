@@ -7,67 +7,66 @@ type result = {
 }
 
 (* Degrees and presence live in plain arrays over the graph's compact
-   indices; the worklist queue carries indices.  [present] is kept as a
-   register table alongside the array because the blocked-candidate
-   list is built by folding it, and the fold's (hash) order feeds the
-   spill heuristic's tie-breaking — the table sees the same inserts and
-   removals in the same order as before, so that order is preserved. *)
+   indices; the worklist queue carries indices.  The blocked nodes
+   (degree >= k) are a bitset over the same indices, kept like Appel's
+   spillWorklist: a node joins it at the start and leaves when its
+   degree falls to k - 1 or it leaves the graph.  So a blocked step
+   reads the candidates in ascending index order, without a walk over
+   the remaining nodes.  A node enters [low] at most once, at the start
+   or when its degree falls to k - 1, and only a blocked node is ever
+   spilled, so no entry of [low] goes stale. *)
 let run mode ~k g ~spill_choice ?(never_spill = fun _ -> false) () =
-  let nodes = Igraph.vnodes g in
-  let n_idx = List.map (Igraph.index_of g) nodes in
   let size = max 16 (Regbits.size (Igraph.compact g)) in
   let degree = Array.make size 0 in
-  let present_idx = Array.make size false in
-  let present = Reg.Tbl.create 64 in
-  List.iter2
-    (fun r i ->
-      degree.(i) <- Igraph.degree_idx g i;
-      present_idx.(i) <- true;
-      Reg.Tbl.replace present r ())
-    nodes n_idx;
+  let present = Array.make size false in
+  let blocked = Regbits.Set.create size in
   let low = Queue.create () in
-  List.iter (fun i -> if degree.(i) < k then Queue.add i low) n_idx;
+  List.iter
+    (fun r ->
+      let i = Igraph.index_of g r in
+      degree.(i) <- Igraph.degree_idx g i;
+      present.(i) <- true;
+      if degree.(i) < k then Queue.add i low else Regbits.Set.add blocked i)
+    (Igraph.vnodes g);
   let stack = ref [] in
   let potential = ref Reg.Set.empty in
   let forced = ref Reg.Set.empty in
-  let remaining = ref (List.length nodes) in
-  let remove r i =
-    Reg.Tbl.remove present r;
-    present_idx.(i) <- false;
-    decr remaining;
+  let remove i =
+    present.(i) <- false;
+    Regbits.Set.remove blocked i;
     Igraph.iter_adj_idx g i (fun n ->
-        if present_idx.(n) then begin
+        if present.(n) then begin
           let d = degree.(n) in
           degree.(n) <- d - 1;
-          if d = k then Queue.add n low
+          if d = k then begin
+            Regbits.Set.remove blocked n;
+            Queue.add n low
+          end
         end)
   in
-  while !remaining > 0 do
+  let rec loop () =
     match Queue.take_opt low with
-    | Some i when present_idx.(i) && degree.(i) < k ->
-        let r = Igraph.reg_of g i in
-        stack := r :: !stack;
-        remove r i
-    | Some _ -> () (* stale entry *)
-    | None -> (
-        let blocked =
-          Reg.Tbl.fold (fun r () acc -> r :: acc) present []
-          |> List.filter (fun r -> degree.(Igraph.index_of g r) >= k)
+    | Some i ->
+        stack := Igraph.reg_of g i :: !stack;
+        remove i;
+        loop ()
+    | None when Regbits.Set.is_empty blocked -> ()
+    | None ->
+        let victim =
+          Regbits.Set.fold blocked ~init:[] ~f:(fun acc i ->
+              Igraph.reg_of g i :: acc)
+          |> List.rev |> spill_choice
         in
-        match blocked with
-        | [] -> () (* only stale low entries remained; loop again *)
-        | _ -> (
-            let victim = spill_choice blocked in
-            let vi = Igraph.index_of g victim in
-            match mode with
-            | Chaitin when not (never_spill victim) ->
-                forced := Reg.Set.add victim !forced;
-                remove victim vi
-            | Chaitin | Optimistic ->
-                potential := Reg.Set.add victim !potential;
-                stack := victim :: !stack;
-                remove victim vi))
-  done;
+        (match mode with
+        | Chaitin when not (never_spill victim) ->
+            forced := Reg.Set.add victim !forced
+        | Chaitin | Optimistic ->
+            potential := Reg.Set.add victim !potential;
+            stack := victim :: !stack);
+        remove (Igraph.index_of g victim);
+        loop ()
+  in
+  loop ();
   { stack = !stack; potential_spills = !potential; forced_spills = !forced }
 
 let removal_order r = List.rev r.stack

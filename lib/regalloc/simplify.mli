@@ -26,7 +26,11 @@ val run :
   unit ->
   result
 (** [spill_choice] picks the victim among the currently blocked
-    (significant-degree) nodes.  A victim satisfying [never_spill]
+    (significant-degree) nodes, which it receives in ascending order of
+    the graph's compact index ({!Igraph.index_of}): the order in which
+    the registers first appear in the body, so a tie the choice breaks
+    by position is broken the same way whatever the register ids and
+    hash tables.  A victim satisfying [never_spill]
     (spill-code temporaries: their live ranges are already minimal, so
     spill code for them reproduces itself forever) is pushed
     optimistically even in [Chaitin] mode. *)

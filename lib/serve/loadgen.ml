@@ -244,9 +244,17 @@ let selftest ~exe () =
   in
   let mini_prog = Mini_compile.compile_source mini_src in
   let mini_expected = one_shot_blobs ~machine ~algo mini_prog in
-  let sock4 = temp_socket "j4" in
+  (* A daemon on a fresh socket, and a client connected to it. *)
+  let with_client ?(jobs = 1) ?cache_capacity tag f =
+    let sock = temp_socket tag in
+    with_daemon ~exe ~jobs ?cache_capacity ~socket:sock (fun () ->
+        let c = Client.connect_retry sock in
+        let r = f sock c in
+        Client.close c;
+        r)
+  in
   let* () =
-    with_daemon ~exe ~jobs:4 ~socket:sock4 (fun () ->
+    with_client ~jobs:4 "j4" (fun sock4 c ->
         let* cold = replay_blobs ~socket:sock4 ~machine ~algo:algo_name progs in
         let* () = check "daemon matches one-shot pipeline" (cold = expected) in
         let* warm = replay_blobs ~socket:sock4 ~machine ~algo:algo_name progs in
@@ -281,102 +289,90 @@ let selftest ~exe () =
             (replies
             = List.map (List.map (fun (_, blobs) -> Protocol.Funcs blobs)) conns)
         in
-        let c = Client.connect_retry sock4 in
-        let r =
-          let* () =
-            opened_together ~socket:sock4 c
-              (with_expected
-                 (programs ~seed:45 ~funcs_per_program:1 ~n_funcs:4))
-          in
-          let* st = Client.stats c in
-          let* () =
-            check "warm replay served from cache"
-              (st.Protocol.cache.Cache.hits >= total_funcs)
-          in
-          let* () =
-            check "cold replay went through the pipeline"
-              (st.Protocol.funcs_allocated >= 1
-              && st.Protocol.cache.Cache.misses >= 1)
-          in
-          let* tb = Client.alloc c ~machine ~algo:algo_name (Protocol.Text mini_src) in
-          let* bb =
-            Client.alloc c ~machine ~algo:algo_name (Protocol.Binary mini_prog)
-          in
-          let* () = check "text and binary wire formats agree" (tb = bb) in
-          let* () = check "text request matches one-shot" (tb = mini_expected) in
-          let* () =
-            match
-              Client.alloc c ~machine ~algo:"no-such-algo"
-                (Protocol.Binary mini_prog)
-            with
-            | Error msg ->
-                check "unknown allocator lists valid names"
-                  (contains msg "valid" && contains msg algo_name)
-            | Ok _ -> Error "serve selftest: unknown allocator accepted"
-          in
-          let* () =
-            match
-              Client.alloc c ~machine ~algo:algo_name (Protocol.Text "fn (")
-            with
-            | Error msg -> check "malformed minilang rejected" (contains msg "minilang")
-            | Ok _ -> Error "serve selftest: malformed minilang accepted"
-          in
-          (* A machine [Machine.make] rejects is answered in band, and
-             the connection still serves the next request. *)
-          let* () =
-            match
-              Client.alloc c
-                ~machine:{ machine with Machine.k = 0 }
-                ~algo:algo_name (Protocol.Binary mini_prog)
-            with
-            | Error msg -> check "k = 0 machine rejected" (contains msg "k = 0")
-            | Ok _ -> Error "serve selftest: k = 0 machine accepted"
-          in
-          let* after =
-            Client.alloc c ~machine ~algo:algo_name (Protocol.Binary mini_prog)
-          in
-          let* () =
-            check "request after a rejected machine matches one-shot"
-              (after = mini_expected)
-          in
-          let* fr =
-            Client.alloc_funcs c ~machine ~algo:algo_name
-              (Protocol.Binary mini_prog)
-          in
-          check "reply blobs decode"
-            (List.length fr = List.length mini_prog.Cfg.funcs)
+        let* () =
+          opened_together ~socket:sock4 c
+            (with_expected
+               (programs ~seed:45 ~funcs_per_program:1 ~n_funcs:4))
         in
-        Client.close c;
-        r)
+        let* st = Client.stats c in
+        let* () =
+          check "warm replay served from cache"
+            (st.Protocol.cache.Cache.hits >= total_funcs)
+        in
+        let* () =
+          check "cold replay went through the pipeline"
+            (st.Protocol.funcs_allocated >= 1
+            && st.Protocol.cache.Cache.misses >= 1)
+        in
+        let* tb = Client.alloc c ~machine ~algo:algo_name (Protocol.Text mini_src) in
+        let* bb =
+          Client.alloc c ~machine ~algo:algo_name (Protocol.Binary mini_prog)
+        in
+        let* () = check "text and binary wire formats agree" (tb = bb) in
+        let* () = check "text request matches one-shot" (tb = mini_expected) in
+        let* () =
+          match
+            Client.alloc c ~machine ~algo:"no-such-algo"
+              (Protocol.Binary mini_prog)
+          with
+          | Error msg ->
+              check "unknown allocator lists valid names"
+                (contains msg "valid" && contains msg algo_name)
+          | Ok _ -> Error "serve selftest: unknown allocator accepted"
+        in
+        let* () =
+          match
+            Client.alloc c ~machine ~algo:algo_name (Protocol.Text "fn (")
+          with
+          | Error msg -> check "malformed minilang rejected" (contains msg "minilang")
+          | Ok _ -> Error "serve selftest: malformed minilang accepted"
+        in
+        (* A machine [Machine.make] rejects is answered in band, and
+           the connection still serves the next request. *)
+        let* () =
+          match
+            Client.alloc c
+              ~machine:{ machine with Machine.k = 0 }
+              ~algo:algo_name (Protocol.Binary mini_prog)
+          with
+          | Error msg -> check "k = 0 machine rejected" (contains msg "k = 0")
+          | Ok _ -> Error "serve selftest: k = 0 machine accepted"
+        in
+        let* after =
+          Client.alloc c ~machine ~algo:algo_name (Protocol.Binary mini_prog)
+        in
+        let* () =
+          check "request after a rejected machine matches one-shot"
+            (after = mini_expected)
+        in
+        let* fr =
+          Client.alloc_funcs c ~machine ~algo:algo_name
+            (Protocol.Binary mini_prog)
+        in
+        check "reply blobs decode"
+          (List.length fr = List.length mini_prog.Cfg.funcs))
   in
   (* a jobs=1 daemon answers byte-identically: pool size is invisible *)
-  let sock1 = temp_socket "j1" in
   let* () =
-    with_daemon ~exe ~jobs:1 ~socket:sock1 (fun () ->
+    with_client "j1" (fun sock1 _ ->
         let* one = replay_blobs ~socket:sock1 ~machine ~algo:algo_name progs in
         check "jobs=1 matches jobs=4" (one = expected))
   in
   (* the request-bytes index: a repeated request is answered, and
      counted, exactly as decoding it again would be *)
-  let encode program =
+  let encode ?(machine = machine) program =
     Protocol.encode_request
       (Protocol.Alloc { machine; algo = algo_name; program })
   in
-  let req_a, req_b =
+  let prog_a, prog_b =
     match programs ~seed:7 ~funcs_per_program:1 ~n_funcs:2 with
-    | a :: b :: _ -> (encode (Protocol.Binary a), encode (Protocol.Binary b))
+    | a :: b :: _ -> (a, b)
     | _ -> assert false
   in
+  let req_a = encode (Protocol.Binary prog_a) in
+  let req_b = encode (Protocol.Binary prog_b) in
   let req_3 = encode (Protocol.Binary (List.hd progs)) in
   let req_text = encode (Protocol.Text mini_src) in
-  let with_client ?cache_capacity tag f =
-    let sock = temp_socket tag in
-    with_daemon ~exe ~jobs:1 ?cache_capacity ~socket:sock (fun () ->
-        let c = Client.connect_retry sock in
-        let r = f sock c in
-        Client.close c;
-        r)
-  in
   let* () =
     with_client "index" (fun sock c ->
         let* s0 = Client.stats c in
@@ -420,6 +416,71 @@ let selftest ~exe () =
             check "bad frame length answered after the frame before it"
               (blobs = a1 && contains msg "bad frame length")
         | _ -> Error "serve selftest: bad frame length not answered in order")
+  in
+  (* A failing function fails only its own request.  At k = 4, with one
+     integer argument register, Lower rejects [caller]'s two-argument
+     call.  A request for it is written in one batch with good ones, and
+     its connection's next request is still served; a 3-function request
+     holding it fails as a whole, and only its good functions are
+     cached. *)
+  let k4 = Machine.make ~k:4 () in
+  let src =
+    Mini_compile.compile_source
+      "fn pair(a, b) { return a - b; } fn caller(x) { return pair(x, 1); } \
+       fn inc(a) { return a + 1; } fn main() { return inc(2); }"
+  in
+  let only names =
+    let keep f = List.mem f.Cfg.name names in
+    { src with Cfg.funcs = List.filter keep src.Cfg.funcs }
+  in
+  let k4_request names = encode ~machine:k4 (Protocol.Binary (only names)) in
+  let good = one_shot_blobs ~machine:k4 ~algo (only [ "inc"; "main" ]) in
+  let req_good = k4_request [ "inc"; "main" ] in
+  let req_bad3 = k4_request [ "inc"; "caller"; "main" ] in
+  let* () =
+    with_client "mixed" (fun sock c ->
+        let* s0 = Client.stats c in
+        let fd =
+          send_raw ~socket:sock
+            (frames [ req_a; k4_request [ "caller" ]; req_good ])
+        in
+        let replies =
+          Fun.protect
+            ~finally:(fun () -> close_fd fd)
+            (fun () ->
+              let batch = fst (read_replies fd 3) in
+              write_raw fd (frames [ req_good ]);
+              batch @ fst (read_replies fd 1))
+        in
+        let* s1 = Client.stats c in
+        let* () =
+          check "mixed batch: only the failing request fails"
+            (match replies with
+            | [ Protocol.Funcs a; Protocol.Error_reply msg; g; g' ] ->
+                a = one_shot_blobs ~machine ~algo prog_a
+                && contains msg "Lower"
+                && g = Protocol.Funcs good && g' = g
+                && s1.Protocol.batches - s0.Protocol.batches = 1
+            | _ -> false)
+        in
+        let counts () =
+          Result.map
+            (fun s -> Protocol.(s.cache.Cache.hits, s.cache.Cache.misses))
+            (Client.stats c)
+        in
+        let r1 = Client.alloc_encoded c req_bad3 in
+        let* n1 = counts () in
+        let r2 = Client.alloc_encoded c req_bad3 in
+        let* n2 = counts () in
+        let g = Client.alloc_encoded c req_good in
+        let* n3 = counts () in
+        let delta (h, m) (h', m') = (h' - h, m' - m) in
+        check "failed 3-function request: only its good functions cached"
+          ((match r1 with Error msg -> contains msg "Lower" | Ok _ -> false)
+          && r2 = r1
+          && delta n1 n2 = (2, 1)
+          && g = Ok good
+          && delta n2 n3 = (2, 0)))
   in
   (* once A's function is evicted, A is decoded and allocated again.  A
      full cache refuses a function's first miss and admits its second,

@@ -31,7 +31,9 @@ val selftest : exe:string -> unit -> (unit, string) result
     [jobs=1] and [jobs=4] daemons agree; unknown allocators, malformed
     programs and a machine with [k = 0] get error replies naming the
     problem, and the next request on that connection still gets the
-    one-shot bytes; a
+    one-shot bytes, also after a function Lower rejects fails its
+    request and no other in a mixed batch, or fails a 3-function
+    request as a whole, caching only its good functions; a
     repeated request (binary, 3-function, text) gets byte-identical
     replies and the stats counters a decode would give, also after its
     function was evicted; a good frame and a malformed one sent in one

@@ -11,12 +11,8 @@ let run (f : Cfg.func) =
      covers every register of [f]; the fresh versions made below are
      never keys. *)
   let cpt = Liveness.compact live in
-  (* Definition blocks of every virtual register, newest first.  The
-     phis of a block are placed in the fold order of [defined], a
-     register table filled at each register's first definition; that
-     order reaches the output, so it stays a hash table. *)
+  (* Definition blocks of every virtual register, newest first. *)
   let def_blocks = Array.make (Regbits.size cpt) [] in
-  let defined = Reg.Tbl.create 64 in
   Cfg.iter_instrs f (fun b i ->
       List.iter
         (fun r ->
@@ -24,33 +20,31 @@ let run (f : Cfg.func) =
             let v = Regbits.index cpt r in
             match def_blocks.(v) with
             | l :: _ when l = b.Cfg.label -> ()
-            | cur ->
-                if cur = [] then Reg.Tbl.replace defined r ();
-                def_blocks.(v) <- b.Cfg.label :: cur)
+            | cur -> def_blocks.(v) <- b.Cfg.label :: cur)
         (Instr.defs i.Instr.kind));
-  (* Phi placement at iterated dominance frontiers, pruned by liveness.
-     [on_frontier.(y)] holds the index of the last variable given a phi
-     at [y]. *)
+  (* Phi placement at iterated dominance frontiers, pruned by liveness,
+     one variable at a time in index order; each phi goes in front of
+     its block's earlier ones.  [on_frontier.(y)] holds the index of the
+     last variable given a phi at [y]. *)
   let phis = Array.make bound [] in
   let on_frontier = Array.make bound (-1) in
-  Reg.Tbl.iter
-    (fun v () ->
-      let vi = Regbits.index cpt v in
-      let defs = def_blocks.(vi) in
-      let work = Queue.create () in
-      List.iter (fun l -> Queue.add l work) defs;
-      while not (Queue.is_empty work) do
-        let l = Queue.pop work in
-        List.iter
-          (fun y ->
-            if on_frontier.(y) <> vi && Liveness.live_in_mem live y v then begin
-              on_frontier.(y) <- vi;
-              phis.(y) <- v :: phis.(y);
-              if not (List.mem y defs) then Queue.add y work
-            end)
-          (Dominance.frontier dom l)
-      done)
-    defined;
+  for vi = 0 to Array.length def_blocks - 1 do
+    let defs = def_blocks.(vi) in
+    let v = Regbits.reg_at cpt vi in
+    let work = Queue.create () in
+    List.iter (fun l -> Queue.add l work) defs;
+    while not (Queue.is_empty work) do
+      let l = Queue.pop work in
+      List.iter
+        (fun y ->
+          if on_frontier.(y) <> vi && Liveness.live_in_mem live y v then begin
+            on_frontier.(y) <- vi;
+            phis.(y) <- v :: phis.(y);
+            if not (List.mem y defs) then Queue.add y work
+          end)
+        (Dominance.frontier dom l)
+    done
+  done;
   (* Renaming along the dominator tree, one version stack per original
      register. *)
   let stacks : Reg.t list array = Array.make (Regbits.size cpt) [] in

@@ -370,6 +370,23 @@ module Ref_merged_cost = struct
         vregs 0
 end
 
+(* [f] with every virtual register id moved up by [offset]: the ids'
+   relative order is kept, so every first-appearance numbering and
+   id-sorted order is too, and fresh names still come after all
+   existing ones.  Only the ids' hashes change. *)
+let shift_vregs offset (f : Cfg.func) =
+  let shift r = if Reg.is_virtual r then r + offset else r in
+  let reg_cls = Cfg.Classes.create (Cfg.Classes.length f.Cfg.reg_cls) in
+  Cfg.Classes.fold
+    (fun r c () -> Cfg.Classes.add reg_cls (shift r) c)
+    f.Cfg.reg_cls ();
+  Cfg.map_instrs
+    { (Cfg.clone f) with Cfg.reg_cls; next_reg = f.Cfg.next_reg + offset }
+    (fun i -> Instr.map_regs shift i.Instr.kind)
+
+let body_text (f : Cfg.func) =
+  Format.asprintf "%a" (Format.pp_print_list Cfg.pp_block) f.Cfg.blocks
+
 let prepared_random_program ?(m = Machine.middle_pressure) seed =
   Pipeline.prepare m (random_program seed)
 

@@ -1,6 +1,6 @@
 (* Allocator registry: round-trip lookup, registration order, duplicate
-   rejection, clean unknown-key behaviour, and the golden output digest
-   of every registered allocator. *)
+   rejection, clean unknown-key behaviour, the golden output digest of
+   every registered allocator, and its independence from register ids. *)
 
 open Helpers
 
@@ -99,56 +99,96 @@ let golden_digest inputs (a : Allocator.t) =
 
 let golden =
   [
-    ("chaitin", "2de6aa671df691de5b7fb1ee2ac51072");
-    ("briggs", "1860b509a75745cbb549362c4ac2ebb9");
-    ("optimistic", "32d06153caed0c0cdd3ceb295e3afc0f");
-    ("iterated", "0044f3a24cf207306726fa62e6aabfa6");
-    ("pdgc-co", "f20adcd89454c0ffb71ecc5d306efad2");
-    ("pdgc", "8c1a0d65159c94e4be1b7f11f1d31e18");
-    ("lueh-gross", "553e16d9b7f85032a633e4ad016cd76f");
-    ("priority", "35999e7a531fb0044ae206374dc32640");
+    ("chaitin", "0a56e152f5cdfb9aab5fd7be26d85048");
+    ("briggs", "9644da4cfe9988c02be93e60241f703f");
+    ("optimistic", "007618f4d4e299dd977b8cb4bf5c9ef4");
+    ("iterated", "5e17f19d1b8d2bb7502809336c911e5b");
+    ("pdgc-co", "8642390b1a455fb4e9193cb954e1ecdb");
+    ("pdgc", "185ff96afdc9e95f2e7493d35a55618a");
+    ("lueh-gross", "93e94a2ff08f43168f8b4d73b292f5f1");
+    ("priority", "aab3edc3d2fe3da6dbad24e1328ff3f5");
   ]
 
 let suite_golden =
   [
-    ("chaitin", "e5c98f41697245800ab524a74c247b02");
-    ("briggs", "7cd366774eff5885f4311443c616a9ce");
-    ("optimistic", "c0b8bb65ba8caa8c9f3edb58a6f9808b");
-    ("iterated", "609498276615e6b352c1ecf6cbc64a67");
-    ("pdgc-co", "4a65c78b25ebc923a9bedc0b30be9f9f");
-    ("pdgc", "1081b78492607e6b3edfb8529c072e92");
-    ("lueh-gross", "6e009d2354b79cddc4a07b6526fd91a0");
-    ("priority", "29d5de450771fad117824240367dd798");
+    ("chaitin", "1a44407dc356c93cf66e448fc7a47bef");
+    ("briggs", "6a6bc612466ef4079256cf1098b247b8");
+    ("optimistic", "d1c6124f418cb16fc74a77493422f7be");
+    ("iterated", "3c376237b2fa5b33216c32bb4e9e2971");
+    ("pdgc-co", "0502bbe870ae307ce76d74e195d0a95e");
+    ("pdgc", "8057510e5e099cdd53f6e4fee332b442");
+    ("lueh-gross", "3e38ed1247337d6d5badd6612263c385");
+    ("priority", "338f6c0c4560bf784f5015e86142e9ab");
   ]
 
 let suite_golden_24 =
   [
-    ("chaitin", "d6f0f266d5d5bde3b2b0aebd01993e39");
-    ("briggs", "9fca36b174fe294acf3d89a5cb5963e4");
-    ("optimistic", "68d1b03e25f1dc9aedf775c910de5364");
-    ("iterated", "38a0c721481808f64b7b7eefdf321ffe");
-    ("pdgc-co", "5b81def5f7addfde2a07e9623e6c35f5");
-    ("pdgc", "084dca794ad9d03f91d9ccef291f416c");
-    ("lueh-gross", "464caa1a51e4adc76f215235bcaf1f3d");
-    ("priority", "8ae6204e5e1037ebfdc2aec5a2bbba1f");
+    ("chaitin", "0e6800d2de72d968b082a27f20fd24aa");
+    ("briggs", "c17775685142ef7441153336edb7a9e0");
+    ("optimistic", "b58430b9b7ac1a96f8d71e596c867f14");
+    ("iterated", "63c30f0bd4295fa613b929f2d4d47e6e");
+    ("pdgc-co", "5cba3dca19b7b8bbb2de75525adba5cd");
+    ("pdgc", "d5033764c5ac49401a2bce1a5afc0ed3");
+    ("lueh-gross", "9d58827a5b96b705fc76f8fd838dbceb");
+    ("priority", "7015fdd86ec748217e3e6ecfbf36d496");
   ]
 
 let suite_golden_32 =
   [
-    ("chaitin", "454a42b699df549669ec2a47b2e9a1e2");
-    ("briggs", "265b472cda78ece2868761cd63727e9b");
-    ("optimistic", "7c58a0a02068f94fc7a2abdf2b7c36ae");
-    ("iterated", "aea51f880440552aa49942670f31de6f");
-    ("pdgc-co", "705aa492112fd96cd6005996e63aa193");
-    ("pdgc", "15f9c23c7485335e939ba9e5ae13efde");
-    ("lueh-gross", "0ad3c85b51b0ac96ac98b5688132d59e");
-    ("priority", "768d1b446bba6fdc9edf91b22e886a8a");
+    ("chaitin", "1e8948a7a4bffb225911d4fc6e59bbec");
+    ("briggs", "716eeab19f78fa6a12ff155fa4290ada");
+    ("optimistic", "ed5f35d64933db635e5113ca2d62908e");
+    ("iterated", "756d97eb0b7d6dd997a7064fd1543452");
+    ("pdgc-co", "4a0ca85cd50a668ef8262a099a791db6");
+    ("pdgc", "67c284846b678a52da2e3f4a8ffc6c72");
+    ("lueh-gross", "faa1fb5ba5a26a48adc79efb0c34702f");
+    ("priority", "9371e9c796aa3a27b87eee9518f579a1");
   ]
 
 let test_golden inputs name digest () =
   let a = Option.get (Allocator.find name) in
   check Alcotest.string (name ^ " output digest") digest
     (golden_digest inputs a)
+
+(* Canonical orders: allocation output is a function of the body, not
+   of the register ids that name its values or of their hashes.  Every
+   allocator must give the same finalized code and spill counts when
+   every virtual id of a prepared function is shifted by a constant
+   ({!Helpers.shift_vregs}), which keeps every numbering and every
+   id-sorted order. *)
+let outcome m (a : Allocator.t) f =
+  match Allocator.exec a m f with
+  | res ->
+      let fin = Finalize.apply m res in
+      Ok
+        ( body_text fin.Finalize.func,
+          [
+            res.Alloc_common.rounds;
+            res.Alloc_common.spill_instrs;
+            List.length res.Alloc_common.spill_slots;
+            fin.Finalize.moves_kept;
+            fin.Finalize.caller_save_instrs;
+          ] )
+  | exception Alloc_common.Failed _ -> Error ()
+
+let renaming_inputs =
+  lazy (Lazy.force golden_inputs @ Lazy.force (suite_inputs 16))
+
+let test_renaming name () =
+  let a = Option.get (Allocator.find name) in
+  List.iter
+    (fun (m, (p : Cfg.program)) ->
+      List.iter
+        (fun f ->
+          let base = outcome m a (Cfg.clone f) in
+          List.iter
+            (fun offset ->
+              if outcome m a (shift_vregs offset f) <> base then
+                Alcotest.failf "%s on %s: ids shifted by %d change the output"
+                  name f.Cfg.name offset)
+            [ 1; 1000 ])
+        p.Cfg.funcs)
+    (Lazy.force renaming_inputs)
 
 let () =
   Alcotest.run "registry"
@@ -177,4 +217,8 @@ let () =
                 pins)
             [ (8, suite_golden); (24, suite_golden_24); (32, suite_golden_32) ]
         );
+      ( "canonical orders",
+        List.map
+          (fun name -> tc ("renamed registers: " ^ name) (test_renaming name))
+          expected_names );
     ]

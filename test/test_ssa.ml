@@ -111,6 +111,27 @@ let prop_destruct_no_critical_edges =
           Result.is_ok (Cfg.validate out) && count_phis out = 0)
         p.Cfg.funcs)
 
+(* Phis are placed in the compact numbering's order, which shifting
+   every virtual id by a constant leaves alone: construction commutes
+   with the shift. *)
+let test_construct_follows_numbering () =
+  let funcs =
+    List.concat_map (fun (_, p) -> p.Cfg.funcs) (Suite.all ())
+    @ List.concat_map
+        (fun seed -> (random_program seed).Cfg.funcs)
+        (List.init 20 Fun.id)
+  in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun offset ->
+          check Alcotest.string
+            (Printf.sprintf "%s, ids shifted by %d" f.Cfg.name offset)
+            (body_text (shift_vregs offset (Ssa_construct.run f)))
+            (body_text (Ssa_construct.run (shift_vregs offset f))))
+        [ 1; 1000 ])
+    funcs
+
 let test_destruct_splits_critical_edge () =
   (* Hand-built CFG with a critical edge (L0 -> L2: L0 branches, L2
      joins) and a terminator-only join block.  Construction must weave
@@ -260,6 +281,7 @@ let () =
           tc "diamond phi placement" test_construct_diamond;
           tc "loop phi placement" test_construct_loop;
           tc "straightline has no phis" test_construct_straightline_no_phis;
+          tc "phi order follows the numbering" test_construct_follows_numbering;
           prop_construct_single_def;
         ] );
       ( "destruct",
