@@ -217,8 +217,8 @@ let () =
                 pins)
             [ (8, suite_golden); (24, suite_golden_24); (32, suite_golden_32) ]
         );
-      ( "canonical orders",
+      ( "renaming",
         List.map
-          (fun name -> tc ("renamed registers: " ^ name) (test_renaming name))
+          (fun name -> tc ("output of " ^ name) (test_renaming name))
           expected_names );
     ]
