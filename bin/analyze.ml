@@ -197,9 +197,12 @@ let () =
         | _ -> bad "--jobs expects a positive integer, got %S" n)
     | "--k" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some n ->
-            k := Some n;
-            parse rest
+        | Some n -> (
+            match Machine.make ~k:n () with
+            | (_ : Machine.t) ->
+                k := Some n;
+                parse rest
+            | exception Invalid_argument msg -> bad "--k: %s" msg)
         | None -> bad "--k expects an integer, got %S" n)
     | [ ("--pass" | "--algo" | "--jobs" | "--k") ] ->
         bad "missing argument for the trailing option"

@@ -1,7 +1,7 @@
 (* Command-line driver for the paper's experiments.
 
-   `experiments fig7` / `fig9` / `fig10` / `fig11` / `all` regenerate
-   the corresponding figure's series; `experiments alloc NAME` runs one
+   `experiments fig7` / `fig9` / `fig10` / `fig11` / `ablation` / `all`
+   regenerate the corresponding tables; `experiments alloc NAME` runs one
    allocator over one benchmark and reports its metrics.  Every
    subcommand that allocates takes `--jobs N` to fan per-function
    allocation out over N engine workers (default: $PDGC_JOBS or 1;
@@ -26,9 +26,19 @@ let fig7_cmd =
   Cmd.v (Cmd.info "fig7" ~doc)
     Term.(const (fun () -> Format.fprintf ppf "%a@." Fig7.print ()) $ const ())
 
+(* A k that [Machine.make] rejects is bad usage (exit code 2, see
+   [main]), not an uncaught exception. *)
 let k_arg ~default =
-  let doc = "Number of registers per class (16, 24 or 32)." in
-  Arg.(value & opt int default & info [ "k" ] ~docv:"K" ~doc)
+  let doc = "Registers per class: even, 4 to 62 (the paper uses 16, 24, 32)." in
+  let check k =
+    match Machine.make ~k () with
+    | (_ : Machine.t) -> `Ok k
+    | exception Invalid_argument msg -> `Error (true, msg)
+  in
+  Term.(
+    ret
+      (const check
+      $ Arg.(value & opt int default & info [ "k" ] ~docv:"K" ~doc)))
 
 let jobs_arg =
   let doc =
@@ -40,37 +50,31 @@ let jobs_arg =
     & opt int (Engine.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+let table_cmd name ~doc term =
+  let run tables = Format.fprintf ppf "%a@." Experiments.print tables in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ term)
+
 let fig9_cmd =
-  let doc = "Reproduce Fig. 9: coalescing and spill ratios vs. Chaitin." in
-  let run k jobs =
-    Format.fprintf ppf "%a@." Experiments.print_fig9
-      (Experiments.fig9 ~jobs ~k ())
-  in
-  Cmd.v (Cmd.info "fig9" ~doc) Term.(const run $ k_arg ~default:16 $ jobs_arg)
+  table_cmd "fig9" ~doc:"Reproduce Fig. 9: coalescing and spill ratios vs. Chaitin."
+    Term.(
+      const (fun k jobs -> Experiments.fig9 ~jobs ~k ())
+      $ k_arg ~default:16 $ jobs_arg)
 
 let fig10_cmd =
-  let doc = "Reproduce Fig. 10: simulated execution time per pressure model." in
-  let run k jobs =
-    Format.fprintf ppf "%a@."
-      (fun ppf -> Experiments.print_fig10 ppf ~k)
-      (Experiments.fig10 ~jobs ~k ())
-  in
-  Cmd.v (Cmd.info "fig10" ~doc) Term.(const run $ k_arg ~default:24 $ jobs_arg)
+  table_cmd "fig10"
+    ~doc:"Reproduce Fig. 10: simulated execution time per pressure model."
+    Term.(
+      const (fun k jobs -> Experiments.fig10 ~jobs ~k ())
+      $ k_arg ~default:24 $ jobs_arg)
 
 let fig11_cmd =
-  let doc = "Reproduce Fig. 11: relative time of five allocators at k=24." in
-  let run jobs =
-    Format.fprintf ppf "%a@." Experiments.print_fig11
-      (Experiments.fig11 ~jobs ())
-  in
-  Cmd.v (Cmd.info "fig11" ~doc) Term.(const run $ jobs_arg)
+  table_cmd "fig11" ~doc:"Reproduce Fig. 11: relative time of five allocators at k=24."
+    Term.(const (fun jobs -> Experiments.fig11 ~jobs ()) $ jobs_arg)
 
 let ablation_cmd =
-  let doc = "Ablation study of the design choices (DESIGN.md section 7)." in
-  let run jobs =
-    Format.fprintf ppf "%a@." Ablation.print (Ablation.run ~jobs ())
-  in
-  Cmd.v (Cmd.info "ablation" ~doc) Term.(const run $ jobs_arg)
+  table_cmd "ablation"
+    ~doc:"Ablation study of the design choices (DESIGN.md section 8)."
+    Term.(const (fun jobs -> Experiments.ablation ~jobs ()) $ jobs_arg)
 
 let all_cmd =
   let doc = "Run every experiment (Figs. 7, 9, 10, 11)." in
@@ -127,4 +131,9 @@ let main =
       alloc_cmd; list_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* Bad usage is exit code 2, as for the other drivers; cmdliner's own
+   code for a malformed option value is 124. *)
+let () =
+  match Cmd.eval ~term_err:2 main with
+  | c when c = Cmd.Exit.cli_error -> exit 2
+  | c -> exit c

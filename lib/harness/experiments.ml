@@ -1,124 +1,144 @@
-type fig9_row = { test : string; series : (string * float option) list }
+type cell = Ratio of float | Na | Cycles of int
+type row = { test : string; cells : cell list }
 
-type fig9 = {
-  k : int;
-  moves_ratio : fig9_row list;
-  spills_ratio : fig9_row list;
+type table = {
+  title : string;
+  columns : string list;
+  rows : row list;
+  geomean : bool;
 }
+
+let ratio num den =
+  if den = 0 then Na else Ratio (float_of_int num /. float_of_int den)
+
+let labels algos = List.map (fun a -> a.Allocator.label) algos
+
+(* Paper panel letters by k, e.g. "(a)"; none off the paper's k values. *)
+let panel k letters =
+  match List.assoc_opt k letters with Some l -> "(" ^ l ^ ")" | None -> ""
+
+(* Every Suite program, prepared once at [m] and allocated once per
+   column; [row] turns each program's allocations into its rows. *)
+let sweep ?jobs m algos row =
+  List.map
+    (fun name ->
+      let prepared = Pipeline.prepare m (Suite.program name) in
+      row name prepared
+        (List.map
+           (fun algo -> Pipeline.allocate_program ?jobs algo m prepared)
+           algos))
+    Suite.names
 
 let fig9_algos =
   [ Pipeline.briggs_aggressive; Pipeline.optimistic; Pipeline.pdgc_coalescing_only ]
 
-let ratio num den = if den = 0 then None else Some (float_of_int num /. float_of_int den)
-
-(* Eliminated-move and spill-code counts per class for one algorithm on
-   one prepared program. *)
-let fig9_counts ?jobs algo m prepared =
-  let a = Pipeline.allocate_program ?jobs algo m prepared in
-  let elim =
-    Metrics.eliminated_moves ~before:prepared ~after:a.Pipeline.program
-  in
-  let spills = Metrics.spill_code a.Pipeline.results in
-  (elim, spills)
-
 let fig9 ?jobs ~k () =
-  let m = Machine.make ~k () in
-  let moves_rows = ref [] and spill_rows = ref [] in
-  List.iter
-    (fun name ->
-      let prepared = Pipeline.prepare m (Suite.program name) in
-      let base_elim, base_spills =
-        fig9_counts ?jobs Pipeline.chaitin_base m prepared
-      in
-      let per_algo =
-        List.map
-          (fun algo -> (algo.Allocator.label, fig9_counts ?jobs algo m prepared))
-          fig9_algos
-      in
-      let add_row rows test proj base =
-        rows :=
-          {
-            test;
-            series =
-              List.map
-                (fun (label, counts) -> (label, ratio (proj counts) base))
-                per_algo;
-          }
-          :: !rows
-      in
-      (* Integer rows for every test; float rows for the fp-heavy ones. *)
-      add_row moves_rows name
-        (fun (e, _) -> e.Metrics.ints)
-        base_elim.Metrics.ints;
-      add_row spill_rows name
-        (fun (_, s) -> s.Metrics.ints)
-        base_spills.Metrics.ints;
-      if List.mem name Suite.fp_names then begin
-        add_row moves_rows (name ^ " fp")
-          (fun (e, _) -> e.Metrics.floats)
-          base_elim.Metrics.floats;
-        add_row spill_rows (name ^ " fp")
-          (fun (_, s) -> s.Metrics.floats)
-          base_spills.Metrics.floats
-      end)
-    Suite.names;
-  { k; moves_ratio = List.rev !moves_rows; spills_ratio = List.rev !spill_rows }
-
-type fig10_row = { test : string; cycles : (string * int) list }
+  let per_test =
+    sweep ?jobs (Machine.make ~k ()) (Pipeline.chaitin_base :: fig9_algos)
+      (fun name prepared allocs ->
+        (* One row per class and count, each column over the base's. *)
+        let rows count =
+          let row test cls =
+            match List.map (fun a -> cls (count a)) allocs with
+            | base :: ns -> { test; cells = List.map (fun n -> ratio n base) ns }
+            | [] -> assert false
+          in
+          (* Integer rows for every test; float rows for the fp-heavy ones. *)
+          row name (fun c -> c.Metrics.ints)
+          :: (if List.mem name Suite.fp_names then
+                [ row (name ^ " fp") (fun c -> c.Metrics.floats) ]
+              else [])
+        in
+        ( rows (fun a ->
+              Metrics.eliminated_moves ~before:prepared ~after:a.Pipeline.program),
+          rows (fun a -> Metrics.spill_code a.Pipeline.results) ))
+  in
+  let table letters what rows =
+    {
+      title =
+        Printf.sprintf "Fig. 9%s: %s (vs. chaitin+aggressive, k=%d)"
+          (panel k letters) what k;
+      columns = labels fig9_algos;
+      rows = List.concat rows;
+      geomean = true;
+    }
+  in
+  [
+    table [ (16, "a"); (32, "c") ] "eliminated moves ratio" (List.map fst per_test);
+    table [ (16, "b"); (32, "d") ] "generated spill code ratio"
+      (List.map snd per_test);
+  ]
 
 let fig10_algos =
   [ Pipeline.pdgc_coalescing_only; Pipeline.optimistic; Pipeline.pdgc_full ]
 
 let fig10 ?jobs ~k () =
-  let m = Machine.make ~k () in
-  List.map
-    (fun name ->
-      let prepared = Pipeline.prepare m (Suite.program name) in
-      {
-        test = name;
-        cycles =
-          List.map
-            (fun algo ->
-              let a = Pipeline.allocate_program ?jobs algo m prepared in
-              (algo.Allocator.label, Pipeline.cycles a))
-            fig10_algos;
-      })
-    Suite.names
-
-type fig11_row = { test : string; relative : (string * float) list }
-
-let fig11_algos =
   [
-    Pipeline.pdgc_coalescing_only;
-    Pipeline.optimistic;
-    Pipeline.briggs_aggressive;
-    Pipeline.aggressive_volatility;
-    Pipeline.pdgc_full;
+    {
+      title =
+        Printf.sprintf "Fig. 10%s: simulated cycles, k=%d"
+          (panel k [ (16, "a"); (24, "b"); (32, "c") ])
+          k;
+      columns = labels fig10_algos;
+      rows =
+        sweep ?jobs (Machine.make ~k ()) fig10_algos (fun test _ allocs ->
+            { test; cells = List.map (fun a -> Cycles (Pipeline.cycles a)) allocs });
+      geomean = false;
+    };
+  ]
+
+(* Cycles at the middle-pressure model (k = 24), each column relative
+   to column [base]. *)
+let relative_cycles ?jobs ~title ~base algos =
+  [
+    {
+      title;
+      columns = labels algos;
+      rows =
+        sweep ?jobs Machine.middle_pressure algos (fun test _ allocs ->
+            let cycles = List.map Pipeline.cycles allocs in
+            let b = List.assq base (List.combine algos cycles) in
+            { test; cells = List.map (fun c -> ratio c b) cycles });
+      geomean = true;
+    };
   ]
 
 let fig11 ?jobs () =
-  let m = Machine.middle_pressure in
-  List.map
-    (fun name ->
-      let prepared = Pipeline.prepare m (Suite.program name) in
-      let cycles_of algo =
-        Pipeline.cycles (Pipeline.allocate_program ?jobs algo m prepared)
-      in
-      let full = cycles_of Pipeline.pdgc_full in
-      {
-        test = name;
-        relative =
-          List.map
-            (fun algo ->
-              let c =
-                if algo.Allocator.name = Pipeline.pdgc_full.Allocator.name then full
-                else cycles_of algo
-              in
-              (algo.Allocator.label, float_of_int c /. float_of_int full))
-            fig11_algos;
-      })
-    Suite.names
+  relative_cycles ?jobs
+    ~title:"Fig. 11: elapsed time relative to full preferences (k=24)"
+    ~base:Pipeline.pdgc_full
+    [
+      Pipeline.pdgc_coalescing_only;
+      Pipeline.optimistic;
+      Pipeline.briggs_aggressive;
+      Pipeline.aggressive_volatility;
+      Pipeline.pdgc_full;
+    ]
 
+let ablation_configs =
+  (* Unregistered allocators: the ablation points are run directly,
+     never looked up by name. *)
+  let pdgc ?(rematerialize = false) label policy relax_order =
+    Allocator.v ~name:"ablation" ~label
+      (Pdgc.allocate_config
+         { Pdgc.variant = Pdgc.Full_preferences; policy; relax_order; rematerialize })
+  in
+  [
+    pdgc "paper (differential)" Pdgc_select.Differential true;
+    pdgc "strongest-first" Pdgc_select.Strongest true;
+    pdgc "fifo" Pdgc_select.Fifo true;
+    pdgc "strict stack order" Pdgc_select.Differential false;
+    pdgc ~rematerialize:true "with rematerialization" Pdgc_select.Differential
+      true;
+    Pipeline.priority_based;
+  ]
+
+let ablation ?jobs () =
+  relative_cycles ?jobs
+    ~title:"Ablation: cycles relative to the paper configuration (k=24)"
+    ~base:(List.hd ablation_configs) ablation_configs
+
+(* Positive ratios only; their logs are summed in the order given. *)
 let geomean xs =
   match List.filter (fun x -> x > 0.0) xs with
   | [] -> 1.0
@@ -126,108 +146,45 @@ let geomean xs =
       exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs
            /. float_of_int (List.length xs))
 
-let print_fig9 ppf f =
-  let pp_rows title rows =
-    Format.fprintf ppf "@[<v>%s (vs. chaitin+aggressive, k=%d)@," title f.k;
-    (match rows with
-    | [] -> ()
-    | first :: _ ->
-        Format.fprintf ppf "%-14s" "test";
-        List.iter (fun (l, _) -> Format.fprintf ppf " %22s" l) first.series;
-        Format.fprintf ppf "@,");
-    let sums = Hashtbl.create 8 in
-    List.iter
-      (fun (row : fig9_row) ->
-        Format.fprintf ppf "%-14s" row.test;
-        List.iter
-          (fun (l, v) ->
-            Format.fprintf ppf " %22s"
-              (match v with
-              | Some x ->
-                  let cur = try Hashtbl.find sums l with Not_found -> [] in
-                  Hashtbl.replace sums l (x :: cur);
-                  Printf.sprintf "%.3f" x
-              | None -> "n/a");
-            ())
-          row.series;
-        Format.fprintf ppf "@,")
-      rows;
-    (match rows with
-    | first :: _ ->
-        Format.fprintf ppf "%-14s" "geo. mean";
-        List.iter
-          (fun (l, _) ->
-            let xs = try Hashtbl.find sums l with Not_found -> [] in
-            Format.fprintf ppf " %22s" (Printf.sprintf "%.3f" (geomean xs)))
-          first.series
-    | [] -> ());
-    Format.fprintf ppf "@,@]"
+let print_table ppf t =
+  let line label pp xs =
+    Format.fprintf ppf "%-14s" label;
+    List.iter (pp ppf) xs;
+    Format.fprintf ppf "@,"
   in
-  pp_rows
-    (Printf.sprintf "Fig. 9(%s): eliminated moves ratio"
-       (if f.k = 16 then "a" else "c"))
-    f.moves_ratio;
-  pp_rows
-    (Printf.sprintf "Fig. 9(%s): generated spill code ratio"
-       (if f.k = 16 then "b" else "d"))
-    f.spills_ratio
-
-let print_fig10 ppf ~k rows =
-  let part = match k with 16 -> "a" | 24 -> "b" | _ -> "c" in
-  Format.fprintf ppf "@[<v>Fig. 10(%s): simulated cycles, k=%d@," part k;
-  (match rows with
-  | [] -> ()
-  | first :: _ ->
-      Format.fprintf ppf "%-14s" "test";
-      List.iter (fun (l, _) -> Format.fprintf ppf " %22s" l) first.cycles;
-      Format.fprintf ppf "@,");
-  List.iter
-    (fun (row : fig10_row) ->
-      Format.fprintf ppf "%-14s" row.test;
-      List.iter (fun (_, c) -> Format.fprintf ppf " %22d" c) row.cycles;
-      Format.fprintf ppf "@,")
-    rows;
+  let pp_label ppf l = Format.fprintf ppf " %22s" l in
+  let pp_cell ppf = function
+    | Ratio x -> pp_label ppf (Printf.sprintf "%.3f" x)
+    | Na -> pp_label ppf "n/a"
+    | Cycles c -> Format.fprintf ppf " %22d" c
+  in
+  Format.fprintf ppf "@[<v>%s@," t.title;
+  line "test" pp_label t.columns;
+  List.iter (fun r -> line r.test pp_cell r.cells) t.rows;
+  if t.geomean then begin
+    (* Each column's ratios in reverse row order: the pinned means were
+       summed in that order. *)
+    let ratios =
+      List.rev_map
+        (fun r ->
+          List.map (function Ratio x -> Some x | Na | Cycles _ -> None) r.cells)
+        t.rows
+    in
+    line "geo. mean" pp_cell
+      (List.mapi
+         (fun i _ ->
+           Ratio (geomean (List.filter_map (fun r -> List.nth r i) ratios)))
+         t.columns)
+  end;
   Format.fprintf ppf "@]"
 
-let print_fig11 ppf rows =
-  Format.fprintf ppf
-    "@[<v>Fig. 11: elapsed time relative to full preferences (k=24)@,";
-  (match rows with
-  | [] -> ()
-  | first :: _ ->
-      Format.fprintf ppf "%-14s" "test";
-      List.iter (fun (l, _) -> Format.fprintf ppf " %22s" l) first.relative;
-      Format.fprintf ppf "@,");
-  let sums = Hashtbl.create 8 in
-  List.iter
-    (fun (row : fig11_row) ->
-      Format.fprintf ppf "%-14s" row.test;
-      List.iter
-        (fun (l, v) ->
-          let cur = try Hashtbl.find sums l with Not_found -> [] in
-          Hashtbl.replace sums l (v :: cur);
-          Format.fprintf ppf " %22s" (Printf.sprintf "%.3f" v))
-        row.relative;
-      Format.fprintf ppf "@,")
-    rows;
-  (match rows with
-  | first :: _ ->
-      Format.fprintf ppf "%-14s" "geo. mean";
-      List.iter
-        (fun (l, _) ->
-          let xs = try Hashtbl.find sums l with Not_found -> [] in
-          Format.fprintf ppf " %22s" (Printf.sprintf "%.3f" (geomean xs)))
-        first.relative;
-      Format.fprintf ppf "@,"
-  | [] -> ());
-  Format.fprintf ppf "@]"
+let print ppf tables = List.iter (print_table ppf) tables
 
 let print_all ?jobs ppf () =
   Format.fprintf ppf "%a@.@." Fig7.print ();
-  Format.fprintf ppf "%a@." print_fig9 (fig9 ?jobs ~k:16 ());
-  Format.fprintf ppf "%a@.@." print_fig9 (fig9 ?jobs ~k:32 ());
+  Format.fprintf ppf "%a@." print (fig9 ?jobs ~k:16 ());
+  Format.fprintf ppf "%a@.@." print (fig9 ?jobs ~k:32 ());
   List.iter
-    (fun k ->
-      Format.fprintf ppf "%a@.@." (fun ppf -> print_fig10 ppf ~k) (fig10 ?jobs ~k ()))
+    (fun k -> Format.fprintf ppf "%a@.@." print (fig10 ?jobs ~k ()))
     [ 16; 24; 32 ];
-  Format.fprintf ppf "%a@." print_fig11 (fig11 ?jobs ())
+  Format.fprintf ppf "%a@." print (fig11 ?jobs ())

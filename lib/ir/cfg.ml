@@ -465,6 +465,8 @@ let validate f =
       f.blocks;
     if not present.(f.entry) then
       raise (Invalid (Printf.sprintf "entry L%d missing" f.entry));
+    if (List.hd f.blocks).label <> f.entry then
+      raise (Invalid (Printf.sprintf "entry block L%d is not first" f.entry));
     let preds = predecessors f in
     List.iter
       (fun b ->
@@ -513,19 +515,6 @@ let validate f =
   with
   | Invalid msg -> err "%s: %s" f.name msg
   | Invalid_argument msg -> err "%s: %s" f.name msg
-
-(* The verifier-facing well-formedness check: the structural invariants
-   the array representation leans on (terminator exactly at the last
-   slot, no empty blocks) plus the entry block leading the block list. *)
-let wellformed f =
-  match validate f with
-  | Error _ as e -> e
-  | Ok () -> (
-      match f.blocks with
-      | b :: _ when b.label = f.entry -> Ok ()
-      | _ :: _ ->
-          Error (Printf.sprintf "%s: entry block L%d is not first" f.name f.entry)
-      | [] -> Error (Printf.sprintf "%s: no blocks" f.name))
 
 let pp_block ppf b =
   Format.fprintf ppf "@[<v 2>L%d:@ %a@]" b.label

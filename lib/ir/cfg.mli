@@ -170,13 +170,10 @@ val find_func : program -> string -> func
 
 val validate : func -> (unit, string) result
 (** Check structural invariants: non-empty blocks, single trailing
-    terminator, branch targets exist, entry block present, phis only at
-    block heads with sources matching predecessors. *)
-
-val wellformed : func -> (unit, string) result
-(** [validate] plus the layout invariants the array representation
-    makes load-bearing: the entry block leads the block list.  Run by
-    the verifier's linter on every phase snapshot. *)
+    terminator, branch targets exist, the entry block present and
+    leading the block list, phis only at block heads with sources
+    matching predecessors.  Run by the verifier's linter on every phase
+    snapshot and by the daemon's decoder on every function. *)
 
 val pp_block : Format.formatter -> block -> unit
 val pp_func : Format.formatter -> func -> unit

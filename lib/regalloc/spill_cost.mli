@@ -1,22 +1,17 @@
 (** Spill-cost estimation (paper Appendix).
 
-    For a register [V]:
-    - [Spill_Cost(V)] — added memory traffic when spilled: a 2-cycle
-      load per use and a 1-cycle store per definition, weighted by the
-      execution frequency of the site;
-    - [Op_Cost(V)] — cost of the operations using or defining [V]
-      (2 cycles for memory operations, 1 otherwise, calls excluded),
-      same weighting;
-    - [Mem_Cost(V) = Spill_Cost(V) + Op_Cost(V)] — the baseline cost
-      the preference strengths are measured against. *)
+    For a register [V], [Spill_Cost(V)] is the added memory traffic
+    when [V] is spilled: a 2-cycle load per use and a 1-cycle store per
+    definition, weighted by the execution frequency of the site.
 
-type info = {
-  spill_cost : int;
-  op_cost : int;
-  mem_cost : int;
-  n_defs : int;
-  n_uses : int;
-}
+    The Appendix also defines [Op_Cost(V)], the cost of the operations
+    using or defining [V], and [Mem_Cost(V) = Spill_Cost(V) +
+    Op_Cost(V)].  Neither is computed: a preference's strength is
+    [Mem_Cost(V) - Ideal_Cost(V, P)], and [Ideal_Cost] carries the same
+    [Op_Cost(V)] less the operation the preference saves, so [Op_Cost]
+    cancels out of every strength (see {!Strength}'s expansion). *)
+
+type info = { spill_cost : int; n_defs : int; n_uses : int }
 
 type t
 
@@ -31,7 +26,6 @@ val info : t -> Reg.t -> info
 (** Zero costs for a register that never occurs. *)
 
 val spill_cost : t -> Reg.t -> int
-val mem_cost : t -> Reg.t -> int
 
 val merged_spill_costs : t -> Igraph.t -> Reg.t -> int
 (** [merged_spill_costs t g r] is the sum of [spill_cost] over every

@@ -460,28 +460,32 @@ let read_func r : Cfg.func =
       let kind = read_kind ~next_reg ~next_label r in
       instrs.(i) <- { Instr.id; kind }
     done;
-    (* [mk_block] re-checks the structural invariants, so malformed
-       frames surface as codec errors, not crashes downstream. *)
-    match Cfg.mk_block label instrs with
-    | b -> b
-    | exception Invalid_argument msg -> fail "%s" msg
+    { Cfg.label; instrs }
   in
   let blocks = ref [] in
   for _ = 1 to n_blocks do
     blocks := read_block () :: !blocks
   done;
-  let blocks = List.rev !blocks in
-  {
-    Cfg.name;
-    entry;
-    blocks;
-    n_params;
-    reg_cls;
-    next_reg;
-    next_instr_id;
-    next_label;
-    numbering = None;
-  }
+  let f =
+    {
+      Cfg.name;
+      entry;
+      blocks = List.rev !blocks;
+      n_params;
+      reg_cls;
+      next_reg;
+      next_instr_id;
+      next_label;
+      numbering = None;
+    }
+  in
+  (* Every structural invariant (terminators, unique labels, entry
+     first, branch targets and phi sources that exist), so a malformed
+     frame is a codec error, never a crash downstream or a cached
+     reply. *)
+  match Cfg.validate f with
+  | Ok () -> f
+  | Error msg -> fail "%s, function ending at offset %d" msg r.pos
 
 let magic = "PDGC1"
 

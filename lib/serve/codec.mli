@@ -17,7 +17,8 @@
 
 exception Error of string
 (** Raised by the decoders on truncated, oversized or malformed
-    input.  The message names the offset and what was expected. *)
+    input, including a function {!Cfg.validate} rejects.  The message
+    names the offset and what was expected. *)
 
 val max_counter : int
 (** Largest fresh-name counter ([next_reg], [next_instr_id],

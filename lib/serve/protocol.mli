@@ -62,6 +62,10 @@ type response =
   | Shutdown_ack
   | Error_reply of string
 
+val write_machine : Buffer.t -> Machine.t -> unit
+(** A machine config's wire layout, as an allocate request carries it
+    (the daemon's cache keys embed the same bytes). *)
+
 (** {2 Per-function reply blobs} *)
 
 type func_reply = {

@@ -58,16 +58,7 @@ let cache_key (m : Machine.t) algo_name (f : Cfg.func) =
   let buf = Buffer.create 64 in
   Buffer.add_string buf (Cfg.body_digest f);
   Codec.write_string buf f.Cfg.name;
-  Codec.write_string buf m.Machine.name;
-  Codec.write_int buf m.Machine.k;
-  Codec.write_int buf m.Machine.n_volatile;
-  Codec.write_int buf m.Machine.n_arg_regs;
-  Codec.write_int buf m.Machine.ret_index;
-  Codec.write_int buf m.Machine.limited_size;
-  Buffer.add_char buf
-    (match m.Machine.pair_rule with
-    | Machine.Parity -> '\000'
-    | Machine.Consecutive -> '\001');
+  Protocol.write_machine buf m;
   Codec.write_string buf algo_name;
   Buffer.contents buf
 

@@ -4,20 +4,16 @@ let func phase (fn : Cfg.func) =
   let out = ref [] in
   let emit d = out := d :: !out in
   let name = fn.Cfg.name in
-  (match Cfg.wellformed fn with
+  (match Cfg.validate fn with
   | Ok () -> ()
   | Error msg -> emit (Diagnostic.v ~func:name Diagnostic.Structure msg));
-  (* Dangling references: jumps are covered by [Cfg.validate]; check
-     phi sources and the entry label explicitly. *)
+  (* Dangling references: jumps and the entry label are covered by
+     [Cfg.validate]; check phi sources explicitly. *)
   let labels =
     List.fold_left
       (fun acc (b : Cfg.block) -> b.Cfg.label :: acc)
       [] fn.Cfg.blocks
   in
-  if not (List.mem fn.Cfg.entry labels) then
-    emit
-      (Diagnostic.v ~func:name Diagnostic.Structure
-         (Printf.sprintf "entry block L%d does not exist" fn.Cfg.entry));
   let defs_seen = Reg.Tbl.create 64 in
   List.iter
     (fun (b : Cfg.block) ->

@@ -237,7 +237,7 @@ let test_dense_numbering () =
   let fn2 = Cfg.map_instrs fn (fun i -> i.Instr.kind) in
   check Alcotest.int "renumbered size" 5 (Cfg.n_instrs fn2)
 
-let test_wellformed_entry_first () =
+let test_validate_entry_first () =
   let fn = Cfg.create_func ~name:"wf" ~n_params:0 ~entry:1 in
   let blocks_entry_second =
     [
@@ -246,13 +246,11 @@ let test_wellformed_entry_first () =
     ]
   in
   let bad = Cfg.with_blocks fn blocks_entry_second in
-  check Alcotest.bool "validate accepts entry-second" true
-    (Result.is_ok (Cfg.validate bad));
-  check Alcotest.bool "wellformed rejects entry-second" true
-    (Result.is_error (Cfg.wellformed bad));
+  check Alcotest.bool "validate rejects entry-second" true
+    (Result.is_error (Cfg.validate bad));
   let good = Cfg.with_blocks fn (List.rev blocks_entry_second) in
-  check Alcotest.bool "wellformed accepts entry-first" true
-    (Result.is_ok (Cfg.wellformed good))
+  check Alcotest.bool "validate accepts entry-first" true
+    (Result.is_ok (Cfg.validate good))
 
 let test_validate_missing_entry () =
   let fn = Cfg.create_func ~name:"bad" ~n_params:0 ~entry:0 in
@@ -351,7 +349,7 @@ let () =
           tc "validate rejects malformed blocks" test_validate_rejects;
           tc "mk_block enforces block invariants" test_mk_block_invariants;
           tc "dense instruction numbering" test_dense_numbering;
-          tc "wellformed requires entry first" test_wellformed_entry_first;
+          tc "validate requires entry first" test_validate_entry_first;
           tc "validate rejects missing entry" test_validate_missing_entry;
           tc "clone isolates metadata" test_clone_isolation;
           tc "all_vregs" test_all_vregs;

@@ -73,51 +73,66 @@ let test_jack_end_to_end_16 () = suite_end_to_end "jack" 16
 (* Experiment harness ---------------------------------------------------- *)
 
 let test_fig9_shape () =
-  let f = Experiments.fig9 ~k:16 () in
-  check Alcotest.int "k recorded" 16 f.Experiments.k;
-  (* 7 integer rows + 2 fp rows. *)
-  check Alcotest.int "rows" 9 (List.length f.Experiments.moves_ratio);
-  check Alcotest.int "spill rows" 9 (List.length f.Experiments.spills_ratio);
-  List.iter
-    (fun (row : Experiments.fig9_row) ->
-      check Alcotest.int ("series of " ^ row.Experiments.test) 3
-        (List.length row.Experiments.series);
-      (* Move-elimination ratios hover near 1. *)
+  match Experiments.fig9 ~k:16 () with
+  | [ moves; spills ] ->
+      check Alcotest.string "k recorded"
+        "Fig. 9(a): eliminated moves ratio (vs. chaitin+aggressive, k=16)"
+        moves.Experiments.title;
+      (* 7 integer rows + 2 fp rows. *)
+      check Alcotest.int "rows" 9 (List.length moves.Experiments.rows);
+      check Alcotest.int "spill rows" 9 (List.length spills.Experiments.rows);
       List.iter
-        (fun (label, v) ->
-          match v with
-          | Some x ->
-              check Alcotest.bool
-                (Printf.sprintf "%s/%s ratio sane (%.2f)" row.Experiments.test
-                   label x)
-                true
-                (x > 0.5 && x < 1.5)
-          | None -> ())
-        row.Experiments.series)
-    f.Experiments.moves_ratio
+        (fun (row : Experiments.row) ->
+          check Alcotest.int ("series of " ^ row.Experiments.test) 3
+            (List.length row.Experiments.cells);
+          (* Move-elimination ratios hover near 1. *)
+          List.iter2
+            (fun label v ->
+              match v with
+              | Experiments.Ratio x ->
+                  check Alcotest.bool
+                    (Printf.sprintf "%s/%s ratio sane (%.2f)"
+                       row.Experiments.test label x)
+                    true
+                    (x > 0.5 && x < 1.5)
+              | Experiments.Na | Experiments.Cycles _ -> ())
+            moves.Experiments.columns row.Experiments.cells)
+        moves.Experiments.rows
+  | tables -> Alcotest.failf "fig9: %d tables, want 2" (List.length tables)
+
+let the_table = function
+  | [ t ] -> t
+  | tables -> Alcotest.failf "%d tables, want 1" (List.length tables)
 
 let test_fig10_shape () =
-  let rows = Experiments.fig10 ~k:24 () in
-  check Alcotest.int "7 tests" 7 (List.length rows);
+  let t = the_table (Experiments.fig10 ~k:24 ()) in
+  check Alcotest.int "7 tests" 7 (List.length t.Experiments.rows);
   List.iter
-    (fun (row : Experiments.fig10_row) ->
-      check Alcotest.int "3 algorithms" 3 (List.length row.Experiments.cycles);
+    (fun (row : Experiments.row) ->
+      check Alcotest.int "3 algorithms" 3 (List.length row.Experiments.cells);
       List.iter
-        (fun (_, c) -> check Alcotest.bool "positive cycles" true (c > 0))
-        row.Experiments.cycles)
-    rows
+        (function
+          | Experiments.Cycles c ->
+              check Alcotest.bool "positive cycles" true (c > 0)
+          | Experiments.Ratio _ | Experiments.Na ->
+              Alcotest.fail "cycle count expected")
+        row.Experiments.cells)
+    t.Experiments.rows
 
 let test_fig11_full_is_baseline () =
-  let rows = Experiments.fig11 () in
-  check Alcotest.int "7 tests" 7 (List.length rows);
+  let t = the_table (Experiments.fig11 ()) in
+  check Alcotest.int "7 tests" 7 (List.length t.Experiments.rows);
   List.iter
-    (fun (row : Experiments.fig11_row) ->
-      match List.assoc_opt "full preferences" row.Experiments.relative with
-      | Some v ->
+    (fun (row : Experiments.row) ->
+      match
+        List.assoc_opt "full preferences"
+          (List.combine t.Experiments.columns row.Experiments.cells)
+      with
+      | Some (Experiments.Ratio v) ->
           check (Alcotest.float 1e-9) ("full = 1.0 on " ^ row.Experiments.test)
             1.0 v
-      | None -> Alcotest.fail "full preferences series missing")
-    rows
+      | Some _ | None -> Alcotest.fail "full preferences series missing")
+    t.Experiments.rows
 
 let test_metrics_counts () =
   let m = Machine.middle_pressure in

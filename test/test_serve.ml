@@ -243,6 +243,17 @@ let test_codec_rejects_garbage () =
          { b with Cfg.instrs }));
   patched "label at next_label"
     (patch_first_block (fun b -> { b with Cfg.label = f.Cfg.next_label }));
+  (* Well-encoded but malformed CFGs: a duplicated block and an entry
+     block that is not first. *)
+  let main = Cfg.find_func (Suite.program "jess") "main" in
+  let l1 = List.find (fun (b : Cfg.block) -> b.Cfg.label = 1) main.Cfg.blocks in
+  patched "duplicate label"
+    (Cfg.with_blocks (Cfg.clone main) (main.Cfg.blocks @ [ l1 ]));
+  (match main.Cfg.blocks with
+  | entry :: second :: rest ->
+      patched "entry block not first"
+        (Cfg.with_blocks (Cfg.clone main) (second :: entry :: rest))
+  | _ -> Alcotest.fail "jess main has fewer than two blocks");
   (* A count larger than the bytes after it: the class table claims a
      billion entries and the input ends. *)
   let buf = Buffer.create 16 in
@@ -252,14 +263,28 @@ let test_codec_rejects_garbage () =
       Codec.decode_func (Buffer.contents buf));
   (* The class table takes a byte per register up to the largest id it
      names, so it may name only virtual registers below
-     [first_virtual + entries].  A blockless function with one class
+     [first_virtual + entries].  A one-block function with one class
      entry: the control decodes, the two patched entries must not. *)
+  let ret_block =
+    (* The blocks section of [L0: ret], cut from a real encoding. *)
+    let g = Cfg.create_func ~name:"f" ~n_params:0 ~entry:0 in
+    let g = Cfg.with_blocks g [ Cfg.mk_block 0 [| Cfg.instr g (Instr.Ret None) |] ] in
+    let enc = Codec.encode_func g in
+    let header =
+      Codec.string_size "f"
+      + List.fold_left
+          (fun n v -> n + Codec.int_size v)
+          0
+          [ 0; 0; g.Cfg.next_reg; g.Cfg.next_instr_id; g.Cfg.next_label; 0 ]
+    in
+    String.sub enc header (String.length enc - header)
+  in
   let one_class reg =
     let buf = Buffer.create 16 in
     Codec.write_string buf "f";
-    List.iter (Codec.write_int buf) [ 0; 0; Reg.first_virtual + 64; 0; 1; 1; reg ];
+    List.iter (Codec.write_int buf) [ 0; 0; Reg.first_virtual + 64; 1; 1; 1; reg ];
     Buffer.add_char buf '\000';
-    Codec.write_int buf 0;
+    Buffer.add_string buf ret_block;
     Buffer.contents buf
   in
   ignore (Codec.decode_func (one_class Reg.first_virtual));

@@ -2,8 +2,7 @@
 
 open Helpers
 
-(* Appendix numbers on the Fig. 7 example: Mem_Cost(v3) = Spill_Cost(30)
-   + Op_Cost(20) = 50. *)
+(* Appendix numbers on the Fig. 7 example: Spill_Cost(v3) = 30. *)
 let test_fig7_v3_costs () =
   let fn, regs = Fig7.build () in
   let webs = Webs.run fn in
@@ -19,8 +18,6 @@ let test_fig7_v3_costs () =
   (* v3: one def (the copy, freq 10, store cost 1) and one use (the copy
      to arg0, freq 10, load cost 2). *)
   check Alcotest.int "Spill_Cost(v3)" 30 info.Spill_cost.spill_cost;
-  check Alcotest.int "Op_Cost(v3)" 20 info.Spill_cost.op_cost;
-  check Alcotest.int "Mem_Cost(v3)" 50 info.Spill_cost.mem_cost;
   check Alcotest.int "defs" 1 info.Spill_cost.n_defs;
   check Alcotest.int "uses" 1 info.Spill_cost.n_uses
 
@@ -39,19 +36,6 @@ let test_fig7_v4_costs () =
   (* v4: def at the add (freq 10, store 1 = 10), use at v0 = v4+1
      (freq 10, load 2 = 20). *)
   check Alcotest.int "Spill_Cost(v4)" 30 info.Spill_cost.spill_cost
-
-let test_memory_op_cost_weighting () =
-  (* A load-using register pays Inst_Cost 2 at that site. *)
-  let b = Builder.create ~name:"m" ~n_params:1 in
-  let base = Builder.reg b Reg.Int_class in
-  Builder.param b base 0;
-  let x = Builder.load b ~base ~offset:0 () in
-  Builder.ret b (Some x);
-  let fn = Builder.finish b in
-  let costs = Spill_cost.compute fn in
-  let info = Spill_cost.info costs base in
-  (* base: def via param (op 1) + use at load (memory op 2), freq 1. *)
-  check Alcotest.int "op cost" 3 info.Spill_cost.op_cost
 
 let test_zero_for_unknown () =
   let fn, _, _, _, _ = straightline () in
@@ -318,7 +302,6 @@ let () =
         [
           tc "fig7 v3 appendix numbers" test_fig7_v3_costs;
           tc "fig7 v4 spill cost" test_fig7_v4_costs;
-          tc "memory ops weigh 2" test_memory_op_cost_weighting;
           tc "unknown registers cost zero" test_zero_for_unknown;
           tc "metric protects temporaries" test_chaitin_metric_protects_temps;
         ] );

@@ -165,7 +165,7 @@ let test_destruct_splits_critical_edge () =
   let ssa = Ssa_construct.run fn in
   check Alcotest.int "phi in terminator-only join" 1 (count_phis ssa);
   let out = Ssa_destruct.run ssa in
-  check Alcotest.bool "wellformed" true (Result.is_ok (Cfg.wellformed out));
+  check Alcotest.bool "valid" true (Result.is_ok (Cfg.validate out));
   check Alcotest.int "no phis left" 0 (count_phis out);
   check Alcotest.bool "critical edge split" true
     (List.length out.Cfg.blocks > 3);

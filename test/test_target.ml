@@ -231,15 +231,15 @@ let test_ablation_configs_valid () =
   let m = Machine.middle_pressure in
   let p = Pipeline.prepare m (Suite.program "jess") in
   List.iter
-    (fun (label, allocate) ->
+    (fun algo ->
       List.iter
         (fun fn ->
-          let res = allocate m fn in
-          check Alcotest.bool (label ^ " completes") true
+          let res = Allocator.exec algo m fn in
+          check Alcotest.bool (algo.Allocator.label ^ " completes") true
             (res.Alloc_common.rounds >= 1);
           assert_valid_allocation m res)
         p.Cfg.funcs)
-    Ablation.configs
+    Experiments.ablation_configs
 
 let test_strict_order_matches_paper_on_fig7 () =
   (* Even without relaxation the Fig. 7 example colors fully (it is the

@@ -260,10 +260,8 @@ let test_lint_phases () =
     (has_error Diagnostic.Not_allocatable (Lint.func (Lint.Machine m8) fn))
 
 let test_lint_rejects_entry_not_first () =
-  (* [Cfg.validate] tolerates the entry block appearing later in the
-     block list, but the linter's [Cfg.wellformed] check does not: the
-     whole pipeline keeps the entry first, and passes (builder,
-     numbering, block-order traversals) rely on it. *)
+  (* The whole pipeline keeps the entry block first, and passes
+     (builder, numbering, block-order traversals) rely on it. *)
   let fn = Cfg.create_func ~name:"entry2nd" ~n_params:0 ~entry:1 in
   let bad =
     Cfg.with_blocks fn
@@ -275,6 +273,20 @@ let test_lint_rejects_entry_not_first () =
   Alcotest.(check bool)
     "entry-not-first flagged" true
     (has_error Diagnostic.Structure (Lint.func Lint.Prepared bad))
+
+let test_lint_missing_entry_once () =
+  (* One fault, one diagnostic: the entry rules live in [Cfg.validate]
+     alone. *)
+  let fn = Cfg.create_func ~name:"noentry" ~n_params:0 ~entry:0 in
+  let bad =
+    Cfg.with_blocks fn [ Cfg.mk_block 1 [| Cfg.instr fn (Instr.Ret None) |] ]
+  in
+  Alcotest.(check int)
+    "one structure diagnostic" 1
+    (List.length
+       (List.filter
+          (fun (d : Diagnostic.t) -> d.Diagnostic.reason = Diagnostic.Structure)
+          (Lint.func Lint.Prepared bad)))
 
 (* --- regressions -------------------------------------------------------- *)
 
@@ -344,6 +356,7 @@ let () =
           tc "r12 return at k=8 reported once"
             (not_allocatable_once (Some (ri 12)));
           tc "entry block not first" test_lint_rejects_entry_not_first;
+          tc "missing entry reported once" test_lint_missing_entry_once;
         ] );
       ( "positive",
         [
