@@ -303,26 +303,6 @@ let resolve t r =
   | None -> []
   | Some i -> List.map (reg_at t) (resolve_idx t i)
 
-let topological_orders_ok t =
-  (* Kahn's algorithm visits every node iff the graph is acyclic. *)
-  let pending = Array.copy t.indeg in
-  let q = Queue.create () in
-  List.iter
-    (fun r ->
-      let i = idx t r in
-      if pending.(i) = 0 then Queue.add i q)
-    t.all;
-  let visited = ref 0 in
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    incr visited;
-    Regbits.Set.iter t.succ.(i) (fun s ->
-        let p = pending.(s) - 1 in
-        pending.(s) <- p;
-        if p = 0 then Queue.add s q)
-  done;
-  !visited = List.length t.all
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter

@@ -58,9 +58,6 @@ val resolve : t -> Reg.t -> Reg.t list
     that become selectable as a result, in descending register order.
     Each node must be resolved exactly once. *)
 
-val topological_orders_ok : t -> bool
-(** Internal sanity: the graph is acyclic. *)
-
 (** {2:dense Dense index sub-API}
 
     Mirrors [Igraph]'s index surface.  Indices are only meaningful

@@ -15,9 +15,7 @@ let default_config variant =
     rematerialize = false;
   }
 
-type extra = { select_stats : Pdgc_select.stats; cpg_edges : int }
-
-let allocate_config_verbose config (m : Machine.t) f0 =
+let allocate_config config (m : Machine.t) f0 =
   let kinds =
     match config.variant with
     | Coalescing_only -> `Coalesce_only
@@ -55,19 +53,12 @@ let allocate_config_verbose config (m : Machine.t) f0 =
            ())
     in
     if Reg.Set.is_empty sel.Pdgc_select.spilled then
-      Alloc_common.Colored
-        ( Reg.Tbl.find_opt sel.Pdgc_select.colors,
-          { select_stats = sel.Pdgc_select.stats; cpg_edges = Cpg.n_edges cpg }
-        )
+      Alloc_common.Colored (Reg.Tbl.find_opt sel.Pdgc_select.colors)
     else Alloc_common.Spill sel.Pdgc_select.spilled
   in
   Alloc_common.drive ~name:"pdgc" ~rematerialize:config.rematerialize f0 color
 
-let allocate_verbose variant m f =
-  allocate_config_verbose (default_config variant) m f
-
-let allocate variant m f = fst (allocate_verbose variant m f)
-let allocate_config config m f = fst (allocate_config_verbose config m f)
+let allocate variant m f = allocate_config (default_config variant) m f
 
 let allocator_coalescing_only =
   Allocator.v ~name:"pdgc-co" ~label:"only coalescing" (allocate Coalescing_only)

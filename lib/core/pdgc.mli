@@ -13,7 +13,11 @@
       non-volatile-first fallback the other baselines use;
     - [Full_preferences] — all preference types: coalesce, sequential±
       for paired loads, volatile/non-volatile kind, limited set, and
-      active memory preferences. *)
+      active memory preferences.
+
+    Like every allocator, it returns only {!Alloc_common.result};
+    select's counters ({!Pdgc_select.stats}) are read from
+    {!Pdgc_select.run} by whoever runs a round's stages directly. *)
 
 type variant = Coalescing_only | Full_preferences
 
@@ -31,15 +35,7 @@ type config = {
 
 val default_config : variant -> config
 
-type extra = {
-  select_stats : Pdgc_select.stats;  (** from the last round *)
-  cpg_edges : int;  (** precedence edges in the last round's CPG *)
-}
-
 val allocate : variant -> Machine.t -> Cfg.func -> Alloc_common.result
-
-val allocate_verbose :
-  variant -> Machine.t -> Cfg.func -> Alloc_common.result * extra
 
 val allocate_config : config -> Machine.t -> Cfg.func -> Alloc_common.result
 

@@ -13,7 +13,9 @@ val reachable : t -> Instr.label -> bool
 (** Is the block reachable from the entry? *)
 
 val idom : t -> Instr.label -> Instr.label option
-(** Immediate dominator; [None] for the entry block.
+(** Immediate dominator; [None] for the entry block.  Only the tests
+    read it: the [Ref_dom] oracle checks the dominator tree itself, not
+    just the {!dominates} answers built on it.
     @raise Not_found for unreachable blocks. *)
 
 val dominates : t -> Instr.label -> Instr.label -> bool

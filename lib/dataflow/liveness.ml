@@ -3,8 +3,7 @@
    The fixpoint runs entirely over Regbits bitsets indexed by a
    per-function compact numbering — unions and equality checks are
    word-parallel — while the public API keeps the Reg.Set boundary the
-   rest of the pipeline was written against.  Block-exit Reg.Set views
-   are converted lazily and memoized. *)
+   rest of the pipeline was written against. *)
 
 type t = {
   cpt : Regbits.compact;
@@ -13,8 +12,6 @@ type t = {
   facts : Regbits.Set.t Solver.result;
   (* Below, arrays indexed by block label. *)
   phi_outflow_bits : Regbits.Set.t array;
-  (* Memoized Reg.Set views of live_out. *)
-  out_sets : Reg.Set.t option array;
 }
 
 let compact t = t.cpt
@@ -83,7 +80,6 @@ let compute (f : Cfg.func) =
     cpt;
     facts = S.solve ~direction:Solver.Backward ~transfer f;
     phi_outflow_bits = outflow;
-    out_sets = Array.make bound None;
   }
 
 let scratch_live_out t l =
@@ -96,17 +92,6 @@ let live_in_bits t l = Regbits.Set.copy (Solver.output t.facts l)
 let live_in_mem t l r =
   let i = Regbits.find_index t.cpt r in
   i >= 0 && Regbits.Set.mem (Solver.output t.facts l) i
-
-let live_out t l =
-  if l < 0 || l >= Array.length t.out_sets then
-    Regbits.Set.to_reg_set t.cpt (scratch_live_out t l)
-  else
-    match t.out_sets.(l) with
-    | Some s -> s
-    | None ->
-        let s = Regbits.Set.to_reg_set t.cpt (scratch_live_out t l) in
-        t.out_sets.(l) <- Some s;
-        s
 
 let iter_block_backward_bits t (b : Cfg.block) ~f =
   let live = scratch_live_out t b.Cfg.label in
@@ -129,7 +114,9 @@ let transfer_instr live i =
   | _ -> List.fold_left (fun s r -> Reg.Set.add r s) live (Instr.uses kind)
 
 let fold_block_backward t (b : Cfg.block) ~init ~f =
-  let live = ref (live_out t b.Cfg.label) in
+  let live =
+    ref (Regbits.Set.to_reg_set t.cpt (scratch_live_out t b.Cfg.label))
+  in
   let instrs = b.Cfg.instrs in
   let acc = ref init in
   for k = Array.length instrs - 1 downto 0 do

@@ -6,16 +6,14 @@
     the corresponding predecessor, not live into the phi's block.
 
     The fixpoint runs over dense {!Regbits} bitsets (word-parallel
-    unions over a per-function compact numbering); the [Reg.Set]
-    views below are lazy and memoized.  Clients
-    on the hot path can work on the bitsets directly through
-    {!compact}, {!live_in_bits} and {!iter_block_backward_bits}. *)
+    unions over a per-function compact numbering); {!fold_block_backward}
+    is a [Reg.Set] view.  Clients on the hot path work on the bitsets
+    directly through {!compact}, {!live_in_bits} and
+    {!iter_block_backward_bits}. *)
 
 type t
 
 val compute : Cfg.func -> t
-
-val live_out : t -> Instr.label -> Reg.Set.t
 
 val fold_block_backward :
   t ->

@@ -21,3 +21,6 @@ val frequency : t -> Instr.label -> int
 (** [10 ^ min (depth, 6)]. *)
 
 val loop_headers : t -> Instr.label list
+(** The blocks that head a natural loop.  Only the tests read it: the
+    [Ref_dom] oracle checks the loop forest itself, which depths alone
+    do not determine. *)

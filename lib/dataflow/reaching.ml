@@ -97,10 +97,8 @@ let sites_of_reg t r =
   let v = r - t.reg_base in
   if v >= 0 && v < Array.length t.reg_sites then t.reg_sites.(v) else []
 
-let reaching_in_bits t l = Solver.input t.bits_in l
-
 let iter_block_forward_bits t (b : Cfg.block) ~f =
-  let live = Regbits.Set.copy (reaching_in_bits t b.Cfg.label) in
+  let live = Regbits.Set.copy (Solver.input t.bits_in b.Cfg.label) in
   let base = Cfg.instr_index t.fn b.Cfg.instrs.(0) in
   Array.iteri
     (fun k i ->

@@ -20,10 +20,6 @@ val site_reg : t -> int -> Reg.t
 val sites_of_reg : t -> Reg.t -> int list
 (** All sites defining a register, in program order. *)
 
-val reaching_in_bits : t -> Instr.label -> Regbits.Set.t
-(** Sites reaching the entry of a block, as a bitset over site
-    indices.  Callers must not mutate the result. *)
-
 val iter_block_forward_bits :
   t ->
   Cfg.block ->

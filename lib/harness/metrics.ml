@@ -2,7 +2,6 @@ type per_class = { ints : int; floats : int }
 
 let zero = { ints = 0; floats = 0 }
 let add a b = { ints = a.ints + b.ints; floats = a.floats + b.floats }
-let total c = c.ints + c.floats
 
 let count_class acc cls =
   match cls with

@@ -5,7 +5,6 @@ type per_class = { ints : int; floats : int }
 
 val zero : per_class
 val add : per_class -> per_class -> per_class
-val total : per_class -> int
 
 val moves : Cfg.program -> per_class
 (** Copy instructions by register class. *)

@@ -12,7 +12,7 @@ let pdgc_full = Pdgc.allocator_full
 let aggressive_volatility = Lueh_gross.allocator
 let priority_based = Priority_based.allocator
 
-let algos =
+let all_algos =
   [
     chaitin_base;
     briggs_aggressive;
@@ -21,12 +21,9 @@ let algos =
     pdgc_coalescing_only;
     pdgc_full;
     aggressive_volatility;
+    priority_based;
   ]
 
-(* Outside [algos]: priority-based coloring omits Chow's live-range
-   splitting, so it is exercised only at moderate pressure (ablation,
-   CLI) rather than in the generic low-k stress tests. *)
-let all_algos = algos @ [ priority_based ]
 let () = List.iter Allocator.register all_algos
 
 (* Every prepare stage (SSA round-trip, convention lowering, paired-load

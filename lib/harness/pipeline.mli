@@ -22,12 +22,10 @@ val pdgc_full : Allocator.t
 val aggressive_volatility : Allocator.t
 val priority_based : Allocator.t
 
-val algos : Allocator.t list
-(** The seven allocators of the paper's evaluation. *)
-
 val all_algos : Allocator.t list
-(** [algos] plus the priority-based extension — exactly the registry
-    contents, in registration order. *)
+(** The seven allocators of the paper's evaluation, then the
+    priority-based extension — exactly the registry contents, in
+    registration order. *)
 
 val prepare_func : Machine.t -> Cfg.func -> Cfg.func
 (** One function through the prepare pipeline (SSA construction and

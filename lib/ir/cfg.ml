@@ -5,7 +5,7 @@ type block = { label : Instr.label; instrs : Instr.t array }
    (which survive rewrites) back to indices.  Built lazily and cached on
    the function; every body rewrite drops the cache. *)
 type numbering = {
-  by_index : Instr.t array;
+  n : int;
   index_of_id : int array; (* instr id -> dense index, -1 when absent *)
 }
 
@@ -121,10 +121,8 @@ let cls_of f r =
     | Some c -> c
     | None -> raise Not_found
 
-let block_opt f l = List.find_opt (fun b -> b.label = l) f.blocks
-
 let block f l =
-  match block_opt f l with
+  match List.find_opt (fun b -> b.label = l) f.blocks with
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Cfg.block: no block L%d in %s" l f.name)
 
@@ -140,8 +138,6 @@ let mk_block label instrs =
   if not (Instr.is_terminator instrs.(n - 1).Instr.kind) then
     invalid_arg (Printf.sprintf "Cfg.mk_block: block L%d lacks a terminator" label);
   { label; instrs }
-
-let mk_block_of_list label instrs = mk_block label (Array.of_list instrs)
 
 let terminator b =
   let n = Array.length b.instrs in
@@ -208,14 +204,12 @@ let fold_instrs f k init =
 
 let build_numbering f =
   let n = List.fold_left (fun n b -> n + Array.length b.instrs) 0 f.blocks in
-  let by_index = Array.make n Instr.dummy in
   let index_of_id = Array.make f.next_instr_id (-1) in
   let k = ref 0 in
   List.iter
     (fun b ->
       Array.iter
         (fun i ->
-          by_index.(!k) <- i;
           let id = i.Instr.id in
           if id < 0 || id >= Array.length index_of_id then
             invalid_arg
@@ -229,7 +223,7 @@ let build_numbering f =
           incr k)
         b.instrs)
     f.blocks;
-  { by_index; index_of_id }
+  { n; index_of_id }
 
 let numbering f =
   match f.numbering with
@@ -239,32 +233,26 @@ let numbering f =
       f.numbering <- Some nb;
       nb
 
-let n_instrs f = Array.length (numbering f).by_index
-
-let instr_index_of_id f id =
-  let nb = numbering f in
-  if id < 0 || id >= Array.length nb.index_of_id then -1
-  else nb.index_of_id.(id)
+let n_instrs f = (numbering f).n
 
 let instr_index f (i : Instr.t) =
-  let idx = instr_index_of_id f i.Instr.id in
+  let nb = numbering f and id = i.Instr.id in
+  let idx =
+    if id < 0 || id >= Array.length nb.index_of_id then -1
+    else nb.index_of_id.(id)
+  in
   if idx < 0 then
     invalid_arg
       (Printf.sprintf "Cfg.instr_index: instr %d not in %s" i.Instr.id f.name);
   idx
 
-let instr_at f idx = (numbering f).by_index.(idx)
-
-let regs_of_func f ~keep =
+let all_vregs f =
   fold_instrs f
     (fun acc _ i ->
-      let add acc r = if keep r then Reg.Set.add r acc else acc in
+      let add acc r = if Reg.is_virtual r then Reg.Set.add r acc else acc in
       let acc = List.fold_left add acc (Instr.defs i.Instr.kind) in
       List.fold_left add acc (Instr.uses i.Instr.kind))
     Reg.Set.empty
-
-let all_vregs f = regs_of_func f ~keep:Reg.is_virtual
-let all_regs f = regs_of_func f ~keep:(fun _ -> true)
 
 let map_instrs f rewrite =
   let blocks =
@@ -468,6 +456,23 @@ let validate f =
     if (List.hd f.blocks).label <> f.entry then
       raise (Invalid (Printf.sprintf "entry block L%d is not first" f.entry));
     let preds = predecessors f in
+    (* What the dense numbering and the class lookups assume: each
+       instruction id is below [next_instr_id] and used once, and each
+       virtual register has a class.  [fresh_reg] classes registers
+       densely from [Reg.first_virtual], so a table that holds all of
+       them below [next_reg] (that of every function made here) needs
+       no lookup per operand. *)
+    let seen = Bytes.make f.next_instr_id '\000' in
+    let all_classed =
+      Classes.length f.reg_cls >= f.next_reg - Reg.first_virtual
+    in
+    let classed r =
+      if Reg.is_virtual r && Option.is_none (Classes.find_opt f.reg_cls r) then
+        raise
+          (Invalid
+             (Printf.sprintf "virtual register %s has no class"
+                (Reg.to_string r)))
+    in
     List.iter
       (fun b ->
         let n = Array.length b.instrs in
@@ -475,6 +480,22 @@ let validate f =
           raise (Invalid (Printf.sprintf "empty block L%d" b.label));
         Array.iteri
           (fun idx i ->
+            let id = i.Instr.id in
+            if id < 0 || id >= f.next_instr_id then
+              raise
+                (Invalid
+                   (Printf.sprintf "instruction id %d in L%d outside [0, %d)"
+                      id b.label f.next_instr_id));
+            if Bytes.get seen id <> '\000' then
+              raise
+                (Invalid
+                   (Printf.sprintf "duplicate instruction id %d in L%d" id
+                      b.label));
+            Bytes.set seen id '\001';
+            if not all_classed then begin
+              List.iter classed (Instr.defs i.Instr.kind);
+              List.iter classed (Instr.uses i.Instr.kind)
+            end;
             let terminal = Instr.is_terminator i.Instr.kind in
             if terminal && idx < n - 1 then
               raise

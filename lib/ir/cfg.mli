@@ -72,10 +72,6 @@ val mk_block : Instr.label -> Instr.t array -> block
     unique terminator in the last slot.
     @raise Invalid_argument otherwise. *)
 
-val mk_block_of_list : Instr.label -> Instr.t list -> block
-(** [mk_block] over [Array.of_list]; for rewrite passes that accumulate
-    bodies as lists. *)
-
 val with_blocks : func -> block list -> func
 (** Same function, new body.  Shares register metadata; the dense
     numbering of the result is rebuilt on demand. *)
@@ -98,7 +94,6 @@ val cls_of : func -> Reg.t -> Reg.cls
 (** {1 Queries} *)
 
 val block : func -> Instr.label -> block
-val block_opt : func -> Instr.label -> block option
 val successors : block -> Instr.label list
 val terminator : block -> Instr.t
 
@@ -137,18 +132,8 @@ val instr_index : func -> Instr.t -> int
 (** Dense index of an instruction of this function.
     @raise Invalid_argument if the instruction is not in the body. *)
 
-val instr_index_of_id : func -> int -> int
-(** Dense index of the instruction with this id, or [-1] if no such
-    instruction is in the body. *)
-
-val instr_at : func -> int -> Instr.t
-(** Instruction at a dense index. *)
-
 val all_vregs : func -> Reg.Set.t
 (** Every virtual register occurring in the body. *)
-
-val all_regs : func -> Reg.Set.t
-(** Every register (virtual and physical) occurring in the body. *)
 
 val map_instrs : func -> (Instr.t -> Instr.kind) -> func
 (** Rewrite every instruction kind in place (ids preserved). *)
@@ -172,8 +157,10 @@ val validate : func -> (unit, string) result
 (** Check structural invariants: non-empty blocks, single trailing
     terminator, branch targets exist, the entry block present and
     leading the block list, phis only at block heads with sources
-    matching predecessors.  Run by the verifier's linter on every phase
-    snapshot and by the daemon's decoder on every function. *)
+    matching predecessors, instruction ids unique and below
+    [next_instr_id], a class for every virtual register.  Run by the
+    verifier's linter on every phase snapshot and by the daemon's
+    decoder on every function. *)
 
 val pp_block : Format.formatter -> block -> unit
 val pp_func : Format.formatter -> func -> unit

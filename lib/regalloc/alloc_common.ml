@@ -101,7 +101,7 @@ let spill_clusters g fn spilled =
     (Cfg.all_vregs fn)
   |> Reg.Set.union spilled
 
-type 'x step = Colored of (Reg.t -> Reg.t option) * 'x | Spill of Reg.Set.t
+type step = Colored of (Reg.t -> Reg.t option) | Spill of Reg.Set.t
 
 (* The round's temporaries as a bit test over its liveness numbering,
    which holds every register of the body: allocators probe it for
@@ -133,7 +133,7 @@ let drive ~name ?(rematerialize = false) f0 color =
     let temps = remap_temps webs temps in
     let a = analyze ~loops fn in
     match color a ~no_spill:(temp_test a.live temps) with
-    | Colored (color_of, x) ->
+    | Colored color_of ->
         (* The liveness numbering holds every register of the body, each
            once.  An uncolored register is reported by its smallest id,
            so the message does not depend on the numbering's order. *)
@@ -153,7 +153,7 @@ let drive ~name ?(rematerialize = false) f0 color =
                (Printf.sprintf "%s: %s left uncolored" name
                   (Reg.to_string !uncolored)));
         let spill_slots = List.concat (List.rev slots) in
-        ({ func = fn; alloc; rounds = n; spill_instrs; spill_slots }, x)
+        { func = fn; alloc; rounds = n; spill_instrs; spill_slots }
     | Spill spilled ->
         let ins = Spill_insert.insert ~rematerialize fn spilled in
         round ins.Spill_insert.func ~temps:(add_spill_temps temps ins)
@@ -185,37 +185,6 @@ let allocate config (m : Machine.t) f0 =
       in
       if not (Reg.Set.is_empty sel.Color_select.failed) then
         Spill (spill_clusters g a.fn sel.Color_select.failed)
-      else Colored (Color_select.color_of sel g, ())
+      else Colored (Color_select.color_of sel g)
   in
-  fst (drive ~name:config.name f0 color)
-
-let check_complete (m : Machine.t) (res : result) =
-  let fn = res.func in
-  let lookup r =
-    if Reg.is_phys r then r
-    else
-      match Reg.Tbl.find_opt res.alloc r with
-      | Some c -> c
-      | None -> raise (Failed (Reg.to_string r ^ " unallocated"))
-  in
-  Reg.Set.iter
-    (fun r ->
-      let c = lookup r in
-      if not (Reg.is_phys c) then raise (Failed "allocated to virtual");
-      if not (Machine.is_allocatable m c) then
-        raise (Failed "allocated outside the machine's file");
-      if Cfg.cls_of fn r <> Reg.phys_cls c then
-        raise (Failed "allocated outside its class"))
-    (Cfg.all_vregs fn);
-  let live = Liveness.compute fn in
-  let g = Igraph.build fn live in
-  List.iter
-    (fun r ->
-      let c = lookup r in
-      Igraph.iter_adj g r (fun n ->
-          if Reg.equal (lookup n) c then
-            raise
-              (Failed
-                 (Printf.sprintf "%s and %s interfere but share %s"
-                    (Reg.to_string r) (Reg.to_string n) (Reg.to_string c)))))
-    (Igraph.vnodes g)
+  drive ~name:config.name f0 color

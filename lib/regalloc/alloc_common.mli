@@ -80,18 +80,18 @@ val add_spill_temps : unit Reg.Tbl.t -> Spill_insert.result -> unit Reg.Tbl.t
 
 (** {2 The round driver} *)
 
-type 'x step =
-  | Colored of (Reg.t -> Reg.t option) * 'x
+type step =
+  | Colored of (Reg.t -> Reg.t option)
       (** every virtual register of the round's body has the given
-          color; ['x] is whatever else the allocator reports *)
+          color *)
   | Spill of Reg.Set.t  (** spill these registers and run another round *)
 
 val drive :
   name:string ->
   ?rematerialize:bool ->
   Cfg.func ->
-  (analysis -> no_spill:(Reg.t -> bool) -> 'x step) ->
-  result * 'x
+  (analysis -> no_spill:(Reg.t -> bool) -> step) ->
+  result
 (** [drive ~name f color] allocates a clone of [f] (the input is never
     mutated).  It computes the loop forest once: web renumbering and
     spill insertion keep every label and edge.  Each round renumbers
@@ -111,11 +111,6 @@ val spill_clusters : Igraph.t -> Cfg.func -> Reg.Set.t -> Reg.Set.t
     in [g]: spilling a coalesced node spills its whole cluster. *)
 
 val allocate : config -> Machine.t -> Cfg.func -> result
-
-val check_complete : Machine.t -> result -> unit
-(** Assert every virtual register of the body got a register of its
-    class, distinct from its interfering neighbors.
-    @raise Failed otherwise. *)
 
 val choose_victim :
   Spill_cost.t -> Igraph.t -> no_spill:(Reg.t -> bool) -> Reg.t list -> Reg.t

@@ -162,8 +162,6 @@ let fold_adj t r ~init ~f =
   Regbits.Vec.fold t.adjv.(i) ~init ~f:(fun acc n ->
       f acc (Regbits.reg_at t.cpt n))
 
-let adj t r = fold_adj t r ~init:Reg.Set.empty ~f:(fun acc n -> Reg.Set.add n acc)
-
 let vnodes t =
   let acc = ref [] in
   for i = Regbits.size t.cpt - 1 downto 0 do

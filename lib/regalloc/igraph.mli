@@ -34,15 +34,10 @@ val vnodes : t -> Reg.t list
 val is_node : t -> Reg.t -> bool
 val interferes : t -> Reg.t -> Reg.t -> bool
 
-val adj : t -> Reg.t -> Reg.Set.t
-(** Current neighbors of the node's representative (aliases resolved,
-    merged-away nodes absent).  Materializes a fresh set on every call;
-    prefer {!iter_adj} / {!fold_adj} on hot paths. *)
-
 val iter_adj : t -> Reg.t -> (Reg.t -> unit) -> unit
-(** Iterate the representative's neighbors without building a set.
-    The order is unspecified; the graph must not be mutated during the
-    iteration. *)
+(** Iterate the current neighbors of the node's representative
+    (aliases resolved, merged-away nodes absent).  The order is
+    unspecified; the graph must not be mutated during the iteration. *)
 
 val fold_adj : t -> Reg.t -> init:'a -> f:('a -> Reg.t -> 'a) -> 'a
 

@@ -400,13 +400,13 @@ let allocate (m : Machine.t) f0 =
         | Some i when st.color.(i) >= 0 -> Some st.color.(i)
         | _ -> None
       in
-      Alloc_common.Colored (color_of, ())
+      Alloc_common.Colored color_of
     else
       Alloc_common.Spill
         (List.fold_left
            (fun s i -> Reg.Set.add (reg st i) s)
            Reg.Set.empty st.spilled)
   in
-  fst (Alloc_common.drive ~name f0 color)
+  Alloc_common.drive ~name f0 color
 
 let allocator = Allocator.v ~name:"iterated" ~label:"iterated" allocate

@@ -190,10 +190,10 @@ let allocate (m : Machine.t) f0 =
             | j -> Reg.Tbl.replace colors rep (Reg.phys (Igraph.cls g rep) j))
         !stack;
       if not (Reg.Set.is_empty !active_spills) then respill !active_spills
-      else Alloc_common.Colored (color_of, ())
+      else Alloc_common.Colored color_of
     end
   in
-  fst (Alloc_common.drive ~name f0 color)
+  Alloc_common.drive ~name f0 color
 
 let allocator =
   Allocator.v ~name:"lueh-gross" ~label:"aggressive+volatility" allocate

@@ -97,9 +97,9 @@ let allocate (m : Machine.t) f0 =
           List.iter (fun w -> Reg.Tbl.replace colors w c) members
     done;
     if Reg.Set.is_empty !spilled then
-      Alloc_common.Colored (Reg.Tbl.find_opt colors, ())
+      Alloc_common.Colored (Reg.Tbl.find_opt colors)
     else Alloc_common.Spill !spilled
   in
-  fst (Alloc_common.drive ~name f0 color)
+  Alloc_common.drive ~name f0 color
 
 let allocator = Allocator.v ~name:"optimistic" ~label:"optimistic" allocate

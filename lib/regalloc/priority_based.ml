@@ -46,9 +46,9 @@ let allocate (m : Machine.t) f0 =
         | j -> Reg.Tbl.replace colors r (Reg.phys (Igraph.cls g r) j))
       order;
     if Reg.Set.is_empty !spilled then
-      Alloc_common.Colored (Reg.Tbl.find_opt colors, ())
+      Alloc_common.Colored (Reg.Tbl.find_opt colors)
     else Alloc_common.Spill !spilled
   in
-  fst (Alloc_common.drive ~name f0 color)
+  Alloc_common.drive ~name f0 color
 
 let allocator = Allocator.v ~name:"priority" ~label:"priority-based" allocate

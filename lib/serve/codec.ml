@@ -509,21 +509,3 @@ let read_program r : Cfg.program =
     funcs := read_func r :: !funcs
   done;
   { Cfg.funcs = List.rev !funcs; main }
-
-let via_buffer write v =
-  let buf = Buffer.create 1024 in
-  write buf v;
-  Buffer.contents buf
-
-let encode_func = via_buffer write_func
-let encode_program = via_buffer write_program
-
-let decode_all read s =
-  let r = reader s in
-  let v = read r in
-  if r.pos <> String.length s then
-    fail "trailing garbage at offset %d" r.pos;
-  v
-
-let decode_func s = decode_all read_func s
-let decode_program s = decode_all read_program s

@@ -10,10 +10,10 @@
     fresh-name counters — so a decoded function runs the pipeline
     bit-for-bit like the original.
 
-    Determinism contract: [encode] is a pure function of the
+    Determinism contract: {!write_func} appends a pure function of the
     function's structural content (the class table is emitted in
-    ascending register order), and
-    [encode (decode (encode f)) = encode f] byte for byte. *)
+    ascending register order), and re-encoding what {!read_func}
+    decodes gives the same bytes. *)
 
 exception Error of string
 (** Raised by the decoders on truncated, oversized or malformed
@@ -33,21 +33,16 @@ val max_counter : int
     {!Protocol.max_frame} bytes) can then make the daemon allocate only
     in proportion to its size, never by a counter it claims. *)
 
-val encode_func : Cfg.func -> string
-val decode_func : string -> Cfg.func
+(** {2 Functions and programs}
 
-val encode_program : Cfg.program -> string
-(** A ["PDGC1"] magic header, the [main] name, then the functions. *)
-
-val decode_program : string -> Cfg.program
-
-(** {2 Buffer-level API}
-
-    The wire protocol embeds encoded values inside larger frames;
-    these entry points avoid the intermediate copies. *)
+    The wire protocol embeds encoded values inside larger frames, so
+    the codec writes to a buffer and reads from a cursor;
+    {!Protocol} checks that a payload ends where its value does. *)
 
 val write_func : Buffer.t -> Cfg.func -> unit
+
 val write_program : Buffer.t -> Cfg.program -> unit
+(** A ["PDGC1"] magic header, the [main] name, then the functions. *)
 
 type reader
 (** A cursor over an input string. *)

@@ -3,6 +3,13 @@ exception Closed
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
+(* [v], decoded from all of [s] by [r]: bytes after it make the payload
+   malformed, so two different payloads never decode to one message. *)
+let whole r s v =
+  if Codec.pos r <> String.length s then
+    fail "trailing garbage at offset %d" (Codec.pos r);
+  v
+
 (* 64 MiB: generous for any realistic program batch, small enough that
    a corrupt length prefix cannot drive the peer into the allocator.
    Inside a frame, [Codec.max_counter] (2^20) bounds each function's
@@ -90,20 +97,23 @@ let encode_request req =
 
 let decode_request s =
   let r = Codec.reader s in
-  match Codec.read_byte r with
-  | 1 ->
-      let machine = read_machine r in
-      let algo = Codec.read_string r in
-      let program =
-        match Codec.read_byte r with
-        | 0 -> Binary (Codec.read_program r)
-        | 1 -> Text (Codec.read_string r)
-        | _ -> fail "bad program format at offset %d" (Codec.pos r)
-      in
-      Alloc { machine; algo; program }
-  | 2 -> Stats
-  | 3 -> Shutdown
-  | _ -> fail "bad request opcode"
+  let req =
+    match Codec.read_byte r with
+    | 1 ->
+        let machine = read_machine r in
+        let algo = Codec.read_string r in
+        let program =
+          match Codec.read_byte r with
+          | 0 -> Binary (Codec.read_program r)
+          | 1 -> Text (Codec.read_string r)
+          | _ -> fail "bad program format at offset %d" (Codec.pos r)
+        in
+        Alloc { machine; algo; program }
+    | 2 -> Stats
+    | 3 -> Shutdown
+    | _ -> fail "bad request opcode"
+  in
+  whole r s req
 
 (* ---- per-function reply blobs ----------------------------------------- *)
 
@@ -155,18 +165,18 @@ let decode_func_reply s =
     let slot = Codec.read_int r in
     slots := (reg, slot) :: !slots
   done;
-  if Codec.pos r <> String.length s then fail "trailing garbage in func reply";
-  {
-    func;
-    rounds;
-    spill_instrs;
-    moves_eliminated;
-    moves_kept;
-    pairs_fused;
-    callee_saved;
-    caller_save_instrs;
-    spill_slots = List.rev !slots;
-  }
+  whole r s
+    {
+      func;
+      rounds;
+      spill_instrs;
+      moves_eliminated;
+      moves_kept;
+      pairs_fused;
+      callee_saved;
+      caller_save_instrs;
+      spill_slots = List.rev !slots;
+    }
 
 (* ---- responses -------------------------------------------------------- *)
 
@@ -217,41 +227,44 @@ let encode_response = function
 
 let decode_response s =
   let r = Codec.reader s in
-  match Codec.read_byte r with
-  | 0 ->
-      let n = Codec.read_int r in
-      if n < 0 then fail "negative function count in response";
-      let blobs = ref [] in
-      for _ = 1 to n do
-        blobs := Codec.read_string r :: !blobs
-      done;
-      Funcs (List.rev !blobs)
-  | 1 ->
-      let hits = Codec.read_int r in
-      let misses = Codec.read_int r in
-      let evictions = Codec.read_int r in
-      let entries = Codec.read_int r in
-      let capacity = Codec.read_int r in
-      let refused = Codec.read_int r in
-      let funcs_served = Codec.read_int r in
-      let funcs_allocated = Codec.read_int r in
-      let requests_served = Codec.read_int r in
-      let batches = Codec.read_int r in
-      let pool_jobs = Codec.read_int r in
-      Stats_reply
-        {
-          cache = { Cache.hits; misses; evictions; entries; capacity; refused };
-          funcs_served;
-          funcs_allocated;
-          requests_served;
-          batches;
-          pool_jobs;
-        }
-  | 2 -> Shutdown_ack
-  | 255 ->
-      let msg = Codec.read_string r in
-      Error_reply msg
-  | _ -> fail "bad response status"
+  let resp =
+    match Codec.read_byte r with
+    | 0 ->
+        let n = Codec.read_int r in
+        if n < 0 then fail "negative function count in response";
+        let blobs = ref [] in
+        for _ = 1 to n do
+          blobs := Codec.read_string r :: !blobs
+        done;
+        Funcs (List.rev !blobs)
+    | 1 ->
+        let hits = Codec.read_int r in
+        let misses = Codec.read_int r in
+        let evictions = Codec.read_int r in
+        let entries = Codec.read_int r in
+        let capacity = Codec.read_int r in
+        let refused = Codec.read_int r in
+        let funcs_served = Codec.read_int r in
+        let funcs_allocated = Codec.read_int r in
+        let requests_served = Codec.read_int r in
+        let batches = Codec.read_int r in
+        let pool_jobs = Codec.read_int r in
+        Stats_reply
+          {
+            cache = { Cache.hits; misses; evictions; entries; capacity; refused };
+            funcs_served;
+            funcs_allocated;
+            requests_served;
+            batches;
+            pool_jobs;
+          }
+    | 2 -> Shutdown_ack
+    | 255 ->
+        let msg = Codec.read_string r in
+        Error_reply msg
+    | _ -> fail "bad response status"
+  in
+  whole r s resp
 
 (* ---- framed blocking I/O ---------------------------------------------- *)
 

@@ -92,7 +92,10 @@ val decode_func_reply : string -> func_reply
 val encode_request : request -> string
 val decode_request : string -> request
 (** @raise Error on a malformed payload, including a machine config
-    that {!Machine.make} rejects (the error carries its message). *)
+    that {!Machine.make} rejects (the error carries its message) and
+    bytes after the request ([trailing garbage at offset N]; the same
+    for {!decode_response} and {!decode_func_reply}).
+    @raise Codec.Error on a malformed program. *)
 
 val encode_response : response -> string
 val decode_response : string -> response

@@ -15,6 +15,3 @@ let func ?machine (fn : Cfg.func) =
       in
       acc + (freq * cost))
     0
-
-let program ?machine (p : Cfg.program) =
-  List.fold_left (fun acc fn -> acc + func ?machine fn) 0 p.Cfg.funcs

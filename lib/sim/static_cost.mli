@@ -8,4 +8,3 @@
     relative magnitudes matter. *)
 
 val func : ?machine:Machine.t -> Cfg.func -> int
-val program : ?machine:Machine.t -> Cfg.program -> int

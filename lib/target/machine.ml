@@ -39,10 +39,7 @@ let make ?name ?n_volatile ?n_arg_regs ?(ret_index = 0) ?limited_size
          limited_size);
   { name; k; n_volatile; n_arg_regs; ret_index; limited_size; pair_rule }
 
-let low_pressure = make ~name:"low-pressure" ~k:32 ()
 let middle_pressure = make ~name:"middle-pressure" ~k:24 ()
-let high_pressure = make ~name:"high-pressure" ~k:16 ()
-let all m cls = List.init m.k (Reg.phys cls)
 let is_allocatable m r = Reg.is_phys r && Reg.phys_index r < m.k
 let is_volatile m r = Reg.is_phys r && Reg.phys_index r < m.n_volatile
 

@@ -40,17 +40,9 @@ val make :
     or a volatile prefix, argument block, return register or limited
     set that does not fit the file. *)
 
-val low_pressure : t
-(** k = 32: the paper's "low pressure" file. *)
-
 val middle_pressure : t
-(** k = 24. *)
-
-val high_pressure : t
-(** k = 16. *)
-
-val all : t -> Reg.cls -> Reg.t list
-(** Every allocatable register of the class, in index order. *)
+(** k = 24, the paper's middle register pressure (its high and low
+    pressure files are [make ~k:16 ()] and [make ~k:32 ()]). *)
 
 val is_allocatable : t -> Reg.t -> bool
 (** Physical with index below [k]. *)

@@ -45,8 +45,7 @@ let reason_label = function
   | Pressure -> "pressure"
   | Bad_preference -> "bad-preference"
 
-let is_error d = d.severity = Error
-let errors ds = List.filter is_error ds
+let errors ds = List.filter (fun d -> d.severity = Error) ds
 
 let compare a b =
   let c = String.compare a.func b.func in

@@ -61,8 +61,8 @@ val v :
 (** Smart constructor; [severity] defaults to [Error]. *)
 
 val reason_label : reason -> string
-val is_error : t -> bool
 val errors : t list -> t list
+(** The error-severity diagnostics, in order. *)
 
 val compare : t -> t -> int
 (** Total order by (func, block, index, reason, instr, reg, severity,

@@ -60,5 +60,4 @@ let result m (res : Alloc_common.result) ~final =
   func m ~reference:res.Alloc_common.func ~alloc:res.Alloc_common.alloc
     ~spill_slots:res.Alloc_common.spill_slots ~final
 
-let ok ds = Diagnostic.errors ds = []
 let report ppf ds = Diagnostic.report ppf (Diagnostic.normalize ds)

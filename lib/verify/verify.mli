@@ -35,9 +35,6 @@ val result :
   Machine.t -> Alloc_common.result -> final:Cfg.func -> Diagnostic.t list
 (** [func] applied to an allocator result and its finalized body. *)
 
-val ok : Diagnostic.t list -> bool
-(** No error-severity diagnostics. *)
-
 val report : Format.formatter -> Diagnostic.t list -> unit
 (** Deterministic rendering: diagnostics are sorted by (func, block,
     index, reason) and exact duplicates dropped before printing

@@ -319,18 +319,3 @@ let generate prof =
       sigs
   in
   { Cfg.funcs; main = "main" }
-
-let random_profile rng =
-  {
-    name = Printf.sprintf "rand%d" (Rng.int rng 100000);
-    seed = Rng.int rng 1_000_000;
-    n_funcs = Rng.range rng 1 4;
-    blocks = (1, Rng.range rng 2 5);
-    stmts = (1, Rng.range rng 2 6);
-    max_loop_depth = Rng.range rng 0 2;
-    call_density = float_of_int (Rng.int rng 30) /. 100.0;
-    float_ratio = float_of_int (Rng.int rng 50) /. 100.0;
-    paired_ratio = float_of_int (Rng.int rng 30) /. 100.0;
-    limited_ratio = float_of_int (Rng.int rng 15) /. 100.0;
-    pressure = Rng.range rng 3 18;
-  }

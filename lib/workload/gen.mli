@@ -28,6 +28,3 @@ val generate : profile -> Cfg.program
 
 val default : profile
 (** A medium-everything profile, handy for tests. *)
-
-val random_profile : Rng.t -> profile
-(** A randomized profile for property-based testing. *)

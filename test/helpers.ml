@@ -80,10 +80,67 @@ let counted_loop ?(trip = 5) () =
   Builder.ret b (Some acc);
   (Builder.finish b, acc, i, header, body, exit)
 
+(* A randomized workload profile for property tests. *)
+let random_profile rng =
+  {
+    Gen.name = Printf.sprintf "rand%d" (Rng.int rng 100000);
+    seed = Rng.int rng 1_000_000;
+    n_funcs = Rng.range rng 1 4;
+    blocks = (1, Rng.range rng 2 5);
+    stmts = (1, Rng.range rng 2 6);
+    max_loop_depth = Rng.range rng 0 2;
+    call_density = float_of_int (Rng.int rng 30) /. 100.0;
+    float_ratio = float_of_int (Rng.int rng 50) /. 100.0;
+    paired_ratio = float_of_int (Rng.int rng 30) /. 100.0;
+    limited_ratio = float_of_int (Rng.int rng 15) /. 100.0;
+    pressure = Rng.range rng 3 18;
+  }
+
 (* Deterministic random programs for property tests. *)
-let random_program seed =
-  let rng = Rng.create seed in
-  Gen.generate (Gen.random_profile rng)
+let random_program seed = Gen.generate (random_profile (Rng.create seed))
+
+(* The seven allocators of the paper's evaluation: the registry less
+   priority-based coloring, which omits Chow's live-range splitting and
+   so is exercised only at moderate pressure, not in the low-k stress
+   tests. *)
+let paper_algos =
+  List.filter (fun a -> a != Pipeline.priority_based) Pipeline.all_algos
+
+(* Every allocatable register of a class, in index order. *)
+let file_regs m cls = List.init m.Machine.k (Reg.phys cls)
+
+(* Current neighbors of a node's representative, as a set. *)
+let adj g r =
+  Igraph.fold_adj g r ~init:Reg.Set.empty ~f:(fun s n -> Reg.Set.add n s)
+
+(* Registers live out of a block: the backward walk's set after its
+   terminator. *)
+let live_out live (b : Cfg.block) =
+  Liveness.fold_block_backward live b ~init:None ~f:(fun acc ~live_out _ ->
+      if acc = None then Some live_out else acc)
+  |> Option.get
+
+(* The CPG is acyclic: Kahn's algorithm over its edges visits every
+   node. *)
+let cpg_acyclic cpg =
+  let pending = Reg.Tbl.create 64 and q = Queue.create () in
+  List.iter
+    (fun r ->
+      let n = List.length (Cpg.preds cpg r) in
+      Reg.Tbl.replace pending r n;
+      if n = 0 then Queue.add r q)
+    (Cpg.nodes cpg);
+  let visited = ref 0 in
+  while not (Queue.is_empty q) do
+    incr visited;
+    List.iter
+      (fun s ->
+        let p = Reg.Tbl.find pending s - 1 in
+        Reg.Tbl.replace pending s p;
+        if p = 0 then Queue.add s q)
+      (Cpg.succs cpg (Queue.pop q))
+  done;
+  !visited = List.length (Cpg.nodes cpg)
 
 (* Reference implementations of liveness and interference-graph
    construction, kept verbatim from the seed's functional Reg.Set code.
@@ -184,7 +241,9 @@ module Ref_dom = struct
   }
 
   let succs (fn : Cfg.func) l =
-    match Cfg.block_opt fn l with Some b -> Cfg.successors b | None -> []
+    match List.find_opt (fun b -> b.Cfg.label = l) fn.Cfg.blocks with
+    | Some b -> Cfg.successors b
+    | None -> []
 
   let compute (fn : Cfg.func) =
     let entry = fn.Cfg.entry in
@@ -400,9 +459,28 @@ let assert_semantics_preserved ?(m = Machine.middle_pressure) name algo seed =
   if not (Interp.equal_value before.Interp.value after.Interp.value) then
     Alcotest.failf "%s: seed %d changed the program's result" name seed
 
-(* Allocation-validity oracle on one function. *)
+(* [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* The codec's buffer and cursor entry points over whole strings:
+   [to_wire Codec.write_func f], [of_wire Codec.read_func s]. *)
+let to_wire write v =
+  let buf = Buffer.create 1024 in
+  write buf v;
+  Buffer.contents buf
+
+let of_wire read s = read (Codec.reader s)
+
+(* Allocation validity on one function, by the production path:
+   finalize it and run the static verifier; any error fails. *)
 let assert_valid_allocation m (res : Alloc_common.result) =
-  Alloc_common.check_complete m res
+  let final = (Finalize.apply m res).Finalize.func in
+  match Diagnostic.errors (Verify.result m res ~final) with
+  | [] -> ()
+  | ds -> Alcotest.failf "invalid allocation:@.%a" Diagnostic.report ds
 
 let qcheck ?(count = 50) ?print name gen prop =
   QCheck_alcotest.to_alcotest
@@ -713,28 +791,6 @@ module Ref_cpg = struct
         Reg.Tbl.replace t.pending s p;
         if p = 0 then s :: acc else acc)
       (set_of t.succ_tbl r) []
-
-  let topological_orders_ok t =
-    let pending = Reg.Tbl.create 64 in
-    let q = Queue.create () in
-    List.iter
-      (fun r ->
-        let np = Reg.Set.cardinal (set_of t.pred_tbl r) in
-        Reg.Tbl.replace pending r np;
-        if np = 0 then Queue.add r q)
-      t.all;
-    let visited = ref 0 in
-    while not (Queue.is_empty q) do
-      let r = Queue.pop q in
-      incr visited;
-      Reg.Set.iter
-        (fun s ->
-          let p = Reg.Tbl.find pending s - 1 in
-          Reg.Tbl.replace pending s p;
-          if p = 0 then Queue.add s q)
-        (set_of t.succ_tbl r)
-    done;
-    !visited = List.length t.all
 end
 
 module Ref_select = struct
@@ -783,7 +839,7 @@ module Ref_select = struct
             | Some c -> Reg.Set.add c acc
             | None -> acc)
       in
-      Machine.all m (Igraph.cls g n)
+      file_regs m (Igraph.cls g n)
       |> List.filter (fun c -> not (Reg.Set.mem c forbidden))
       |> Reg.Set.of_list
     in
@@ -793,7 +849,7 @@ module Ref_select = struct
       else Some (Reg.phys (Reg.phys_cls c) idx)
     in
     let kind_set cls volatile =
-      Machine.all m cls
+      file_regs m cls
       |> List.filter (fun c -> Machine.is_volatile m c = volatile)
       |> Reg.Set.of_list
     in
@@ -1335,7 +1391,7 @@ module Ref_iterated = struct
         let free =
           List.filter
             (fun c -> not (Reg.Set.mem c forbidden))
-            (Machine.all st.machine cls)
+            (file_regs st.machine cls)
         in
         let vol, nonvol = List.partition (Machine.is_volatile st.machine) free in
         (* Biased pick: a frozen/coalesced partner's color first. *)
@@ -1467,10 +1523,10 @@ module Ref_iterated = struct
     let color a ~no_spill =
       let st = run_once m a ~no_spill in
       if Reg.Set.is_empty st.spilled then
-        Alloc_common.Colored (Reg.Tbl.find_opt st.color, ())
+        Alloc_common.Colored (Reg.Tbl.find_opt st.color)
       else Alloc_common.Spill st.spilled
     in
-    fst (Alloc_common.drive ~name:"iterated" f0 color)
+    Alloc_common.drive ~name:"iterated" f0 color
 end
 
 (* Reference for [Cache], as the policy reads: the entries as an

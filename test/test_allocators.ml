@@ -3,24 +3,22 @@
 
 open Helpers
 
-let all_algos = Pipeline.algos
-
 let test_valid_on_fig7 () =
   (* The Fig. 7 function at k = 4 (its k = 3 machine is too tight for
      the preference-blind baselines' save conventions). *)
   let m = Machine.make ~k:4 () in
-  let fn, _ = Fig7.build () in
+  let fn = Pipeline.prepare_func m (fst (Fig7.build ())) in
   List.iter
     (fun algo ->
-      let res = Allocator.exec algo m (Cfg.clone fn) in
+      let res = Allocator.exec algo m fn in
       assert_valid_allocation m res)
-    all_algos
+    paper_algos
 
 let test_spill_counts_ordering () =
   (* At high pressure, the improved algorithms spill no more than the
      Chaitin base on the javac benchmark (the paper's headline spill
      claim). *)
-  let m = Machine.high_pressure in
+  let m = Machine.make ~k:16 () in
   let p = Pipeline.prepare m (Suite.program "javac") in
   let spills algo =
     (Pipeline.allocate_program algo m p).Pipeline.spill_instrs
@@ -48,7 +46,7 @@ let test_coalescers_eliminate_most_moves () =
         (Printf.sprintf "%s eliminates > 50%% of moves (%.2f)"
            algo.Allocator.name ratio)
         true (ratio > 0.5))
-    all_algos
+    paper_algos
 
 let per_algo_semantic_prop algo =
   qcheck ~count:20
@@ -84,7 +82,7 @@ let prop_determinism algo =
         let a = Pipeline.allocate_program algo m p in
         ( a.Pipeline.moves_eliminated,
           a.Pipeline.spill_instrs,
-          Static_cost.program ~machine:m a.Pipeline.program )
+          List.map Cfg.body_digest a.Pipeline.program.Cfg.funcs )
       in
       run () = run ())
 
@@ -101,7 +99,7 @@ let test_low_k_stress () =
       let after = Interp.run ~machine:m a.Pipeline.program in
       check Alcotest.bool (algo.Allocator.name ^ " semantics at k=8") true
         (Interp.equal_value before.Interp.value after.Interp.value))
-    all_algos
+    paper_algos
 
 let test_find_algo () =
   (match Allocator.find "pdgc" with
@@ -136,7 +134,7 @@ let () =
           tc "find_algo" test_find_algo;
           tc "round budget" test_round_budget;
         ] );
-      ("semantics", List.map per_algo_semantic_prop all_algos);
-      ("validity", List.map per_algo_validity_prop all_algos);
-      ("determinism", List.map prop_determinism all_algos);
+      ("semantics", List.map per_algo_semantic_prop paper_algos);
+      ("validity", List.map per_algo_validity_prop paper_algos);
+      ("determinism", List.map prop_determinism paper_algos);
     ]

@@ -97,9 +97,9 @@ let test_iterated_coalesces_chain () =
   check Alcotest.int "no moves kept" 0 t.Finalize.moves_kept
 
 let test_iterated_no_spills_easy () =
-  let fn, _, _, _ = diamond () in
   let m = Machine.make ~k:8 () in
-  let res = Iterated.allocate m fn in
+  let fn, _, _, _ = diamond () in
+  let res = Iterated.allocate m (Pipeline.prepare_func m fn) in
   check Alcotest.int "single round" 1 res.Alloc_common.rounds;
   check Alcotest.int "no spill code" 0 res.Alloc_common.spill_instrs;
   assert_valid_allocation m res

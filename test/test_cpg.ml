@@ -37,8 +37,8 @@ let test_fig7_cpg_k4_relaxed () =
 
 let test_acyclic () =
   let a = Fig7.run () in
-  check Alcotest.bool "k3 acyclic" true (Cpg.topological_orders_ok a.Fig7.cpg3);
-  check Alcotest.bool "k4 acyclic" true (Cpg.topological_orders_ok a.Fig7.cpg4)
+  check Alcotest.bool "k3 acyclic" true (cpg_acyclic a.Fig7.cpg3);
+  check Alcotest.bool "k4 acyclic" true (cpg_acyclic a.Fig7.cpg4)
 
 let test_resolve_bookkeeping () =
   let a = Fig7.run () in
@@ -80,7 +80,7 @@ let random_topo_color ~k g cpg rng =
             match Reg.Tbl.find_opt colors nb with
             | Some c -> Reg.Set.add c acc
             | None -> acc)
-        (Igraph.adj g n) Reg.Set.empty
+        (adj g n) Reg.Set.empty
     in
     (match
        List.find_opt
@@ -160,7 +160,7 @@ let prop_cpg_acyclic =
           let g = build_graph webs.Webs.func in
           let simp = simplify ~k g in
           let cpg = Cpg.build ~k g simp in
-          Cpg.topological_orders_ok cpg)
+          cpg_acyclic cpg)
         p.Cfg.funcs)
 
 let prop_cpg_nodes_cover_graph =

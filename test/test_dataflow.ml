@@ -49,7 +49,7 @@ let test_liveness_diamond () =
   let join = find_ret_block fn in
   check reg_set_testable "only x live at join" (Reg.Set.singleton x)
     (live_in live join.Cfg.label);
-  let entry_out = Liveness.live_out live fn.Cfg.entry in
+  let entry_out = live_out live (Cfg.block fn fn.Cfg.entry) in
   check Alcotest.bool "p0 live into arms" true (Reg.Set.mem p0 entry_out);
   check Alcotest.bool "p1 live into arms" true (Reg.Set.mem p1 entry_out)
 
@@ -89,7 +89,7 @@ let prop_live_out_is_join_of_succs =
                   (fun acc s -> Reg.Set.union acc (live_in live s))
                   Reg.Set.empty (Cfg.successors b)
               in
-              Reg.Set.equal expected (Liveness.live_out live b.Cfg.label))
+              Reg.Set.equal expected (live_out live b))
             fn.Cfg.blocks)
         p.Cfg.funcs)
 
@@ -103,7 +103,7 @@ let liveness_matches_reference (fn : Cfg.func) =
     (fun (b : Cfg.block) ->
       let l = b.Cfg.label in
       Reg.Set.equal (live_in dense l) (Ref_live.live_in oracle l)
-      && Reg.Set.equal (Liveness.live_out dense l) (Ref_live.live_out oracle l)
+      && Reg.Set.equal (live_out dense b) (Ref_live.live_out oracle l)
       &&
       let walk fold =
         fold ~init:[] ~f:(fun acc ~live_out (_ : Instr.t) -> live_out :: acc)
@@ -140,11 +140,17 @@ let prop_dense_liveness_random =
 
 (* Reaching definitions ------------------------------------------------- *)
 
-(* Definitions of [r] among the sites reaching the entry of block [l]. *)
-let n_reaching reaching l r =
-  Regbits.Set.fold (Reaching.reaching_in_bits reaching l) ~init:0
-    ~f:(fun n s ->
-      if Reg.equal (Reaching.site_reg reaching s) r then n + 1 else n)
+(* Definitions of [r] among the sites reaching the entry of block [b]:
+   those the forward walk sees at its first instruction. *)
+let n_reaching reaching (b : Cfg.block) r =
+  let n = ref (-1) in
+  Reaching.iter_block_forward_bits reaching b
+    ~f:(fun ~reaching:defs ~site:_ _ ->
+      if !n < 0 then
+        n :=
+          Regbits.Set.fold defs ~init:0 ~f:(fun n s ->
+              if Reg.equal (Reaching.site_reg reaching s) r then n + 1 else n));
+  !n
 
 let test_reaching_straightline () =
   let fn, a, _, _, _ = straightline () in
@@ -162,13 +168,13 @@ let test_reaching_diamond () =
   let join = find_ret_block fn in
   (* The arm definitions kill the initial move on both paths. *)
   check Alcotest.int "two defs reach the join" 2
-    (n_reaching reaching join.Cfg.label x)
+    (n_reaching reaching join x)
 
 let test_reaching_loop () =
   let fn, acc, _, header, _, _ = counted_loop () in
   let reaching = Reaching.compute fn in
   check Alcotest.int "both defs reach header" 2
-    (n_reaching reaching header acc)
+    (n_reaching reaching (Cfg.block fn header) acc)
 
 (* Dominance ------------------------------------------------------------ *)
 
@@ -355,7 +361,7 @@ let round_bodies (fn : Cfg.func) =
       in
       if not (Reg.Set.is_empty sel.Color_select.failed) then
         spill sel.Color_select.failed
-      else Alloc_common.Colored (Color_select.color_of sel g, ())
+      else Alloc_common.Colored (Color_select.color_of sel g)
   in
   ignore (Alloc_common.drive ~name:"rounds" fn color);
   List.rev !bodies

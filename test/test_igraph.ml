@@ -14,7 +14,7 @@ let test_straightline_edges () =
   check Alcotest.bool "a-b interfere" true (Igraph.interferes g a b);
   check Alcotest.bool "s-a interfere" true (Igraph.interferes g s a);
   check Alcotest.bool "s-b do not" false (Igraph.interferes g s b);
-  check Alcotest.bool "r isolated" true (Reg.Set.is_empty (Igraph.adj g r));
+  check Alcotest.bool "r isolated" true (Reg.Set.is_empty (adj g r));
   check Alcotest.bool "no self edges" false (Igraph.interferes g a a)
 
 let test_move_exemption () =
@@ -55,7 +55,7 @@ let test_degree_matches_adj () =
     (fun r ->
       check Alcotest.int
         (Printf.sprintf "degree of %s" (Reg.to_string r))
-        (Reg.Set.cardinal (Igraph.adj g r))
+        (Reg.Set.cardinal (adj g r))
         (Igraph.degree g r))
     (Igraph.vnodes g)
 
@@ -71,10 +71,10 @@ let test_merge_unions_adjacency () =
   (* a and s interfere with each other... merge b into s (they don't
      interfere). *)
   check Alcotest.bool "b-s free" false (Igraph.interferes g s b);
-  let expected = Reg.Set.remove s (Reg.Set.union (Igraph.adj g s) (Igraph.adj g b)) in
+  let expected = Reg.Set.remove s (Reg.Set.union (adj g s) (adj g b)) in
   Igraph.merge g ~keep:s ~drop:b;
   check reg_testable "alias resolves" s (Igraph.alias g b);
-  check reg_set_testable "adjacency union" expected (Igraph.adj g b);
+  check reg_set_testable "adjacency union" expected (adj g b);
   check Alcotest.bool "merged interferes with a" true (Igraph.interferes g b a)
 
 let test_merge_rejects_interfering () =
@@ -127,7 +127,7 @@ let igraph_matches_reference (fn : Cfg.func) =
     Reg.Tbl.fold
       (fun reg cell ok ->
         ok && Igraph.is_node g reg
-        && Reg.Set.equal !cell (Igraph.adj g reg)
+        && Reg.Set.equal !cell (adj g reg)
         && List.equal Reg.equal
              (Ref_igraph.adj_sequence oracle reg)
              (sequence reg)
@@ -187,7 +187,7 @@ let prop_symmetric =
               (not (Igraph.interferes g r r))
               && Reg.Set.for_all
                    (fun n -> Igraph.interferes g n r)
-                   (Igraph.adj g r))
+                   (adj g r))
             (Igraph.vnodes g))
         p.Cfg.funcs)
 
@@ -204,7 +204,7 @@ let prop_edges_within_class =
             (fun r ->
               Reg.Set.for_all
                 (fun n -> Cfg.cls_of fn n = Cfg.cls_of fn r)
-                (Igraph.adj g r))
+                (adj g r))
             (Igraph.vnodes g))
         p.Cfg.funcs)
 

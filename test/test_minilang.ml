@@ -153,7 +153,7 @@ let test_allocated_recursion () =
         (Interp.equal_value after.Interp.value (Some (Interp.Int 144)));
       check Alcotest.bool (algo.Allocator.name ^ " matches virtual") true
         (Interp.equal_value before.Interp.value after.Interp.value))
-    Pipeline.algos
+    paper_algos
 
 let test_minilang_through_every_pressure () =
   let p = Mini_compile.compile_source fib_src in
@@ -164,7 +164,7 @@ let test_minilang_through_every_pressure () =
       let after = Interp.run ~machine:m a.Pipeline.program in
       check Alcotest.bool (Printf.sprintf "k=%d" m.Machine.k) true
         (Interp.equal_value after.Interp.value (Some (Interp.Int 144))))
-    [ Machine.high_pressure; Machine.middle_pressure; Machine.low_pressure ]
+    [ Machine.make ~k:16 (); Machine.middle_pressure; Machine.make ~k:32 () ]
 
 let () =
   Alcotest.run "minilang"

@@ -56,12 +56,29 @@ let test_both_variants_valid_on_suite_function () =
       ignore (run_variant Pdgc.Full_preferences m fn))
     p.Cfg.funcs
 
-let test_verbose_stats () =
+(* Select's counters for one round of the paper's configuration on
+   mpegaudio's first function, the round PDGC's driver runs. *)
+let test_select_stats () =
   let m = Machine.middle_pressure in
   let p = Pipeline.prepare m (Suite.program "mpegaudio") in
-  let fn = List.hd p.Cfg.funcs in
-  let _, extra = Pdgc.allocate_verbose Pdgc.Full_preferences m fn in
-  let s = extra.Pdgc.select_stats in
+  let fn = (Webs.run (Cfg.clone (List.hd p.Cfg.funcs))).Webs.func in
+  let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
+  let g = a.Alloc_common.graph and k = m.Machine.k in
+  let no_spill _ = false in
+  let str = Strength.of_analysis a in
+  let rpg = Rpg.build ~kinds:`All ~cpt:(Igraph.compact g) m fn str in
+  let simp =
+    Simplify.run Simplify.Optimistic ~k g
+      ~spill_choice:
+        (Alloc_common.choose_victim a.Alloc_common.costs g ~no_spill)
+      ()
+  in
+  let sel =
+    Pdgc_select.run m g rpg (Cpg.build ~k g simp) str
+      (Pdgc_select.params ~no_spill
+         ~spill_risk:simp.Simplify.potential_spills ())
+  in
+  let s = sel.Pdgc_select.stats in
   check Alcotest.bool "honored some coalesces" true
     (s.Pdgc_select.honored_coalesce > 0);
   check Alcotest.bool "kind preferences honored" true
@@ -110,7 +127,9 @@ let test_active_memory_spill () =
      would not cross...  Accept the weaker check: vol side negative and
      allocation still completes. *)
   let m = Machine.middle_pressure in
-  let res = Pdgc.allocate Pdgc.Full_preferences m fn in
+  let res =
+    Pdgc.allocate Pdgc.Full_preferences m (Pipeline.prepare_func m fn)
+  in
   assert_valid_allocation m res
 
 let test_consecutive_pair_rule_end_to_end () =
@@ -148,7 +167,7 @@ let prop_pdgc_deterministic =
       let run () =
         let a = Pipeline.allocate_program Pipeline.pdgc_full m p in
         (a.Pipeline.moves_eliminated, a.Pipeline.spill_instrs,
-         Static_cost.program ~machine:m a.Pipeline.program)
+         List.map Cfg.body_digest a.Pipeline.program.Cfg.funcs)
       in
       run () = run ())
 
@@ -166,7 +185,7 @@ let () =
         [
           tc "variants valid on a suite program"
             test_both_variants_valid_on_suite_function;
-          tc "select statistics" test_verbose_stats;
+          tc "select statistics" test_select_stats;
           tc "preferences beat blindness on calls" test_full_beats_blind_on_calls;
           tc "active-spill path total" test_active_memory_spill;
           tc "consecutive pair rule" test_consecutive_pair_rule_end_to_end;

@@ -6,7 +6,7 @@ open Helpers
 
 (* Registration happens at Pipeline module init; referencing the module
    guarantees it ran before any registry query. *)
-let () = ignore Pipeline.algos
+let () = ignore Pipeline.all_algos
 
 let expected_names =
   [
@@ -50,8 +50,8 @@ let test_unknown_is_none () =
 let test_exec () =
   (* [Allocator.exec] runs the allocator on one function. *)
   let m = Machine.middle_pressure in
-  let fn, _ = Fig7.build () in
-  let res = Allocator.exec Pipeline.chaitin_base m (Cfg.clone fn) in
+  let fn = Pipeline.prepare_func m (fst (Fig7.build ())) in
+  let res = Allocator.exec Pipeline.chaitin_base m fn in
   assert_valid_allocation m res
 
 (* Golden outputs: per allocator, the MD5 of the concatenated
@@ -71,7 +71,7 @@ let golden_inputs =
        (fun k ->
          let m = Machine.make ~k () in
          List.init 12 (fun i ->
-             let prof = Gen.random_profile (Rng.create (1000 + i)) in
+             let prof = random_profile (Rng.create (1000 + i)) in
              let p = Gen.generate prof in
              (m, Pipeline.prepare m p)))
        [ 8; 16 ])

@@ -2,7 +2,7 @@
    binary IR codec (round-trip properties), the cache (LRU with
    second-miss admission, against a list model) and the wire
    protocol.  The live daemon itself is exercised end-to-end by the
-   @serve-smoke alias (bin/pdgc_loadgen --selftest). *)
+   @serve-smoke alias (test/serve_smoke.ml). *)
 
 open Helpers
 
@@ -132,8 +132,8 @@ let cls_entries (f : Cfg.func) =
   List.rev (Cfg.Classes.fold (fun r c acc -> (r, c) :: acc) f.Cfg.reg_cls [])
 
 let check_func_round_trip what (f : Cfg.func) =
-  let enc = Codec.encode_func f in
-  let dec = Codec.decode_func enc in
+  let enc = to_wire Codec.write_func f in
+  let dec = of_wire Codec.read_func enc in
   check Alcotest.string (what ^ ": name") f.Cfg.name dec.Cfg.name;
   check Alcotest.int (what ^ ": n_params") f.Cfg.n_params dec.Cfg.n_params;
   check Alcotest.int (what ^ ": entry") f.Cfg.entry dec.Cfg.entry;
@@ -150,26 +150,26 @@ let check_func_round_trip what (f : Cfg.func) =
         (fun b -> (b.Cfg.label, Array.to_list b.Cfg.instrs))
         dec.Cfg.blocks);
   check Alcotest.string (what ^ ": byte-identical re-encode") enc
-    (Codec.encode_func dec);
+    (to_wire Codec.write_func dec);
   check Alcotest.string (what ^ ": digest survives the wire")
     (digest_hex f) (digest_hex dec)
 
 let test_codec_suite () =
   List.iter
     (fun (name, p) ->
-      let enc = Codec.encode_program p in
+      let enc = to_wire Codec.write_program p in
       check Alcotest.string (name ^ ": program re-encode") enc
-        (Codec.encode_program (Codec.decode_program enc));
+        (to_wire Codec.write_program (of_wire Codec.read_program enc));
       List.iter (check_func_round_trip name) p.Cfg.funcs)
     (Suite.all ())
 
 let prop_codec_random_workload =
   qcheck ~count:25 "codec round-trips random workload programs" seed_gen
     (fun seed ->
-      let p = Gen.generate (Gen.random_profile (Rng.create seed)) in
-      let enc = Codec.encode_program p in
-      let dec = Codec.decode_program enc in
-      Codec.encode_program dec = enc
+      let p = Gen.generate (random_profile (Rng.create seed)) in
+      let enc = to_wire Codec.write_program p in
+      let dec = of_wire Codec.read_program enc in
+      to_wire Codec.write_program dec = enc
       && List.for_all2
            (fun (f : Cfg.func) (d : Cfg.func) ->
              Cfg.body_digest f = Cfg.body_digest d
@@ -206,14 +206,35 @@ let test_codec_rejects_garbage () =
     | exception Codec.Error _ -> ()
   in
   let f = List.hd (rich_program 3).Cfg.funcs in
-  let enc = Codec.encode_func f in
+  let enc = to_wire Codec.write_func f in
   expect_error "truncation" (fun () ->
-      Codec.decode_func (String.sub enc 0 (String.length enc / 2)));
-  expect_error "trailing garbage" (fun () -> Codec.decode_func (enc ^ "x"));
+      of_wire Codec.read_func (String.sub enc 0 (String.length enc / 2)));
+  (* A payload decodes as a whole: bytes after its message make it
+     malformed, so two different payloads are never one request. *)
+  let trailing what payload =
+    match Protocol.decode_request payload with
+    | _ -> Alcotest.failf "%s: trailing bytes decoded" what
+    | exception Protocol.Error msg ->
+        check Alcotest.string what
+          (Printf.sprintf "trailing garbage at offset %d"
+             (String.length payload - 3))
+          msg
+  in
+  trailing "stats request" "\002xyz";
+  trailing "jess alloc request"
+    (Protocol.encode_request
+       (Protocol.Alloc
+          {
+            machine = Machine.middle_pressure;
+            algo = "pdgc";
+            program = Protocol.Binary (Suite.program "jess");
+          })
+    ^ "xyz");
   (* Bounds on what a frame can make the decoder allocate: a real
      function with one counter or id patched, then only decoded. *)
   let patched what g =
-    expect_error what (fun () -> Codec.decode_func (Codec.encode_func g))
+    expect_error what (fun () ->
+        of_wire Codec.read_func (to_wire Codec.write_func g))
   in
   let over = Codec.max_counter + 1 in
   patched "next_reg above the bound" { (Cfg.clone f) with Cfg.next_reg = over };
@@ -243,6 +264,23 @@ let test_codec_rejects_garbage () =
          { b with Cfg.instrs }));
   patched "label at next_label"
     (patch_first_block (fun b -> { b with Cfg.label = f.Cfg.next_label }));
+  (* Ids in range but breaking what allocation assumes: the error names
+     the problem instead of a crash downstream. *)
+  let names_problem what problem g =
+    match of_wire Codec.read_func (to_wire Codec.write_func g) with
+    | _ -> Alcotest.failf "%s: malformed input decoded" what
+    | exception Codec.Error msg ->
+        check Alcotest.bool (what ^ ": " ^ msg) true (contains msg problem)
+  in
+  names_problem "duplicate instruction id" "duplicate instruction id"
+    (patch_first_block (fun b ->
+         let instrs = Array.copy b.Cfg.instrs in
+         instrs.(1) <- { (instrs.(1)) with Instr.id = instrs.(0).Instr.id };
+         { b with Cfg.instrs }));
+  names_problem "register without a class" "has no class"
+    (let g = rename_reg f.Cfg.next_reg in
+     g.Cfg.next_reg <- f.Cfg.next_reg + 1;
+     g);
   (* Well-encoded but malformed CFGs: a duplicated block and an entry
      block that is not first. *)
   let main = Cfg.find_func (Suite.program "jess") "main" in
@@ -260,7 +298,7 @@ let test_codec_rejects_garbage () =
   Codec.write_string buf "f";
   List.iter (Codec.write_int buf) [ 0; 0; 200; 10; 1; 1_000_000_000 ];
   expect_error "count past the input" (fun () ->
-      Codec.decode_func (Buffer.contents buf));
+      of_wire Codec.read_func (Buffer.contents buf));
   (* The class table takes a byte per register up to the largest id it
      names, so it may name only virtual registers below
      [first_virtual + entries].  A one-block function with one class
@@ -269,7 +307,7 @@ let test_codec_rejects_garbage () =
     (* The blocks section of [L0: ret], cut from a real encoding. *)
     let g = Cfg.create_func ~name:"f" ~n_params:0 ~entry:0 in
     let g = Cfg.with_blocks g [ Cfg.mk_block 0 [| Cfg.instr g (Instr.Ret None) |] ] in
-    let enc = Codec.encode_func g in
+    let enc = to_wire Codec.write_func g in
     let header =
       Codec.string_size "f"
       + List.fold_left
@@ -287,11 +325,76 @@ let test_codec_rejects_garbage () =
     Buffer.add_string buf ret_block;
     Buffer.contents buf
   in
-  ignore (Codec.decode_func (one_class Reg.first_virtual));
+  ignore (of_wire Codec.read_func (one_class Reg.first_virtual));
   expect_error "class entry for a physical register" (fun () ->
-      Codec.decode_func (one_class (Reg.first_virtual - 1)));
+      of_wire Codec.read_func (one_class (Reg.first_virtual - 1)));
   expect_error "class entry past first_virtual + entries" (fun () ->
-      Codec.decode_func (one_class (Reg.first_virtual + 1)))
+      of_wire Codec.read_func (one_class (Reg.first_virtual + 1)))
+
+(* Seeded mutants of the Suite's allocate requests (1-4 byte flips,
+   byte sets or truncations each): a mutant decodes or is a protocol or
+   codec error, and every function that decodes runs the daemon's
+   pipeline (prepare, pdgc, finalize) without an unnamed crash: no
+   [Not_found] from a class lookup, no duplicate-id [Invalid_argument]
+   from the instruction numbering.  Other rejections, such as Lower's
+   call with more arguments than argument registers, stay allowed. *)
+let test_request_mutants () =
+  let rs = Random.State.make [| 31 |] in
+  let payloads =
+    Array.of_list
+      (List.map
+         (fun (_, p) ->
+           Protocol.encode_request
+             (Protocol.Alloc
+                {
+                  machine = Machine.middle_pressure;
+                  algo = "pdgc";
+                  program = Protocol.Binary p;
+                }))
+         (Suite.all ()))
+  in
+  let mutate s =
+    let b = Bytes.of_string s in
+    let len = ref (Bytes.length b) in
+    for _ = 0 to Random.State.int rs 4 do
+      let i = Random.State.int rs !len in
+      match Random.State.int rs 3 with
+      | 0 ->
+          let c = Char.code (Bytes.get b i) in
+          Bytes.set b i (Char.chr (c lxor (1 lsl Random.State.int rs 8)))
+      | 1 -> Bytes.set b i (Char.chr (Random.State.int rs 256))
+      | _ -> len := max 1 i
+    done;
+    Bytes.sub_string b 0 !len
+  in
+  let decoded = ref 0 in
+  for n = 1 to 2000 do
+    match
+      Protocol.decode_request
+        (mutate payloads.(Random.State.int rs (Array.length payloads)))
+    with
+    | Protocol.Alloc { machine; program = Protocol.Binary p; _ } ->
+        List.iter
+          (fun f ->
+            incr decoded;
+            match
+              Finalize.apply machine
+                (Pdgc.allocate Pdgc.Full_preferences machine
+                   (Pipeline.prepare_func machine f))
+            with
+            | _ -> ()
+            | exception Not_found ->
+                Alcotest.failf "mutant %d: Not_found allocating %s" n
+                  f.Cfg.name
+            | exception Invalid_argument msg when contains msg "Cfg.numbering"
+              ->
+                Alcotest.failf "mutant %d: %s" n msg
+            | exception (Invalid_argument _ | Alloc_common.Failed _) -> ())
+          p.Cfg.funcs
+    | _ -> ()
+    | exception (Protocol.Error _ | Codec.Error _) -> ()
+  done;
+  check Alcotest.bool "some mutants decode" true (!decoded > 0)
 
 (* ---- func replies ------------------------------------------------------- *)
 
@@ -312,8 +415,8 @@ let test_func_reply_round_trip () =
       check Alcotest.bool "spill slots" true
         (res.Alloc_common.spill_slots = r.Protocol.spill_slots);
       check Alcotest.string "finalized body survives"
-        (Codec.encode_func fin.Finalize.func)
-        (Codec.encode_func r.Protocol.func))
+        (to_wire Codec.write_func fin.Finalize.func)
+        (to_wire Codec.write_func r.Protocol.func))
     a.Pipeline.results a.Pipeline.finals
 
 (* ---- wire protocol ------------------------------------------------------ *)
@@ -324,13 +427,13 @@ let test_protocol_round_trips () =
     [
       Protocol.Alloc
         {
-          machine = Machine.high_pressure;
+          machine = Machine.make ~k:16 ();
           algo = "pdgc";
           program = Protocol.Binary p;
         };
       Protocol.Alloc
         {
-          machine = Machine.low_pressure;
+          machine = Machine.make ~k:32 ();
           algo = "chaitin";
           program = Protocol.Text "fn main() { return 1; }";
         };
@@ -349,7 +452,7 @@ let test_protocol_round_trips () =
           check Alcotest.bool "program" true
             (match (program, p') with
             | Protocol.Binary x, Protocol.Binary y ->
-                Codec.encode_program x = Codec.encode_program y
+                to_wire Codec.write_program x = to_wire Codec.write_program y
             | Protocol.Text x, Protocol.Text y -> x = y
             | _ -> false)
       | Protocol.Stats, Protocol.Stats -> ()
@@ -405,7 +508,7 @@ let test_protocol_round_trips () =
 (* A request's machine passes [Machine.make]: a machine it rejects
    decodes to [Protocol.Error] carrying its message. *)
 let test_protocol_rejects_bad_machines () =
-  let base = Machine.high_pressure in
+  let base = Machine.make ~k:16 () in
   List.iter
     (fun (label, (m : Machine.t)) ->
       let expected =
@@ -591,6 +694,7 @@ let () =
           prop_codec_random_workload;
           tc "spill metadata round-trips" test_codec_spill_metadata;
           tc "garbage rejected" test_codec_rejects_garbage;
+          tc "request mutants decode or fail cleanly" test_request_mutants;
         ] );
       ( "protocol",
         [

@@ -421,7 +421,7 @@ let test_static_cost_weighted () =
 let prop_static_cost_positive =
   qcheck ~count:25 "static cost is positive" seed_gen (fun seed ->
       let p = random_program seed in
-      Static_cost.program p > 0)
+      List.for_all (fun fn -> Static_cost.func fn > 0) p.Cfg.funcs)
 
 let () =
   Alcotest.run "sim"

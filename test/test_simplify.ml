@@ -110,7 +110,7 @@ let greedy_color_ok ~k g stack =
               match Reg.Tbl.find_opt colors n with
               | Some c -> Reg.Set.add c acc
               | None -> acc)
-          (Igraph.adj g r) Reg.Set.empty
+          (adj g r) Reg.Set.empty
       in
       let free =
         List.filter

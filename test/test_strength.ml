@@ -192,7 +192,7 @@ let test_crossings_match_reg_set_walk () =
   List.iter
     (fun (name, p) ->
       List.iter (check_fn name) p.Cfg.funcs;
-      let prepared = Pipeline.prepare Machine.high_pressure p in
+      let prepared = Pipeline.prepare (Machine.make ~k:16 ()) p in
       List.iter
         (fun fn -> check_fn name (Webs.run (Cfg.clone fn)).Webs.func)
         prepared.Cfg.funcs)

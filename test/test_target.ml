@@ -3,19 +3,17 @@
 open Helpers
 
 let test_pressure_models () =
-  check Alcotest.int "high" 16 Machine.high_pressure.Machine.k;
   check Alcotest.int "middle" 24 Machine.middle_pressure.Machine.k;
-  check Alcotest.int "low" 32 Machine.low_pressure.Machine.k;
   List.iter
     (fun m ->
       check Alcotest.int
-        (m.Machine.name ^ " half volatile")
+        (Printf.sprintf "k=%d half volatile" m.Machine.k)
         (m.Machine.k / 2) m.Machine.n_volatile)
-    [ Machine.high_pressure; Machine.middle_pressure; Machine.low_pressure ]
+    [ Machine.make ~k:16 (); Machine.middle_pressure; Machine.make ~k:32 () ]
 
 let test_volatile_partition () =
   let m = Machine.middle_pressure in
-  let all = Machine.all m Reg.Int_class in
+  let all = file_regs m Reg.Int_class in
   check Alcotest.int "total" m.Machine.k (List.length all);
   check Alcotest.int "volatile count" m.Machine.n_volatile
     (List.length (List.filter (Machine.is_volatile m) all));

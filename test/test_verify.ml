@@ -9,11 +9,12 @@ let ri = r Reg.Int_class
 
 let has_error reason ds =
   List.exists
-    (fun (d : Diagnostic.t) -> Diagnostic.is_error d && d.Diagnostic.reason = reason)
+    (fun (d : Diagnostic.t) ->
+      d.Diagnostic.severity = Diagnostic.Error && d.Diagnostic.reason = reason)
     ds
 
 let no_errors name ds =
-  if not (Verify.ok ds) then
+  if Diagnostic.errors ds <> [] then
     Alcotest.failf "%s: unexpected verification errors:@.%a" name
       Diagnostic.report (Diagnostic.errors ds)
 
@@ -254,7 +255,7 @@ let test_lint_phases () =
     (has_error Diagnostic.Structure (Lint.func Lint.Ssa fn));
   Alcotest.(check bool)
     "double def fine after SSA" true
-    (Verify.ok (Lint.func Lint.Prepared fn));
+    (Diagnostic.errors (Lint.func Lint.Prepared fn) = []);
   Alcotest.(check bool)
     "virtuals flagged as machine code" true
     (has_error Diagnostic.Not_allocatable (Lint.func (Lint.Machine m8) fn))
@@ -330,7 +331,7 @@ let test_sweep_jack () = sweep "jack" 16
 let test_random_programs_verify () =
   List.iter
     (fun seed ->
-      let m = Machine.high_pressure in
+      let m = Machine.make ~k:16 () in
       let p = prepared_random_program ~m seed in
       List.iter
         (fun algo ->

@@ -76,11 +76,16 @@ let test_rejects_phis () =
 let test_phys_untouched () =
   let fn, _ = Fig7.build () in
   let webs = Webs.run fn in
-  let phys_before =
-    Reg.Set.filter Reg.is_phys (Cfg.all_regs fn)
-  and phys_after =
-    Reg.Set.filter Reg.is_phys (Cfg.all_regs webs.Webs.func)
+  let phys fn =
+    Cfg.fold_instrs fn
+      (fun acc _ i ->
+        List.fold_left
+          (fun acc r -> if Reg.is_phys r then Reg.Set.add r acc else acc)
+          acc
+          (Instr.defs i.Instr.kind @ Instr.uses i.Instr.kind))
+      Reg.Set.empty
   in
+  let phys_before = phys fn and phys_after = phys webs.Webs.func in
   check reg_set_testable "physical registers preserved" phys_before phys_after
 
 let prop_webs_preserve_semantics =
