@@ -18,10 +18,7 @@ let compute ?live (fn : Cfg.func) =
   let measure set =
     let ints = ref 0 and floats = ref 0 in
     Regbits.Set.iter set (fun i ->
-        (* The numbering can outgrow [is_float] if a client interned
-           extra registers; those never appear in liveness facts. *)
-        if i < Array.length is_float && is_float.(i) then incr floats
-        else incr ints);
+        if is_float.(i) then incr floats else incr ints);
     if !ints > !max_int then max_int := !ints;
     if !floats > !max_float then max_float := !floats
   in

@@ -1,7 +1,8 @@
 (* Dense CPG.
 
    Nodes are indices of the interference graph's compact numbering
-   (or a private numbering for [of_total_order]).  Per node, the
+   (or a private numbering for [of_total_order]); the numbering never
+   grows, so every per-node array is sized once.  Per node, the
    direct successors are a bitset row ([succ]), so the
    transitive-pruning step retires [succ(u) ∩ reach(n)] in one
    word-wise pass ({!Regbits.Set.remove_inter}); predecessors are a
@@ -49,11 +50,10 @@
 
 type t = {
   cpt : Regbits.compact;
-  mutable cap : int;
-  mutable succ : Regbits.Set.t array;
-  mutable pred : Regbits.Vec.t array;
-  mutable indeg : int array;
-  mutable pending : int array; (* unresolved predecessor count *)
+  succ : Regbits.Set.t array;
+  pred : Regbits.Vec.t array;
+  indeg : int array;
+  pending : int array; (* unresolved predecessor count *)
   mutable edges : int; (* cached: always = number of distinct edges *)
   mutable initial_nodes : Reg.t list;
   all : Reg.t list;
@@ -67,65 +67,28 @@ type t = {
 let empty_vec = Regbits.Vec.create ()
 let empty_set = Regbits.Set.create 0
 
-let grow t needed =
-  let cap = max needed (max 16 (2 * t.cap)) in
-  let succ = Array.make cap empty_set in
-  let pred = Array.make cap empty_vec in
-  let indeg = Array.make cap 0 in
-  let pending = Array.make cap 0 in
-  Array.blit t.succ 0 succ 0 t.cap;
-  Array.blit t.pred 0 pred 0 t.cap;
-  Array.blit t.indeg 0 indeg 0 t.cap;
-  Array.blit t.pending 0 pending 0 t.cap;
-  t.succ <- succ;
-  t.pred <- pred;
-  t.indeg <- indeg;
-  t.pending <- pending;
-  t.cap <- cap
-
 let make cpt all =
-  let t =
-    {
-      cpt;
-      cap = 0;
-      succ = [||];
-      pred = [||];
-      indeg = [||];
-      pending = [||];
-      edges = 0;
-      initial_nodes = [];
-      all;
-    }
-  in
-  grow t (max 16 (Regbits.size cpt));
-  t
+  let n = Regbits.size cpt in
+  {
+    cpt;
+    succ = Array.make n empty_set;
+    pred = Array.make n empty_vec;
+    indeg = Array.make n 0;
+    pending = Array.make n 0;
+    edges = 0;
+    initial_nodes = [];
+    all;
+  }
 
-let idx t r =
-  let i = Regbits.index t.cpt r in
-  if i >= t.cap then grow t (i + 1);
-  i
-
-(* Index of [r] if it has any chance of carrying graph state. *)
-let find_idx t r =
-  match Regbits.find t.cpt r with
-  | Some i when i < t.cap -> Some i
-  | Some _ | None -> None
-
+let idx t r = Regbits.index t.cpt r
 let reg_at t i = Regbits.reg_at t.cpt i
 
 (* Registers in ascending id order, as [Reg.Set.elements] returned. *)
 let sorted_regs t fold =
   fold ~init:[] ~f:(fun acc i -> reg_at t i :: acc) |> List.sort Reg.compare
 
-let succs t r =
-  match find_idx t r with
-  | Some i -> sorted_regs t (Regbits.Set.fold t.succ.(i))
-  | None -> []
-
-let preds t r =
-  match find_idx t r with
-  | Some i -> sorted_regs t (Regbits.Vec.fold t.pred.(i))
-  | None -> []
+let succs t r = sorted_regs t (Regbits.Set.fold t.succ.(idx t r))
+let preds t r = sorted_regs t (Regbits.Vec.fold t.pred.(idx t r))
 
 let nodes t = t.all
 let initial t = t.initial_nodes
@@ -170,20 +133,20 @@ let build ~k g (simp : Simplify.result) =
   let order = Simplify.removal_order simp in
   let t = make (Igraph.compact g) order in
   let order_idx = List.map (fun r -> Igraph.index_of g r) order in
-  List.iter (fun i -> if i >= t.cap then grow t (i + 1)) order_idx;
+  let size = Regbits.size t.cpt in
   (* Working interference graph: residual degree + presence, physical
      registers excluded.  The graph's own adjacency vectors are walked
      directly, in their (unsorted) order: every per-pop effect below is
      independent per neighbor — see the step-7 comment — so no ordering
      is imposed and no per-node adjacency copy is materialized. *)
-  let present = Array.make t.cap false in
-  let degree = Array.make t.cap 0 in
-  let ready = Array.make t.cap false in
+  let present = Array.make size false in
+  let degree = Array.make size 0 in
+  let ready = Array.make size false in
   (* Virtuality per index, computed once: testing through [reg_at] per
      adjacency entry would cost O(E) register lookups.  Only removal-
      order nodes are marked, so [virt] doubles as "participates in the
      working graph". *)
-  let virt = Array.make t.cap false in
+  let virt = Array.make size false in
   List.iter (fun i -> virt.(i) <- Reg.is_virtual (reg_at t i)) order_idx;
   (* reach.(i): bitset of the popped nodes reachable from [i] along
      succ edges (frozen once [i] pops; [i] joins its own set then).
@@ -193,7 +156,7 @@ let build ~k g (simp : Simplify.result) =
      never become an edge tail or target, so allocating a row for
      every node would be wasted work, but a row that is needed at all
      would otherwise regrow by doubling as its members arrive. *)
-  let reach = Array.make t.cap empty_set in
+  let reach = Array.make size empty_set in
   (* Step 4: residual degree starts at the full interference degree —
      the same initialization {!Simplify.run} uses.  Physical neighbors
      are precolored, hence a *permanent* constraint at every point of
@@ -243,7 +206,7 @@ let build ~k g (simp : Simplify.result) =
      the scan order over the neighbors cannot influence the final edge
      set. *)
   let visit u =
-    if u < t.cap && virt.(u) && present.(u) then begin
+    if virt.(u) && present.(u) then begin
       let n = !cur in
       if (not ready.(u)) && not (Regbits.Set.mem reach.(u) n) then begin
         let rn = freeze_rn n in
@@ -273,8 +236,7 @@ let build ~k g (simp : Simplify.result) =
   finish_build t order_idx
 
 let of_total_order order =
-  let cpt = Regbits.create () in
-  let t = make cpt order in
+  let t = make (Regbits.of_regs order) order in
   let order_idx = List.map (idx t) order in
   let rec chain = function
     | a :: (b :: _ as rest) ->
@@ -298,10 +260,7 @@ let resolve_idx t i =
       if p = 0 then ready := s :: !ready);
   List.sort (fun a b -> Reg.compare (reg_at t b) (reg_at t a)) !ready
 
-let resolve t r =
-  match find_idx t r with
-  | None -> []
-  | Some i -> List.map (reg_at t) (resolve_idx t i)
+let resolve t r = List.map (reg_at t) (resolve_idx t (idx t r))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

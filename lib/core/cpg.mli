@@ -28,7 +28,7 @@
     callers — tests, harness, dot dumps — program against.  The
     {!section:dense} sub-API additionally exposes the graph's compact
     numbering so hot callers ([Pdgc_select]) can keep per-node state in
-    plain arrays and skip re-interning; dense indices never escape
+    plain arrays and skip re-indexing; dense indices never escape
     this signature into another module's public API. *)
 
 type t
@@ -49,6 +49,9 @@ val initial : t -> Reg.t list
 (** Successors of the top node: selectable immediately. *)
 
 val succs : t -> Reg.t -> Reg.t list
+(** @raise Invalid_argument for a register not in {!compact}, as do
+    {!preds} and {!resolve}. *)
+
 val preds : t -> Reg.t -> Reg.t list
 val nodes : t -> Reg.t list
 val n_edges : t -> int

@@ -59,7 +59,7 @@ let params ?(no_spill = fun _ -> false) ?(spill_risk = Reg.Set.empty)
      color, so their availability and summaries are untouched (the
      events (b)/(c) still fire through the preference edges).  Dirty
      heap members are re-keyed before any pick reads the root.
-     Preference edges are pre-interned (dense endpoint indices, handed
+     Preference edges are pre-indexed (dense endpoint indices, handed
      out by an RPG that shares the graph's numbering, cached per node
      with their allocation-independent strengths), nodes without
      preferences are never dirtied (their summary is constant), and a
@@ -103,7 +103,7 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   let cpt = Igraph.compact g in
   if Rpg.compact rpg != cpt then
     invalid_arg "Pdgc_select.run: the RPG must be built over the graph's numbering";
-  let n_cap = max 16 (Regbits.size cpt) in
+  let n_nodes = Regbits.size cpt in
   (* The CPG built by [Cpg.build] indexes nodes by this same numbering;
      the ablation chain from [Cpg.of_total_order] does not. *)
   let cpg_shares_numbering = Cpg.compact cpg == cpt in
@@ -112,17 +112,17 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   let colored = ref [] in
   (* color_idx.(i): machine-register index of node i's color; -1 if
      uncolored.  Physical nodes are their own color. *)
-  let color_idx = Array.make n_cap (-1) in
-  for i = 0 to Regbits.size cpt - 1 do
+  let color_idx = Array.make n_nodes (-1) in
+  for i = 0 to n_nodes - 1 do
     let r = Regbits.reg_at cpt i in
     if Reg.is_phys r then color_idx.(i) <- Reg.phys_index r
   done;
-  let spilled_bits = Regbits.Set.create n_cap in
+  let spilled_bits = Regbits.Set.create n_nodes in
   let n_coalesce = ref 0 and n_seq = ref 0 and n_kind = ref 0 in
   let n_limited = ref 0 and n_active = ref 0 in
   let nidx r = Igraph.index_of g r in
   let reg_of_idx i = Regbits.reg_at cpt i in
-  (* Preference edges with pre-interned endpoints, built once per node
+  (* Preference edges with pre-indexed endpoints, built once per node
      on first touch: each out-edge carries the dense index of its
      virtual Coalesce/Seq target (-1 for physical targets and the
      self-shaped preferences) and its [fixed] strength, each in-edge its
@@ -132,10 +132,10 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      Memory its strength, or -1 when [no_spill] rules it out.  Every
      later summary recompute and invalidation walk is then hash-free. *)
   let no_out : (Rpg.pref * int * int) array = [||] in
-  let out_arr = Array.make n_cap no_out in
-  let out_ok = Array.make n_cap false in
+  let out_arr = Array.make n_nodes no_out in
+  let out_ok = Array.make n_nodes false in
   (* The RPG shares the graph's numbering (checked on entry), so its
-     edges come with their endpoints already interned; only merged
+     edges come with their endpoints already indexed; only merged
      nodes need mapping to their representative. *)
   let root i = if i < 0 then i else Igraph.root_idx g i in
   let prefs_of i =
@@ -167,8 +167,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   in
   (* In-edges as (source is virtual, source's representative, pref). *)
   let no_inc : (bool * int * Rpg.pref) array = [||] in
-  let inc_arr = Array.make n_cap no_inc in
-  let inc_ok = Array.make n_cap false in
+  let inc_arr = Array.make n_nodes no_inc in
+  let inc_ok = Array.make n_nodes false in
   let incoming_of i =
     if not inc_ok.(i) then begin
       inc_arr.(i) <-
@@ -185,8 +185,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      before select runs — then updated edge-by-edge in the invalidation
      walk as virtual nodes take colors.  Availability is a load and a
      complement. *)
-  let forbidden = Array.make n_cap 0 in
-  for p = 0 to Regbits.size cpt - 1 do
+  let forbidden = Array.make n_nodes 0 in
+  for p = 0 to n_nodes - 1 do
     let cj = color_idx.(p) in
     if cj >= 0 then
       Igraph.iter_adj_idx g p (fun nb ->
@@ -195,9 +195,9 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
   let available_idx i = all_mask land lnot forbidden.(i) in
   let shift_ok j = j >= 0 && j < k in
   (* Steps 2.1/2.2: resolve a preference of [n] given its available
-     mask.  [tgt] is the pre-interned index of the virtual target, -1
-     when the target is a physical register (or the preference has
-     none). *)
+     mask.  [tgt] is the index of the virtual target, found at RPG
+     build, -1 when the target is a physical register (or the
+     preference has none). *)
   let resolve avail ((p : Rpg.pref), tgt, fixed) =
     let target_reg t delta =
       (* Color of the target as a machine-register index; -1 if none. *)
@@ -246,10 +246,10 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      preference counting its full strength) derives from them.
      Recomputed lazily when the invalidation contract (module header)
      marks them dirty. *)
-  let sm_cnt = Array.make n_cap 0 in
-  let sm_max = Array.make n_cap 0 in
-  let sm_min = Array.make n_cap 0 in
-  let sm_ok = Array.make n_cap false in
+  let sm_cnt = Array.make n_nodes 0 in
+  let sm_max = Array.make n_nodes 0 in
+  let sm_min = Array.make n_nodes 0 in
+  let sm_ok = Array.make n_nodes false in
   let summary_of i =
     if not sm_ok.(i) then begin
       let pr = prefs_of i in
@@ -282,8 +282,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     | _ -> sm_max.(i) - sm_min.(i)
   in
   let costs_tiebreak n = Strength.spill_cost str n in
-  let cost_arr = Array.make n_cap 0 in
-  let cost_ok = Array.make n_cap false in
+  let cost_arr = Array.make n_nodes 0 in
+  let cost_ok = Array.make n_nodes false in
   let cost_of i =
     if not cost_ok.(i) then begin
       cost_arr.(i) <- costs_tiebreak (reg_of_idx i);
@@ -295,11 +295,11 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
      the policy pair captured at push/refresh time; the heap invariant
      always holds for the *stored* keys, and dirty members are re-keyed
      before any pick reads the root. *)
-  let heap = Array.make n_cap 0 in
+  let heap = Array.make n_nodes 0 in
   let hsize = ref 0 in
-  let hpos = Array.make n_cap (-1) in
-  let hk1 = Array.make n_cap 0 in
-  let hk2 = Array.make n_cap 0 in
+  let hpos = Array.make n_nodes (-1) in
+  let hk1 = Array.make n_nodes 0 in
+  let hk2 = Array.make n_nodes 0 in
   let better a b =
     (* Strict "a ranks above b": larger key, then larger spill cost,
        then smaller register id — the old fold's replacement test. *)
@@ -384,8 +384,8 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     end
   in
   (* Dirty nodes, each once, on a stack flushed most recent first. *)
-  let dirty = Array.make n_cap false in
-  let dirty_stack = Array.make n_cap 0 in
+  let dirty = Array.make n_nodes false in
+  let dirty_stack = Array.make n_nodes 0 in
   let n_dirty = ref 0 in
   let mark_dirty i =
     (* A node without preferences has the constant summary (0, 0, _) —
@@ -432,7 +432,7 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
     Array.iter (fun (_, ui, _) -> mark_dirty ui) (incoming_of i);
     Array.iter (fun (_, tgt, _) -> if tgt >= 0 then mark_dirty tgt) (prefs_of i)
   in
-  let risk_bits = Regbits.Set.create n_cap in
+  let risk_bits = Regbits.Set.create n_nodes in
   Reg.Set.iter (fun r -> Regbits.Set.add risk_bits (nidx r)) spill_risk;
   let is_risk i = Regbits.Set.mem risk_bits i in
   (* Ready set, as node indices.  [risk_list] keeps CPG-queue order;
@@ -566,7 +566,7 @@ let run (m : Machine.t) g (rpg : Rpg.t) (cpg : Cpg.t) (str : Strength.t)
         let keep_if_nonempty s =
           if s land !current <> 0 then current := s land !current
         in
-        (* A [defer] resolution implies a virtual, pre-interned target:
+        (* A [defer] resolution implies a virtual, pre-indexed target:
            physical targets always resolve to a screen or [dead]. *)
         for j = 0 to np - 1 do
           if res.(j) = defer then

@@ -1,10 +1,10 @@
 (* Dense RPG.
 
-   Nodes are indices of a compact numbering — the interference graph's
-   numbering when the caller passes [?cpt] (the PDGC pipeline does), a
-   private one otherwise.  Out- and in-edges live in plain arrays
-   indexed by node, each edge stored with the index of its other
-   endpoint (interned once here, so the dense select never hashes a
+   Nodes are indices of the round's compact numbering (the interference
+   graph's, passed as [~cpt]), which holds every register of the body,
+   so the edge arrays are sized once.  Out- and in-edges live in plain
+   arrays indexed by node, each edge stored with the index of its other
+   endpoint (looked up once here, so the dense select never hashes a
    [Reg.t] to find it); [prefs] used to re-sort the stored list on every
    call, so the build now sorts each out-edge list once at the end
    (stable sort over the same construction order — identical result,
@@ -22,37 +22,27 @@ type pref = { target : ptype; weight : Strength.weight; instr_id : int option }
 
 type t = {
   cpt : Regbits.compact;
-  mutable cap : int;
-  mutable out_edges : (pref * int) list array;
+  out_edges : (pref * int) list array;
       (* strongest first after build; each with its target's index *)
-  mutable in_edges : (int * pref) list array;
+  in_edges : (int * pref) list array;
       (* construction order; each with its source's index *)
-  mutable out_nodes : int list; (* indices with out-edges, for pp *)
+  out_nodes : int list; (* indices with out-edges, for pp *)
   pair_list : (int * Reg.t * Reg.t) list;
 }
 
 (* A [Memory] weight is stored as [{s; s}], so [best] is [s]. *)
 let strength p = Strength.best p.weight
 
-let find_idx t r =
-  match Regbits.find t.cpt r with
-  | Some i when i < t.cap -> Some i
-  | Some _ | None -> None
-
-let prefs t r =
-  match find_idx t r with
-  | Some i -> List.map fst t.out_edges.(i)
-  | None -> []
+let prefs t r = List.map fst t.out_edges.(Regbits.index t.cpt r)
 
 let incoming t r =
-  match find_idx t r with
-  | Some i ->
-      List.map (fun (ui, p) -> (Regbits.reg_at t.cpt ui, p)) t.in_edges.(i)
-  | None -> []
+  List.map
+    (fun (ui, p) -> (Regbits.reg_at t.cpt ui, p))
+    t.in_edges.(Regbits.index t.cpt r)
 
 let compact t = t.cpt
-let prefs_idx t i = if i < t.cap then t.out_edges.(i) else []
-let incoming_idx t i = if i < t.cap then t.in_edges.(i) else []
+let prefs_idx t i = t.out_edges.(i)
+let incoming_idx t i = t.in_edges.(i)
 
 let pairs t = t.pair_list
 
@@ -82,49 +72,25 @@ let paired_candidates (fn : Cfg.func) =
       !acc)
     fn.Cfg.blocks
 
-let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
+let build ?(kinds = `All) ~cpt (_m : Machine.t) (fn : Cfg.func)
     (str : Strength.t) =
-  let supplied = cpt in
-  let cpt = match cpt with Some c -> c | None -> Regbits.create () in
-  let t =
-    {
-      cpt;
-      cap = 0;
-      out_edges = [||];
-      in_edges = [||];
-      out_nodes = [];
-      pair_list = [];
-    }
-  in
-  let grow needed =
-    let cap = max needed (max 16 (2 * t.cap)) in
-    let out_edges = Array.make cap [] in
-    let in_edges = Array.make cap [] in
-    Array.blit t.out_edges 0 out_edges 0 t.cap;
-    Array.blit t.in_edges 0 in_edges 0 t.cap;
-    t.out_edges <- out_edges;
-    t.in_edges <- in_edges;
-    t.cap <- cap
-  in
-  grow (max 16 (Regbits.size cpt));
-  let idx r =
-    let i = Regbits.index t.cpt r in
-    if i >= t.cap then grow (i + 1);
-    i
-  in
+  let n = Regbits.size cpt in
+  let out_edges = Array.make n [] and in_edges = Array.make n [] in
+  let out_nodes = ref [] in
+  let idx = Regbits.index cpt in
   (* [tgt] is the index of a virtual Coalesce/Seq target, -1 for a
      physical target and the self-shaped preferences. *)
   let add_out r p ~tgt =
     if Reg.is_virtual r then begin
       let i = idx r in
-      if t.out_edges.(i) = [] then t.out_nodes <- i :: t.out_nodes;
-      t.out_edges.(i) <- (p, tgt) :: t.out_edges.(i)
+      if out_edges.(i) = [] then out_nodes := i :: !out_nodes;
+      out_edges.(i) <- (p, tgt) :: out_edges.(i)
     end
   in
   let add_in target src p =
     if Reg.is_virtual target then begin
       let i = idx target in
-      t.in_edges.(i) <- (idx src, p) :: t.in_edges.(i)
+      in_edges.(i) <- (idx src, p) :: in_edges.(i)
     end
   in
   let virt_idx r = if Reg.is_virtual r then idx r else -1 in
@@ -193,24 +159,18 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
                 instr_id = Some i.Instr.id;
               }
         | _ -> ());
-    (* Volatility and memory preferences for every live range.  A
-       caller-supplied numbering already interns every register of the
-       function body (it comes from the interference graph built over
-       the same [fn]), so its virtual entries are exactly
-       [Cfg.all_vregs fn] — iterate those, sorted to reproduce the
-       [Reg.Set] order, instead of re-scanning the whole function. *)
-    let each_vreg f =
-      match supplied with
-      | Some c ->
-          let vs = ref [] in
-          for i = Regbits.size c - 1 downto 0 do
-            let r = Regbits.reg_at c i in
-            if Reg.is_virtual r then vs := r :: !vs
-          done;
-          List.iter f (List.sort Reg.compare !vs)
-      | None -> Reg.Set.iter f (Cfg.all_vregs fn)
-    in
-    each_vreg (fun r ->
+    (* Volatility and memory preferences for every live range.  The
+       numbering holds every register of the body, so its virtual
+       entries are exactly [Cfg.all_vregs fn] — iterate those, sorted to
+       reproduce the [Reg.Set] order, instead of re-scanning the whole
+       function. *)
+    let vs = ref [] in
+    for i = n - 1 downto 0 do
+      let r = Regbits.reg_at cpt i in
+      if Reg.is_virtual r then vs := r :: !vs
+    done;
+    List.iter
+      (fun r ->
         add_out r ~tgt:(-1)
           { target = Kind; weight = Strength.volatility str r; instr_id = None };
         let mem = Strength.memory str r in
@@ -221,6 +181,7 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
               weight = { Strength.vol = mem; nonvol = mem };
               instr_id = None;
             })
+      (List.sort Reg.compare !vs)
   end;
   (* Sort every out-edge list strongest-first, once.  [List.sort] is
      stable and the lists were constructed in the same order as the
@@ -228,12 +189,12 @@ let build ?(kinds = `All) ?cpt (_m : Machine.t) (fn : Cfg.func)
      single build-time sort agree edge for edge. *)
   List.iter
     (fun i ->
-      t.out_edges.(i) <-
+      out_edges.(i) <-
         List.sort
           (fun (a, _) (b, _) -> compare (strength b) (strength a))
-          t.out_edges.(i))
-    t.out_nodes;
-  { t with pair_list = !pair_list }
+          out_edges.(i))
+    !out_nodes;
+  { cpt; out_edges; in_edges; out_nodes = !out_nodes; pair_list = !pair_list }
 
 let pp_ptype ppf = function
   | Coalesce r -> Format.fprintf ppf "coalesce %a" Reg.pp r

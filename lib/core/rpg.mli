@@ -34,7 +34,7 @@ val strength : pref -> int
 
 val build :
   ?kinds:[ `All | `Coalesce_only ] ->
-  ?cpt:Regbits.compact ->
+  cpt:Regbits.compact ->
   Machine.t ->
   Cfg.func ->
   Strength.t ->
@@ -42,27 +42,28 @@ val build :
 (** Scan the body for copies, paired-load candidates and limited
     operations, and attach volatility/memory preferences to every live
     range.  [`Coalesce_only] restricts the graph to coalesce edges (the
-    paper's "only coalescing" configuration).  [cpt] shares a compact
-    numbering (normally the interference graph's) so the PDGC pipeline
-    indexes one node space; a private numbering is used otherwise.
-    Queries remain [Reg.t]-typed either way. *)
+    paper's "only coalescing" configuration).  [cpt] is the round's
+    numbering of [fn] (the interference graph's), so the PDGC pipeline
+    indexes one node space; it must hold every register of [fn].
+    Queries remain [Reg.t]-typed. *)
 
 val prefs : t -> Reg.t -> pref list
-(** Out-edges of a node, strongest first. *)
+(** Out-edges of a node, strongest first.
+    @raise Invalid_argument for a register not in {!compact}. *)
 
 val incoming : t -> Reg.t -> (Reg.t * pref) list
 (** In-edges: nodes whose preference targets this node (coalesce and
-    sequential edges only). *)
+    sequential edges only).
+    @raise Invalid_argument for a register not in {!compact}. *)
 
 val pairs : t -> (int * Reg.t * Reg.t) list
 (** Paired-load candidates as [(hi_load_instr_id, lo_dst, hi_dst)]. *)
 
 (** {2 Dense index sub-API}
 
-    Indices are those of {!compact}: the interference graph's numbering
-    when [build] was given [~cpt], a private one otherwise.  A caller
-    must check (physical equality is enough) that it holds the same
-    numbering before mixing these indices with another phase's. *)
+    Indices are those of {!compact}, the numbering [build] was given.
+    A caller must check (physical equality is enough) that it holds the
+    same numbering before mixing these indices with another phase's. *)
 
 val compact : t -> Regbits.compact
 

@@ -31,9 +31,10 @@ val fold_block_backward :
     register occurring in the analyzed function. *)
 
 val compact : t -> Regbits.compact
-(** The numbering the analysis ran over.  Shared, not copied: clients
-    (e.g. the interference graph) may intern further registers, which
-    leaves the analysis results untouched. *)
+(** The numbering the analysis ran over, of every register of the
+    function.  Shared, not copied: the round's other analyses (the
+    interference graph, spill costs, strengths, the RPG and CPG) index
+    the same fixed numbering. *)
 
 val live_in_bits : t -> Instr.label -> Regbits.Set.t
 (** Fresh (caller-owned) bitset of the block-entry facts. *)

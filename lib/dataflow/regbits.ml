@@ -1,9 +1,10 @@
 (* [phys] maps a physical register id to its index, [virt] a virtual
    one offset by [base]; [-1] marks an absent id.  [virt] is a window
    over the span of virtual ids interned so far, grown in either
-   direction: a function's virtual ids are dense (below its [next_reg]),
-   and after web renumbering they start far above [Reg.first_virtual],
-   so a window from 0 would be half empty. *)
+   direction while the numbering is built (and never after): a
+   function's virtual ids are dense (below its [next_reg]), and after
+   web renumbering they start far above [Reg.first_virtual], so a
+   window from 0 would be half empty. *)
 type compact = {
   phys : int array;
   mutable base : int;
@@ -12,7 +13,9 @@ type compact = {
   mutable n : int;
 }
 
-let create () =
+(* Construction, the only code that grows a numbering, runs [empty],
+   [cover] and [intern]. *)
+let empty () =
   {
     phys = Array.make Reg.first_virtual (-1);
     base = 0;
@@ -36,7 +39,7 @@ let cover c r =
   c.virt <- bigger
 
 let intern c r =
-  if r < 0 then invalid_arg "Regbits.index: negative register id";
+  if r < 0 then invalid_arg "Regbits: negative register id";
   let i = c.n in
   if i >= Array.length c.regs then begin
     let bigger = Array.make (2 * Array.length c.regs) 0 in
@@ -50,8 +53,7 @@ let intern c r =
     let o = r - c.base in
     if o < 0 || o >= Array.length c.virt then cover c r;
     c.virt.(r - c.base) <- i
-  end;
-  i
+  end
 
 let find_index c r =
   if r >= Reg.first_virtual then
@@ -62,7 +64,7 @@ let find_index c r =
 
 let index c r =
   let i = find_index c r in
-  if i >= 0 then i else intern c r
+  if i >= 0 then i else invalid_arg "Regbits.index: register not in the numbering"
 
 let find c r =
   let i = find_index c r in
@@ -74,13 +76,21 @@ let reg_at c i =
   if i < 0 || i >= c.n then invalid_arg "Regbits.reg_at: index out of range";
   c.regs.(i)
 
-let of_func (f : Cfg.func) =
-  let c = create () in
-  Cfg.iter_instrs f (fun _ i ->
-      let kind = i.Instr.kind in
-      List.iter (fun r -> ignore (index c r)) (Instr.defs kind);
-      List.iter (fun r -> ignore (index c r)) (Instr.uses kind));
+(* A numbering of the registers [fill] hands to its argument, each
+   numbered on its first appearance. *)
+let build fill =
+  let c = empty () in
+  fill (fun r -> if find_index c r < 0 then intern c r);
   c
+
+let of_regs regs = build (fun add -> List.iter add regs)
+
+let of_func (f : Cfg.func) =
+  build (fun add ->
+      Cfg.iter_instrs f (fun _ i ->
+          let kind = i.Instr.kind in
+          List.iter add (Instr.defs kind);
+          List.iter add (Instr.uses kind)))
 
 module Vec = struct
   type t = { mutable data : int array; mutable len : int }

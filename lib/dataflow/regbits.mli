@@ -10,41 +10,45 @@
     word-parallel sweep instead of a balanced-tree walk, which is the
     classic engineering move of production Chaitin/Briggs allocators.
 
-    A {!compact} is growable: interning a register that appeared after
-    the initial numbering (fresh spill temporaries, for instance) simply
-    appends it.  Bitsets are length-agnostic — membership beyond a set's
-    current capacity is [false], and {!Set.add} grows the backing array
-    — so sets created before a growth step remain valid. *)
+    A {!compact} is fixed once built: {!of_func} numbers every register
+    of a body, and an allocation round's analyses (liveness, the
+    interference graph, spill costs, strengths, the RPG and CPG) all
+    share the one numbering of its body, so every per-node array is
+    sized once from {!size}.  Bitsets are length-agnostic — membership
+    beyond a set's current capacity is [false], and {!Set.add} grows
+    the backing array. *)
 
 type compact
-(** A bidirectional register [<->] dense-index mapping.  The forward
-    direction is direct-mapped: an array over the physical registers,
-    and one over the span of virtual ids interned so far, grown in
-    either direction.  A function's register ids are dense (below its
-    [next_reg]), so a lookup is one array read, not a hash, and the
-    arrays stay as small as the function's id range. *)
-
-val create : unit -> compact
-(** An empty numbering; registers are interned on first {!index}. *)
+(** An immutable bidirectional register [<->] dense-index mapping.  The
+    forward direction is direct-mapped: an array over the physical
+    registers, and one over the span of the numbered virtual ids.  A
+    function's register ids are dense (below its [next_reg]), so a
+    lookup is one array read, not a hash, and the arrays stay as small
+    as the function's id range. *)
 
 val of_func : Cfg.func -> compact
-(** Numbering seeded with every register occurring in the function's
+(** Numbering of every register occurring in the function's
     instructions (defs and uses, physical and virtual), in first-visit
     order — deterministic for a given function body. *)
 
+val of_regs : Reg.t list -> compact
+(** Numbering of the listed registers in list order; a repeated
+    register keeps its first index.
+    @raise Invalid_argument if a register id is negative. *)
+
 val size : compact -> int
-(** Number of registers interned so far. *)
+(** Number of registers in the numbering. *)
 
 val index : compact -> Reg.t -> int
-(** Dense index of [r], interning it if new.
-    @raise Invalid_argument if [r] is negative. *)
+(** Dense index of [r].
+    @raise Invalid_argument if [r] is not in the numbering. *)
 
 val find : compact -> Reg.t -> int option
-(** Dense index of [r] if already interned; [None] for any other id,
-    including one past the largest interned. *)
+(** Dense index of [r] if it is in the numbering; [None] for any other
+    id, including one past the largest numbered. *)
 
 val find_index : compact -> Reg.t -> int
-(** {!find} without the option: [-1] for an id not interned. *)
+(** {!find} without the option: [-1] for an id not in the numbering. *)
 
 val reg_at : compact -> int -> Reg.t
 (** Inverse of {!index}.  @raise Invalid_argument if out of range. *)

@@ -87,11 +87,10 @@ let run () =
       v4 = web_of r0s.v4;
     }
   in
-  let live = Liveness.compute fn in
-  let g = Igraph.build fn live in
-  let strength = Strength.create fn in
+  let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
+  let g = a.Alloc_common.graph and costs = a.Alloc_common.costs in
+  let strength = Strength.of_analysis a in
   let rpg = Rpg.build ~cpt:(Igraph.compact g) machine fn strength in
-  let costs = Spill_cost.compute fn in
   let simp3 = simplify_for machine.Machine.k g costs in
   let cpg3 = Cpg.build ~k:machine.Machine.k g simp3 in
   let simp4 = simplify_for 4 g costs in

@@ -496,6 +496,18 @@ let validate f =
               List.iter classed (Instr.defs i.Instr.kind);
               List.iter classed (Instr.uses i.Instr.kind)
             end;
+            (* Only finalization pairs loads, into physical registers:
+               a virtual paired destination is no single-definition
+               site, so webs and liveness could not name it. *)
+            (match i.Instr.kind with
+            | Instr.Load_pair { dst_lo; dst_hi; _ }
+              when Reg.is_virtual dst_lo || Reg.is_virtual dst_hi ->
+                raise
+                  (Invalid
+                     (Format.asprintf
+                        "paired load with a virtual destination in L%d: %a"
+                        b.label Instr.pp i))
+            | _ -> ());
             let terminal = Instr.is_terminator i.Instr.kind in
             if terminal && idx < n - 1 then
               raise

@@ -158,9 +158,10 @@ val validate : func -> (unit, string) result
     terminator, branch targets exist, the entry block present and
     leading the block list, phis only at block heads with sources
     matching predecessors, instruction ids unique and below
-    [next_instr_id], a class for every virtual register.  Run by the
-    verifier's linter on every phase snapshot and by the daemon's
-    decoder on every function. *)
+    [next_instr_id], a class for every virtual register, physical
+    destinations for every [Load_pair] (only finalization pairs loads).
+    Run by the verifier's linter on every phase snapshot and by the
+    daemon's decoder on every function. *)
 
 val pp_block : Format.formatter -> block -> unit
 val pp_func : Format.formatter -> func -> unit

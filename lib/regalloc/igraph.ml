@@ -1,8 +1,9 @@
 (* Dense interference graph.
 
-   Nodes are the dense indices of the liveness compact numbering (the
-   graph interns further registers on demand and shares the numbering).
-   Three parallel structures per node, kept exactly in sync:
+   Nodes are the dense indices of the liveness compact numbering, which
+   the graph shares and which holds every register of the body, so the
+   per-node arrays are sized once.  Three parallel structures per node,
+   kept exactly in sync:
 
    - a bitset row ([bits]) giving O(1) membership for [interferes];
    - a growable int vector ([adjv]) for O(degree) neighbor iteration
@@ -15,53 +16,19 @@
 
 type move = { instr_id : int; dst : Reg.t; src : Reg.t }
 
-type cls_code = int (* 0 = Int_class, 1 = Float_class, -1 = unknown *)
-
 type t = {
   fn : Cfg.func;
   cpt : Regbits.compact;
-  mutable bits : Regbits.Set.t array;
-  mutable adjv : Regbits.Vec.t array;
-  mutable deg : int array;
-  mutable parent : int array; (* union-find: -1 = root *)
-  mutable present : bool array; (* node exists and is not merged away *)
-  mutable cls_code : cls_code array;
-  mutable cap : int;
+  bits : Regbits.Set.t array;
+  adjv : Regbits.Vec.t array;
+  deg : int array;
+  parent : int array; (* union-find: -1 = root *)
+  cls_code : int array; (* 0 = Int_class, 1 = Float_class *)
   mutable move_list : move list;
 }
 
 let infinite_degree = max_int / 2
-
-let grow t needed =
-  let cap = max needed (max 16 (2 * t.cap)) in
-  let bits = Array.make cap (Regbits.Set.create 0) in
-  let adjv = Array.make cap (Regbits.Vec.create ()) in
-  let deg = Array.make cap 0 in
-  let parent = Array.make cap (-1) in
-  let present = Array.make cap false in
-  let cls_code = Array.make cap (-1) in
-  Array.blit t.bits 0 bits 0 t.cap;
-  Array.blit t.adjv 0 adjv 0 t.cap;
-  Array.blit t.deg 0 deg 0 t.cap;
-  Array.blit t.parent 0 parent 0 t.cap;
-  Array.blit t.present 0 present 0 t.cap;
-  Array.blit t.cls_code 0 cls_code 0 t.cap;
-  for i = t.cap to cap - 1 do
-    bits.(i) <- Regbits.Set.create 0;
-    adjv.(i) <- Regbits.Vec.create ()
-  done;
-  t.bits <- bits;
-  t.adjv <- adjv;
-  t.deg <- deg;
-  t.parent <- parent;
-  t.present <- present;
-  t.cls_code <- cls_code;
-  t.cap <- cap
-
-let idx t r =
-  let i = Regbits.index t.cpt r in
-  if i >= t.cap then grow t (i + 1);
-  i
+let idx t r = Regbits.index t.cpt r
 
 let rec root t i =
   let p = t.parent.(i) in
@@ -72,51 +39,19 @@ let rec root t i =
     r
   end
 
-let cls_code_of t i =
-  let c = t.cls_code.(i) in
-  if c >= 0 then c
-  else
-    let code =
-      match Cfg.cls_of t.fn (Regbits.reg_at t.cpt i) with
-      | Reg.Int_class -> 0
-      | Reg.Float_class -> 1
-    in
-    t.cls_code.(i) <- code;
-    code
-
-let create fn cpt =
-  let t =
-    {
-      fn;
-      cpt;
-      bits = [||];
-      adjv = [||];
-      deg = [||];
-      parent = [||];
-      present = [||];
-      cls_code = [||];
-      cap = 0;
-      move_list = [];
-    }
-  in
-  grow t (max 16 (Regbits.size cpt));
-  t
-
 let cls t r = Cfg.cls_of t.fn r
 let alias t r = Regbits.reg_at t.cpt (root t (idx t r))
-let is_node t r = t.present.(root t (idx t r))
+let is_node t r = Regbits.find_index t.cpt r >= 0
 let reg_is_phys t i = Reg.is_phys (Regbits.reg_at t.cpt i)
 
 (* Dense sub-API: expose the shared numbering so the PDGC core (Rpg,
    Cpg, Pdgc_select) and the simplify/coalesce phases can run on the
-   same indices without re-interning. *)
+   same indices without re-indexing. *)
 let compact t = t.cpt
 let index_of t r = root t (idx t r)
 let reg_of t i = Regbits.reg_at t.cpt i
 
-let root_idx t i =
-  if i >= t.cap then grow t (i + 1);
-  root t i
+let root_idx = root
 
 (* Record the edge [a]-[b]; [add_edge_idx] and [build]
    have checked that it is new and allowed. *)
@@ -126,15 +61,13 @@ let link t a b =
   Regbits.Vec.push t.adjv.(a) b;
   Regbits.Vec.push t.adjv.(b) a;
   t.deg.(a) <- t.deg.(a) + 1;
-  t.deg.(b) <- t.deg.(b) + 1;
-  t.present.(a) <- true;
-  t.present.(b) <- true
+  t.deg.(b) <- t.deg.(b) + 1
 
 (* Indices must be roots. *)
 let add_edge_idx t a b =
   if
     a <> b
-    && cls_code_of t a = cls_code_of t b
+    && t.cls_code.(a) = t.cls_code.(b)
     && not (reg_is_phys t a && reg_is_phys t b)
     && not (Regbits.Set.mem t.bits.(a) b)
   then link t a b
@@ -146,10 +79,6 @@ let interferes t a b =
 let degree t r =
   let i = root t (idx t r) in
   if reg_is_phys t i then infinite_degree else t.deg.(i)
-
-let iter_adj t r f =
-  let i = root t (idx t r) in
-  Regbits.Vec.iter t.adjv.(i) (fun n -> f (Regbits.reg_at t.cpt n))
 
 (* [i] must be a root index (as returned by [index_of]). *)
 let iter_adj_idx t i f = Regbits.Vec.iter t.adjv.(i) f
@@ -165,7 +94,7 @@ let fold_adj t r ~init ~f =
 let vnodes t =
   let acc = ref [] in
   for i = Regbits.size t.cpt - 1 downto 0 do
-    if i < t.cap && t.present.(i) && t.parent.(i) < 0 then begin
+    if t.parent.(i) < 0 then begin
       let r = Regbits.reg_at t.cpt i in
       if Reg.is_virtual r then acc := r :: !acc
     end
@@ -180,18 +109,32 @@ let moves t = t.move_list
    index order, the order the per-member [add_edge_idx] walk visited
    them in, so every adjacency vector keeps that insertion order. *)
 let build (fn : Cfg.func) (live : Liveness.t) =
-  let t = create fn (Liveness.compact live) in
-  let n = Regbits.size t.cpt in
+  let cpt = Liveness.compact live in
+  let n = Regbits.size cpt in
+  (* The liveness numbering holds exactly the registers the body defines
+     or uses: every one is a node, its row as wide as the numbering. *)
+  let t =
+    {
+      fn;
+      cpt;
+      bits = Array.init n (fun _ -> Regbits.Set.create n);
+      adjv = Array.init n (fun _ -> Regbits.Vec.create ());
+      deg = Array.make n 0;
+      parent = Array.make n (-1);
+      cls_code =
+        Array.init n (fun i ->
+            match Cfg.cls_of fn (Regbits.reg_at cpt i) with
+            | Reg.Int_class -> 0
+            | Reg.Float_class -> 1);
+      move_list = [];
+    }
+  in
   (* [same.(c)]: the nodes of class code [c]; [vsame.(c)]: its virtual
      ones, the only possible neighbors of a physical node. *)
   let same = Array.init 2 (fun _ -> Regbits.Set.create n) in
   let vsame = Array.init 2 (fun _ -> Regbits.Set.create n) in
-  (* The liveness numbering holds exactly the registers the body defines
-     or uses: every one is a node, its row as wide as the numbering. *)
   for i = 0 to n - 1 do
-    t.bits.(i) <- Regbits.Set.create n;
-    t.present.(i) <- true;
-    let c = cls_code_of t i in
+    let c = t.cls_code.(i) in
     Regbits.Set.add same.(c) i;
     if not (reg_is_phys t i) then Regbits.Set.add vsame.(c) i
   done;
@@ -213,7 +156,7 @@ let build (fn : Cfg.func) (live : Liveness.t) =
           List.iter
             (fun d ->
               let di = idx t d in
-              let c = cls_code_of t di in
+              let c = t.cls_code.(di) in
               let mask = if reg_is_phys t di then vsame.(c) else same.(c) in
               Regbits.Set.iter_new ~src:live_out ~mask ~row:t.bits.(di)
                 (fun l -> if l <> di && l <> exempt then link t di l))
@@ -241,17 +184,14 @@ let merge t ~keep ~drop =
     t.bits.(drop) <- Regbits.Set.create 0;
     t.adjv.(drop) <- Regbits.Vec.create ();
     t.deg.(drop) <- 0;
-    t.present.(drop) <- false;
     t.parent.(drop) <- keep
   end
 
 let copy t =
   {
     t with
-    bits = Array.map Regbits.Set.copy (Array.sub t.bits 0 t.cap);
-    adjv = Array.map Regbits.Vec.copy (Array.sub t.adjv 0 t.cap);
+    bits = Array.map Regbits.Set.copy t.bits;
+    adjv = Array.map Regbits.Vec.copy t.adjv;
     deg = Array.copy t.deg;
     parent = Array.copy t.parent;
-    present = Array.copy t.present;
-    cls_code = Array.copy t.cls_code;
   }

@@ -13,7 +13,10 @@
     first.
 
     Representation: nodes are dense indices of the liveness compact
-    numbering ({!Regbits.compact}).  Membership ([interferes]) is a
+    numbering ({!Regbits.compact}), which holds every register of the
+    body and never grows, so every per-node array is sized once.
+    Queries naming a register outside the numbering raise
+    [Invalid_argument].  Membership ([interferes]) is a
     bit-matrix test, neighbor iteration walks a per-node adjacency
     vector, and degrees are cached and updated incrementally as edges
     are added and nodes merged — the engineering of production
@@ -32,14 +35,15 @@ val vnodes : t -> Reg.t list
     representatives, ie. excluding merged-away nodes. *)
 
 val is_node : t -> Reg.t -> bool
+(** Does the register occur in the graph's function (merged away or
+    not)?  The one query that accepts any register. *)
+
 val interferes : t -> Reg.t -> Reg.t -> bool
 
-val iter_adj : t -> Reg.t -> (Reg.t -> unit) -> unit
-(** Iterate the current neighbors of the node's representative
-    (aliases resolved, merged-away nodes absent).  The order is
-    unspecified; the graph must not be mutated during the iteration. *)
-
 val fold_adj : t -> Reg.t -> init:'a -> f:('a -> Reg.t -> 'a) -> 'a
+(** Fold over the current neighbors of the node's representative
+    (aliases resolved, merged-away nodes absent).  The order is
+    unspecified; the graph must not be mutated during the fold. *)
 
 val degree : t -> Reg.t -> int
 (** [infinite_degree] for physical registers. *)
@@ -58,8 +62,8 @@ val compact : t -> Regbits.compact
     [Liveness.compact] of the liveness the graph was built from). *)
 
 val index_of : t -> Reg.t -> int
-(** Root (merge-representative) index of a register, interning it if
-    unseen.  Stable until the next [merge] involving the node. *)
+(** Root (merge-representative) index of a register.  Stable until the
+    next [merge] involving the node. *)
 
 val reg_of : t -> int -> Reg.t
 (** Inverse of the numbering; [i] must be a valid index. *)
@@ -69,7 +73,7 @@ val root_idx : t -> int -> int
     [index_of g r = root_idx g i] where [i] is [r]'s index. *)
 
 val iter_adj_idx : t -> int -> (int -> unit) -> unit
-(** [iter_adj] over indices; [i] must be a root index. *)
+(** The neighbors of a root index, in {!fold_adj}'s order. *)
 
 val degree_idx : t -> int -> int
 val interferes_idx : t -> int -> int -> bool

@@ -16,7 +16,7 @@ type result = {
    or when its degree falls to k - 1, and only a blocked node is ever
    spilled, so no entry of [low] goes stale. *)
 let run mode ~k g ~spill_choice ?(never_spill = fun _ -> false) () =
-  let size = max 16 (Regbits.size (Igraph.compact g)) in
+  let size = Regbits.size (Igraph.compact g) in
   let degree = Array.make size 0 in
   let present = Array.make size false in
   let blocked = Regbits.Set.create size in

@@ -15,12 +15,12 @@ type info = { spill_cost : int; n_defs : int; n_uses : int }
 
 type t
 
-val compute : ?loops:Loops.t -> ?cpt:Regbits.compact -> Cfg.func -> t
-(** [loops] reuses an already-computed loop forest (the per-round
-    analysis context passes it); one is computed privately otherwise.
-    [cpt] shares a compact register numbering (eg. the liveness one) so
-    the cost tables are flat arrays over the same indices; a private
-    numbering is seeded from the body otherwise. *)
+val compute : loops:Loops.t -> cpt:Regbits.compact -> Cfg.func -> t
+(** [loops] is the round's loop forest and [cpt] its register numbering
+    (the liveness one, which must hold every register of the body), so
+    the cost tables are flat arrays over the indices the interference
+    graph uses.  The per-round analysis ([Alloc_common.analyze]) calls
+    it. *)
 
 val info : t -> Reg.t -> info
 (** Zero costs for a register that never occurs. *)

@@ -61,23 +61,14 @@ let build (fn : Cfg.func) ~costs ~live ~loops =
     fn.Cfg.blocks;
   { costs; cpt; crossings; freq; last_use; defs_at }
 
-let create (fn : Cfg.func) =
-  let loops = Loops.compute fn in
-  build fn
-    ~costs:(Spill_cost.compute ~loops fn)
-    ~live:(Liveness.compute fn) ~loops
-
 let of_analysis (a : Alloc_common.analysis) =
   build a.Alloc_common.fn ~costs:a.Alloc_common.costs ~live:a.Alloc_common.live
     ~loops:a.Alloc_common.loops
 
 let spill_cost t r = Spill_cost.spill_cost t.costs r
 let crossings t r =
-  if not (Reg.is_virtual r) then 0
-  else
-    match Regbits.find t.cpt r with
-    | Some i when i < Array.length t.crossings -> t.crossings.(i)
-    | Some _ | None -> 0
+  let i = Regbits.find_index t.cpt r in
+  if i < 0 || not (Reg.is_virtual r) then 0 else t.crossings.(i)
 let freq_of_instr t id =
   if id >= 0 && id < Array.length t.freq then t.freq.(id) else 1
 

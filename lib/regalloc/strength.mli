@@ -27,15 +27,14 @@ val pp_weight : Format.formatter -> weight -> unit
 
 type t
 
-val create : Cfg.func -> t
-
 val of_analysis : Alloc_common.analysis -> t
-(** Same result as [create] on the context's function, reusing its
-    already-computed spill costs, liveness and loop forest. *)
+(** The strengths of one allocation round, built from its spill costs,
+    liveness and loop forest. *)
 
 val spill_cost : t -> Reg.t -> int
 val crossings : t -> Reg.t -> int
-(** Frequency-weighted count of calls the register is live across. *)
+(** Frequency-weighted count of calls the register is live across; 0
+    for a physical register or one the round's body does not use. *)
 
 val freq_of_instr : t -> int -> int
 (** Execution frequency of an instruction (by id). *)

@@ -16,6 +16,18 @@ let reg_set_testable : Reg.Set.t Alcotest.testable =
         (Reg.Set.elements s))
     Reg.Set.equal
 
+(* One allocation round's analyses of [fn] over one loop forest and one
+   register numbering, as [Alloc_common.drive] hands them to a coloring
+   step. *)
+let analyze fn = Alloc_common.analyze ~loops:(Loops.compute fn) fn
+
+(* [fn]'s preference strengths and RPG over that round, as [Pdgc] builds
+   them. *)
+let build_rpg ?kinds m fn =
+  let a = analyze fn in
+  let str = Strength.of_analysis a in
+  (str, Rpg.build ?kinds ~cpt:(Igraph.compact a.Alloc_common.graph) m fn str)
+
 (* Registers live into a block, as a set. *)
 let live_in live l =
   Regbits.Set.to_reg_set (Liveness.compact live) (Liveness.live_in_bits live l)
@@ -951,7 +963,8 @@ module Ref_select = struct
     (* Assigning or spilling [n] can change the metric of its graph
        neighbors (availability) and of preference-related nodes. *)
     let invalidate_after n =
-      Igraph.iter_adj g n (fun nb -> Reg.Tbl.remove metric_cache nb);
+      Igraph.fold_adj g n ~init:() ~f:(fun () nb ->
+          Reg.Tbl.remove metric_cache nb);
       List.iter (fun (u, _) -> Reg.Tbl.remove metric_cache u) (Ref_rpg.incoming rpg n);
       List.iter
         (fun (p : Ref_rpg.pref) ->

@@ -72,7 +72,7 @@ let test_select_avail_excludes_neighbors () =
     | None -> Alcotest.fail (Reg.to_string r ^ " uncolored")
   in
   let cb = color b in
-  Igraph.iter_adj g b (fun n ->
+  Igraph.fold_adj g b ~init:() ~f:(fun () n ->
       check Alcotest.bool
         (Reg.to_string n ^ "'s color differs from b's")
         false
@@ -211,7 +211,7 @@ let test_lueh_gross_benefits () =
       (fun w o acc -> if Reg.equal o orig then w else acc)
       webs.Webs.origin orig
   in
-  let str = Strength.create fn' in
+  let str = Strength.of_analysis (analyze fn') in
   let b = Strength.volatility str (web_of regs.Fig7.v4) in
   (* v4 crosses the call at frequency 10: volatile benefit
      spill(30) - 3*10 = 0; non-volatile benefit 30 - 2 = 28. *)

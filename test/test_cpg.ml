@@ -42,12 +42,8 @@ let test_acyclic () =
 
 let test_resolve_bookkeeping () =
   let a = Fig7.run () in
-  let fn, _ = Fig7.build () in
-  ignore fn;
   let webs_fn = a.Fig7.func in
   let g = build_graph webs_fn in
-  let costs = Spill_cost.compute webs_fn in
-  ignore costs;
   let simp = simplify ~k:3 g in
   let cpg = Cpg.build ~k:3 g simp in
   (* Resolving every node in some topological order visits all nodes. *)

@@ -61,7 +61,7 @@ let test_live_across_calls () =
   let z = Builder.binop b Instr.Add x y in
   Builder.ret b (Some z);
   let fn = Builder.finish b in
-  let str = Strength.create fn in
+  let str = Strength.of_analysis (analyze fn) in
   check Alcotest.int "x crosses once" 1 (Strength.crossings str x);
   check Alcotest.int "y does not cross" 0 (Strength.crossings str y)
 
@@ -582,9 +582,9 @@ let test_regbits_remove_inter_lengths () =
   check int_list "long dst: left" [ 63; 126 ] (members long);
   check int_list "src untouched" [ 0; 5; 62 ] (members short)
 
-(* The compact numbering: indices in first-visit order, [find] never
-   interns, the id-indexed table grows without renumbering, and
-   [reg_at] inverts [index]. *)
+(* The compact numbering: indices in first-visit order, fixed once
+   built ([index] rejects a register it does not hold), the id-indexed
+   window covers far-apart ids, and [reg_at] inverts [index]. *)
 let test_numbering_first_visit () =
   (* a, b are params; s = a + b; r = s * a; ret r. *)
   let fn, a, b, s, r = straightline () in
@@ -598,42 +598,61 @@ let test_numbering_first_visit () =
       check Alcotest.int ("index " ^ Reg.to_string reg) k
         (Regbits.index cpt reg))
     expected;
-  check Alcotest.int "index interns nothing new" (List.length expected)
+  check Alcotest.int "index adds nothing" (List.length expected)
     (Regbits.size cpt)
 
+let rejected f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 let test_numbering_find () =
-  let cpt = Regbits.create () in
   let v = Reg.first_virtual in
-  check Alcotest.(option int) "empty table" None (Regbits.find cpt v);
+  check Alcotest.(option int) "empty numbering" None
+    (Regbits.find (Regbits.of_regs []) v);
+  let cpt = Regbits.of_regs [ v + 3; 2 ] in
   check Alcotest.int "first" 0 (Regbits.index cpt (v + 3));
   check Alcotest.int "second" 1 (Regbits.index cpt 2);
-  check Alcotest.(option int) "interned" (Some 0) (Regbits.find cpt (v + 3));
-  check Alcotest.(option int) "below the largest, never interned" None
+  check Alcotest.(option int) "found" (Some 0) (Regbits.find cpt (v + 3));
+  check Alcotest.(option int) "below the largest, not numbered" None
     (Regbits.find cpt (v + 1));
   check Alcotest.(option int) "past the table" None
     (Regbits.find cpt (v + 1_000_000));
   check Alcotest.(option int) "negative" None (Regbits.find cpt (-1));
-  check Alcotest.int "find interns nothing" 2 (Regbits.size cpt);
-  check Alcotest.bool "negative index rejected" true
-    (match Regbits.index cpt (-1) with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  List.iter
+    (fun (what, r) ->
+      check Alcotest.bool (what ^ " index rejected") true
+        (rejected (fun () -> Regbits.index cpt r)))
+    [
+      ("non-member", v + 1);
+      ("physical non-member", 3);
+      ("past the table", v + 1_000_000);
+      ("negative", -1);
+    ];
+  check Alcotest.int "lookups add nothing" 2 (Regbits.size cpt);
+  check Alcotest.bool "negative id not numbered" true
+    (rejected (fun () -> Regbits.of_regs [ v; -1 ]))
 
-let test_numbering_growth () =
-  let cpt = Regbits.create () in
-  let early = [ Reg.first_virtual + 7; 0; Reg.first_virtual ] in
-  List.iteri
-    (fun k reg -> check Alcotest.int "early index" k (Regbits.index cpt reg))
-    early;
-  let far = Reg.first_virtual + 100_000 in
-  check Alcotest.int "far id" 3 (Regbits.index cpt far);
+(* Ids far apart on both sides of the first one widen the id window
+   down and up while the numbering is built; a repeated register keeps
+   its first index. *)
+let test_numbering_far_ids () =
+  let v = Reg.first_virtual in
+  let far = v + 100_000 in
+  let distinct = [ v + 7; 0; v; far; v + 50_000 ] in
+  let cpt = Regbits.of_regs (distinct @ [ v + 7; far ]) in
+  check Alcotest.int "size" (List.length distinct) (Regbits.size cpt);
   List.iteri
     (fun k reg ->
-      check Alcotest.(option int) "kept after growth" (Some k)
+      check Alcotest.(option int) ("find " ^ Reg.to_string reg) (Some k)
         (Regbits.find cpt reg);
-      check Alcotest.int "index after growth" k (Regbits.index cpt reg))
-    early;
-  check Alcotest.int "size" 4 (Regbits.size cpt)
+      check Alcotest.int ("index " ^ Reg.to_string reg) k
+        (Regbits.index cpt reg);
+      check Alcotest.int "reg_at" reg (Regbits.reg_at cpt k))
+    distinct;
+  List.iter
+    (fun r ->
+      check Alcotest.(option int) ("gap " ^ Reg.to_string r) None
+        (Regbits.find cpt r))
+    [ v + 1; v + 8; far - 1; far + 1 ]
 
 let test_numbering_reg_at () =
   let cpt = Regbits.of_func (List.hd (random_program 7).Cfg.funcs) in
@@ -694,7 +713,7 @@ let () =
         [
           tc "numbering in first-visit order" test_numbering_first_visit;
           tc "numbering find" test_numbering_find;
-          tc "numbering growth keeps indices" test_numbering_growth;
+          tc "numbering of far-apart ids" test_numbering_far_ids;
           tc "numbering reg_at inverts index" test_numbering_reg_at;
           tc "word boundaries" test_regbits_boundaries;
           prop_regbits_iter_model;

@@ -62,7 +62,7 @@ let test_select_stats () =
   let m = Machine.middle_pressure in
   let p = Pipeline.prepare m (Suite.program "mpegaudio") in
   let fn = (Webs.run (Cfg.clone (List.hd p.Cfg.funcs))).Webs.func in
-  let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
+  let a = analyze fn in
   let g = a.Alloc_common.graph and k = m.Machine.k in
   let no_spill _ = false in
   let str = Strength.of_analysis a in
@@ -83,6 +83,60 @@ let test_select_stats () =
     (s.Pdgc_select.honored_coalesce > 0);
   check Alcotest.bool "kind preferences honored" true
     (s.Pdgc_select.honored_kind > 0)
+
+(* A round's phases share one fixed register numbering: liveness, the
+   interference graph, the RPG and the CPG hold the same value, select
+   adds nothing to it, and the graph rejects a register the body does
+   not use instead of numbering it. *)
+let test_one_numbering_per_round () =
+  let m = Machine.make ~k:16 () in
+  let k = m.Machine.k in
+  List.iter
+    (fun name ->
+      let p = Pipeline.prepare m (Suite.program name) in
+      List.iter
+        (fun f ->
+          let fn = (Webs.run (Cfg.clone f)).Webs.func in
+          let what = name ^ "/" ^ fn.Cfg.name in
+          let a = analyze fn in
+          let g = a.Alloc_common.graph in
+          let cpt = Liveness.compact a.Alloc_common.live in
+          let size = Regbits.size cpt in
+          check Alcotest.bool (what ^ ": graph") true (Igraph.compact g == cpt);
+          let str = Strength.of_analysis a in
+          let rpg = Rpg.build ~cpt:(Igraph.compact g) m fn str in
+          check Alcotest.bool (what ^ ": rpg") true (Rpg.compact rpg == cpt);
+          let no_spill _ = false in
+          let simp =
+            Simplify.run Simplify.Optimistic ~k g
+              ~spill_choice:
+                (Alloc_common.choose_victim a.Alloc_common.costs g ~no_spill)
+              ()
+          in
+          let cpg = Cpg.build ~k g simp in
+          check Alcotest.bool (what ^ ": cpg") true (Cpg.compact cpg == cpt);
+          ignore
+            (Pdgc_select.run m g rpg cpg str
+               (Pdgc_select.params ~no_spill
+                  ~spill_risk:simp.Simplify.potential_spills ()));
+          check Alcotest.int (what ^ ": size after select") size
+            (Regbits.size cpt);
+          let absent = fn.Cfg.next_reg in
+          let member = Regbits.reg_at cpt 0 in
+          let rejected thunk =
+            match thunk () with
+            | _ -> false
+            | exception Invalid_argument _ -> true
+          in
+          check Alcotest.bool (what ^ ": degree of an absent register") true
+            (rejected (fun () -> Igraph.degree g absent));
+          check Alcotest.bool (what ^ ": interferes with an absent register")
+            true
+            (rejected (fun () -> Igraph.interferes g member absent));
+          check Alcotest.int (what ^ ": size after the queries") size
+            (Regbits.size cpt))
+        p.Cfg.funcs)
+    Suite.names
 
 let test_full_beats_blind_on_calls () =
   (* On the call-heavy benchmark, full preferences must produce fewer
@@ -186,6 +240,7 @@ let () =
           tc "variants valid on a suite program"
             test_both_variants_valid_on_suite_function;
           tc "select statistics" test_select_stats;
+          tc "one numbering per round" test_one_numbering_per_round;
           tc "preferences beat blindness on calls" test_full_beats_blind_on_calls;
           tc "active-spill path total" test_active_memory_spill;
           tc "consecutive pair rule" test_consecutive_pair_rule_end_to_end;

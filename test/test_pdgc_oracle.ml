@@ -68,7 +68,7 @@ let pdgc_simplify ~k g costs =
 let prepare_fn fn =
   let webs = Webs.run (Cfg.clone fn) in
   let fn = webs.Webs.func in
-  let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
+  let a = analyze fn in
   (fn, a, Strength.of_analysis a)
 
 (* What every comparison of one function reads, computed once: the

@@ -11,8 +11,7 @@ let fig7_rpg () =
       (fun w o acc -> if Reg.equal o orig then w else acc)
       webs.Webs.origin orig
   in
-  let str = Strength.create fn' in
-  let rpg = Rpg.build Fig7.machine fn' str in
+  let str, rpg = build_rpg Fig7.machine fn' in
   ( rpg,
     str,
     {
@@ -101,8 +100,7 @@ let test_coalesce_only_mode () =
   let fn, _ = Fig7.build () in
   let webs = Webs.run fn in
   let fn' = webs.Webs.func in
-  let str = Strength.create fn' in
-  let rpg = Rpg.build ~kinds:`Coalesce_only Fig7.machine fn' str in
+  let _, rpg = build_rpg ~kinds:`Coalesce_only Fig7.machine fn' in
   Reg.Set.iter
     (fun r ->
       List.iter
@@ -120,8 +118,7 @@ let test_limited_edge () =
   let y = Builder.limited b x in
   Builder.ret b (Some y);
   let fn = Builder.finish b in
-  let str = Strength.create fn in
-  let rpg = Rpg.build Machine.middle_pressure fn str in
+  let _, rpg = build_rpg Machine.middle_pressure fn in
   check Alcotest.bool "limited edge on dst" true
     (List.exists
        (fun p -> p.Rpg.target = Rpg.In_limited)
@@ -138,8 +135,7 @@ let test_no_pair_across_different_base () =
   let s = Builder.binop b Instr.Add x y in
   Builder.ret b (Some s);
   let fn = Builder.finish b in
-  let str = Strength.create fn in
-  let rpg = Rpg.build Machine.middle_pressure fn str in
+  let _, rpg = build_rpg Machine.middle_pressure fn in
   check Alcotest.int "no pairs" 0 (List.length (Rpg.pairs rpg))
 
 let test_no_pair_when_offsets_gap () =
@@ -151,8 +147,7 @@ let test_no_pair_when_offsets_gap () =
   let s = Builder.binop b Instr.Add x y in
   Builder.ret b (Some s);
   let fn = Builder.finish b in
-  let str = Strength.create fn in
-  let rpg = Rpg.build Machine.middle_pressure fn str in
+  let _, rpg = build_rpg Machine.middle_pressure fn in
   check Alcotest.int "no pairs" 0 (List.length (Rpg.pairs rpg))
 
 let prop_edges_are_virtual_sources =
@@ -163,8 +158,7 @@ let prop_edges_are_virtual_sources =
         (fun fn ->
           let webs = Webs.run (Cfg.clone fn) in
           let fn = webs.Webs.func in
-          let str = Strength.create fn in
-          let rpg = Rpg.build Machine.middle_pressure fn str in
+          let _, rpg = build_rpg Machine.middle_pressure fn in
           Reg.Set.for_all
             (fun r -> List.for_all (fun _ -> Reg.is_virtual r) (Rpg.prefs rpg r))
             (Cfg.all_vregs fn))
@@ -178,8 +172,7 @@ let prop_incoming_matches_outgoing =
         (fun fn ->
           let webs = Webs.run (Cfg.clone fn) in
           let fn = webs.Webs.func in
-          let str = Strength.create fn in
-          let rpg = Rpg.build Machine.middle_pressure fn str in
+          let _, rpg = build_rpg Machine.middle_pressure fn in
           Reg.Set.for_all
             (fun r ->
               List.for_all

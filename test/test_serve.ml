@@ -329,7 +329,49 @@ let test_codec_rejects_garbage () =
   expect_error "class entry for a physical register" (fun () ->
       of_wire Codec.read_func (one_class (Reg.first_virtual - 1)));
   expect_error "class entry past first_virtual + entries" (fun () ->
-      of_wire Codec.read_func (one_class (Reg.first_virtual + 1)))
+      of_wire Codec.read_func (one_class (Reg.first_virtual + 1)));
+  (* Only finalization pairs loads, into physical registers.  An
+     allocate request for [v1 = 0; v2, v3 = [v1 + 0]; ret v2 + v3] is
+     rejected at decode, its error naming the instruction, not by webs
+     mid-allocation. *)
+  let g = Cfg.create_func ~name:"pair" ~n_params:0 ~entry:0 in
+  let v1 = Cfg.fresh_reg g Reg.Int_class in
+  let v2 = Cfg.fresh_reg g Reg.Int_class in
+  let v3 = Cfg.fresh_reg g Reg.Int_class in
+  let v4 = Cfg.fresh_reg g Reg.Int_class in
+  let pair =
+    Cfg.instr g
+      (Instr.Load_pair { dst_lo = v2; dst_hi = v3; base = v1; offset = 0 })
+  in
+  let g =
+    Cfg.with_blocks g
+      [
+        Cfg.mk_block 0
+          [|
+            Cfg.instr g (Instr.Const { dst = v1; value = 0L });
+            pair;
+            Cfg.instr g
+              (Instr.Binop { op = Instr.Add; dst = v4; src1 = v2; src2 = v3 });
+            Cfg.instr g (Instr.Ret (Some v4));
+          |];
+      ]
+  in
+  let payload =
+    Protocol.encode_request
+      (Protocol.Alloc
+         {
+           machine = Machine.middle_pressure;
+           algo = "pdgc";
+           program = Protocol.Binary { Cfg.funcs = [ g ]; main = "pair" };
+         })
+  in
+  match Protocol.decode_request payload with
+  | _ -> Alcotest.fail "virtual paired load: request decoded"
+  | exception Codec.Error msg ->
+      check Alcotest.bool
+        ("virtual paired load: " ^ msg)
+        true
+        (contains msg (Format.asprintf "%a" Instr.pp pair))
 
 (* Seeded mutants of the Suite's allocate requests (1-4 byte flips,
    byte sets or truncations each): a mutant decodes or is a protocol or

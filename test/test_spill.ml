@@ -12,7 +12,7 @@ let test_fig7_v3_costs () =
       (fun w o acc -> if Reg.equal o orig then w else acc)
       webs.Webs.origin orig
   in
-  let costs = Spill_cost.compute fn' in
+  let costs = (analyze fn').Alloc_common.costs in
   let v3 = web_of regs.Fig7.v3 in
   let info = Spill_cost.info costs v3 in
   (* v3: one def (the copy, freq 10, store cost 1) and one use (the copy
@@ -30,7 +30,7 @@ let test_fig7_v4_costs () =
       (fun w o acc -> if Reg.equal o orig then w else acc)
       webs.Webs.origin orig
   in
-  let costs = Spill_cost.compute fn' in
+  let costs = (analyze fn').Alloc_common.costs in
   let v4 = web_of regs.Fig7.v4 in
   let info = Spill_cost.info costs v4 in
   (* v4: def at the add (freq 10, store 1 = 10), use at v0 = v4+1
@@ -39,16 +39,17 @@ let test_fig7_v4_costs () =
 
 let test_zero_for_unknown () =
   let fn, _, _, _, _ = straightline () in
-  let costs = Spill_cost.compute fn in
+  let costs = (analyze fn).Alloc_common.costs in
   check Alcotest.int "unknown reg" 0
     (Spill_cost.spill_cost costs (Reg.first_virtual + 999))
 
 let test_chaitin_metric_protects_temps () =
   let fn, a, _, _, _ = straightline () in
-  let costs = Spill_cost.compute fn in
-  let live = Liveness.compute fn in
-  let g = Igraph.build fn live in
-  let metric = Spill_cost.chaitin_metric costs g ~no_spill:(Reg.equal a) in
+  let an = analyze fn in
+  let metric =
+    Spill_cost.chaitin_metric an.Alloc_common.costs an.Alloc_common.graph
+      ~no_spill:(Reg.equal a)
+  in
   check Alcotest.bool "protected is infinite" true (metric a = infinity);
   check Alcotest.bool "others finite" true
     (metric (a + 1) < infinity)
@@ -58,7 +59,7 @@ let test_chaitin_metric_protects_temps () =
    conservative coalescing. *)
 let merged_costs_agree ~k (f : Cfg.func) =
   let fn = (Webs.run (Cfg.clone f)).Webs.func in
-  let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
+  let a = analyze fn in
   List.for_all
     (fun coalesce ->
       let g = Igraph.copy a.Alloc_common.graph in
@@ -114,7 +115,7 @@ let victim_fixture () =
   let r = Builder.binop b Instr.Mul t a in
   Builder.ret b (Some r);
   let fn = Builder.finish b in
-  let an = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
+  let an = analyze fn in
   let g = an.Alloc_common.graph in
   ignore (Coalesce.aggressive g);
   check reg_testable "t merged into s's node" (Igraph.alias g s)

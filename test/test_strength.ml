@@ -12,7 +12,7 @@ let fig7_context () =
       (fun w o acc -> if Reg.equal o orig then w else acc)
       webs.Webs.origin orig
   in
-  let str = Strength.create fn' in
+  let str = Strength.of_analysis (analyze fn') in
   ( fn',
     str,
     {
@@ -126,7 +126,7 @@ let test_memory_positive_for_heavy_crossers () =
   Builder.switch_to b exit;
   Builder.ret b (Some x);
   let fn = Builder.finish b in
-  let str = Strength.create fn in
+  let str = Strength.of_analysis (analyze fn) in
   (* x: spill cost ~ 1 (def) + 2 (ret use) = 3; crossings = 2 calls at
      freq 10 = 20 -> volatile side 3 - 60 < 0; nonvol side 3 - 2 = 1.
      Best residence is still a register (nonvol side positive), so
@@ -179,7 +179,7 @@ let ref_crossings (fn : Cfg.func) live loops =
    register. *)
 let test_crossings_match_reg_set_walk () =
   let check_fn name fn =
-    let a = Alloc_common.analyze ~loops:(Loops.compute fn) fn in
+    let a = analyze fn in
     let str = Strength.of_analysis a in
     let expected = ref_crossings fn a.Alloc_common.live a.Alloc_common.loops in
     Reg.Set.iter

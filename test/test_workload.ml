@@ -118,8 +118,7 @@ let test_character_pairs () =
   let pair_count p =
     List.fold_left
       (fun acc fn ->
-        let str = Strength.create fn in
-        let rpg = Rpg.build Machine.middle_pressure fn str in
+        let _, rpg = build_rpg Machine.middle_pressure fn in
         acc + List.length (Rpg.pairs rpg))
       0 p.Cfg.funcs
   in
