@@ -12,12 +12,12 @@
     [N] a free color).  A node becomes ready the moment its residual
     degree drops below [k] — from then on its own coloring is safe no
     matter when it happens, so no constraint is recorded against it.
-    Relaxation is incremental: reachability is maintained as monotone
-    per-node bitsets over the popped prefix, and each node's direct
-    successors as a bitset row, so inserting
-    an edge and retiring the edges it makes transitive is a few
-    word-parallel passes instead of a re-traversal of the graph per
-    transitive-pruning step (DESIGN §3e).
+    Construction is one pass and computes no reachability: it records
+    the precedence relation — every edge step 7 inserts, transitive ones
+    included — which is all {!resolve} walks.  The paper's transitively
+    reduced graph (the same partial order) is what {!succs}, {!preds},
+    {!n_edges}, {!pp} and {!to_dot} show; it is computed on the first
+    of those queries and cached (DESIGN §3e).
 
     The paper's key claim, tested in [test_cpg.ml]: for a graph
     simplified without optimistic spills, {e any} topological order of
@@ -49,17 +49,33 @@ val initial : t -> Reg.t list
 (** Successors of the top node: selectable immediately. *)
 
 val succs : t -> Reg.t -> Reg.t list
-(** @raise Invalid_argument for a register not in {!compact}, as do
+(** Direct successors in the transitive reduction, ascending.
+    @raise Invalid_argument for a register not in {!compact}, as do
     {!preds} and {!resolve}. *)
 
 val preds : t -> Reg.t -> Reg.t list
+(** Direct predecessors in the transitive reduction, ascending. *)
+
 val nodes : t -> Reg.t list
+
 val n_edges : t -> int
+(** Edges of the transitive reduction.  The first of {!succs},
+    {!preds}, {!n_edges}, {!pp} and {!to_dot} computes the reduction, in
+    one pass with a bitset per node; the later ones reuse it. *)
 
 val resolve : t -> Reg.t -> Reg.t list
 (** Mark a node processed (colored or spilled); returns the successors
     that become selectable as a result, in descending register order.
-    Each node must be resolved exactly once. *)
+    Each node must be resolved exactly once, and only once it is ready:
+    it is in {!initial} or was returned by an earlier [resolve].
+
+    Under that precondition, walking the recorded relation readies the
+    same nodes at the same step as walking the reduction.  Every edge
+    [u -> m] the reduction drops is implied by a kept path
+    [u -> n ->+ m]; [n] is not ready before [u] is resolved, so it is
+    resolved after [u], and the last predecessor of [m] to be resolved
+    is never [u].  A node's last resolved predecessor is therefore one
+    the reduction keeps, under any resolution order. *)
 
 (** {2:dense Dense index sub-API}
 
@@ -76,12 +92,14 @@ val compact : t -> Regbits.compact
 val resolve_idx : t -> int -> int list
 (** {!resolve} over indices: same pending-counter updates, same
     descending-register result order.  Each node must be resolved
-    exactly once, through either entry point. *)
+    exactly once, through either entry point, under {!resolve}'s
+    precondition. *)
 
 val pp : Format.formatter -> t -> unit
+(** The reduction's edges, per node in {!nodes} order. *)
 
 val to_dot : ?name:(Reg.t -> string) -> Format.formatter -> t -> unit
-(** Graphviz rendering with explicit top/bottom markers.  Emission is
-    deterministic and sorted — nodes ascending by register, each node's
-    edges ascending by successor — so dumps diff cleanly across runs
-    and jobs modes. *)
+(** Graphviz rendering of the reduction with explicit top/bottom
+    markers.  Emission is deterministic and sorted — nodes ascending by
+    register, each node's edges ascending by successor — so dumps diff
+    cleanly across runs and jobs modes. *)

@@ -25,13 +25,13 @@ let allocate_config config (m : Machine.t) f0 =
     let fn = a.Alloc_common.fn and g = a.Alloc_common.graph in
     let str = Strength.of_analysis a in
     let rpg = Rpg.build ~kinds ~cpt:(Igraph.compact g) m fn str in
-    let costs = a.Alloc_common.costs in
-    (* Nothing merged: [spill_cost] = [choose_victim]'s merged cost. *)
-    let metric r =
-      if no_spill r then infinity
-      else
-        float_of_int (Spill_cost.spill_cost costs r)
-        /. float_of_int (max 1 (Igraph.degree g r))
+    (* Chaitin's cost/degree metric, each node's computed once per
+       round.  Nothing is merged, so a node's merged cost is its own
+       [Spill_cost.spill_cost]; unlike [Alloc_common.choose_victim],
+       a round whose blocked nodes are all temporaries takes the first,
+       not the one of highest degree. *)
+    let metric =
+      Spill_cost.chaitin_metric a.Alloc_common.costs g ~no_spill
     in
     (* Optimistic simplification; no merging — coalescing is deferred
        to selection. *)

@@ -253,15 +253,6 @@ module Set = struct
       if bits <> 0 then iter_word w bits f
     done
 
-  let remove_inter ~src ~dst f =
-    for w = 0 to min (Array.length src.words) (Array.length dst.words) - 1 do
-      let common = dst.words.(w) land src.words.(w) in
-      if common <> 0 then begin
-        dst.words.(w) <- dst.words.(w) lxor common;
-        iter_word w common f
-      end
-    done
-
   let iter_new ~src ~mask ~row f =
     for w = 0 to min (Array.length src.words) (Array.length mask.words) - 1 do
       let bits = src.words.(w) land mask.words.(w) in

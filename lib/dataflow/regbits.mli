@@ -108,11 +108,6 @@ module Set : sig
 
   val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
-  val remove_inter : src:t -> dst:t -> (int -> unit) -> unit
-  (** [dst <- dst \ src], calling the function on each removed index
-      ([dst ∩ src]) in ascending order; [src] is untouched.  One
-      word-wise pass over the shorter of the two rows. *)
-
   val iter_new : src:t -> mask:t -> row:t -> (int -> unit) -> unit
   (** Call the function on each index of [src ∩ mask] that is not in
       [row], ascending.  One word-wise pass: each word's new members

@@ -71,12 +71,19 @@ let run () =
   let fn, r0s = build () in
   let webs = Webs.run fn in
   let fn = webs.Webs.func in
-  (* Map the original names to their web registers (each of v0..v4 is a
-     single web). *)
+  (* Map the original names to their web registers: each of v0..v4 is a
+     single web, so exactly one web has it as its origin. *)
   let web_of orig =
-    Reg.Tbl.fold
-      (fun w o acc -> if Reg.equal o orig then w else acc)
-      webs.Webs.origin orig
+    match
+      Reg.Tbl.fold
+        (fun w o acc -> if Reg.equal o orig then w :: acc else acc)
+        webs.Webs.origin []
+    with
+    | [ w ] -> w
+    | _ ->
+        invalid_arg
+          (Printf.sprintf "Fig7.run: %s is not exactly one web"
+             (Reg.to_string orig))
   in
   let regs =
     {

@@ -4,7 +4,9 @@ type cls = Int_class | Float_class
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
+(* The id itself: ids are non-negative and dense, so [Hashtbl.Make]'s
+   mask spreads them evenly (see reg.mli). *)
+let hash (r : t) = r
 let max_phys = 64
 let first_virtual = 2 * max_phys
 

@@ -20,6 +20,15 @@ type cls = Int_class | Float_class
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** The register's id.  [Hashtbl.Make] masks a hash to its power-of-two
+    table size, so consecutive ids land in consecutive buckets, and ids
+    are dense: virtual registers are numbered by [Cfg.fresh_reg], and a
+    decoded function names no class entry at or above [first_virtual]
+    plus its entry count, so a request cannot pile keys into one bucket.
+    A {!Tbl} traversal visits keys in bucket order, which follows the
+    ids; no allocator output depends on it (every traversal in the
+    library is membership, a bitset fill, independent per-key writes or
+    a list sorted afterwards). *)
 
 (** Maximum number of physical registers per class that the encoding can
     describe.  Targets use [k <= max_phys] of them. *)

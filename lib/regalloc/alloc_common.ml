@@ -79,7 +79,8 @@ let first_min metric = function
 
 (* Pick the blocked node minimizing Chaitin's cost/degree metric.  The
    metric is applied once per round, so its merged-cost table is built
-   on the round's first blocked step and shared by the later ones. *)
+   on the round's first blocked step, and each node's metric on its
+   first query; the later steps share both. *)
 let choose_victim costs g ~no_spill =
   let metric = Spill_cost.chaitin_metric costs g ~no_spill in
   fun blocked ->

@@ -120,9 +120,10 @@ val choose_victim :
     remains; when only temporaries are blocked, take the one of highest
     degree.  Partially apply it once per round and pass the closure as
     the round's [spill_choice]: the closure builds the one-pass
-    merged-cost table on its first call, so a round that never blocks
-    pays nothing and each blocked step costs O(candidates).  The graph
-    must not be merged after the first call. *)
+    merged-cost table on its first call and computes each candidate's
+    metric once for the round, so a round that never blocks pays
+    nothing and each blocked step costs O(candidates) array reads.  The
+    graph must not be merged after the first call. *)
 
 val first_min : (Reg.t -> float) -> Reg.t list -> Reg.t * float
 (** [first_min metric l] is the first element of [l] with the lowest

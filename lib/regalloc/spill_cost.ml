@@ -71,11 +71,25 @@ let merged_spill_costs t g =
     t.spill;
   fun rep -> sums.(Igraph.index_of g rep)
 
+(* Each root's metric is computed on its first query and kept in a
+   float array over the graph's numbering; a metric is never negative,
+   so [-1.] marks an empty slot.  The graph is not merged after the
+   first query (spill_cost.mli), so degrees and merged costs, hence the
+   cached values, hold for the round. *)
 let chaitin_metric t g ~no_spill =
   let merged = lazy (merged_spill_costs t g) in
+  let cache = lazy (Array.make (Regbits.size (Igraph.compact g)) (-1.)) in
   fun rep ->
-    if no_spill rep then infinity
+    let cache = Lazy.force cache and i = Igraph.index_of g rep in
+    let m = cache.(i) in
+    if m >= 0. then m
     else
-      let cost = float_of_int (Lazy.force merged rep) in
-      let deg = float_of_int (max 1 (Igraph.degree g rep)) in
-      cost /. deg
+      let m =
+        if no_spill rep then infinity
+        else
+          let cost = float_of_int (Lazy.force merged rep) in
+          let deg = float_of_int (max 1 (Igraph.degree g rep)) in
+          cost /. deg
+      in
+      cache.(i) <- m;
+      m

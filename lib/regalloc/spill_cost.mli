@@ -42,4 +42,8 @@ val chaitin_metric :
     temporaries) get an effectively infinite metric.  Partially apply
     it once per round: the application to [t], [g] and [no_spill]
     builds the {!merged_spill_costs} table lazily, on the first finite
-    query, so [g] must not be merged after that query. *)
+    query, and computes each merge representative's metric once, on
+    its first query, so that a node blocked over many simplification
+    steps costs one computation.  [g] must not be merged after the
+    first query, and [no_spill] must not change its answers, or the
+    cached values go stale. *)

@@ -556,32 +556,6 @@ let prop_regbits_iter_new =
       && new_members ~grow:true ~src ~mask ~row () = expected
       && members row = model (rl @ expected))
 
-let prop_regbits_remove_inter =
-  qcheck ~count:200 "remove_inter reports and removes dst ∩ src"
-    QCheck2.Gen.(pair sized_set_gen sized_set_gen)
-    (fun ((dcap, dl), (scap, sl)) ->
-      let dst = set_of ~cap:dcap dl and src = set_of ~cap:scap sl in
-      let reported = ref [] in
-      Regbits.Set.remove_inter ~src ~dst (fun i -> reported := i :: !reported);
-      let d = model dl and s = model sl in
-      List.rev !reported = List.filter (fun i -> List.mem i s) d
-      && members dst = List.filter (fun i -> not (List.mem i s)) d
-      && members src = s)
-
-let test_regbits_remove_inter_lengths () =
-  (* One-word destination against a three-word source and back. *)
-  let short = set_of [ 0; 5; 62 ] and long = set_of [ 5; 62; 63; 126 ] in
-  let got = ref [] in
-  Regbits.Set.remove_inter ~src:long ~dst:short (fun i -> got := i :: !got);
-  check int_list "short dst: reported" [ 5; 62 ] (List.rev !got);
-  check int_list "short dst: left" [ 0 ] (members short);
-  let short = set_of [ 0; 5; 62 ] and long = set_of [ 5; 62; 63; 126 ] in
-  got := [];
-  Regbits.Set.remove_inter ~src:short ~dst:long (fun i -> got := i :: !got);
-  check int_list "long dst: reported" [ 5; 62 ] (List.rev !got);
-  check int_list "long dst: left" [ 63; 126 ] (members long);
-  check int_list "src untouched" [ 0; 5; 62 ] (members short)
-
 (* The compact numbering: indices in first-visit order, fixed once
    built ([index] rejects a register it does not hold), the id-indexed
    window covers far-apart ids, and [reg_at] inverts [index]. *)
@@ -718,7 +692,5 @@ let () =
           tc "word boundaries" test_regbits_boundaries;
           prop_regbits_iter_model;
           prop_regbits_iter_new;
-          tc "remove_inter across row lengths" test_regbits_remove_inter_lengths;
-          prop_regbits_remove_inter;
         ] );
     ]

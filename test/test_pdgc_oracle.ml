@@ -292,8 +292,8 @@ let check_fn ?(seed = 0) ?(m = Machine.middle_pressure) name fn =
         name
   done
 
-(* k=24 and k=16: at k=16 relaxation inserts and retires the most CPG
-   edges, so the transitive-pruning path is hit hardest there. *)
+(* k=24 and k=16: at k=16 construction records more CPG edges, and the
+   reduction drops more of them, than at k=24. *)
 let test_suite_programs () =
   List.iter
     (fun m ->
@@ -309,13 +309,23 @@ let test_suite_programs () =
         (Suite.all ()))
     [ Machine.middle_pressure; Machine.make ~k:16 () ]
 
+(* Each program at middle pressure and at k=8.  At k=8 construction
+   records the most precedence edges and the reduction drops the most of
+   them, so the random drains there check hardest that [resolve] over
+   the recorded relation readies what the oracle's reduced graph does. *)
 let prop_random =
   qcheck ~count:25 "dense PDGC core = tree-based oracle (random programs)"
     seed_gen (fun seed ->
-      let p = prepared_random_program seed in
       List.iter
-        (fun fn -> check_fn ~seed (Printf.sprintf "seed %d" seed) fn)
-        p.Cfg.funcs;
+        (fun m ->
+          let p = prepared_random_program ~m seed in
+          List.iter
+            (fun fn ->
+              check_fn ~seed ~m
+                (Printf.sprintf "seed %d k=%d" seed m.Machine.k)
+                fn)
+            p.Cfg.funcs)
+        [ Machine.middle_pressure; Machine.make ~k:8 () ];
       true)
 
 let () =
