@@ -191,14 +191,7 @@ let rpg_consistency =
               let instr_id = p.Rpg.instr_id in
               match p.Rpg.target with
               | Rpg.Coalesce t ->
-                  if Reg.is_virtual t && not (Igraph.is_node graph t) then
-                    emit ~reg:r ~instr_id
-                      (Printf.sprintf
-                         "coalesce preference of %s targets %s, which is \
-                          not a live node"
-                         (Reg.to_string r) (Reg.to_string t));
-                  if Igraph.is_node graph t && Igraph.interferes graph r t
-                  then
+                  if Igraph.interferes graph r t then
                     emit ~severity:Diagnostic.Warning ~reg:r ~instr_id
                       (Printf.sprintf
                          "copy between interfering live ranges %s and %s: \
@@ -209,20 +202,14 @@ let rpg_consistency =
                       (Printf.sprintf
                          "coalesce edge %s -> %s has no mirror edge"
                          (Reg.to_string r) (Reg.to_string t))
-              | Rpg.Seq_plus t | Rpg.Seq_minus t ->
-                  if Reg.is_virtual t && not (Igraph.is_node graph t) then
-                    emit ~reg:r ~instr_id
-                      (Printf.sprintf
-                         "sequential preference of %s targets %s, which is \
-                          not a live node"
-                         (Reg.to_string r) (Reg.to_string t))
               | Rpg.Memory ->
                   if Rpg.strength p <= 0 then
                     emit ~reg:r ~instr_id
                       (Printf.sprintf
                          "memory preference of %s has non-positive strength"
                          (Reg.to_string r))
-              | Rpg.Kind | Rpg.In_limited -> ())
+              | Rpg.Seq_plus _ | Rpg.Seq_minus _ | Rpg.Kind | Rpg.In_limited ->
+                  ())
             (Rpg.prefs rpg r))
         (Cfg.all_vregs fn);
       List.rev !out)

@@ -92,52 +92,6 @@ let of_func (f : Cfg.func) =
           List.iter add (Instr.defs kind);
           List.iter add (Instr.uses kind)))
 
-module Vec = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-  let length v = v.len
-
-  let get v i =
-    if i < 0 || i >= v.len then invalid_arg "Regbits.Vec.get";
-    v.data.(i)
-
-  let push v x =
-    if v.len >= Array.length v.data then begin
-      let cap = max 4 (2 * Array.length v.data) in
-      let bigger = Array.make cap 0 in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let remove_value v x =
-    let rec find i = if i >= v.len then -1 else if v.data.(i) = x then i else find (i + 1) in
-    let i = find 0 in
-    if i < 0 then false
-    else begin
-      v.data.(i) <- v.data.(v.len - 1);
-      v.len <- v.len - 1;
-      true
-    end
-
-  let iter v f =
-    for i = 0 to v.len - 1 do
-      f v.data.(i)
-    done
-
-  let fold v ~init ~f =
-    let acc = ref init in
-    for i = 0 to v.len - 1 do
-      acc := f !acc v.data.(i)
-    done;
-    !acc
-
-  let copy v = { data = Array.sub v.data 0 v.len; len = v.len }
-  let clear v = v.len <- 0
-end
-
 module Set = struct
   (* [words] may be shorter than another set's: indices beyond the
      array are absent.  All operations treat missing words as zero. *)
@@ -207,6 +161,14 @@ module Set = struct
     done;
     !changed
 
+  let union_inter_into ~src ~mask ~dst =
+    let n = min (Array.length src.words) (Array.length mask.words) in
+    if n > Array.length dst.words then grow dst n;
+    let d = dst.words in
+    for w = 0 to n - 1 do
+      d.(w) <- d.(w) lor (src.words.(w) land mask.words.(w))
+    done
+
   let union a b =
     let c = copy a in
     ignore (union_into ~src:b ~dst:c);
@@ -253,21 +215,93 @@ module Set = struct
       if bits <> 0 then iter_word w bits f
     done
 
-  let iter_new ~src ~mask ~row f =
-    for w = 0 to min (Array.length src.words) (Array.length mask.words) - 1 do
-      let bits = src.words.(w) land mask.words.(w) in
-      if bits <> 0 then begin
-        let r = row.words in
-        let bits = if w < Array.length r then bits land lnot r.(w) else bits in
-        if bits <> 0 then iter_word w bits f
-      end
-    done
-
   let fold s ~init ~f =
     let acc = ref init in
     iter s (fun i -> acc := f !acc i);
     !acc
 
+  let symmetrize rows =
+    for i = 0 to Array.length rows - 1 do
+      let wi = i / bits_per_word and bi = 1 lsl (i mod bits_per_word) in
+      let words = rows.(i).words in
+      for w = 0 to Array.length words - 1 do
+        let bits = ref words.(w) in
+        while !bits <> 0 do
+          let lsb = !bits land - !bits in
+          let r = rows.((w * bits_per_word) + bit_index lsb).words in
+          r.(wi) <- r.(wi) lor bi;
+          bits := !bits lxor lsb
+        done
+      done
+    done
+
   let to_reg_set c s =
     fold s ~init:Reg.Set.empty ~f:(fun acc i -> Reg.Set.add (reg_at c i) acc)
+end
+
+module Vec = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = [||]; len = 0 }
+  let length v = v.len
+
+  let get v i =
+    if i < 0 || i >= v.len then invalid_arg "Regbits.Vec.get";
+    v.data.(i)
+
+  let push v x =
+    if v.len >= Array.length v.data then begin
+      let cap = max 4 (2 * Array.length v.data) in
+      let bigger = Array.make cap 0 in
+      Array.blit v.data 0 bigger 0 v.len;
+      v.data <- bigger
+    end;
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1
+
+  (* First position in ascending [v] holding a value >= [x]. *)
+  let search v x =
+    let lo = ref 0 and hi = ref v.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if v.data.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let insert_sorted v x =
+    let i = search v x in
+    if i >= v.len || v.data.(i) <> x then begin
+      push v x;
+      Array.blit v.data i v.data (i + 1) (v.len - 1 - i);
+      v.data.(i) <- x
+    end
+
+  let remove_sorted v x =
+    let i = search v x in
+    if i < v.len && v.data.(i) = x then begin
+      Array.blit v.data (i + 1) v.data i (v.len - 1 - i);
+      v.len <- v.len - 1
+    end
+
+  let iter v f =
+    for i = 0 to v.len - 1 do
+      f v.data.(i)
+    done
+
+  let fold v ~init ~f =
+    let acc = ref init in
+    for i = 0 to v.len - 1 do
+      acc := f !acc v.data.(i)
+    done;
+    !acc
+
+  let copy v = { data = Array.sub v.data 0 v.len; len = v.len }
+
+  let of_set s =
+    let data = Array.make (Set.cardinal s) 0 in
+    let len = ref 0 in
+    Set.iter s (fun i ->
+        data.(!len) <- i;
+        incr len);
+    { data; len = !len }
 end

@@ -53,26 +53,6 @@ val find_index : compact -> Reg.t -> int
 val reg_at : compact -> int -> Reg.t
 (** Inverse of {!index}.  @raise Invalid_argument if out of range. *)
 
-(** Growable int vectors — the adjacency-list representation used by
-    the dense interference graph. *)
-module Vec : sig
-  type t
-
-  val create : unit -> t
-  val length : t -> int
-  val get : t -> int -> int
-  val push : t -> int -> unit
-
-  val remove_value : t -> int -> bool
-  (** Remove the first occurrence of a value (order not preserved);
-      [true] if found. *)
-
-  val iter : t -> (int -> unit) -> unit
-  val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-  val copy : t -> t
-  val clear : t -> unit
-end
-
 (** Mutable bitsets over dense indices. *)
 module Set : sig
   type t
@@ -96,6 +76,9 @@ module Set : sig
   val union_into : src:t -> dst:t -> bool
   (** [dst <- dst ∪ src]; [true] iff [dst] changed. *)
 
+  val union_inter_into : src:t -> mask:t -> dst:t -> unit
+  (** [dst <- dst ∪ (src ∩ mask)], a word at a time. *)
+
   val union : t -> t -> t
   (** Fresh set; arguments untouched. *)
 
@@ -108,11 +91,38 @@ module Set : sig
 
   val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
-  val iter_new : src:t -> mask:t -> row:t -> (int -> unit) -> unit
-  (** Call the function on each index of [src ∩ mask] that is not in
-      [row], ascending.  One word-wise pass: each word's new members
-      are computed before the function sees any of them, so the
-      function may add those members to [row]. *)
+  val symmetrize : t array -> unit
+  (** [symmetrize rows] adds [i] to row [j] for every [j] in row [i]:
+      the rows, each holding indices below [Array.length rows] and as
+      wide as that, become a symmetric bit matrix.  One pass over the
+      members, a word store each. *)
 
   val to_reg_set : compact -> t -> Reg.Set.t
+end
+
+(** Growable int vectors — the adjacency-list representation used by
+    the dense interference graph. *)
+module Vec : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val get : t -> int -> int
+  val push : t -> int -> unit
+
+  val insert_sorted : t -> int -> unit
+  (** Insert a value into an ascending vector at its place, shifting
+      the larger ones up; a value already present is left alone. *)
+
+  val remove_sorted : t -> int -> unit
+  (** Remove a value from an ascending vector, shifting the larger ones
+      down; absent, nothing changes. *)
+
+  val iter : t -> (int -> unit) -> unit
+  val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
+  val copy : t -> t
+
+  val of_set : Set.t -> t
+  (** The set's members, ascending, in a vector of exactly their
+      number. *)
 end

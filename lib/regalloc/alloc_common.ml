@@ -120,8 +120,10 @@ let temp_test live temps =
     i >= 0 && Regbits.Set.mem bits i
 
 (* The one round loop every allocator shares: renumber, analyze, let the
-   allocator color; on [Spill] insert spill code and go again.  Slots
-   are kept per round (newest first) and flattened once at the end.
+   allocator color; on [Spill] insert spill code and go again.  Spill
+   insertion keeps every register of the round one web, so rounds after
+   the first rename without reaching definitions.  Slots are kept per
+   round (newest first) and flattened once at the end.
    Neither webs nor spill insertion touches a label or an edge, so the
    loop forest of the input serves every round. *)
 let drive ~name ?(rematerialize = false) f0 color =
@@ -129,7 +131,7 @@ let drive ~name ?(rematerialize = false) f0 color =
   let loops = Loops.compute f in
   let rec round fn ~temps ~n ~spill_instrs ~slots =
     if n > max_rounds then raise (Failed (name ^ ": too many rounds"));
-    let webs = Webs.run fn in
+    let webs = if n = 1 then Webs.run fn else Webs.rename fn in
     let fn = webs.Webs.func in
     let temps = remap_temps webs temps in
     let a = analyze ~loops fn in

@@ -95,9 +95,11 @@ val drive :
 (** [drive ~name f color] allocates a clone of [f] (the input is never
     mutated).  It computes the loop forest once: web renumbering and
     spill insertion keep every label and edge.  Each round renumbers
-    the body into webs, carries the spill temporaries over ([no_spill]
-    tests for them with one bit test; [color] must not spill them
-    again), runs {!analyze} and hands the result to [color].  [Spill]
+    the body into webs ({!Webs.run} in the first round, the linear
+    {!Webs.rename} after a spill), carries the spill temporaries over
+    ([no_spill] tests for them with one bit test; [color] must not
+    spill them again), runs {!analyze} and hands the result to
+    [color].  [Spill]
     inserts spill code ([rematerialize] as in {!Spill_insert.insert},
     default [false]) and starts the next round; [Colored] ends the
     allocation.

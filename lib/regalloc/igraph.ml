@@ -6,10 +6,10 @@
    kept exactly in sync:
 
    - a bitset row ([bits]) giving O(1) membership for [interferes];
-   - a growable int vector ([adjv]) for O(degree) neighbor iteration
-     with no tree walks;
-   - a cached degree ([deg]), updated incrementally by [add_edge_idx]
-     and [merge] rather than recomputed.
+   - an int vector ([adjv]) of the same neighbors in ascending index
+     order, for O(degree) neighbor iteration with no tree walks;
+   - a cached degree ([deg]), set by [build] and kept exact by [merge]
+     rather than recomputed.
 
    Aliases (coalescing) are a union-find over indices with path
    compression. *)
@@ -24,7 +24,7 @@ type t = {
   deg : int array;
   parent : int array; (* union-find: -1 = root *)
   cls_code : int array; (* 0 = Int_class, 1 = Float_class *)
-  mutable move_list : move list;
+  move_list : move list;
 }
 
 let infinite_degree = max_int / 2
@@ -41,7 +41,6 @@ let rec root t i =
 
 let cls t r = Cfg.cls_of t.fn r
 let alias t r = Regbits.reg_at t.cpt (root t (idx t r))
-let is_node t r = Regbits.find_index t.cpt r >= 0
 let reg_is_phys t i = Reg.is_phys (Regbits.reg_at t.cpt i)
 
 (* Dense sub-API: expose the shared numbering so the PDGC core (Rpg,
@@ -53,13 +52,13 @@ let reg_of t i = Regbits.reg_at t.cpt i
 
 let root_idx = root
 
-(* Record the edge [a]-[b]; [add_edge_idx] and [build]
-   have checked that it is new and allowed. *)
+(* Record the edge [a]-[b], which [add_edge_idx] has checked is new and
+   allowed, keeping both vectors ascending. *)
 let link t a b =
   Regbits.Set.add t.bits.(a) b;
   Regbits.Set.add t.bits.(b) a;
-  Regbits.Vec.push t.adjv.(a) b;
-  Regbits.Vec.push t.adjv.(b) a;
+  Regbits.Vec.insert_sorted t.adjv.(a) b;
+  Regbits.Vec.insert_sorted t.adjv.(b) a;
   t.deg.(a) <- t.deg.(a) + 1;
   t.deg.(b) <- t.deg.(b) + 1
 
@@ -103,41 +102,35 @@ let vnodes t =
 
 let moves t = t.move_list
 
-(* Each definition's new neighbors are one word-wise difference: live
-   out, of its class (and virtual, for a physical definition), and not
-   yet in its row.  [Regbits.Set.iter_new] hands them over in ascending
-   index order, the order the per-member [add_edge_idx] walk visited
-   them in, so every adjacency vector keeps that insertion order. *)
+(* Each definition ORs the registers live out of it, of its class (and
+   virtual, for a physical definition), into its row a word at a time,
+   less itself and a copy's source when that edge is not already there.
+   The rows then hold each edge in its definition's direction; one pass
+   over them adds the mirror bits, and each node's degree and ascending
+   adjacency vector are read off its finished row. *)
 let build (fn : Cfg.func) (live : Liveness.t) =
   let cpt = Liveness.compact live in
   let n = Regbits.size cpt in
   (* The liveness numbering holds exactly the registers the body defines
      or uses: every one is a node, its row as wide as the numbering. *)
-  let t =
-    {
-      fn;
-      cpt;
-      bits = Array.init n (fun _ -> Regbits.Set.create n);
-      adjv = Array.init n (fun _ -> Regbits.Vec.create ());
-      deg = Array.make n 0;
-      parent = Array.make n (-1);
-      cls_code =
-        Array.init n (fun i ->
-            match Cfg.cls_of fn (Regbits.reg_at cpt i) with
-            | Reg.Int_class -> 0
-            | Reg.Float_class -> 1);
-      move_list = [];
-    }
+  let bits = Array.init n (fun _ -> Regbits.Set.create n) in
+  let cls_code =
+    Array.init n (fun i ->
+        match Cfg.cls_of fn (Regbits.reg_at cpt i) with
+        | Reg.Int_class -> 0
+        | Reg.Float_class -> 1)
   in
+  let is_phys i = Reg.is_phys (Regbits.reg_at cpt i) in
   (* [same.(c)]: the nodes of class code [c]; [vsame.(c)]: its virtual
      ones, the only possible neighbors of a physical node. *)
   let same = Array.init 2 (fun _ -> Regbits.Set.create n) in
   let vsame = Array.init 2 (fun _ -> Regbits.Set.create n) in
   for i = 0 to n - 1 do
-    let c = t.cls_code.(i) in
+    let c = cls_code.(i) in
     Regbits.Set.add same.(c) i;
-    if not (reg_is_phys t i) then Regbits.Set.add vsame.(c) i
+    if not (is_phys i) then Regbits.Set.add vsame.(c) i
   done;
+  let move_list = ref [] in
   List.iter
     (fun b ->
       Liveness.iter_block_backward_bits live b ~f:(fun ~live_out i ->
@@ -146,23 +139,38 @@ let build (fn : Cfg.func) (live : Liveness.t) =
           | Instr.Move { dst; src }
             when (not (Reg.equal dst src))
                  && Cfg.cls_of fn dst = Cfg.cls_of fn src ->
-              t.move_list <- { instr_id = i.Instr.id; dst; src } :: t.move_list
+              move_list := { instr_id = i.Instr.id; dst; src } :: !move_list
           | _ -> ());
           let exempt =
             match kind with
-            | Instr.Move { src; _ } -> idx t src
+            | Instr.Move { src; _ } -> Regbits.index cpt src
             | _ -> -1
           in
           List.iter
             (fun d ->
-              let di = idx t d in
-              let c = t.cls_code.(di) in
-              let mask = if reg_is_phys t di then vsame.(c) else same.(c) in
-              Regbits.Set.iter_new ~src:live_out ~mask ~row:t.bits.(di)
-                (fun l -> if l <> di && l <> exempt then link t di l))
+              let di = Regbits.index cpt d in
+              let row = bits.(di) in
+              let c = cls_code.(di) in
+              let mask = if is_phys di then vsame.(c) else same.(c) in
+              let keep_exempt = exempt >= 0 && Regbits.Set.mem row exempt in
+              Regbits.Set.union_inter_into ~src:live_out ~mask ~dst:row;
+              Regbits.Set.remove row di;
+              if exempt >= 0 && not keep_exempt then
+                Regbits.Set.remove row exempt)
             (Instr.defs kind)))
     fn.Cfg.blocks;
-  t
+  Regbits.Set.symmetrize bits;
+  let adjv = Array.map Regbits.Vec.of_set bits in
+  {
+    fn;
+    cpt;
+    bits;
+    adjv;
+    deg = Array.map Regbits.Vec.length adjv;
+    parent = Array.make n (-1);
+    cls_code;
+    move_list = !move_list;
+  }
 
 let merge t ~keep ~drop =
   let keep = root t (idx t keep) and drop = root t (idx t drop) in
@@ -178,7 +186,7 @@ let merge t ~keep ~drop =
            to [keep] (a no-op when already adjacent), keeping the
            neighbor's cached degree exact. *)
         Regbits.Set.remove t.bits.(n) drop;
-        ignore (Regbits.Vec.remove_value t.adjv.(n) drop);
+        Regbits.Vec.remove_sorted t.adjv.(n) drop;
         t.deg.(n) <- t.deg.(n) - 1;
         add_edge_idx t keep n);
     t.bits.(drop) <- Regbits.Set.create 0;

@@ -18,9 +18,16 @@
     Queries naming a register outside the numbering raise
     [Invalid_argument].  Membership ([interferes]) is a
     bit-matrix test, neighbor iteration walks a per-node adjacency
-    vector, and degrees are cached and updated incrementally as edges
-    are added and nodes merged — the engineering of production
-    Chaitin/Briggs allocators. *)
+    vector, and degrees are cached — the engineering of production
+    Chaitin/Briggs allocators.  {!build} ORs each definition's live-out
+    row into the matrix a word at a time, mirrors it, and then writes
+    each degree and each adjacency vector once; {!merge} keeps all
+    three exact.
+
+    Every adjacency vector lists a node's neighbors in ascending index
+    of the numbering, after {!build} and after every {!merge}, so the
+    graph, its iteration order included, is a function of its edge set
+    and the numbering alone. *)
 
 type t
 
@@ -34,16 +41,12 @@ val vnodes : t -> Reg.t list
 (** Virtual (non-precolored) nodes that are current merge
     representatives, ie. excluding merged-away nodes. *)
 
-val is_node : t -> Reg.t -> bool
-(** Does the register occur in the graph's function (merged away or
-    not)?  The one query that accepts any register. *)
-
 val interferes : t -> Reg.t -> Reg.t -> bool
 
 val fold_adj : t -> Reg.t -> init:'a -> f:('a -> Reg.t -> 'a) -> 'a
 (** Fold over the current neighbors of the node's representative
-    (aliases resolved, merged-away nodes absent).  The order is
-    unspecified; the graph must not be mutated during the fold. *)
+    (aliases resolved, merged-away nodes absent), in ascending index of
+    the numbering; the graph must not be mutated during the fold. *)
 
 val degree : t -> Reg.t -> int
 (** [infinite_degree] for physical registers. *)
@@ -73,7 +76,7 @@ val root_idx : t -> int -> int
     [index_of g r = root_idx g i] where [i] is [r]'s index. *)
 
 val iter_adj_idx : t -> int -> (int -> unit) -> unit
-(** The neighbors of a root index, in {!fold_adj}'s order. *)
+(** The neighbors of a root index, ascending, as in {!fold_adj}. *)
 
 val degree_idx : t -> int -> int
 val interferes_idx : t -> int -> int -> bool
@@ -89,7 +92,9 @@ val alias : t -> Reg.t -> Reg.t
 
 val merge : t -> keep:Reg.t -> drop:Reg.t -> unit
 (** Coalesce [drop] into [keep]: union the adjacency, redirect the
-    alias.  [drop] must be virtual and must not interfere with [keep].
+    alias.  Each affected vector has [drop] deleted and [keep] inserted
+    at its sorted place, O(degree) per neighbor, and degrees stay
+    exact.  [drop] must be virtual and must not interfere with [keep].
     @raise Invalid_argument otherwise. *)
 
 val copy : t -> t

@@ -101,3 +101,49 @@ let run (f : Cfg.func) =
       f.Cfg.blocks
   in
   { func = Cfg.with_blocks f blocks; origin }
+
+(* [web.(r - first_virtual)] for a register below the input's
+   [next_reg]: [undefined] for one with no definition, which keeps its
+   name; [unnamed] for a defined one not yet met; its web register
+   after that.  Fresh names are handed out where [run] hands them out,
+   at the first use or definition met walking forward through
+   [Instr.map_uses] and then [Instr.map_defs]: the same two functions,
+   so also the same order among one instruction's operands. *)
+let undefined = -1
+let unnamed = -2
+
+let rename (f : Cfg.func) =
+  let base = Reg.first_virtual in
+  let web = Array.make (max 0 (f.Cfg.next_reg - base)) undefined in
+  Cfg.iter_instrs f (fun _ i ->
+      List.iter
+        (fun r -> if Reg.is_virtual r then web.(r - base) <- unnamed)
+        (Instr.defs i.Instr.kind));
+  let origin = Reg.Tbl.create 64 in
+  let name r =
+    if not (Reg.is_virtual r) then r
+    else
+      let w = web.(r - base) in
+      if w = undefined then r
+      else if w <> unnamed then w
+      else begin
+        let w = Cfg.fresh_reg f (Cfg.cls_of f r) in
+        web.(r - base) <- w;
+        Reg.Tbl.replace origin w r;
+        w
+      end
+  in
+  let blocks =
+    List.map
+      (fun b ->
+        let instrs =
+          Array.map
+            (fun i ->
+              let kind = Instr.map_uses name i.Instr.kind in
+              { i with Instr.kind = Instr.map_defs name kind })
+            b.Cfg.instrs
+        in
+        { b with Cfg.instrs })
+      f.Cfg.blocks
+  in
+  { func = Cfg.with_blocks f blocks; origin }

@@ -332,15 +332,14 @@ module Ref_dom = struct
 end
 
 module Ref_igraph = struct
-  (* [adj_seq]: each node's neighbors in the order their edges were
-     first added, most recent first.  A definition meets the registers
-     live out of it in the order of their first occurrence in the body
-     (definitions before uses, instructions in block order): the
-     insertion order the dense graph's adjacency vectors must keep,
-     since Simplify, the CPG and select walk them in that order. *)
+  (* [rank]: each register's first-occurrence rank in the body
+     (definitions before uses, instructions in block order), which is
+     its index in the liveness numbering.  The dense graph lists every
+     node's neighbors in that order, since Simplify, the CPG and select
+     walk them in the order listed. *)
   type t = {
     adj_tbl : Reg.Set.t ref Reg.Tbl.t;
-    adj_seq : Reg.t list ref Reg.Tbl.t;
+    rank : Reg.t -> int;
     mutable move_list : (int * Reg.t * Reg.t) list;
   }
 
@@ -350,25 +349,24 @@ module Ref_igraph = struct
     | None ->
         let c = ref Reg.Set.empty in
         Reg.Tbl.replace t.adj_tbl r c;
-        Reg.Tbl.replace t.adj_seq r (ref []);
         c
 
   let add_edge fn t a b =
     if (not (Reg.equal a b)) && Cfg.cls_of fn a = Cfg.cls_of fn b then
       if not (Reg.is_phys a && Reg.is_phys b) then begin
         let ca = adj_cell t a and cb = adj_cell t b in
-        if not (Reg.Set.mem b !ca) then begin
-          ca := Reg.Set.add b !ca;
-          cb := Reg.Set.add a !cb;
-          let sa = Reg.Tbl.find t.adj_seq a and sb = Reg.Tbl.find t.adj_seq b in
-          sa := b :: !sa;
-          sb := a :: !sb
-        end
+        ca := Reg.Set.add b !ca;
+        cb := Reg.Set.add a !cb
       end
 
-  (* Neighbors of [r] in insertion order. *)
+  (* Neighbors of [r] in first-occurrence rank. *)
   let adj_sequence t r =
-    match Reg.Tbl.find_opt t.adj_seq r with Some l -> List.rev !l | None -> []
+    match Reg.Tbl.find_opt t.adj_tbl r with
+    | Some c ->
+        List.sort
+          (fun x y -> compare (t.rank x) (t.rank y))
+          (Reg.Set.elements !c)
+    | None -> []
 
   let first_occurrence (fn : Cfg.func) =
     let rank = Reg.Tbl.create 256 in
@@ -385,11 +383,10 @@ module Ref_igraph = struct
     let t =
       {
         adj_tbl = Reg.Tbl.create 256;
-        adj_seq = Reg.Tbl.create 256;
+        rank = first_occurrence fn;
         move_list = [];
       }
     in
-    let rank = first_occurrence fn in
     List.iter
       (fun b ->
         ignore
@@ -409,14 +406,9 @@ module Ref_igraph = struct
                  | Instr.Move { src; _ } -> Some src
                  | _ -> None
                in
-               let live_out =
-                 List.sort
-                   (fun x y -> compare (rank x) (rank y))
-                   (Reg.Set.elements live_out)
-               in
                List.iter
                  (fun d ->
-                   List.iter
+                   Reg.Set.iter
                      (fun l -> if exempt <> Some l then add_edge fn t d l)
                      live_out)
                  (Instr.defs kind))))

@@ -391,31 +391,86 @@ let test_cfg_facts_random () =
 
 (* The round driver computes the loop forest once per function: web
    renumbering and spill insertion must keep the label list and every
-   block's successor list. *)
+   block's successor list.  From the second round on it renames webs
+   with [Webs.rename], which must give what [Webs.run] gives on the
+   spilled body: the same body, next fresh name and origin table. *)
 let shape (fn : Cfg.func) =
   List.map (fun (b : Cfg.block) -> (b.Cfg.label, Cfg.successors b)) fn.Cfg.blocks
 
+let check_rename what (fn : Cfg.func) =
+  let by_run = Webs.run (Cfg.clone fn)
+  and by_rename = Webs.rename (Cfg.clone fn) in
+  let origin (w : Webs.t) =
+    Reg.Tbl.fold (fun r o acc -> (r, o) :: acc) w.Webs.origin []
+    |> List.sort compare
+  in
+  check Alcotest.string (what ^ ": renamed body")
+    (Digest.to_hex (Cfg.body_digest by_run.Webs.func))
+    (Digest.to_hex (Cfg.body_digest by_rename.Webs.func));
+  check Alcotest.int (what ^ ": next_reg") by_run.Webs.func.Cfg.next_reg
+    by_rename.Webs.func.Cfg.next_reg;
+  check Alcotest.(list (pair int int)) (what ^ ": origin") (origin by_run)
+    (origin by_rename)
+
+(* A block listed before the one defining [x] and [y] reads both: the
+   walk meets them first as two uses of one instruction, so a rename
+   must name them in [Instr.map_uses]' order, as [Webs.run] does.
+   Prepared code never has this shape (its blocks are in reverse
+   postorder), so the function is used as built. *)
+let uses_before_defs () =
+  let b = Builder.create ~name:"uses_first" ~n_params:1 in
+  let p = Builder.reg b Reg.Int_class in
+  Builder.param b p 0;
+  let sum = Builder.new_block b and defs = Builder.new_block b in
+  Builder.jump b defs;
+  Builder.switch_to b defs;
+  let x = Builder.binop b Instr.Add p (Builder.iconst b 1) in
+  let y = Builder.binop b Instr.Mul p x in
+  Builder.jump b sum;
+  Builder.switch_to b sum;
+  Builder.ret b (Some (Builder.binop b Instr.Sub x y));
+  Builder.finish b
+
 let test_rounds_keep_cfg () =
   let shape_t = Alcotest.(list (pair int (list int))) in
+  let prepared =
+    List.concat_map
+      (fun (name, (p : Cfg.program)) ->
+        List.map
+          (fun (fn : Cfg.func) ->
+            (name ^ "/" ^ fn.Cfg.name, Pipeline.prepare_func k8 fn))
+          p.Cfg.funcs)
+      (Suite.all ()
+      @ List.init 12 (fun i ->
+            (Printf.sprintf "seed %d" (i + 1), random_program (i + 1))))
+  in
   List.iter
-    (fun (name, (p : Cfg.program)) ->
+    (fun (what, fn) ->
+      let webs = (Webs.run fn).Webs.func in
+      check shape_t (what ^ ": webs") (shape fn) (shape webs);
+      let vregs = Reg.Set.elements (Cfg.all_vregs webs) in
+      let every_third = List.filteri (fun i _ -> i mod 3 = 0) vregs in
       List.iter
-        (fun (fn : Cfg.func) ->
-          let what = name ^ "/" ^ fn.Cfg.name in
-          let fn = Pipeline.prepare_func k8 fn in
-          let webs = (Webs.run fn).Webs.func in
-          check shape_t (what ^ ": webs") (shape fn) (shape webs);
+        (fun (which, spilled) ->
           List.iter
             (fun rematerialize ->
-              let ins =
-                Spill_insert.insert ~rematerialize webs (Cfg.all_vregs webs)
+              let what =
+                Printf.sprintf "%s: spilling %s (remat %b)" what which
+                  rematerialize
               in
-              check shape_t
-                (Printf.sprintf "%s: spill insertion (remat %b)" what rematerialize)
-                (shape fn) (shape ins.Spill_insert.func))
+              let ins =
+                Spill_insert.insert ~rematerialize (Cfg.clone webs)
+                  (Reg.Set.of_list spilled)
+              in
+              check shape_t what (shape fn) (shape ins.Spill_insert.func);
+              check_rename what ins.Spill_insert.func)
             [ false; true ])
-        p.Cfg.funcs)
-    (Suite.all ())
+        [
+          ("no vreg", []);
+          ("every vreg", vregs);
+          ("every third vreg", every_third);
+        ])
+    (("uses before defs", uses_before_defs ()) :: prepared)
 
 (* Solver --------------------------------------------------------------- *)
 
@@ -488,16 +543,6 @@ let iter_members s =
 let model l = List.sort_uniq compare l
 let int_list = Alcotest.(list int)
 
-(* [Regbits.Set.iter_new]'s members, in visit order.  With [~grow] the
-   callback adds each member to [row] as it goes, as the interference
-   graph's build does. *)
-let new_members ?(grow = false) ~src ~mask ~row () =
-  let acc = ref [] in
-  Regbits.Set.iter_new ~src ~mask ~row (fun i ->
-      if grow then Regbits.Set.add row i;
-      acc := i :: !acc);
-  List.rev !acc
-
 let test_regbits_boundaries () =
   let s = set_of boundary_bits in
   check int_list "iter ascending" boundary_bits (iter_members s);
@@ -508,21 +553,28 @@ let test_regbits_boundaries () =
       let one = set_of [ i ] in
       check int_list (Printf.sprintf "singleton %d" i) [ i ] (iter_members one))
     boundary_bits;
-  (* iter_new over rows of one, two and three words. *)
-  let long = set_of boundary_bits in
+  (* union_inter_into over sets of one, two and three words. *)
   let mask = set_of [ 62; 63; 125; 126 ] in
-  check int_list "row of one word" [ 63; 125; 126 ]
-    (new_members ~src:long ~mask ~row:(set_of [ 0; 62 ]) ());
-  check int_list "mask of one word" [ 62 ]
-    (new_members ~src:long ~mask:(set_of [ 62 ]) ~row:(set_of [ 126 ]) ());
-  check int_list "source of two words" [ 62; 125 ]
-    (new_members ~src:(set_of [ 0; 62; 125 ]) ~mask ~row:(set_of [ 63; 126 ]) ());
-  check int_list "empty row" [ 62; 63; 125; 126 ]
-    (new_members ~src:long ~mask ~row:(Regbits.Set.create 0) ());
-  let row = set_of [ 63 ] in
-  check int_list "callback grows the row" [ 62; 125; 126 ]
-    (new_members ~grow:true ~src:long ~mask ~row ());
-  check int_list "row holds them after" [ 62; 63; 125; 126 ] (members row)
+  let dst = set_of [ 0 ] in
+  Regbits.Set.union_inter_into ~src:s ~mask ~dst;
+  check int_list "union with an intersection" boundary_bits (members dst);
+  let dst = Regbits.Set.create 0 in
+  Regbits.Set.union_inter_into ~src:(set_of [ 0; 62; 125 ]) ~mask ~dst;
+  check int_list "destination grows" [ 62; 125 ] (members dst);
+  Regbits.Set.union_inter_into ~src:s ~mask:(set_of [ 0 ]) ~dst;
+  check int_list "mask of one word" [ 0; 62; 125 ] (members dst);
+  (* symmetrize over a matrix of three-word rows. *)
+  let rows = Array.init 127 (fun _ -> Regbits.Set.create 127) in
+  List.iter
+    (fun (i, j) -> Regbits.Set.add rows.(i) j)
+    [ (0, 126); (62, 63); (126, 125); (125, 126) ];
+  Regbits.Set.symmetrize rows;
+  check int_list "mirrored across words" [ 0; 125 ] (members rows.(126));
+  check int_list "mirrored into the first word" [ 126 ] (members rows.(0));
+  check int_list "mirrored into the second word" [ 62 ] (members rows.(63));
+  check int_list "an edge held both ways once" [ 126 ] (members rows.(125));
+  check Alcotest.int "no other member" 6
+    (Array.fold_left (fun n r -> n + Regbits.Set.cardinal r) 0 rows)
 
 (* Indices drawn mostly from the word boundaries, sets created with a
    random capacity hint so their word arrays differ in length. *)
@@ -539,22 +591,26 @@ let prop_regbits_iter_model =
       let s = set_of ~cap l in
       iter_members s = model l
       && members s = model l
-      && Regbits.Set.cardinal s = List.length (model l)
-      && new_members ~src:s ~mask:s ~row:(Regbits.Set.create 0) () = model l)
+      && Regbits.Set.cardinal s = List.length (model l))
 
-let prop_regbits_iter_new =
-  qcheck ~count:200 "iter_new = (src ∩ mask) \\ row, ascending"
+let vec_members v =
+  List.rev (Regbits.Vec.fold v ~init:[] ~f:(fun acc i -> i :: acc))
+
+let prop_regbits_union_inter_and_vec =
+  qcheck ~count:200 "union_inter_into and sorted vectors = list model"
     QCheck2.Gen.(triple sized_set_gen sized_set_gen sized_set_gen)
-    (fun ((scap, sl), (mcap, ml), (rcap, rl)) ->
+    (fun ((scap, sl), (mcap, ml), (dcap, dl)) ->
       let src = set_of ~cap:scap sl
       and mask = set_of ~cap:mcap ml
-      and row = set_of ~cap:rcap rl in
-      let expected =
-        List.filter (fun i -> List.mem i ml && not (List.mem i rl)) (model sl)
-      in
-      new_members ~src ~mask ~row () = expected
-      && new_members ~grow:true ~src ~mask ~row () = expected
-      && members row = model (rl @ expected))
+      and dst = set_of ~cap:dcap dl in
+      Regbits.Set.union_inter_into ~src ~mask ~dst;
+      let v = Regbits.Vec.of_set src in
+      List.iter (Regbits.Vec.insert_sorted v) ml;
+      List.iter (Regbits.Vec.remove_sorted v) dl;
+      members dst = model (dl @ List.filter (fun i -> List.mem i ml) sl)
+      && vec_members (Regbits.Vec.of_set mask) = model ml
+      && vec_members v
+         = List.filter (fun i -> not (List.mem i dl)) (model (sl @ ml)))
 
 (* The compact numbering: indices in first-visit order, fixed once
    built ([index] rejects a register it does not hold), the id-indexed
@@ -691,6 +747,6 @@ let () =
           tc "numbering reg_at inverts index" test_numbering_reg_at;
           tc "word boundaries" test_regbits_boundaries;
           prop_regbits_iter_model;
-          prop_regbits_iter_new;
+          prop_regbits_union_inter_and_vec;
         ] );
     ]

@@ -115,8 +115,8 @@ let test_copy_independent () =
 
 (* The dense graph (bit-matrix + adjacency vectors + cached degrees)
    must match the seed's Reg.Set-based construction exactly: same node
-   set, same adjacency in the same insertion order, same degrees, same
-   recorded moves. *)
+   set, same adjacency listed in ascending index (first-occurrence)
+   order, same degrees, same recorded moves. *)
 let igraph_matches_reference (fn : Cfg.func) =
   let g = build_graph fn in
   let oracle = Ref_igraph.build fn (Ref_live.compute fn) in
@@ -126,7 +126,8 @@ let igraph_matches_reference (fn : Cfg.func) =
   let nodes_ok =
     Reg.Tbl.fold
       (fun reg cell ok ->
-        ok && Igraph.is_node g reg
+        ok
+        && Regbits.find_index (Igraph.compact g) reg >= 0
         && Reg.Set.equal !cell (adj g reg)
         && List.equal Reg.equal
              (Ref_igraph.adj_sequence oracle reg)
@@ -173,6 +174,43 @@ let prop_dense_igraph_random =
           let webs = Webs.run (Cfg.clone fn) in
           igraph_matches_reference webs.Webs.func)
         p.Cfg.funcs)
+
+(* After merges every root's vector still lists exactly its bit row,
+   ascending (so strictly: the row has no repeats), and a virtual
+   root's cached degree is the vector's length. *)
+let vectors_match_rows g =
+  let n = Regbits.size (Igraph.compact g) in
+  let all = List.init n Fun.id in
+  List.for_all
+    (fun i ->
+      Igraph.root_idx g i <> i
+      ||
+      let listed = ref [] in
+      Igraph.iter_adj_idx g i (fun j -> listed := j :: !listed);
+      let listed = List.rev !listed in
+      listed = List.filter (Igraph.interferes_idx g i) all
+      && (Reg.is_phys (Igraph.reg_of g i)
+         || List.length listed = Igraph.degree_idx g i))
+    all
+
+let test_merge_keeps_order () =
+  let programs =
+    List.map
+      (fun (_, p) -> Pipeline.prepare Machine.middle_pressure p)
+      (Suite.all ())
+    @ List.init 12 (fun i -> prepared_random_program (i + 1))
+  in
+  List.iter
+    (fun (p : Cfg.program) ->
+      List.iter
+        (fun fn ->
+          let g = build_graph (Webs.run (Cfg.clone fn)).Webs.func in
+          ignore (Coalesce.aggressive g);
+          if not (vectors_match_rows g) then
+            Alcotest.failf "adjacency vector off its row after merges in %s"
+              fn.Cfg.name)
+        p.Cfg.funcs)
+    programs
 
 let prop_symmetric =
   qcheck ~count:30 "interference is symmetric and irreflexive" seed_gen
@@ -272,5 +310,6 @@ let () =
         [
           tc "suite programs" test_dense_igraph_suite;
           prop_dense_igraph_random;
+          tc "vectors ascending after coalescing" test_merge_keeps_order;
         ] );
     ]

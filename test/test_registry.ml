@@ -99,48 +99,48 @@ let golden_digest inputs (a : Allocator.t) =
 
 let golden =
   [
-    ("chaitin", "0a56e152f5cdfb9aab5fd7be26d85048");
-    ("briggs", "9644da4cfe9988c02be93e60241f703f");
-    ("optimistic", "007618f4d4e299dd977b8cb4bf5c9ef4");
+    ("chaitin", "7c30ea459996f3298c9af8489f50b059");
+    ("briggs", "6b6f4f2956d200906dc0b6784c0787c6");
+    ("optimistic", "37c4df4eacc7f2d753d702280fa90d15");
     ("iterated", "5e17f19d1b8d2bb7502809336c911e5b");
-    ("pdgc-co", "8642390b1a455fb4e9193cb954e1ecdb");
-    ("pdgc", "185ff96afdc9e95f2e7493d35a55618a");
+    ("pdgc-co", "ecabb8c2b555c721ad69817386e604a3");
+    ("pdgc", "7d5f9fa430698ec5e0f885a5d36c46f7");
     ("lueh-gross", "93e94a2ff08f43168f8b4d73b292f5f1");
     ("priority", "aab3edc3d2fe3da6dbad24e1328ff3f5");
   ]
 
 let suite_golden =
   [
-    ("chaitin", "1a44407dc356c93cf66e448fc7a47bef");
-    ("briggs", "6a6bc612466ef4079256cf1098b247b8");
-    ("optimistic", "d1c6124f418cb16fc74a77493422f7be");
+    ("chaitin", "5ec04271e03c7320b6432af442a4d65c");
+    ("briggs", "f6a59517f5af32257139085009a3c6f9");
+    ("optimistic", "0c1a9356e67316a5701ae5f090d994b2");
     ("iterated", "3c376237b2fa5b33216c32bb4e9e2971");
-    ("pdgc-co", "0502bbe870ae307ce76d74e195d0a95e");
-    ("pdgc", "8057510e5e099cdd53f6e4fee332b442");
+    ("pdgc-co", "23a2baa39971b532967f3b601e93e998");
+    ("pdgc", "3f69226a32ba834e531a5f8ceb057acf");
     ("lueh-gross", "3e38ed1247337d6d5badd6612263c385");
     ("priority", "338f6c0c4560bf784f5015e86142e9ab");
   ]
 
 let suite_golden_24 =
   [
-    ("chaitin", "0e6800d2de72d968b082a27f20fd24aa");
-    ("briggs", "c17775685142ef7441153336edb7a9e0");
-    ("optimistic", "b58430b9b7ac1a96f8d71e596c867f14");
+    ("chaitin", "161442b79da0b9d3bd73c9c93c1473a5");
+    ("briggs", "ecefaf06973ddb4900b2e46e67d8c763");
+    ("optimistic", "d3e62acbb5619369f06163f7ab999eb2");
     ("iterated", "63c30f0bd4295fa613b929f2d4d47e6e");
-    ("pdgc-co", "5cba3dca19b7b8bbb2de75525adba5cd");
-    ("pdgc", "d5033764c5ac49401a2bce1a5afc0ed3");
+    ("pdgc-co", "790b0b94b234665de9eeeae4539b4101");
+    ("pdgc", "a974924c70e1f7ed752cf40aa1563462");
     ("lueh-gross", "9d58827a5b96b705fc76f8fd838dbceb");
     ("priority", "7015fdd86ec748217e3e6ecfbf36d496");
   ]
 
 let suite_golden_32 =
   [
-    ("chaitin", "1e8948a7a4bffb225911d4fc6e59bbec");
-    ("briggs", "716eeab19f78fa6a12ff155fa4290ada");
-    ("optimistic", "ed5f35d64933db635e5113ca2d62908e");
+    ("chaitin", "997e80138948c253b507c00923357d28");
+    ("briggs", "82c7a0a89232b984ef759a4e810e6544");
+    ("optimistic", "52be7f056e83ffb2ef5754a51c8374cc");
     ("iterated", "756d97eb0b7d6dd997a7064fd1543452");
-    ("pdgc-co", "4a0ca85cd50a668ef8262a099a791db6");
-    ("pdgc", "67c284846b678a52da2e3f4a8ffc6c72");
+    ("pdgc-co", "b8fc2e2996f9dc2c7d0c013675721e54");
+    ("pdgc", "4322a76b4f067d24518a54f76bfd820e");
     ("lueh-gross", "faa1fb5ba5a26a48adc79efb0c34702f");
     ("priority", "9371e9c796aa3a27b87eee9518f579a1");
   ]
